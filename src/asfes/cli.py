@@ -46,6 +46,7 @@ from .problem import (
     QuadraticObjective,
     constrained_minimum,
     nb_eigenvector_condition,
+    require_finite,
     validate_plant,
 )
 from .sampling import random_full_state, random_plant, random_config
@@ -113,6 +114,42 @@ def _parse_bool(text: str, line: int) -> bool:
     if t in ("false", "no", "0"):
         return False
     raise ParseError(line, f"expected true/false, got {text!r}")
+
+
+def _parse_number(text: str, line: int) -> float:
+    return _parse_floats(text, line)[0]
+
+
+def _parse_dt(text: str, line: int) -> Optional[float]:
+    """A step, or None for ``auto`` (the default for the dither)."""
+    return None if text.strip().lower() == "auto" else _parse_number(text, line)
+
+
+def _parse_stride(text: str, line: int) -> int:
+    x = _parse_number(text, line)
+    if not (math.isfinite(x) and x.is_integer() and x >= 1):
+        raise ParseError(line, f"record_stride must be a positive integer, got {text.strip()!r}")
+    return int(x)
+
+
+def _parse_variants(text: str, line: int) -> tuple:
+    names = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
+    unknown = [nm for nm in names if nm not in _VARIANT_NAMES]
+    if unknown:
+        raise ParseError(line, f"unknown variant {unknown[0]!r}")
+    return tuple(_VARIANT_NAMES[nm] for nm in names)
+
+
+# optional [sim] keys: key -> (default text, converter(text, line))
+_SIM_OPTIONS = {
+    "dt": ("auto", _parse_dt),
+    "record_stride": ("1", _parse_stride),
+    "gamma_guard": ("1e6", _parse_number),
+    "warmup_rel_tol": ("1e-4", _parse_number),
+    "variants": ("asfes", _parse_variants),
+    "include_reduced": ("false", _parse_bool),
+    "include_average": ("false", _parse_bool),
+}
 
 
 def parse_scenario(path) -> Scenario:
@@ -204,56 +241,30 @@ def parse_scenario(path) -> Scenario:
         th = np.array(_parse_floats(v, ln))
         if th.shape != (plant.dimension,):
             raise ParseError(ln, f"theta0 has {th.shape[0]} components, expected {plant.dimension}")
+        require_finite(th, f"line {ln}: theta0")
         thetas.append(th)
     ln, v = require("sim", "t_end")
     t_end = _parse_floats(v, ln)[0]
-    if "dt" in sections["sim"]:
-        ln, v = sections["sim"]["dt"]
-        dt = default_dt(dither) if v.strip().lower() == "auto" else _parse_floats(v, ln)[0]
-    else:
-        dt = default_dt(dither)
-    stride = 1
-    if "record_stride" in sections["sim"]:
-        ln, v = sections["sim"]["record_stride"]
-        stride = int(_parse_floats(v, ln)[0])
-    guard = 1e6
-    if "gamma_guard" in sections["sim"]:
-        ln, v = sections["sim"]["gamma_guard"]
-        guard = _parse_floats(v, ln)[0]
-    rel_tol = 1e-4
-    if "warmup_rel_tol" in sections["sim"]:
-        ln, v = sections["sim"]["warmup_rel_tol"]
-        rel_tol = _parse_floats(v, ln)[0]
-    variants = (Variant.ASFES,)
-    if "variants" in sections["sim"]:
-        ln, v = sections["sim"]["variants"]
-        names = [tok.strip().lower() for tok in v.split(",") if tok.strip()]
-        unknown = [nm for nm in names if nm not in _VARIANT_NAMES]
-        if unknown:
-            raise ParseError(ln, f"unknown variant {unknown[0]!r}")
-        variants = tuple(_VARIANT_NAMES[nm] for nm in names)
-    include_reduced = False
-    if "include_reduced" in sections["sim"]:
-        ln, v = sections["sim"]["include_reduced"]
-        include_reduced = _parse_bool(v, ln)
-    include_average = False
-    if "include_average" in sections["sim"]:
-        ln, v = sections["sim"]["include_average"]
-        include_average = _parse_bool(v, ln)
+    opts = {}
+    for key, (default, convert) in _SIM_OPTIONS.items():
+        ln, v = sections["sim"].get(key, (None, default))
+        opts[key] = convert(v, ln)
+    dt = default_dt(dither) if opts["dt"] is None else opts["dt"]
 
-    settings = IntegrationSettings(dt=dt, t_end=t_end, record_stride=stride,
-                                   gamma_guard=guard)
+    settings = IntegrationSettings(dt=dt, t_end=t_end,
+                                   record_stride=opts["record_stride"],
+                                   gamma_guard=opts["gamma_guard"])
     check_resolves_dither(settings, dither)
     # per-variant configs are validated here so a bad combination fails fast
     for c in c_values:
-        for variant in variants:
+        for variant in opts["variants"]:
             AlgorithmConfig(k=k, c=c, delta=delta, omega_f=omega_f,
                             dither=dither, variant=variant)
     return Scenario(
         plant=plant, config=config, c_values=c_values,
         initial_thetas=tuple(thetas), settings=settings,
-        warmup_rel_tol=rel_tol, variants_to_run=variants,
-        include_reduced=include_reduced, include_average=include_average,
+        warmup_rel_tol=opts["warmup_rel_tol"], variants_to_run=opts["variants"],
+        include_reduced=opts["include_reduced"], include_average=opts["include_average"],
     )
 
 
@@ -318,59 +329,100 @@ def _filter_state_names(n: int, newton: bool) -> list:
     return names
 
 
+def _warm_starts(scenario: Scenario) -> dict:
+    """Warm up each distinct start once per filter layout (with or without
+    the Newton row), as one batch when there are several starts: the frozen
+    filter rows depend neither on c nor on the safety term.
+
+    Returns ``{(newton, theta0 bytes): initial state or the ComputationError
+    its warmup failed with}``.
+    """
+    plant = scenario.plant
+    starts = list({th.tobytes(): th for th in scenario.initial_thetas}.values())
+    settings = warmup_settings(scenario.settings, scenario.config.omega_f)
+    warmed = {}
+    for newton in sorted({v is Variant.NEWTON_ASFES for v in scenario.variants_to_run}):
+        cfg = scenario.config_for(scenario.c_values[0],
+                                  Variant.NEWTON_ASFES if newton else Variant.ASFES)
+        if len(starts) > 1:
+            results = warmup(plant, cfg, np.array(starts), settings, scenario.warmup_rel_tol)
+        else:
+            try:
+                results = [warmup(plant, cfg, starts[0], settings, scenario.warmup_rel_tol)]
+            except ComputationError as exc:
+                results = [exc]
+        warmed.update({(newton, th.tobytes()): r for th, r in zip(starts, results)})
+    return warmed
+
+
+def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
+    """One variant over the c x theta0 product (c-major), stepped as one
+    batch when the product has more than one member.  Returns
+    ``[(trajectory, notes)]`` in product order."""
+    plant = scenario.plant
+    n = plant.dimension
+    newton = variant is Variant.NEWTON_ASFES
+    members = [(c, th) for c in scenario.c_values for th in scenario.initial_thetas]
+    notes, x0 = [], []
+    for c, theta0 in members:
+        state0 = warmed[(newton, theta0.tobytes())]
+        member_notes = []
+        if isinstance(state0, ComputationError):
+            member_notes.append(f"warmup failed ({state0}); "
+                                "falling back to exact filter initialization")
+            state0 = exact_initial_state(plant, scenario.config_for(c, variant), theta0)
+        notes.append(member_notes)
+        x0.append(state0.as_vector())
+    cfg = scenario.config_for(scenario.c_values[0], variant)
+    channels = full_state_channels(plant, cfg)
+    if len(members) > 1:
+        rhs = make_rhs(plant, cfg, c=np.array([c for c, _ in members]))
+        trajs = integrate(rhs, np.stack(x0, axis=1), scenario.settings,
+                          channels=channels, gamma_index=3 * n + 2)
+    else:
+        try:
+            trajs = [integrate(make_rhs(plant, cfg), x0[0], scenario.settings,
+                               channels=channels, gamma_index=3 * n + 2)]
+        except NonFiniteState as exc:
+            trajs = [exc.partial]
+    for traj, member_notes in zip(trajs, notes):
+        if traj.diverged_at is not None:
+            member_notes.append(f"DIVERGED: {NonFiniteState(traj.diverged_at)}")
+    return list(zip(trajs, notes))
+
+
 def run_simulate(scenario: Scenario, output_dir) -> int:
     """Warm up and integrate every requested variant (plus the averaged and
     reduced hierarchies when asked), writing one CSV per run and a summary.
 
-    Returns 0 on success, 2 if any run diverged (its CSV then holds the
-    trajectory up to the failure).
+    Each variant's c x theta0 product is stepped as one batch, after one
+    warmup per distinct start.  Returns 0 on success, 2 if any run diverged
+    (its CSV then holds the trajectory up to the failure).
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plant = scenario.plant
     n = plant.dimension
     optimum = constrained_minimum(plant)
-    exit_code = 0
+    warmed = _warm_starts(scenario)
+    runs = {variant: _run_product(scenario, variant, warmed)
+            for variant in scenario.variants_to_run}
+    diverged = any(traj.diverged_at is not None
+                   for product in runs.values() for traj, _ in product)
     summary_lines = []
 
-    for c in scenario.c_values:
+    for ci, c in enumerate(scenario.c_values):
         for xi, theta0 in enumerate(scenario.initial_thetas):
-            runs: list = []
+            member = ci * len(scenario.initial_thetas) + xi
             for variant in scenario.variants_to_run:
-                runs.append((variant.value, variant))
-            for label, variant in runs:
-                cfg = scenario.config_for(c, variant)
-                name = f"{label}_c{c:g}_x{xi}"
-                notes = []
-                try:
-                    state0 = warmup(plant, cfg, theta0,
-                                    warmup_settings(scenario.settings, cfg.omega_f),
-                                    scenario.warmup_rel_tol)
-                except ComputationError as exc:
-                    notes.append(f"warmup failed ({exc}); "
-                                 "falling back to exact filter initialization")
-                    state0 = exact_initial_state(plant, cfg, theta0)
-                rhs = make_rhs(plant, cfg)
-                traj = None
-                try:
-                    traj = integrate(
-                        rhs, state0.as_vector(), scenario.settings,
-                        channels=full_state_channels(plant, cfg),
-                        gamma_index=3 * n + 2,
-                    )
-                except NonFiniteState as exc:
-                    notes.append(f"DIVERGED: {exc}")
-                    traj = exc.partial
-                    exit_code = 2
-                if traj is not None and len(traj) > 0:
-                    write_trajectory_csv(
-                        out / f"{name}.csv", traj, "theta_hat", n, c,
-                        _filter_state_names(n, variant is Variant.NEWTON_ASFES),
-                    )
-                    report = analysis.safety_report(traj, plant, c, optimum)
-                    summary_lines += _summary_block(name, report, traj, notes)
-                else:
-                    summary_lines += [f"[{name}]"] + [f"  note: {s}" for s in notes] + [""]
+                traj, notes = runs[variant][member]
+                name = f"{variant.value}_c{c:g}_x{xi}"
+                write_trajectory_csv(
+                    out / f"{name}.csv", traj, "theta_hat", n, c,
+                    _filter_state_names(n, variant is Variant.NEWTON_ASFES),
+                )
+                report = analysis.safety_report(traj, plant, c, optimum)
+                summary_lines += _summary_block(name, report, traj, notes)
 
             slow = _slow_settings(scenario)
             if scenario.include_average:
@@ -399,7 +451,7 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
                 summary_lines += _summary_block(name, report, traj, [])
 
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
-    return exit_code
+    return 2 if diverged else 0
 
 
 def _summary_block(name: str, report, traj: Trajectory, notes: list) -> list:

@@ -11,6 +11,12 @@ Five systems share one state convention:
 * the quasi-steady reduced model, the n-vector theta_tilde_r alone;
 * the boundary-layer (fast filter transient) model of size 2n+3.
 
+States are component-major.  One run is a ``(size,)`` vector; the dithered
+algorithm also steps a batch of B runs as one ``(size, B)`` array, one
+column per member, so ``y[:n]``, ``y[2 * n]`` and the other rows index both
+shapes the same way.  Within a batch nothing is summed across members, so
+each member's trajectory is bit-for-bit the one it has when run alone.
+
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
 """
@@ -24,8 +30,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotScalar, ValidationError
-from .problem import PlantModel
+from .errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
+from .problem import PlantModel, component_sum, hessian_columns, hessian_product
 from .signals import DitherConfig, smooth_max
 
 
@@ -49,7 +55,10 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         for name in ("k", "c", "delta", "omega_f"):
-            if float(getattr(self, name)) <= 0.0:
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise NonFiniteValue(f"{name} must be finite, got {value!r}")
+            if value <= 0.0:
                 raise ValidationError(f"{name} must be strictly positive")
         if self.variant is Variant.NEWTON_ASFES and self.dither.dimension != 1:
             raise NotScalar(
@@ -168,8 +177,14 @@ class AverageState:
 
 
 def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
-             variant: Optional[Variant] = None) -> Callable[[float, np.ndarray], np.ndarray]:
+             variant: Optional[Variant] = None,
+             c=None) -> Callable[[float, np.ndarray], np.ndarray]:
     """Build ``f(t, y) -> dy`` for the dithered algorithm.
+
+    ``y`` is one state ``(size,)`` or a component-major batch ``(size, B)``,
+    and ``dy`` has its shape.  For a batch, ``t`` may also be a vector of B
+    times, one per member.  ``c`` overrides ``cfg.c``: a scalar, or one
+    attractivity rate per batch member.
 
     Everything constant is hoisted out of the returned closure; the
     integrator calls it a few hundred thousand times per run.
@@ -182,13 +197,19 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
         )
     if variant is Variant.NEWTON_ASFES and n != 1:
         raise NotScalar("the Newton-based variant is only defined for one parameter")
+    c = cfg.c if c is None else c
+    if np.ndim(c) == 0:
+        c = float(c)
+    else:
+        c = np.asarray(c, float)
+        if c.ndim != 1 or not np.all(np.isfinite(c)) or np.any(c <= 0.0):
+            raise ValidationError("c must be finite and strictly positive, one value per member")
 
-    hess = plant.hessian
     theta_star = plant.theta_star
     j_star = plant.j_star
     h0 = plant.h0
     h1 = plant.h1
-    k, c, delta, wf = cfg.k, cfg.c, cfg.delta, cfg.omega_f
+    k, delta, wf = cfg.k, cfg.delta, cfg.omega_f
     a = cfg.dither.amplitude
     omegas = cfg.dither.omegas()
     two_over_a = 2.0 / a
@@ -196,80 +217,95 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     classical = variant is Variant.CLASSICAL_ES
     size = state_size(n, newton=newton)
     n_coef = 16.0 / (a * a)
-    sqrt = math.sqrt
-    sin = math.sin
+    # per-component constants shaped for one state (ndim 1) or a batch (ndim 2)
+    shaped = {
+        ndim: (omegas.reshape(shape), theta_star.reshape(shape), h1.reshape(shape),
+               hessian_columns(plant.hessian, ndim))
+        for ndim, shape in ((1, (n,)), (2, (n, 1)))
+    }
 
-    if n == 1:
-        # scalar fast path: the integrator spends its whole budget here, and
-        # tiny-array numpy overhead dominates otherwise.  A property test
-        # pins this against the generic branch.
-        h11 = float(hess[0, 0])
-        ts0 = float(theta_star[0])
-        h1s = float(h1[0])
-        om1 = float(omegas[0])
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            if y.shape[0] != size:
-                raise DimensionMismatch(
-                    f"state vector of length {y.shape[0]}, expected {size}"
-                )
-            s = sin(om1 * t)
-            d = y[0] + a * s - ts0
-            jv = j_star + 0.5 * h11 * d * d
-            hv = h0 + h1s * d
-            m = two_over_a * s
-            gj, eta_j, gh, eta_h, gamma = y[1], y[2], y[3], y[4], y[5]
-            out = np.empty(size)
-            if classical:
-                out[0] = -k * gj
-            elif newton:
-                big_gamma = y[6]
-                arg = k * big_gamma * gj * gh - c * eta_h
-                out[0] = -k * big_gamma * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-                out[6] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
-            else:
-                arg = k * gj * gh - c * eta_h
-                out[0] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-            out[1] = wf * ((jv - eta_j) * m - gj)
-            out[2] = wf * (jv - eta_j)
-            out[3] = wf * ((hv - eta_h) * m - gh)
-            out[4] = wf * (hv - eta_h)
-            out[5] = wf * gamma * (1.0 - gamma * gh * gh)
-            return out
-
-        return rhs
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t, y: np.ndarray) -> np.ndarray:
         if y.shape[0] != size:
             raise DimensionMismatch(
                 f"state vector of length {y.shape[0]}, expected {size}"
             )
-        sins = np.sin(omegas * t)
-        d = y[:n] + a * sins - theta_star          # theta - theta* at the probe point
-        hd = hess @ d
-        jv = j_star + 0.5 * float(d @ hd)
-        hv = h0 + float(h1 @ d)
+        w, ts, h1s, hcols = shaped[y.ndim]
+        sins = np.sin(w * t)
+        d = y[:n] + a * sins - ts                  # theta - theta* at the probe point
+        jv = j_star + 0.5 * component_sum(d * hessian_product(hcols, d))
+        hv = h0 + component_sum(h1s * d)
         m = two_over_a * sins
         gj = y[n:2 * n]
         eta_j = y[2 * n]
         gh = y[2 * n + 1:3 * n + 1]
         eta_h = y[3 * n + 1]
         gamma = y[3 * n + 2]
-        out = np.empty(size)
+        out = np.empty(y.shape)
         if classical:
             out[:n] = -k * gj
+        elif newton:
+            big_gamma = y[3 * n + 3]
+            s = sins[0]
+            arg = k * big_gamma * gj[0] * gh[0] - c * eta_h
+            out[0] = -k * big_gamma * gj[0] + gamma * (0.5 * (arg + np.sqrt(arg * arg + delta))) * gh[0]
+            out[3 * n + 3] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
         else:
-            # the Newton variant never reaches this branch (it is scalar only)
-            arg = k * float(gj @ gh) - c * eta_h
-            out[:n] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-        out[n:2 * n] = wf * ((jv - eta_j) * m - gj)
-        out[2 * n] = wf * (jv - eta_j)
-        out[2 * n + 1:3 * n + 1] = wf * ((hv - eta_h) * m - gh)
-        out[3 * n + 1] = wf * (hv - eta_h)
-        out[3 * n + 2] = wf * gamma * (1.0 - gamma * float(gh @ gh))
+            arg = k * component_sum(gj * gh) - c * eta_h
+            out[:n] = -k * gj + gamma * (0.5 * (arg + np.sqrt(arg * arg + delta))) * gh
+        ej = jv - eta_j
+        eh = hv - eta_h
+        out[n:2 * n] = wf * (ej * m - gj)
+        out[2 * n] = wf * ej
+        out[2 * n + 1:3 * n + 1] = wf * (eh * m - gh)
+        out[3 * n + 1] = wf * eh
+        out[3 * n + 2] = wf * gamma * (1.0 - gamma * component_sum(gh * gh))
         return out
 
-    return rhs
+    if n != 1 or not isinstance(c, float):
+        return rhs
+
+    # one state at n = 1: plain float arithmetic, about a tenth of the cost of
+    # the array closure above; a property test pins it against a plain numpy
+    # transcription of the field
+    h11 = float(plant.hessian[0, 0])
+    ts0 = float(theta_star[0])
+    h1s = float(h1[0])
+    om1 = float(omegas[0])
+    sqrt = math.sqrt
+    sin = math.sin
+
+    def scalar_rhs(t, y: np.ndarray) -> np.ndarray:
+        if y.ndim != 1:
+            return rhs(t, y)
+        if y.shape[0] != size:
+            raise DimensionMismatch(
+                f"state vector of length {y.shape[0]}, expected {size}"
+            )
+        s = sin(om1 * t)
+        d = y[0] + a * s - ts0
+        jv = j_star + 0.5 * h11 * d * d
+        hv = h0 + h1s * d
+        m = two_over_a * s
+        gj, eta_j, gh, eta_h, gamma = y[1], y[2], y[3], y[4], y[5]
+        out = np.empty(size)
+        if classical:
+            out[0] = -k * gj
+        elif newton:
+            big_gamma = y[6]
+            arg = k * big_gamma * gj * gh - c * eta_h
+            out[0] = -k * big_gamma * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
+            out[6] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
+        else:
+            arg = k * gj * gh - c * eta_h
+            out[0] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
+        out[1] = wf * ((jv - eta_j) * m - gj)
+        out[2] = wf * (jv - eta_j)
+        out[3] = wf * ((hv - eta_h) * m - gh)
+        out[4] = wf * (hv - eta_h)
+        out[5] = wf * gamma * (1.0 - gamma * gh * gh)
+        return out
+
+    return scalar_rhs
 
 
 def _dispatch_state(plant, cfg, t, x, variant):

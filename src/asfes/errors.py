@@ -41,6 +41,10 @@ class NonPositiveTolerance(ValidationError):
     pass
 
 
+class NonFiniteValue(ValidationError):
+    """A number that must be finite is infinite or NaN."""
+
+
 class DuplicateFrequency(ValidationError):
     def __init__(self, i: int, j: int):
         super().__init__(f"dither frequencies {i} and {j} are equal")

@@ -3,7 +3,8 @@ quadrature oracle for the averaged dynamics.
 
 A fixed step is deliberate: the dither period dictates the resolution
 anyway, and identical inputs must give bit-identical trajectories so golden
-traces and determinism checks stay meaningful.
+traces and determinism checks stay meaningful.  One stepper serves a single
+state and a component-major batch of states (see :mod:`asfes.dynamics`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dynamics import (
     state_size,
 )
 from .errors import (
+    ComputationError,
     DimensionMismatch,
     NonFiniteState,
     NonPositiveTolerance,
@@ -31,8 +33,8 @@ from .errors import (
     ValidationError,
     WarmupTimeout,
 )
-from .problem import PlantModel, eval_barrier, eval_objective
-from .signals import dither, signal_period
+from .problem import PlantModel, component_sum, eval_barrier, eval_objective, require_finite
+from .signals import signal_period
 
 # default step resolves the fastest dither oscillation with 40 samples; the
 # settings validator only insists on 20
@@ -48,13 +50,23 @@ class IntegrationSettings:
     gamma_guard: float = 1e6
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "record_stride"):
+            require_finite(getattr(self, name), name)
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
         if self.t_end <= 0.0:
             raise ValidationError("t_end must be positive")
-        if int(self.record_stride) < 1:
-            raise ValidationError("record_stride must be a positive integer")
+        if self.record_stride != int(self.record_stride) or self.record_stride < 1:
+            raise ValidationError(
+                f"record_stride must be a positive integer, got {self.record_stride!r}")
+        if not self.gamma_guard > 0.0:
+            raise ValidationError(f"gamma_guard must be positive, got {self.gamma_guard!r}")
         object.__setattr__(self, "record_stride", int(self.record_stride))
+
+
+def step_count(t_end: float, dt: float) -> int:
+    """Steps of at most ``dt`` that cover ``[0, t_end]``."""
+    return max(1, math.ceil(t_end / dt - 1e-9))
 
 
 def default_dt(dither_cfg) -> float:
@@ -79,7 +91,8 @@ class Trajectory:
     (theta_hat + S(t) for the dithered systems, theta_tilde + theta* for the
     averaged and reduced models); ``j_values`` and ``h_values`` are the
     objective and safety metric there.  Channel arrays are None for runs of
-    abstract fields with no plant attached.
+    abstract fields with no plant attached.  ``diverged_at`` is the time
+    the state left the reals; the records then stop at the step before.
     """
 
     times: np.ndarray
@@ -88,6 +101,7 @@ class Trajectory:
     j_values: Optional[np.ndarray] = None
     h_values: Optional[np.ndarray] = None
     gamma_exceeded_at: Optional[float] = None
+    diverged_at: Optional[float] = None
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -103,11 +117,15 @@ ChannelFn = Callable[[float, np.ndarray], tuple]
 
 
 def full_state_channels(plant: PlantModel, cfg: AlgorithmConfig) -> ChannelFn:
-    """theta = theta_hat + S(t), with J and h evaluated there."""
+    """theta = theta_hat + S(t), with J and h evaluated there; for one state
+    or a component-major batch."""
     n = plant.dimension
+    a = cfg.dither.amplitude
+    omegas = cfg.dither.omegas()
 
     def channels(t, y):
-        theta = y[:n] + dither(cfg.dither, t)
+        s = a * np.sin(omegas * t)   # signals.dither, frequencies built once
+        theta = y[:n] + (s if y.ndim == 1 else s[:, None])
         return theta, eval_objective(plant, theta), eval_barrier(plant, theta)
 
     return channels
@@ -133,45 +151,71 @@ def integrate(
     settings: IntegrationSettings,
     channels: Optional[ChannelFn] = None,
     gamma_index: Optional[int] = None,
-) -> Trajectory:
+):
     """Classic fixed-step RK4 from t=0 to t_end, recording every
     ``record_stride``-th step (plus the first and last).
 
-    Raises :class:`NonFiniteState` if any component leaves the reals; the
-    exception carries the trajectory recorded so far.  Crossing
+    ``x0`` is one state ``(size,)``, which gives a :class:`Trajectory`, or
+    a component-major batch ``(size, B)``, which gives a list of B, one per
+    member.  ``rhs`` and ``channels`` take the same shapes.
+
+    A single state that leaves the reals raises :class:`NonFiniteState`,
+    carrying the trajectory recorded so far.  In a batch such a member
+    stops instead: its trajectory ends at the step before and records
+    ``diverged_at``, and the other members go on.  Crossing
     ``gamma_guard`` in magnitude at ``gamma_index`` is only flagged, not
     stopped: the local theory gives no global bound, so divergence is
     surfaced as a diagnostic.
     """
-    y = np.asarray(x0, float).copy()
-    if y.ndim != 1:
-        raise DimensionMismatch("x0 must be a vector")
-    n_steps = max(1, math.ceil(settings.t_end / settings.dt - 1e-9))
+    runs = _rk4(rhs, x0, settings, channels, gamma_index)
+    if np.ndim(x0) == 2:
+        return runs
+    if runs[0].diverged_at is not None:
+        raise NonFiniteState(runs[0].diverged_at, partial=runs[0])
+    return runs[0]
+
+
+def _rk4(rhs, x0, settings: IntegrationSettings, channels: Optional[ChannelFn],
+         gamma_index: Optional[int]) -> list:
+    """The stepper behind :func:`integrate` and :func:`warmup`: one
+    trajectory per member, a single state counting as one member, and a
+    member that diverges stops with ``diverged_at`` set."""
+    y = np.array(x0, dtype=float)
+    if y.ndim not in (1, 2):
+        raise DimensionMismatch("x0 must be a state vector or a (size, B) batch")
+    batch = y.ndim == 2
+    members = y.shape[1] if batch else 1
+    n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
     stride = settings.record_stride
+    guard = settings.gamma_guard
 
     times = [0.0]
     states = [y.copy()]
     chans = [channels(0.0, y)] if channels else None
-    gamma_exceeded_at = None
+    alive = np.ones(members, dtype=bool)
+    # members whose gamma has not crossed the guard yet; None once there are none
+    watched = alive.copy() if gamma_index is not None else None
+    records = [None] * members         # a diverged member's record count
+    diverged_at = [None] * members
+    gamma_exceeded_at = [None] * members
 
-    def build(partial_flag):
-        t_arr = np.array(times)
-        s_arr = np.array(states)
+    def build() -> list:
+        series = [np.array(states)]        # states, then theta, J and h
         if chans is not None:
-            th = np.array([c[0] for c in chans])
-            jv = np.array([c[1] for c in chans])
-            hv = np.array([c[2] for c in chans])
-        else:
-            th = jv = hv = None
-        return Trajectory(
-            times=t_arr, states=s_arr, thetas=th, j_values=jv, h_values=hv,
-            gamma_exceeded_at=gamma_exceeded_at,
-        )
+            series += [np.array([c[i] for c in chans]) for i in range(3)]
+        runs = []
+        for b in range(members):
+            r = len(times) if records[b] is None else records[b]
+            runs.append(Trajectory(
+                np.array(times[:r]), *(x[:r, ..., b].copy() if batch else x for x in series),
+                gamma_exceeded_at=gamma_exceeded_at[b], diverged_at=diverged_at[b],
+            ))
+        return runs
 
     half = 0.5 * h
     sixth = h / 6.0
-    # divergence is detected and raised; the intermediate inf/nan warnings
+    # divergence is detected per member; the intermediate inf/nan warnings
     # on the way there are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
@@ -182,20 +226,34 @@ def integrate(
             k4 = rhs(t + h, y + h * k3)
             y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_next = (i + 1) * h
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteState(t_next, partial=build(True))
-            if (
-                gamma_index is not None
-                and gamma_exceeded_at is None
-                and abs(y[gamma_index]) > settings.gamma_guard
-            ):
-                gamma_exceeded_at = t_next
+            if not np.isfinite(y).all():
+                bad = ~np.isfinite(y).all(axis=0) if batch else np.ones(1, dtype=bool)
+                for b in np.flatnonzero(bad & alive):
+                    diverged_at[b] = t_next
+                    records[b] = len(times)
+                alive &= ~bad
+                if not alive.any():
+                    break
+                # park diverged members at a finite state; their columns are
+                # never read again, and columns do not mix
+                y[:, bad] = 0.0
+                if watched is not None:
+                    watched &= alive
+            if watched is not None:
+                g = abs(y[gamma_index])
+                if (g.max() if batch else g) > guard:
+                    crossed = watched & (g > guard)
+                    for b in np.flatnonzero(crossed):
+                        gamma_exceeded_at[b] = t_next
+                    watched &= ~crossed
+                    if not watched.any():
+                        watched = None
             if (i + 1) % stride == 0 or i + 1 == n_steps:
                 times.append(t_next)
                 states.append(y.copy())
                 if chans is not None:
                     chans.append(channels(t_next, y))
-    return build(False)
+    return build()
 
 
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:
@@ -229,23 +287,33 @@ def warmup(
     theta0,
     settings: IntegrationSettings,
     rel_tol: float,
-) -> FullState:
+):
     """Settle the filters with the parameter frozen at theta0.
 
-    Integrates the filter subsystem (parameter row zeroed) and compares the
-    filter states one signal period apart: sampling at period boundaries
-    removes the dither ripple, which never converges pointwise.  Returns the
-    assembled initial state once the relative change drops below
-    ``rel_tol``; raises :class:`WarmupTimeout` when ``t_end`` is exhausted
-    first.
+    Steps the filter subsystem (parameter rows masked) with the stepper of
+    :func:`integrate`, one signal period at a time, and compares the filter
+    states one period apart: sampling at period boundaries removes the
+    dither ripple, which never converges pointwise.  A start is settled
+    once the relative change drops below ``rel_tol``; it fails with
+    :class:`WarmupTimeout` when ``t_end`` is exhausted first, or with
+    :class:`NonFiniteState`.
+
+    ``theta0`` is one start ``(n,)``: the assembled initial state is
+    returned, or the failure raised.  ``(B, n)`` is a batch of starts
+    stepped together, each settling at its own period boundary: the result
+    is a list with, per start, its initial state or the
+    :class:`ComputationError` it failed with.
     """
-    if rel_tol <= 0.0:
+    if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
     check_resolves_dither(settings, cfg.dither)
     n = plant.dimension
-    theta0 = np.atleast_1d(np.asarray(theta0, float))
-    if theta0.shape != (n,):
-        raise DimensionMismatch(f"theta0 has shape {theta0.shape}, expected ({n},)")
+    starts = np.asarray(theta0, float)
+    single = starts.ndim < 2
+    starts = np.atleast_2d(starts)
+    if starts.ndim != 2 or starts.shape[1] != n:
+        raise DimensionMismatch(
+            f"theta0 has shape {np.shape(theta0)}, expected ({n},) or (B, {n})")
     newton = cfg.variant is Variant.NEWTON_ASFES
     f = make_rhs(plant, cfg)
 
@@ -255,41 +323,52 @@ def warmup(
         return dy
 
     period = signal_period(cfg.dither)
-    steps = max(1, math.ceil(period / settings.dt - 1e-9))
-    h = period / steps
-    half, sixth = 0.5 * h, h / 6.0
+    one_period = IntegrationSettings(
+        dt=settings.dt, t_end=period,
+        record_stride=step_count(period, settings.dt))
 
-    y = np.zeros(state_size(n, newton=newton))
-    y[:n] = theta0
-    y[2 * n] = eval_objective(plant, theta0)
-    y[3 * n + 1] = eval_barrier(plant, theta0)
-    y[3 * n + 2] = 1.0
+    ys = np.zeros((state_size(n, newton=newton), starts.shape[0]))
+    ys[:n] = starts.T
+    ys[2 * n] = eval_objective(plant, starts.T)
+    ys[3 * n + 1] = eval_barrier(plant, starts.T)
+    ys[3 * n + 2] = 1.0
     if newton:
-        y[3 * n + 3] = 1.0
+        ys[3 * n + 3] = 1.0
 
-    t = 0.0
+    results = [None] * starts.shape[0]
+    live = list(range(starts.shape[0]))      # batch column -> start
+    prev = ys[n:].copy()
     max_periods = max(1, int(settings.t_end / period))
-    prev = y[n:].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_periods):
-            for i in range(steps):
-                k1 = frozen(t, y)
-                k2 = frozen(t + half, y + half * k1)
-                k3 = frozen(t + half, y + half * k2)
-                k4 = frozen(t + h, y + h * k3)
-                y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-                if not np.all(np.isfinite(y)):
-                    raise NonFiniteState(t)
-            cur = y[n:]
-            change = float(np.linalg.norm(cur - prev))
-            scale = max(float(np.linalg.norm(cur)), 1e-30)
-            if change <= rel_tol * scale:
-                return FullState.from_vector(y, n)
-            prev = cur.copy()
-    raise WarmupTimeout(
-        f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}"
-    )
+    for p in range(max_periods):
+        runs = _rk4(frozen, ys[:, 0] if single else ys, one_period, None, None)
+        ys = np.stack([run.states[-1] for run in runs], axis=1)
+        change = _norms(ys[n:] - prev)
+        scale = np.maximum(_norms(ys[n:]), 1e-30)
+        keep = []
+        for col, run in enumerate(runs):
+            if run.diverged_at is not None:
+                results[live[col]] = NonFiniteState(p * period + run.diverged_at)
+            elif change[col] <= rel_tol * scale[col]:
+                results[live[col]] = FullState.from_vector(ys[:, col], n)
+            else:
+                keep.append(col)
+        ys, prev = ys[:, keep], ys[n:, keep]
+        live = [live[col] for col in keep]
+        if not live:
+            break
+    for start in live:
+        results[start] = WarmupTimeout(
+            f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}")
+    if single:
+        if isinstance(results[0], ComputationError):
+            raise results[0]
+        return results[0]
+    return results
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a component-major batch."""
+    return np.sqrt(component_sum(x * x))
 
 
 def numeric_average(
@@ -321,12 +400,11 @@ def numeric_average(
     intervals += intervals % 2  # composite Simpson wants an even count
     ts = np.linspace(0.0, period, intervals + 1)
     f = make_rhs(plant, cfg, variant=Variant.ASFES)
-    samples = np.empty((intervals + 1, vec.shape[0]))
-    for i, t in enumerate(ts):
-        samples[i] = f(float(t), y)
+    # every node in one call: the state broadcast over a batch, one time each
+    samples = f(ts, np.broadcast_to(y[:, None], (y.shape[0], ts.shape[0])))
     if not np.all(np.isfinite(samples)):
         raise QuadratureFailure("non-finite integrand while averaging")
-    avg = simpson(samples, x=ts, axis=0) / period
+    avg = simpson(samples, x=ts, axis=1) / period
     if is_state:
         return AverageState.from_vector(avg, n)
     return avg

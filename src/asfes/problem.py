@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    NonFiniteValue,
     NonPositiveDefiniteHessian,
     NonPositiveTolerance,
     NonSymmetricHessian,
@@ -33,6 +34,13 @@ def _vector(x, name: str) -> np.ndarray:
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
     return v
+
+
+def require_finite(value, name: str) -> None:
+    """Raise :class:`NonFiniteValue` naming ``name`` unless every entry of
+    ``value`` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise NonFiniteValue(f"{name} must be finite, got {value!r}")
 
 
 def _matrix(x) -> np.ndarray:
@@ -56,6 +64,8 @@ class QuadraticObjective:
         object.__setattr__(self, "j_star", float(self.j_star))
         object.__setattr__(self, "hessian", _matrix(self.hessian))
         object.__setattr__(self, "theta_star", _vector(self.theta_star, "theta_star"))
+        for name in ("j_star", "hessian", "theta_star"):
+            require_finite(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,8 @@ class LinearBarrier:
     def __post_init__(self):
         object.__setattr__(self, "h0", float(self.h0))
         object.__setattr__(self, "h1", _vector(self.h1, "h1"))
+        require_finite(self.h0, "h0")
+        require_finite(self.h1, "h1")
 
 
 @dataclass(frozen=True)
@@ -138,25 +150,63 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
     return PlantModel(objective=objective, barrier=barrier, dimension=n)
 
 
-def _check_theta(plant: PlantModel, theta) -> np.ndarray:
+def component_sum(x):
+    """Sum over the leading (component) axis, one row after the other.
+
+    Points and states are component-major: ``(n,)`` for one, ``(n, B)`` for
+    a batch of B.  A fixed left-to-right sum keeps each member's value
+    independent of the batch around it, which a BLAS or pairwise reduction
+    does not guarantee.
+    """
+    total = x[0]
+    for row in x[1:]:
+        total = total + row
+    return total
+
+
+def hessian_columns(hessian: np.ndarray, ndim: int) -> np.ndarray:
+    """The Hessian's columns, shaped to multiply a component-major array of
+    ``ndim`` dimensions: ``(n,)`` for one point, ``(n, 1)`` for a batch."""
+    return hessian.T if ndim == 1 else hessian.T[:, :, None]
+
+
+def hessian_product(columns: np.ndarray, d):
+    """H d as an explicit sum over the Hessian's columns (see
+    :func:`hessian_columns`), for the same batch-independence as
+    :func:`component_sum`."""
+    hd = columns[0] * d[0]
+    for j in range(1, d.shape[0]):
+        hd = hd + columns[j] * d[j]
+    return hd
+
+
+def _offset(plant: PlantModel, theta) -> np.ndarray:
+    """theta - theta* for one point ``(n,)`` or a batch ``(n, B)``."""
     t = np.atleast_1d(np.asarray(theta, dtype=float))
-    if t.shape != (plant.dimension,):
+    if t.ndim > 2 or t.shape[0] != plant.dimension:
         raise DimensionMismatch(
             f"theta has shape {t.shape}, plant dimension is {plant.dimension}"
         )
-    return t
+    return t - (plant.theta_star if t.ndim == 1 else plant.theta_star[:, None])
 
 
-def eval_objective(plant: PlantModel, theta) -> float:
-    """J(theta) = J* + (theta - theta*)' H (theta - theta*) / 2."""
-    d = _check_theta(plant, theta) - plant.theta_star
-    return plant.j_star + 0.5 * float(d @ (plant.hessian @ d))
+def _value(v):
+    return float(v) if np.ndim(v) == 0 else v
 
 
-def eval_barrier(plant: PlantModel, theta) -> float:
-    """h(theta) = h0 + h1' (theta - theta*)."""
-    d = _check_theta(plant, theta) - plant.theta_star
-    return plant.h0 + float(plant.h1 @ d)
+def eval_objective(plant: PlantModel, theta):
+    """J(theta) = J* + (theta - theta*)' H (theta - theta*) / 2, for one point
+    (a float) or a component-major batch ``(n, B)`` (one value per member)."""
+    d = _offset(plant, theta)
+    hd = hessian_product(hessian_columns(plant.hessian, d.ndim), d)
+    return _value(plant.j_star + 0.5 * component_sum(d * hd))
+
+
+def eval_barrier(plant: PlantModel, theta):
+    """h(theta) = h0 + h1' (theta - theta*), for one point or a batch."""
+    d = _offset(plant, theta)
+    h1 = plant.h1 if d.ndim == 1 else plant.h1[:, None]
+    return _value(plant.h0 + component_sum(h1 * d))
 
 
 def constrained_minimum(plant: PlantModel) -> ConstrainedOptimum:

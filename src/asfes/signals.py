@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DuplicateFrequency,
+    NonFiniteValue,
     NonPositiveAmplitude,
     NonPositiveDelta,
     ResonantTriple,
@@ -54,6 +55,9 @@ class DitherConfig:
         object.__setattr__(self, "base_scale", float(self.base_scale))
         ratios = tuple(_as_fraction(r) for r in self.ratios)
         object.__setattr__(self, "ratios", ratios)
+        for name in ("amplitude", "base_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFiniteValue(f"dither {name} must be finite, got {getattr(self, name)!r}")
         if self.amplitude <= 0.0:
             raise NonPositiveAmplitude("dither amplitude must be positive")
         if self.base_scale <= 0.0:

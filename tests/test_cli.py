@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,26 @@ class TestParseScenario:
                    str(tmp_path / "out")])
         assert rc == 1
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("k = 0.3", "k = nan", "k"),
+        ("c = 0.1", "c = nan", "c"),
+        ("amplitude = 0.25", "amplitude = nan", "amplitude"),
+        ("h0 = -1", "h0 = nan", "h0"),
+        ("theta_star = 0", "theta_star = inf", "theta_star"),
+        ("theta0 = -3", "theta0 = nan", "theta0"),
+        ("t_end = 2.0", "t_end = inf", "t_end"),
+        ("record_stride = 17", "record_stride = 1.5", "record_stride"),
+        ("t_end = 2.0", "t_end = 2.0\ngamma_guard = -1", "gamma_guard"),
+    ])
+    def test_meaningless_values_rejected(self, tmp_path, capsys, old, new, key):
+        path = write_scenario(tmp_path, EX1_SMALL.replace(old, new))
+        with pytest.raises(ValidationError, match=key):
+            parse_scenario(path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert key in capsys.readouterr().err
+        assert not (out / "summary.txt").exists()
+
     def test_missing_key_rejected(self, tmp_path):
         bad = EX1_SMALL.replace("amplitude = 0.25", "")
         with pytest.raises(ParseError):
@@ -178,6 +202,43 @@ class TestRunSimulate:
         summary = (out / "summary.txt").read_text()
         assert "DIVERGED" in summary
         assert "warmup failed" in summary
+
+
+    def test_product_members_match_their_solo_runs(self, tmp_path):
+        # two rates x two starts: the product runs as one batch, and each
+        # member's CSV holds the run it has alone as a batch of one
+        text = EX1_SMALL.replace("c = 0.1", "c = 0.1, 1")
+        text = text.replace("theta0 = -3", "theta0 = -3\ntheta0 = -2")
+        text = text.replace("variants = asfes", "variants = asfes, classical")
+        text = text.replace("t_end = 2.0", "t_end = 0.5")
+        text = text.replace("include_average = true", "include_average = false")
+        scenario = parse_scenario(write_scenario(tmp_path, text))
+        out = tmp_path / "out"
+        assert run_simulate(scenario, out) == 0
+        names = [line[1:-1] for line in (out / "summary.txt").read_text().splitlines()
+                 if line.startswith("[")]
+        assert names == [f"{m}_c{c}_x{x}" for c in ("0.1", "1") for x in (0, 1)
+                         for m in ("asfes", "classical", "reduced")]
+        # one warmup for both rates and both variants: the frozen filter
+        # rows depend on neither
+        cfg = scenario.config_for(0.1, Variant.ASFES)
+        states0 = warmup(scenario.plant, cfg, np.array(scenario.initial_thetas),
+                         warmup_settings(scenario.settings, cfg.omega_f),
+                         scenario.warmup_rel_tol)
+        for c in (0.1, 1.0):
+            for xi, state0 in enumerate(states0):
+                cfg = scenario.config_for(c, Variant.CLASSICAL_ES)
+                (traj,) = integrate(make_rhs(scenario.plant, cfg, c=[c]),
+                                    state0.as_vector()[:, None], scenario.settings,
+                                    channels=full_state_channels(scenario.plant, cfg),
+                                    gamma_index=5)
+                rows = (out / f"classical_c{c:g}_x{xi}.csv").read_text().strip().splitlines()
+                assert len(rows) - 1 == len(traj)
+                for i, row in enumerate(rows[1:]):
+                    vals = [float(tok) for tok in row.split(",")]
+                    assert vals[0] == traj.times[i]
+                    assert vals[2:8] == list(traj.states[i])
+                    assert vals[-3] == traj.j_values[i]
 
 
 class TestRunAnalyze:
@@ -253,3 +314,13 @@ class TestRunVerify:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6
+
+
+def test_python_dash_m_help():
+    src = str(Path(__import__("asfes").__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "asfes", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert "simulate" in done.stdout

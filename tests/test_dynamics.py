@@ -107,6 +107,20 @@ class TestAsfesRhs:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_batched_closure_matches_generic(self, n, rng):
+        from asfes.dynamics import make_rhs
+
+        plant, cfg = random_plant(rng, n), random_config(rng, n)
+        ys = rng.uniform(-2.0, 2.0, size=(state_size(n), 4))
+        ys[3 * n + 2] = rng.uniform(0.1, 2.0, size=4)
+        t = float(rng.uniform(0.0, 1.0))
+        got = make_rhs(plant, cfg)(t, ys)
+        for b in range(4):
+            want = _generic_rhs_reference(plant, cfg, t, ys[:, b])
+            np.testing.assert_allclose(got[:, b], want, rtol=1e-12, atol=1e-12)
+
+
 def _generic_rhs_reference(plant, cfg, t, y):
     """Plain numpy transcription of the dithered field (no fast path)."""
     n = plant.dimension

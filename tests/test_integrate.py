@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from asfes import (
     AlgorithmConfig,
@@ -13,6 +16,7 @@ from asfes import (
 from asfes.analysis import average_equilibrium
 from asfes.dynamics import make_average_rhs, make_rhs
 from asfes.errors import (
+    ComputationError,
     NonFiniteState,
     NonPositiveTolerance,
     ValidationError,
@@ -28,7 +32,7 @@ from asfes.integrate import (
     numeric_average,
     warmup,
 )
-from asfes.sampling import random_full_state
+from asfes.sampling import random_config, random_full_state, random_plant
 
 
 class TestSettings:
@@ -39,6 +43,12 @@ class TestSettings:
             IntegrationSettings(dt=0.1, t_end=0.0)
         with pytest.raises(ValidationError):
             IntegrationSettings(dt=0.1, t_end=1.0, record_stride=0)
+        with pytest.raises(ValidationError):
+            IntegrationSettings(dt=0.1, t_end=1.0, record_stride=1.5)
+        with pytest.raises(ValidationError):
+            IntegrationSettings(dt=0.1, t_end=math.inf)
+        with pytest.raises(ValidationError):
+            IntegrationSettings(dt=0.1, t_end=1.0, gamma_guard=-1.0)
 
     def test_dither_resolution_check(self, cfg1):
         check_resolves_dither(IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0),
@@ -130,6 +140,71 @@ class TestIntegrate:
         assert 8.0 <= ratio <= 32.0
 
 
+TRAJECTORY_FIELDS = ("times", "states", "thetas", "j_values", "h_values")
+
+
+def assert_same_run(got, want):
+    """Byte-identical records, crossing time and divergence time."""
+    for name in TRAJECTORY_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.gamma_exceeded_at == want.gamma_exceeded_at
+    assert got.diverged_at == want.diverged_at
+
+
+def with_c(cfg, c):
+    return AlgorithmConfig(k=cfg.k, c=float(c), delta=cfg.delta, omega_f=cfg.omega_f,
+                           dither=cfg.dither, variant=cfg.variant)
+
+
+class TestBatch:
+    @hypothesis_settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), members=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_members_match_their_solo_runs(self, n, members, seed):
+        # each member of a batch, with its own c, is bit for bit the run it
+        # has alone as (size, 1), and for n >= 2 (no scalar closure) also
+        # its plain one-state run
+        rng = np.random.default_rng(seed)
+        plant, cfg = random_plant(rng, n), random_config(rng, n)
+        cs = rng.uniform(0.1, 2.0, size=members)
+        x0 = np.stack([exact_initial_state(plant, cfg, rng.uniform(-2.0, 2.0, n)).as_vector()
+                       for _ in range(members)], axis=1)
+        run_settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=0.05,
+                                           record_stride=3,
+                                           gamma_guard=float(rng.uniform(0.3, 3.0)))
+        kwargs = dict(channels=full_state_channels(plant, cfg), gamma_index=3 * n + 2)
+        runs = integrate(make_rhs(plant, cfg, c=cs), x0, run_settings, **kwargs)
+        assert len(runs) == members
+        for b, run in enumerate(runs):
+            alone = integrate(make_rhs(plant, cfg, c=cs[b:b + 1]), x0[:, b:b + 1],
+                              run_settings, **kwargs)
+            assert_same_run(run, alone[0])
+            if n >= 2:
+                single = integrate(make_rhs(plant, with_c(cfg, cs[b])), x0[:, b],
+                                   run_settings, **kwargs)
+                assert_same_run(run, single)
+
+    def test_diverging_member_is_masked(self, plant2, cfg2):
+        # a negative gamma makes the Riccati row escape in finite time
+        starts = ([1.5, -1.5], [2.0, 2.0], [-0.5, -0.5])
+        x0 = np.stack([exact_initial_state(plant2, cfg2, s).as_vector() for s in starts], axis=1)
+        x0[8, 1] = -5.0
+        cs = np.array([1.0, 0.5, 0.1])
+        run_settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=0.2, record_stride=3)
+        kwargs = dict(channels=full_state_channels(plant2, cfg2), gamma_index=8)
+        runs = integrate(make_rhs(plant2, cfg2, c=cs), x0, run_settings, **kwargs)
+        for b in (0, 2):
+            alone = integrate(make_rhs(plant2, with_c(cfg2, cs[b])), x0[:, b],
+                              run_settings, **kwargs)
+            assert_same_run(runs[b], alone)
+            assert alone.diverged_at is None and alone.times[-1] == pytest.approx(0.2)
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(make_rhs(plant2, with_c(cfg2, cs[1])), x0[:, 1], run_settings, **kwargs)
+        assert runs[1].diverged_at == exc.value.time < 0.2
+        assert runs[1].times.tobytes() == exc.value.partial.times.tobytes()
+        assert runs[1].states.tobytes() == exc.value.partial.states.tobytes()
+
+
 class TestWarmup:
     def test_example1_filter_values(self, plant1, cfg1):
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=30.0)
@@ -180,6 +255,29 @@ class TestWarmup:
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
         with pytest.raises(WarmupTimeout):
             warmup(plant1, cfg1, [-3.0], settings, 1e-12)
+
+    def test_batch_matches_single_starts(self, plant2, cfg2):
+        settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=20.0)
+        starts = np.array([[1.5, 1.5], [-0.5, -0.5], [2.5, 0.5]])
+        states = warmup(plant2, cfg2, starts, settings, 1e-4)
+        for start, state in zip(starts, states):
+            alone = warmup(plant2, cfg2, start, settings, 1e-4)
+            assert state.as_vector().tobytes() == alone.as_vector().tobytes()
+
+    def test_batch_reports_each_failure(self, plant1, cfg1):
+        # the start far from the minimizer escapes (see the single-start
+        # test above), the near one settles, each at its own time
+        cfg = AlgorithmConfig(k=cfg1.k, c=cfg1.c, delta=cfg1.delta,
+                              omega_f=cfg1.omega_f, dither=cfg1.dither,
+                              variant=Variant.NEWTON_ASFES)
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=40.0)
+        far, near = warmup(plant1, cfg, [[-3.0], [-0.2]], settings, 1e-4)
+        assert isinstance(far, NonFiniteState)
+        assert near.gamma_newton == pytest.approx(10.0, rel=0.05)
+        short = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
+        timeouts = warmup(plant1, cfg1, [[-3.0], [-2.0]], short, 1e-12)
+        assert all(isinstance(r, WarmupTimeout) for r in timeouts)
+        assert all(isinstance(r, ComputationError) for r in timeouts)
 
     def test_rejects_bad_tolerance(self, plant1, cfg1):
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
