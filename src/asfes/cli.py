@@ -329,10 +329,19 @@ def _filter_state_names(n: int, newton: bool) -> list:
     return names
 
 
+def _stepped_as_batch(n: int, members: int) -> bool:
+    """Whether ``members`` runs of an n-parameter plant step as one batch.
+
+    At n = 1 a lone state runs on the scalar closure, about a tenth of the
+    cost of the array closure a batch needs, so such runs step one by one.
+    """
+    return members > 1 and n > 1
+
+
 def _warm_starts(scenario: Scenario) -> dict:
     """Warm up each distinct start once per filter layout (with or without
-    the Newton row), as one batch when there are several starts: the frozen
-    filter rows depend neither on c nor on the safety term.
+    the Newton row): the frozen filter rows depend neither on c nor on the
+    safety term.
 
     Returns ``{(newton, theta0 bytes): initial state or the ComputationError
     its warmup failed with}``.
@@ -340,24 +349,27 @@ def _warm_starts(scenario: Scenario) -> dict:
     plant = scenario.plant
     starts = list({th.tobytes(): th for th in scenario.initial_thetas}.values())
     settings = warmup_settings(scenario.settings, scenario.config.omega_f)
+    tol = scenario.warmup_rel_tol
     warmed = {}
     for newton in sorted({v is Variant.NEWTON_ASFES for v in scenario.variants_to_run}):
         cfg = scenario.config_for(scenario.c_values[0],
                                   Variant.NEWTON_ASFES if newton else Variant.ASFES)
-        if len(starts) > 1:
-            results = warmup(plant, cfg, np.array(starts), settings, scenario.warmup_rel_tol)
+        if _stepped_as_batch(plant.dimension, len(starts)):
+            results = warmup(plant, cfg, np.stack(starts, axis=1), settings, tol)
         else:
-            try:
-                results = [warmup(plant, cfg, starts[0], settings, scenario.warmup_rel_tol)]
-            except ComputationError as exc:
-                results = [exc]
+            results = []
+            for theta0 in starts:
+                try:
+                    results.append(warmup(plant, cfg, theta0, settings, tol))
+                except ComputationError as exc:
+                    results.append(exc)
         warmed.update({(newton, th.tobytes()): r for th, r in zip(starts, results)})
     return warmed
 
 
 def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
     """One variant over the c x theta0 product (c-major), stepped as one
-    batch when the product has more than one member.  Returns
+    batch where :func:`_stepped_as_batch` says so.  Returns
     ``[(trajectory, notes)]`` in product order."""
     plant = scenario.plant
     n = plant.dimension
@@ -375,16 +387,18 @@ def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
         x0.append(state0.as_vector())
     cfg = scenario.config_for(scenario.c_values[0], variant)
     channels = full_state_channels(plant, cfg)
-    if len(members) > 1:
-        rhs = make_rhs(plant, cfg, c=np.array([c for c, _ in members]))
-        trajs = integrate(rhs, np.stack(x0, axis=1), scenario.settings,
-                          channels=channels, gamma_index=3 * n + 2)
+    cs = [c for c, _ in members]
+    if _stepped_as_batch(n, len(members)):
+        trajs = integrate(make_rhs(plant, cfg, c=np.array(cs)), np.stack(x0, axis=1),
+                          scenario.settings, channels=channels, gamma_index=3 * n + 2)
     else:
-        try:
-            trajs = [integrate(make_rhs(plant, cfg), x0[0], scenario.settings,
-                               channels=channels, gamma_index=3 * n + 2)]
-        except NonFiniteState as exc:
-            trajs = [exc.partial]
+        trajs = []
+        for c, state0 in zip(cs, x0):
+            try:
+                trajs.append(integrate(make_rhs(plant, cfg, c=c), state0, scenario.settings,
+                                       channels=channels, gamma_index=3 * n + 2))
+            except NonFiniteState as exc:
+                trajs.append(exc.partial)
     for traj, member_notes in zip(trajs, notes):
         if traj.diverged_at is not None:
             member_notes.append(f"DIVERGED: {NonFiniteState(traj.diverged_at)}")
@@ -395,8 +409,8 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     """Warm up and integrate every requested variant (plus the averaged and
     reduced hierarchies when asked), writing one CSV per run and a summary.
 
-    Each variant's c x theta0 product is stepped as one batch, after one
-    warmup per distinct start.  Returns 0 on success, 2 if any run diverged
+    Each variant's c x theta0 product is stepped as one batch (at n >= 2),
+    after one warmup per distinct start.  Returns 0 on success, 2 if any run diverged
     (its CSV then holds the trajectory up to the failure).
     """
     out = Path(output_dir)

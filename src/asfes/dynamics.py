@@ -230,6 +230,9 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
                 f"state vector of length {y.shape[0]}, expected {size}"
             )
         w, ts, h1s, hcols = shaped[y.ndim]
+        # one state: the sums below are Python floats, and math.sqrt rounds
+        # as np.sqrt does
+        root = math.sqrt if y.ndim == 1 else np.sqrt
         sins = np.sin(w * t)
         d = y[:n] + a * sins - ts                  # theta - theta* at the probe point
         jv = j_star + 0.5 * component_sum(d * hessian_product(hcols, d))
@@ -247,11 +250,11 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
             big_gamma = y[3 * n + 3]
             s = sins[0]
             arg = k * big_gamma * gj[0] * gh[0] - c * eta_h
-            out[0] = -k * big_gamma * gj[0] + gamma * (0.5 * (arg + np.sqrt(arg * arg + delta))) * gh[0]
+            out[0] = -k * big_gamma * gj[0] + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh[0]
             out[3 * n + 3] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
         else:
             arg = k * component_sum(gj * gh) - c * eta_h
-            out[:n] = -k * gj + gamma * (0.5 * (arg + np.sqrt(arg * arg + delta))) * gh
+            out[:n] = -k * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
         ej = jv - eta_j
         eh = hv - eta_h
         out[n:2 * n] = wf * (ej * m - gj)

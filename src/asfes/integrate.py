@@ -34,7 +34,7 @@ from .errors import (
     WarmupTimeout,
 )
 from .problem import PlantModel, component_sum, eval_barrier, eval_objective, require_finite
-from .signals import signal_period
+from .signals import dither, signal_period
 
 # default step resolves the fastest dither oscillation with 40 samples; the
 # settings validator only insists on 20
@@ -120,11 +120,9 @@ def full_state_channels(plant: PlantModel, cfg: AlgorithmConfig) -> ChannelFn:
     """theta = theta_hat + S(t), with J and h evaluated there; for one state
     or a component-major batch."""
     n = plant.dimension
-    a = cfg.dither.amplitude
-    omegas = cfg.dither.omegas()
 
     def channels(t, y):
-        s = a * np.sin(omegas * t)   # signals.dither, frequencies built once
+        s = dither(cfg.dither, t)
         theta = y[:n] + (s if y.ndim == 1 else s[:, None])
         return theta, eval_objective(plant, theta), eval_barrier(plant, theta)
 
@@ -299,10 +297,10 @@ def warmup(
     :class:`NonFiniteState`.
 
     ``theta0`` is one start ``(n,)``: the assembled initial state is
-    returned, or the failure raised.  ``(B, n)`` is a batch of starts
-    stepped together, each settling at its own period boundary: the result
-    is a list with, per start, its initial state or the
-    :class:`ComputationError` it failed with.
+    returned, or the failure raised.  A component-major ``(n, B)`` array is
+    a batch of B starts stepped together, each settling at its own period
+    boundary: the result is a list with, per start, its initial state or
+    the :class:`ComputationError` it failed with.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
@@ -310,10 +308,11 @@ def warmup(
     n = plant.dimension
     starts = np.asarray(theta0, float)
     single = starts.ndim < 2
-    starts = np.atleast_2d(starts)
-    if starts.ndim != 2 or starts.shape[1] != n:
+    if single:
+        starts = starts.reshape(-1, 1)
+    if starts.ndim != 2 or starts.shape[0] != n:
         raise DimensionMismatch(
-            f"theta0 has shape {np.shape(theta0)}, expected ({n},) or (B, {n})")
+            f"theta0 has shape {np.shape(theta0)}, expected ({n},) or ({n}, B)")
     newton = cfg.variant is Variant.NEWTON_ASFES
     f = make_rhs(plant, cfg)
 
@@ -327,16 +326,16 @@ def warmup(
         dt=settings.dt, t_end=period,
         record_stride=step_count(period, settings.dt))
 
-    ys = np.zeros((state_size(n, newton=newton), starts.shape[0]))
-    ys[:n] = starts.T
-    ys[2 * n] = eval_objective(plant, starts.T)
-    ys[3 * n + 1] = eval_barrier(plant, starts.T)
+    ys = np.zeros((state_size(n, newton=newton), starts.shape[1]))
+    ys[:n] = starts
+    ys[2 * n] = eval_objective(plant, starts)
+    ys[3 * n + 1] = eval_barrier(plant, starts)
     ys[3 * n + 2] = 1.0
     if newton:
         ys[3 * n + 3] = 1.0
 
-    results = [None] * starts.shape[0]
-    live = list(range(starts.shape[0]))      # batch column -> start
+    results = [None] * starts.shape[1]
+    live = list(range(starts.shape[1]))      # batch column -> start
     prev = ys[n:].copy()
     max_periods = max(1, int(settings.t_end / period))
     for p in range(max_periods):

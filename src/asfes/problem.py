@@ -158,6 +158,10 @@ def component_sum(x):
     independent of the batch around it, which a BLAS or pairwise reduction
     does not guarantee.
     """
+    if x.ndim == 1:
+        # one point: Python floats, the same IEEE sums at a fraction of the
+        # cost of numpy scalars
+        x = x.tolist()
     total = x[0]
     for row in x[1:]:
         total = total + row

@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -204,41 +205,49 @@ class TestRunSimulate:
         assert "warmup failed" in summary
 
 
-    def test_product_members_match_their_solo_runs(self, tmp_path):
-        # two rates x two starts: the product runs as one batch, and each
-        # member's CSV holds the run it has alone as a batch of one
-        text = EX1_SMALL.replace("c = 0.1", "c = 0.1, 1")
-        text = text.replace("theta0 = -3", "theta0 = -3\ntheta0 = -2")
-        text = text.replace("variants = asfes", "variants = asfes, classical")
-        text = text.replace("t_end = 2.0", "t_end = 0.5")
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_product_members_match_their_solo_runs(self, tmp_path, scenario_dir, example):
+        # two rates x two starts, stepped as one batch on example 2's plant
+        # (n = 2) and member by member on example 1's (n = 1): either way
+        # each member's CSV holds the run it has alone, after one warmup
+        # per start shared by both rates and both variants
+        text = (scenario_dir / f"{example}.scenario").read_text()
+        text = re.sub(r"(?m)^theta0 = .*\n", "", text)
+        text = re.sub(r"(?m)^c = .*$", "c = 1, 0.1", text)
+        text = re.sub(r"(?m)^t_end = .*$", "theta0 = {}\ntheta0 = {}\nt_end = 0.5".format(
+            *(("-3", "-2") if example == "example1" else ("1.5, 1.5", "-0.5, -0.5"))), text)
+        text = re.sub(r"(?m)^variants = .*$", "variants = asfes, classical", text)
         text = text.replace("include_average = true", "include_average = false")
         scenario = parse_scenario(write_scenario(tmp_path, text))
+        plant = scenario.plant
+        n = plant.dimension
         out = tmp_path / "out"
         assert run_simulate(scenario, out) == 0
         names = [line[1:-1] for line in (out / "summary.txt").read_text().splitlines()
                  if line.startswith("[")]
-        assert names == [f"{m}_c{c}_x{x}" for c in ("0.1", "1") for x in (0, 1)
+        assert names == [f"{m}_c{c}_x{x}" for c in ("1", "0.1") for x in (0, 1)
                          for m in ("asfes", "classical", "reduced")]
-        # one warmup for both rates and both variants: the frozen filter
-        # rows depend on neither
-        cfg = scenario.config_for(0.1, Variant.ASFES)
-        states0 = warmup(scenario.plant, cfg, np.array(scenario.initial_thetas),
-                         warmup_settings(scenario.settings, cfg.omega_f),
-                         scenario.warmup_rel_tol)
-        for c in (0.1, 1.0):
-            for xi, state0 in enumerate(states0):
-                cfg = scenario.config_for(c, Variant.CLASSICAL_ES)
-                (traj,) = integrate(make_rhs(scenario.plant, cfg, c=[c]),
-                                    state0.as_vector()[:, None], scenario.settings,
-                                    channels=full_state_channels(scenario.plant, cfg),
-                                    gamma_index=5)
-                rows = (out / f"classical_c{c:g}_x{xi}.csv").read_text().strip().splitlines()
-                assert len(rows) - 1 == len(traj)
-                for i, row in enumerate(rows[1:]):
-                    vals = [float(tok) for tok in row.split(",")]
-                    assert vals[0] == traj.times[i]
-                    assert vals[2:8] == list(traj.states[i])
-                    assert vals[-3] == traj.j_values[i]
+        for c in (1.0, 0.1):
+            for xi, theta0 in enumerate(scenario.initial_thetas):
+                cfg = scenario.config_for(c, Variant.ASFES)
+                state0 = warmup(plant, cfg, theta0,
+                                warmup_settings(scenario.settings, cfg.omega_f),
+                                scenario.warmup_rel_tol)
+                for variant in (Variant.ASFES, Variant.CLASSICAL_ES):
+                    cfg = scenario.config_for(c, variant)
+                    traj = integrate(make_rhs(plant, cfg), state0.as_vector(),
+                                     scenario.settings,
+                                     channels=full_state_channels(plant, cfg),
+                                     gamma_index=3 * n + 2)
+                    rows = (out / f"{variant.value}_c{c:g}_x{xi}.csv").read_text()
+                    rows = rows.strip().splitlines()[1:]
+                    assert len(rows) == len(traj)
+                    for i, row in enumerate(rows):
+                        vals = [float(tok) for tok in row.split(",")]
+                        assert vals[0] == traj.times[i]
+                        assert vals[1:1 + n] == list(traj.thetas[i])
+                        assert vals[1 + n:-3] == list(traj.states[i])
+                        assert vals[-3:-1] == [traj.j_values[i], traj.h_values[i]]
 
 
 class TestRunAnalyze:

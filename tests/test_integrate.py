@@ -259,7 +259,7 @@ class TestWarmup:
     def test_batch_matches_single_starts(self, plant2, cfg2):
         settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=20.0)
         starts = np.array([[1.5, 1.5], [-0.5, -0.5], [2.5, 0.5]])
-        states = warmup(plant2, cfg2, starts, settings, 1e-4)
+        states = warmup(plant2, cfg2, starts.T, settings, 1e-4)
         for start, state in zip(starts, states):
             alone = warmup(plant2, cfg2, start, settings, 1e-4)
             assert state.as_vector().tobytes() == alone.as_vector().tobytes()
@@ -271,11 +271,11 @@ class TestWarmup:
                               omega_f=cfg1.omega_f, dither=cfg1.dither,
                               variant=Variant.NEWTON_ASFES)
         settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=40.0)
-        far, near = warmup(plant1, cfg, [[-3.0], [-0.2]], settings, 1e-4)
+        far, near = warmup(plant1, cfg, [[-3.0, -0.2]], settings, 1e-4)
         assert isinstance(far, NonFiniteState)
         assert near.gamma_newton == pytest.approx(10.0, rel=0.05)
         short = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
-        timeouts = warmup(plant1, cfg1, [[-3.0], [-2.0]], short, 1e-12)
+        timeouts = warmup(plant1, cfg1, [[-3.0, -2.0]], short, 1e-12)
         assert all(isinstance(r, WarmupTimeout) for r in timeouts)
         assert all(isinstance(r, ComputationError) for r in timeouts)
 
