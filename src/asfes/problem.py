@@ -194,23 +194,19 @@ def _offset(plant: PlantModel, theta) -> np.ndarray:
     return t - (plant.theta_star if t.ndim == 1 else plant.theta_star[:, None])
 
 
-def _value(v):
-    return float(v) if np.ndim(v) == 0 else v
-
-
 def eval_objective(plant: PlantModel, theta):
     """J(theta) = J* + (theta - theta*)' H (theta - theta*) / 2, for one point
     (a float) or a component-major batch ``(n, B)`` (one value per member)."""
     d = _offset(plant, theta)
     hd = hessian_product(hessian_columns(plant.hessian, d.ndim), d)
-    return _value(plant.j_star + 0.5 * component_sum(d * hd))
+    return plant.j_star + 0.5 * component_sum(d * hd)
 
 
 def eval_barrier(plant: PlantModel, theta):
     """h(theta) = h0 + h1' (theta - theta*), for one point or a batch."""
     d = _offset(plant, theta)
     h1 = plant.h1 if d.ndim == 1 else plant.h1[:, None]
-    return _value(plant.h0 + component_sum(h1 * d))
+    return plant.h0 + component_sum(h1 * d)
 
 
 def constrained_minimum(plant: PlantModel) -> ConstrainedOptimum:
