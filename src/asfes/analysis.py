@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .dynamics import AlgorithmConfig, make_average_rhs, state_size
+from .dynamics import AlgorithmConfig, PackedBlocks, StateLayout, make_average_rhs
 from .errors import (
     EmptyTrajectory,
     HurwitzViolation,
@@ -41,7 +41,7 @@ REAL_SPECTRUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(PackedBlocks):
     """Equilibrium of the averaged dynamics plus the scalars d and c1
     (G_J at equilibrium equals c1 * h1) reused by the linearization."""
 
@@ -53,12 +53,6 @@ class Equilibrium:
     gamma_ae: float
     d: float
     c1: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.theta_tilde_ae, self.g_j_ae, [self.eta_j_ae],
-            self.g_h_ae, [self.eta_h_ae], [self.gamma_ae],
-        ])
 
 
 @dataclass(frozen=True)
@@ -154,13 +148,17 @@ def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> np
     wf = cfg.omega_f
     alpha = equilibrium_alpha(plant, cfg, eq)
     m = m_matrix(cfg.k, h1, alpha)
-    j11 = np.zeros((2 * n + 1, 2 * n + 1))
-    j11[:n, n:2 * n] = -m
-    j11[:n, 2 * n] = -cfg.c * alpha * h1 / float(h1 @ h1)
-    j11[n:2 * n, :n] = wf * plant.hessian
-    j11[n:2 * n, n:2 * n] = -wf * np.eye(n)
-    j11[2 * n, :n] = wf * h1
-    j11[2 * n, 2 * n] = -wf
+    layout = StateLayout.of(n)
+    # the leading error coordinates (error_coordinate_indices): theta_tilde
+    # and G_J in their layout rows, then eta_h in the row eta_J has there
+    tt, gj, eh = layout.theta, layout.g_j, layout.eta_j
+    j11 = np.zeros((eh + 1, eh + 1))
+    j11[tt, gj] = -m
+    j11[tt, eh] = -cfg.c * alpha * h1 / float(h1 @ h1)
+    j11[gj, tt] = wf * plant.hessian
+    j11[gj, gj] = -wf * np.eye(n)
+    j11[eh, tt] = wf * h1
+    j11[eh, eh] = -wf
     return j11
 
 
@@ -219,13 +217,8 @@ def finite_diff_jacobian(
 def error_coordinate_indices(n: int) -> np.ndarray:
     """Permutation mapping the reordered error state
     (theta_tilde, G_J, eta_h, G_h, gamma, eta_J) onto the plain layout."""
-    idx = list(range(n))                      # theta_tilde
-    idx += list(range(n, 2 * n))              # G_J
-    idx += [3 * n + 1]                        # eta_h
-    idx += list(range(2 * n + 1, 3 * n + 1))  # G_h
-    idx += [3 * n + 2]                        # gamma
-    idx += [2 * n]                            # eta_J
-    return np.array(idx)
+    layout = StateLayout.of(n)
+    return np.r_[layout.theta, layout.g_j, layout.eta_h, layout.g_h, layout.gamma, layout.eta_j]
 
 
 def average_error_rhs(
@@ -236,9 +229,7 @@ def average_error_rhs(
     f = make_average_rhs(plant, cfg)
     perm = error_coordinate_indices(plant.dimension)
     x_eq = eq.as_vector()
-    size = state_size(plant.dimension)
-    inv = np.empty(size, dtype=int)
-    inv[perm] = np.arange(size)
+    inv = np.argsort(perm)
 
     def g(x_c: np.ndarray) -> np.ndarray:
         x = x_eq + np.asarray(x_c, float)[inv]

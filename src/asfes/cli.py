@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, TextIO
@@ -21,6 +21,7 @@ import numpy as np
 from . import analysis
 from .dynamics import (
     AlgorithmConfig,
+    StateLayout,
     Variant,
     make_average_rhs,
     make_rhs,
@@ -93,11 +94,7 @@ class Scenario:
         return self.initial_thetas[0]
 
     def config_for(self, c: float, variant: Variant) -> AlgorithmConfig:
-        return AlgorithmConfig(
-            k=self.config.k, c=c, delta=self.config.delta,
-            omega_f=self.config.omega_f, dither=self.config.dither,
-            variant=variant,
-        )
+        return replace(self.config, c=c, variant=variant)
 
 
 def _parse_floats(text: str, line: int) -> list:
@@ -107,45 +104,55 @@ def _parse_floats(text: str, line: int) -> list:
         raise ParseError(line, f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _parse_bool(text: str, line: int) -> bool:
+def _parse_bool(text: str, line: int, key: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1"):
         return True
     if t in ("false", "no", "0"):
         return False
-    raise ParseError(line, f"expected true/false, got {text!r}")
+    raise ParseError(line, f"{key}: expected true/false, got {text!r}")
 
 
-def _parse_number(text: str, line: int) -> float:
-    return _parse_floats(text, line)[0]
+def _parse_number(text: str, line: int, key: str) -> float:
+    values = _parse_floats(text, line)
+    if len(values) != 1:
+        raise ParseError(line, f"{key} takes one number, got {text.strip()!r}")
+    return values[0]
 
 
-def _parse_dt(text: str, line: int) -> Optional[float]:
+def _parse_positive(text: str, line: int, key: str) -> float:
+    x = _parse_number(text, line, key)
+    if not (math.isfinite(x) and x > 0.0):
+        raise ParseError(line, f"{key} must be positive and finite, got {text.strip()!r}")
+    return x
+
+
+def _parse_dt(text: str, line: int, key: str) -> Optional[float]:
     """A step, or None for ``auto`` (the default for the dither)."""
-    return None if text.strip().lower() == "auto" else _parse_number(text, line)
+    return None if text.strip().lower() == "auto" else _parse_number(text, line, key)
 
 
-def _parse_stride(text: str, line: int) -> int:
-    x = _parse_number(text, line)
+def _parse_stride(text: str, line: int, key: str) -> int:
+    x = _parse_number(text, line, key)
     if not (math.isfinite(x) and x.is_integer() and x >= 1):
-        raise ParseError(line, f"record_stride must be a positive integer, got {text.strip()!r}")
+        raise ParseError(line, f"{key} must be a positive integer, got {text.strip()!r}")
     return int(x)
 
 
-def _parse_variants(text: str, line: int) -> tuple:
+def _parse_variants(text: str, line: int, key: str) -> tuple:
     names = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
     unknown = [nm for nm in names if nm not in _VARIANT_NAMES]
     if unknown:
-        raise ParseError(line, f"unknown variant {unknown[0]!r}")
+        raise ParseError(line, f"{key}: unknown variant {unknown[0]!r}")
     return tuple(_VARIANT_NAMES[nm] for nm in names)
 
 
-# optional [sim] keys: key -> (default text, converter(text, line))
+# optional [sim] keys: key -> (default text, converter(text, line, key))
 _SIM_OPTIONS = {
     "dt": ("auto", _parse_dt),
     "record_stride": ("1", _parse_stride),
     "gamma_guard": ("1e6", _parse_number),
-    "warmup_rel_tol": ("1e-4", _parse_number),
+    "warmup_rel_tol": ("1e-4", _parse_positive),
     "variants": ("asfes", _parse_variants),
     "include_reduced": ("false", _parse_bool),
     "include_average": ("false", _parse_bool),
@@ -192,47 +199,39 @@ def parse_scenario(path) -> Scenario:
         except KeyError:
             raise ParseError(None, f"missing key {key!r} in section [{section_name}]")
 
+    def numbers(section_name: str, key: str) -> list:
+        ln, v = require(section_name, key)
+        return _parse_floats(v, ln)
+
+    def number(section_name: str, key: str) -> float:
+        ln, v = require(section_name, key)
+        return _parse_number(v, ln, key)
+
     # plant
     rows = [_parse_floats(v, ln) for ln, v in require("plant", "hessian_row")]
-    hessian = np.array(rows)
-    ln, v = require("plant", "theta_star")
-    theta_star = np.array(_parse_floats(v, ln))
-    ln, v = require("plant", "j_star")
-    j_star = _parse_floats(v, ln)[0]
-    ln, v = require("plant", "h0")
-    h0 = _parse_floats(v, ln)[0]
-    ln, v = require("plant", "h1")
-    h1 = np.array(_parse_floats(v, ln))
     plant = validate_plant(
-        QuadraticObjective(j_star=j_star, hessian=hessian, theta_star=theta_star),
-        LinearBarrier(h0=h0, h1=h1),
+        QuadraticObjective(j_star=number("plant", "j_star"), hessian=np.array(rows),
+                           theta_star=np.array(numbers("plant", "theta_star"))),
+        LinearBarrier(h0=number("plant", "h0"), h1=np.array(numbers("plant", "h1"))),
     )
 
     # dither
-    ln, v = require("dither", "amplitude")
-    amplitude = _parse_floats(v, ln)[0]
-    ln, v = require("dither", "base_scale")
-    base_scale = _parse_floats(v, ln)[0]
     ln, v = require("dither", "ratios")
     try:
         ratios = tuple(Fraction(tok.strip()) for tok in v.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(ln, f"expected comma-separated rationals, got {v!r}") from exc
-    dither = DitherConfig(amplitude=amplitude, ratios=ratios, base_scale=base_scale)
+    dither = DitherConfig(amplitude=number("dither", "amplitude"), ratios=ratios,
+                          base_scale=number("dither", "base_scale"))
     if dither.dimension != plant.dimension:
         raise ParseError(ln, f"{dither.dimension} dither frequencies for a "
                              f"{plant.dimension}-parameter plant")
 
     # gains
-    ln, v = require("gains", "k")
-    k = _parse_floats(v, ln)[0]
-    ln, v = require("gains", "c")
-    c_values = tuple(_parse_floats(v, ln))
-    ln, v = require("gains", "delta")
-    delta = _parse_floats(v, ln)[0]
-    ln, v = require("gains", "omega_f")
-    omega_f = _parse_floats(v, ln)[0]
-    config = AlgorithmConfig(k=k, c=c_values[0], delta=delta, omega_f=omega_f,
+    c_values = tuple(numbers("gains", "c"))
+    config = AlgorithmConfig(k=number("gains", "k"), c=c_values[0],
+                             delta=number("gains", "delta"),
+                             omega_f=number("gains", "omega_f"),
                              dither=dither, variant=Variant.ASFES)
 
     # sim
@@ -243,23 +242,20 @@ def parse_scenario(path) -> Scenario:
             raise ParseError(ln, f"theta0 has {th.shape[0]} components, expected {plant.dimension}")
         require_finite(th, f"line {ln}: theta0")
         thetas.append(th)
-    ln, v = require("sim", "t_end")
-    t_end = _parse_floats(v, ln)[0]
     opts = {}
     for key, (default, convert) in _SIM_OPTIONS.items():
         ln, v = sections["sim"].get(key, (None, default))
-        opts[key] = convert(v, ln)
+        opts[key] = convert(v, ln, key)
     dt = default_dt(dither) if opts["dt"] is None else opts["dt"]
 
-    settings = IntegrationSettings(dt=dt, t_end=t_end,
+    settings = IntegrationSettings(dt=dt, t_end=number("sim", "t_end"),
                                    record_stride=opts["record_stride"],
                                    gamma_guard=opts["gamma_guard"])
     check_resolves_dither(settings, dither)
     # per-variant configs are validated here so a bad combination fails fast
     for c in c_values:
         for variant in opts["variants"]:
-            AlgorithmConfig(k=k, c=c, delta=delta, omega_f=omega_f,
-                            dither=dither, variant=variant)
+            replace(config, c=c, variant=variant)
     return Scenario(
         plant=plant, config=config, c_values=c_values,
         initial_thetas=tuple(thetas), settings=settings,
@@ -275,10 +271,7 @@ def _fmt(x: float) -> str:
 def warmup_settings(settings: IntegrationSettings, omega_f: float) -> IntegrationSettings:
     """Horizon for settling the filters, independent of the run horizon:
     sixty filter time constants reach far below the default tolerance."""
-    return IntegrationSettings(
-        dt=settings.dt, t_end=max(settings.t_end, 60.0 / omega_f),
-        record_stride=settings.record_stride, gamma_guard=settings.gamma_guard,
-    )
+    return replace(settings, t_end=max(settings.t_end, 60.0 / omega_f))
 
 
 def _slow_settings(scenario: Scenario) -> IntegrationSettings:
@@ -286,10 +279,7 @@ def _slow_settings(scenario: Scenario) -> IntegrationSettings:
     no fast oscillation to resolve, so 25x the base step, capped by the
     filter time constant."""
     dt = min(25.0 * scenario.settings.dt, 0.25 / scenario.config.omega_f)
-    return IntegrationSettings(
-        dt=dt, t_end=scenario.settings.t_end,
-        record_stride=1, gamma_guard=scenario.settings.gamma_guard,
-    )
+    return replace(scenario.settings, dt=dt, record_stride=1)
 
 
 def write_trajectory_csv(
@@ -319,14 +309,6 @@ def write_trajectory_csv(
             row += [_fmt(traj.j_values[i]), _fmt(traj.h_values[i]),
                     _fmt(h0 * math.exp(-c * t))]
             fh.write(",".join(row) + "\n")
-
-
-def _filter_state_names(n: int, newton: bool) -> list:
-    names = [f"g_j_{i + 1}" for i in range(n)] + ["eta_j"]
-    names += [f"g_h_{i + 1}" for i in range(n)] + ["eta_h", "gamma"]
-    if newton:
-        names.append("gamma_newton")
-    return names
 
 
 def _stepped_as_batch(n: int, members: int) -> bool:
@@ -374,6 +356,7 @@ def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
     plant = scenario.plant
     n = plant.dimension
     newton = variant is Variant.NEWTON_ASFES
+    gamma_at = StateLayout.of(n, newton).gamma
     members = [(c, th) for c in scenario.c_values for th in scenario.initial_thetas]
     notes, x0 = [], []
     for c, theta0 in members:
@@ -390,19 +373,21 @@ def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
     cs = [c for c, _ in members]
     if _stepped_as_batch(n, len(members)):
         trajs = integrate(make_rhs(plant, cfg, c=np.array(cs)), np.stack(x0, axis=1),
-                          scenario.settings, channels=channels, gamma_index=3 * n + 2)
+                          scenario.settings, channels=channels, gamma_index=gamma_at)
     else:
-        trajs = []
-        for c, state0 in zip(cs, x0):
-            try:
-                trajs.append(integrate(make_rhs(plant, cfg, c=c), state0, scenario.settings,
-                                       channels=channels, gamma_index=3 * n + 2))
-            except NonFiniteState as exc:
-                trajs.append(exc.partial)
-    for traj, member_notes in zip(trajs, notes):
-        if traj.diverged_at is not None:
-            member_notes.append(f"DIVERGED: {NonFiniteState(traj.diverged_at)}")
+        trajs = [_integrate_kept(make_rhs(plant, cfg, c=c), state0, scenario.settings,
+                                 channels=channels, gamma_index=gamma_at)
+                 for c, state0 in zip(cs, x0)]
     return list(zip(trajs, notes))
+
+
+def _integrate_kept(*args, **kwargs) -> Trajectory:
+    """:func:`integrate` for one state, where a run that diverges gives the
+    trajectory recorded up to the failure (``diverged_at`` set)."""
+    try:
+        return integrate(*args, **kwargs)
+    except NonFiniteState as exc:
+        return exc.partial
 
 
 def run_simulate(scenario: Scenario, output_dir) -> int:
@@ -410,59 +395,54 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     reduced hierarchies when asked), writing one CSV per run and a summary.
 
     Each variant's c x theta0 product is stepped as one batch (at n >= 2),
-    after one warmup per distinct start.  Returns 0 on success, 2 if any run diverged
-    (its CSV then holds the trajectory up to the failure).
+    after one warmup per distinct start.  Returns 0 on success, 2 if any run
+    diverged (its CSV then holds the trajectory up to the failure, and its
+    summary block a DIVERGED note).
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     plant = scenario.plant
     n = plant.dimension
+    layout = StateLayout.of(n)
     optimum = constrained_minimum(plant)
     warmed = _warm_starts(scenario)
     runs = {variant: _run_product(scenario, variant, warmed)
             for variant in scenario.variants_to_run}
-    diverged = any(traj.diverged_at is not None
-                   for product in runs.values() for traj, _ in product)
-    summary_lines = []
+    slow = _slow_settings(scenario)
+    summary_lines, diverged = [], False
+
+    def record(name, traj, label, c, filter_names=(), notes=()):
+        nonlocal diverged
+        if traj.diverged_at is not None:
+            diverged = True
+            notes = [*notes, f"DIVERGED: {NonFiniteState(traj.diverged_at)}"]
+        write_trajectory_csv(out / f"{name}.csv", traj, label, n, c, filter_names)
+        report = analysis.safety_report(traj, plant, c, optimum)
+        summary_lines.extend(_summary_block(name, report, traj, notes))
 
     for ci, c in enumerate(scenario.c_values):
+        cfg = scenario.config_for(c, Variant.ASFES)
         for xi, theta0 in enumerate(scenario.initial_thetas):
             member = ci * len(scenario.initial_thetas) + xi
             for variant in scenario.variants_to_run:
                 traj, notes = runs[variant][member]
-                name = f"{variant.value}_c{c:g}_x{xi}"
-                write_trajectory_csv(
-                    out / f"{name}.csv", traj, "theta_hat", n, c,
-                    _filter_state_names(n, variant is Variant.NEWTON_ASFES),
-                )
-                report = analysis.safety_report(traj, plant, c, optimum)
-                summary_lines += _summary_block(name, report, traj, notes)
-
-            slow = _slow_settings(scenario)
+                record(f"{variant.value}_c{c:g}_x{xi}", traj, "theta_hat", c,
+                       StateLayout.of(n, variant is Variant.NEWTON_ASFES).filter_names, notes)
             if scenario.include_average:
-                cfg = scenario.config_for(c, Variant.ASFES)
                 x0 = exact_initial_state(plant, cfg, theta0).as_vector()
-                x0[:n] = theta0 - plant.theta_star
-                name = f"average_c{c:g}_x{xi}"
+                x0[layout.theta] = theta0 - plant.theta_star
                 f = make_average_rhs(plant, cfg)
-                traj = integrate(lambda t, y: f(y), x0, slow,
-                                 channels=average_channels(plant),
-                                 gamma_index=3 * n + 2)
-                write_trajectory_csv(out / f"{name}.csv", traj, "theta_tilde", n, c,
-                                     _filter_state_names(n, False))
-                report = analysis.safety_report(traj, plant, c, optimum)
-                summary_lines += _summary_block(name, report, traj, [])
+                record(f"average_c{c:g}_x{xi}",
+                       _integrate_kept(lambda t, y: f(y), x0, slow,
+                                       channels=average_channels(plant),
+                                       gamma_index=layout.gamma),
+                       "theta_tilde", c, layout.filter_names)
             if scenario.include_reduced:
-                cfg = scenario.config_for(c, Variant.ASFES)
-                name = f"reduced_c{c:g}_x{xi}"
-                traj = integrate(
-                    lambda t, y: reduced_rhs(plant, cfg, y),
-                    theta0 - plant.theta_star, slow,
-                    channels=reduced_channels(plant),
-                )
-                write_trajectory_csv(out / f"{name}.csv", traj, "theta_tilde", n, c)
-                report = analysis.safety_report(traj, plant, c, optimum)
-                summary_lines += _summary_block(name, report, traj, [])
+                record(f"reduced_c{c:g}_x{xi}",
+                       _integrate_kept(lambda t, y: reduced_rhs(plant, cfg, y),
+                                       theta0 - plant.theta_star, slow,
+                                       channels=reduced_channels(plant)),
+                       "theta_tilde", c)
 
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     return 2 if diverged else 0
@@ -546,8 +526,8 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
 
         j11 = analysis.jacobian_j11(plant, cfg, eq)
         g = analysis.average_error_rhs(plant, cfg, eq)
-        fd = analysis.finite_diff_jacobian(g, np.zeros(3 * n + 3), 1e-6)
-        lead = fd[: 2 * n + 1, : 2 * n + 1]
+        fd = analysis.finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
+        lead = fd[:j11.shape[0], :j11.shape[1]]
         emit(sec, "j11_fd_rel_error",
              float(np.max(np.abs(lead - j11)) / max(1.0, np.max(np.abs(j11)))))
         j_r = analysis.reduced_jacobian(plant, cfg, eq)
@@ -561,9 +541,7 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
     lines.append("[delta_sweep]")
     cfg0 = scenario.config_for(scenario.c_values[0], Variant.ASFES)
     for dl in (1e-6, 1e-4, 1e-2):
-        cfg_d = AlgorithmConfig(k=cfg0.k, c=cfg0.c, delta=dl,
-                                omega_f=cfg0.omega_f, dither=cfg0.dither)
-        eq_d = analysis.average_equilibrium(plant, cfg_d)
+        eq_d = analysis.average_equilibrium(plant, replace(cfg0, delta=dl))
         emit("delta_sweep", f"eta_h_ae_delta_{dl:g}", eq_d.eta_h_ae)
     lines.append("")
 

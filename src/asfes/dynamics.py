@@ -1,21 +1,22 @@
 """Right-hand sides for every model in the hierarchy.
 
-Five systems share one state convention:
+Five systems share one state, whose blocks and their positions
+:class:`StateLayout` holds:
 
 * the dithered algorithm (gradient, Newton for one parameter, and the
-  classical unconstrained baseline), state
-  ``[theta_hat, G_J, eta_J, G_h, eta_h, gamma(, Gamma)]`` of size 3n+3
-  (3n+4 with the Newton inverse-Hessian estimate Gamma);
-* the averaged dynamics in the error coordinate theta_tilde = theta_hat -
-  theta*, same layout, size 3n+3;
+  classical unconstrained baseline); the Newton variant adds the
+  inverse-Hessian estimate Gamma as a last block;
+* the averaged dynamics, the same layout in the error coordinate
+  theta_tilde = theta_hat - theta*;
 * the quasi-steady reduced model, the n-vector theta_tilde_r alone;
-* the boundary-layer (fast filter transient) model of size 2n+3.
+* the boundary-layer (fast filter transient) model, the layout's filter
+  rows alone.
 
 States are component-major.  One run is a ``(size,)`` vector; the dithered
 algorithm also steps a batch of B runs as one ``(size, B)`` array, one
-column per member, so ``y[:n]``, ``y[2 * n]`` and the other rows index both
-shapes the same way.  Within a batch nothing is summed across members, so
-each member's trajectory is bit-for-bit the one it has when run alone.
+column per member, so the layout's slices and indices address both shapes
+the same way.  Within a batch nothing is summed across members, so each
+member's trajectory is bit-for-bit the one it has when run alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -24,8 +25,9 @@ derived, never stored.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,12 +75,96 @@ class AlgorithmConfig:
         return replace(self, variant=variant)
 
 
-def state_size(n: int, newton: bool = False) -> int:
-    return 3 * n + 3 + int(newton)
+@dataclass(frozen=True, eq=False)
+class StateLayout:
+    """Positions of the blocks of the algorithm state, in the order
+    ``[theta, G_J, eta_J, G_h, eta_h, gamma(, Gamma)]``.
+
+    Vector blocks are slices and scalar blocks ints, so they index a state
+    ``(size,)`` and a batch ``(size, B)`` alike; ``gamma_newton`` is None
+    without the Newton block, and ``blocks`` holds the positions in order.
+    ``filters`` is every row after theta, which is also the boundary-layer
+    state, and ``filter_names`` names those rows as CSV columns.  Build one
+    with :meth:`of`, which makes each layout once.
+    """
+
+    n: int
+    newton: bool
+    theta: slice
+    g_j: slice
+    eta_j: int
+    g_h: slice
+    eta_h: int
+    gamma: int
+    gamma_newton: Optional[int]
+    size: int
+    filters: slice
+    filter_names: tuple
+    blocks: tuple
+
+    @classmethod
+    @functools.cache
+    def of(cls, n: int, newton: bool = False) -> "StateLayout":
+        blocks = (slice(0, n), slice(n, 2 * n), 2 * n, slice(2 * n + 1, 3 * n + 1),
+                  3 * n + 1, 3 * n + 2) + ((3 * n + 3,) if newton else ())
+        names = [f"g_j_{i + 1}" for i in range(n)] + ["eta_j"]
+        names += [f"g_h_{i + 1}" for i in range(n)] + ["eta_h", "gamma"]
+        names += ["gamma_newton"] if newton else []
+        return cls(n, newton, *blocks[:6], blocks[6] if newton else None,
+                   3 * n + 3 + int(newton), slice(n, None), tuple(names), blocks)
+
+    def pack(self, values) -> np.ndarray:
+        """The state with the values of :attr:`blocks`, in order; a batch
+        ``(size, B)`` when the theta value is ``(n, B)``."""
+        vec = np.empty((self.size,) + np.shape(values[0])[1:])
+        for where, value in zip(self.blocks, values, strict=True):
+            vec[where] = value
+        return vec
+
+    def unpack(self, vec) -> list:
+        """The values of :attr:`blocks` in a state vector: copies of the
+        vector blocks, floats for the scalar ones."""
+        vec = np.asarray(vec, float)
+        if vec.shape != (self.size,):
+            raise DimensionMismatch(
+                f"state vector of shape {vec.shape} does not match n={self.n}")
+        return [vec[b].copy() if isinstance(b, slice) else float(vec[b]) for b in self.blocks]
+
+
+class PackedBlocks:
+    """Base of the state containers: a dataclass whose leading fields are
+    the blocks of a :class:`StateLayout`, in order.  A ``gamma_newton``
+    field left at None is an absent Newton block."""
+
+    def __post_init__(self):
+        vectors = [f.name for f, where in zip(fields(self), StateLayout.of(1).blocks)
+                   if isinstance(where, slice)]
+        for name in vectors:
+            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
+        if any(getattr(self, name).shape != (self.dimension,) for name in vectors):
+            raise DimensionMismatch(f"{', '.join(vectors)} must share one dimension")
+
+    @property
+    def dimension(self) -> int:
+        return getattr(self, fields(self)[0].name).shape[0]
+
+    def as_vector(self) -> np.ndarray:
+        layout = StateLayout.of(self.dimension, getattr(self, "gamma_newton", None) is not None)
+        return layout.pack([getattr(self, f.name) for f in fields(self)][:len(layout.blocks)])
+
+
+class UnpackedBlocks(PackedBlocks):
+    """A :class:`PackedBlocks` container that a state vector also builds."""
+
+    @classmethod
+    def from_vector(cls, vec, n: int):
+        newton = (any(f.name == "gamma_newton" for f in fields(cls))
+                  and np.shape(vec)[:1] == (StateLayout.of(n, True).size,))
+        return cls(*StateLayout.of(n, newton).unpack(vec))
 
 
 @dataclass(frozen=True)
-class FullState:
+class FullState(UnpackedBlocks):
     """Algorithm state; ``gamma_newton`` present only for the Newton variant."""
 
     theta_hat: np.ndarray
@@ -89,49 +175,9 @@ class FullState:
     gamma: float
     gamma_newton: Optional[float] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "theta_hat", np.atleast_1d(np.asarray(self.theta_hat, float)))
-        object.__setattr__(self, "g_j", np.atleast_1d(np.asarray(self.g_j, float)))
-        object.__setattr__(self, "g_h", np.atleast_1d(np.asarray(self.g_h, float)))
-        n = self.theta_hat.shape[0]
-        if self.g_j.shape != (n,) or self.g_h.shape != (n,):
-            raise DimensionMismatch("theta_hat, g_j and g_h must share one dimension")
-
-    @property
-    def dimension(self) -> int:
-        return self.theta_hat.shape[0]
-
-    def as_vector(self) -> np.ndarray:
-        parts = [self.theta_hat, self.g_j, [self.eta_j], self.g_h,
-                 [self.eta_h], [self.gamma]]
-        if self.gamma_newton is not None:
-            parts.append([self.gamma_newton])
-        return np.concatenate([np.asarray(p, float) for p in parts])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n: int) -> "FullState":
-        vec = np.asarray(vec, float)
-        if vec.shape[0] == state_size(n, newton=True):
-            gamma_newton = float(vec[3 * n + 3])
-        elif vec.shape[0] == state_size(n):
-            gamma_newton = None
-        else:
-            raise DimensionMismatch(
-                f"state vector of length {vec.shape[0]} does not match n={n}"
-            )
-        return cls(
-            theta_hat=vec[:n].copy(),
-            g_j=vec[n:2 * n].copy(),
-            eta_j=float(vec[2 * n]),
-            g_h=vec[2 * n + 1:3 * n + 1].copy(),
-            eta_h=float(vec[3 * n + 1]),
-            gamma=float(vec[3 * n + 2]),
-            gamma_newton=gamma_newton,
-        )
-
 
 @dataclass(frozen=True)
-class AverageState:
+class AverageState(UnpackedBlocks):
     """State of the averaged dynamics in the theta_tilde coordinate."""
 
     theta_tilde_a: np.ndarray
@@ -140,40 +186,6 @@ class AverageState:
     g_h_a: np.ndarray
     eta_h_a: float
     gamma_a: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_tilde_a", np.atleast_1d(np.asarray(self.theta_tilde_a, float)))
-        object.__setattr__(self, "g_j_a", np.atleast_1d(np.asarray(self.g_j_a, float)))
-        object.__setattr__(self, "g_h_a", np.atleast_1d(np.asarray(self.g_h_a, float)))
-        n = self.theta_tilde_a.shape[0]
-        if self.g_j_a.shape != (n,) or self.g_h_a.shape != (n,):
-            raise DimensionMismatch("theta_tilde_a, g_j_a and g_h_a must share one dimension")
-
-    @property
-    def dimension(self) -> int:
-        return self.theta_tilde_a.shape[0]
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([
-            self.theta_tilde_a, self.g_j_a, [self.eta_j_a],
-            self.g_h_a, [self.eta_h_a], [self.gamma_a],
-        ])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, n: int) -> "AverageState":
-        vec = np.asarray(vec, float)
-        if vec.shape[0] != state_size(n):
-            raise DimensionMismatch(
-                f"state vector of length {vec.shape[0]} does not match n={n}"
-            )
-        return cls(
-            theta_tilde_a=vec[:n].copy(),
-            g_j_a=vec[n:2 * n].copy(),
-            eta_j_a=float(vec[2 * n]),
-            g_h_a=vec[2 * n + 1:3 * n + 1].copy(),
-            eta_h_a=float(vec[3 * n + 1]),
-            gamma_a=float(vec[3 * n + 2]),
-        )
 
 
 def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
@@ -215,7 +227,10 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     two_over_a = 2.0 / a
     newton = variant is Variant.NEWTON_ASFES
     classical = variant is Variant.CLASSICAL_ES
-    size = state_size(n, newton=newton)
+    layout = StateLayout.of(n, newton)
+    size = layout.size
+    theta_at, gj_at, ej_at, gh_at = layout.theta, layout.g_j, layout.eta_j, layout.g_h
+    eh_at, gamma_at, big_gamma_at = layout.eta_h, layout.gamma, layout.gamma_newton
     n_coef = 16.0 / (a * a)
     # per-component constants shaped for one state (ndim 1) or a batch (ndim 2)
     shaped = {
@@ -234,34 +249,34 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
         # as np.sqrt does
         root = math.sqrt if y.ndim == 1 else np.sqrt
         sins = np.sin(w * t)
-        d = y[:n] + a * sins - ts                  # theta - theta* at the probe point
+        d = y[theta_at] + a * sins - ts                 # theta - theta* at the probe point
         jv = j_star + 0.5 * component_sum(d * hessian_product(hcols, d))
         hv = h0 + component_sum(h1s * d)
         m = two_over_a * sins
-        gj = y[n:2 * n]
-        eta_j = y[2 * n]
-        gh = y[2 * n + 1:3 * n + 1]
-        eta_h = y[3 * n + 1]
-        gamma = y[3 * n + 2]
+        gj = y[gj_at]
+        eta_j = y[ej_at]
+        gh = y[gh_at]
+        eta_h = y[eh_at]
+        gamma = y[gamma_at]
         out = np.empty(y.shape)
         if classical:
-            out[:n] = -k * gj
+            out[theta_at] = -k * gj
         elif newton:
-            big_gamma = y[3 * n + 3]
+            big_gamma = y[big_gamma_at]
             s = sins[0]
             arg = k * big_gamma * gj[0] * gh[0] - c * eta_h
-            out[0] = -k * big_gamma * gj[0] + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh[0]
-            out[3 * n + 3] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
+            out[theta_at] = -k * big_gamma * gj[0] + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh[0]
+            out[big_gamma_at] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
         else:
             arg = k * component_sum(gj * gh) - c * eta_h
-            out[:n] = -k * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
+            out[theta_at] = -k * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
         ej = jv - eta_j
         eh = hv - eta_h
-        out[n:2 * n] = wf * (ej * m - gj)
-        out[2 * n] = wf * ej
-        out[2 * n + 1:3 * n + 1] = wf * (eh * m - gh)
-        out[3 * n + 1] = wf * eh
-        out[3 * n + 2] = wf * gamma * (1.0 - gamma * component_sum(gh * gh))
+        out[gj_at] = wf * (ej * m - gj)
+        out[ej_at] = wf * ej
+        out[gh_at] = wf * (eh * m - gh)
+        out[eh_at] = wf * eh
+        out[gamma_at] = wf * gamma * (1.0 - gamma * component_sum(gh * gh))
         return out
 
     if n != 1 or not isinstance(c, float):
@@ -274,6 +289,7 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     ts0 = float(theta_star[0])
     h1s = float(h1[0])
     om1 = float(omegas[0])
+    th1, gj1, gh1 = theta_at.start, gj_at.start, gh_at.start   # one row per block
     sqrt = math.sqrt
     sin = math.sin
 
@@ -285,27 +301,27 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
                 f"state vector of length {y.shape[0]}, expected {size}"
             )
         s = sin(om1 * t)
-        d = y[0] + a * s - ts0
+        d = y[th1] + a * s - ts0
         jv = j_star + 0.5 * h11 * d * d
         hv = h0 + h1s * d
         m = two_over_a * s
-        gj, eta_j, gh, eta_h, gamma = y[1], y[2], y[3], y[4], y[5]
+        gj, eta_j, gh, eta_h, gamma = y[gj1], y[ej_at], y[gh1], y[eh_at], y[gamma_at]
         out = np.empty(size)
         if classical:
-            out[0] = -k * gj
+            out[th1] = -k * gj
         elif newton:
-            big_gamma = y[6]
+            big_gamma = y[big_gamma_at]
             arg = k * big_gamma * gj * gh - c * eta_h
-            out[0] = -k * big_gamma * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-            out[6] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
+            out[th1] = -k * big_gamma * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
+            out[big_gamma_at] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
         else:
             arg = k * gj * gh - c * eta_h
-            out[0] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-        out[1] = wf * ((jv - eta_j) * m - gj)
-        out[2] = wf * (jv - eta_j)
-        out[3] = wf * ((hv - eta_h) * m - gh)
-        out[4] = wf * (hv - eta_h)
-        out[5] = wf * gamma * (1.0 - gamma * gh * gh)
+            out[th1] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
+        out[gj1] = wf * ((jv - eta_j) * m - gj)
+        out[ej_at] = wf * (jv - eta_j)
+        out[gh1] = wf * ((hv - eta_h) * m - gh)
+        out[eh_at] = wf * (hv - eta_h)
+        out[gamma_at] = wf * gamma * (1.0 - gamma * gh * gh)
         return out
 
     return scalar_rhs
@@ -362,7 +378,10 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.nd
     k, c, delta, wf = cfg.k, cfg.c, cfg.delta, cfg.omega_f
     # the probing bias on the filtered objective; analysis-side knowledge
     trace_term = 0.25 * cfg.dither.amplitude**2 * float(np.trace(hess))
-    size = state_size(n)
+    layout = StateLayout.of(n)
+    size = layout.size
+    theta_at, gj_at, ej_at, gh_at = layout.theta, layout.g_j, layout.eta_j, layout.g_h
+    eh_at, gamma_at = layout.eta_h, layout.gamma
     sqrt = math.sqrt
 
     def rhs(x: np.ndarray) -> np.ndarray:
@@ -370,23 +389,23 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.nd
             raise DimensionMismatch(
                 f"state vector of length {x.shape[0]}, expected {size}"
             )
-        tt = x[:n]
-        gj = x[n:2 * n]
-        eta_j = x[2 * n]
-        gh = x[2 * n + 1:3 * n + 1]
-        eta_h = x[3 * n + 1]
-        gamma = x[3 * n + 2]
+        tt = x[theta_at]
+        gj = x[gj_at]
+        eta_j = x[ej_at]
+        gh = x[gh_at]
+        eta_h = x[eh_at]
+        gamma = x[gamma_at]
         h_tt = hess @ tt
         jv = j_star + 0.5 * float(tt @ h_tt)
         hv = h0 + float(h1 @ tt)
         out = np.empty(size)
         arg = k * float(gj @ gh) - c * eta_h
-        out[:n] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-        out[n:2 * n] = wf * (h_tt - gj)
-        out[2 * n] = wf * (jv + trace_term - eta_j)
-        out[2 * n + 1:3 * n + 1] = wf * (h1 - gh)
-        out[3 * n + 1] = wf * (hv - eta_h)
-        out[3 * n + 2] = wf * gamma * (1.0 - gamma * float(gh @ gh))
+        out[theta_at] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
+        out[gj_at] = wf * (h_tt - gj)
+        out[ej_at] = wf * (jv + trace_term - eta_j)
+        out[gh_at] = wf * (h1 - gh)
+        out[eh_at] = wf * (hv - eta_h)
+        out[gamma_at] = wf * gamma * (1.0 - gamma * float(gh @ gh))
         return out
 
     return rhs
@@ -432,14 +451,16 @@ def boundary_layer_rhs(z_b, h1) -> np.ndarray:
     """
     z = np.atleast_1d(np.asarray(z_b, float))
     h1 = np.atleast_1d(np.asarray(h1, float))
-    n = h1.shape[0]
-    if z.shape != (2 * n + 3,):
+    layout = StateLayout.of(h1.shape[0])
+    y = np.zeros(layout.size)              # z in the filter rows of a full state
+    if z.shape != y[layout.filters].shape:
         raise DimensionMismatch(
-            f"boundary-layer state has shape {z.shape}, expected ({2 * n + 3},)"
+            f"boundary-layer state has shape {z.shape}, expected {y[layout.filters].shape}"
         )
+    y[layout.filters] = z
     gamma_eq = 1.0 / float(h1 @ h1)
-    out = -z.copy()
-    g = z[2 * n + 2] + gamma_eq
-    gh = z[n + 1:2 * n + 1] + h1
-    out[2 * n + 2] = g * (1.0 - g * float(gh @ gh))
-    return out
+    out = -y
+    g = y[layout.gamma] + gamma_eq
+    gh = y[layout.g_h] + h1
+    out[layout.gamma] = g * (1.0 - g * float(gh @ gh))
+    return out[layout.filters]

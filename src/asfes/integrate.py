@@ -20,9 +20,9 @@ from .dynamics import (
     AlgorithmConfig,
     AverageState,
     FullState,
+    StateLayout,
     Variant,
     make_rhs,
-    state_size,
 )
 from .errors import (
     ComputationError,
@@ -119,11 +119,11 @@ ChannelFn = Callable[[float, np.ndarray], tuple]
 def full_state_channels(plant: PlantModel, cfg: AlgorithmConfig) -> ChannelFn:
     """theta = theta_hat + S(t), with J and h evaluated there; for one state
     or a component-major batch."""
-    n = plant.dimension
+    theta_at = StateLayout.of(plant.dimension).theta
 
     def channels(t, y):
         s = dither(cfg.dither, t)
-        theta = y[:n] + (s if y.ndim == 1 else s[:, None])
+        theta = y[theta_at] + (s if y.ndim == 1 else s[:, None])
         return theta, eval_objective(plant, theta), eval_barrier(plant, theta)
 
     return channels
@@ -313,12 +313,13 @@ def warmup(
     if starts.ndim != 2 or starts.shape[0] != n:
         raise DimensionMismatch(
             f"theta0 has shape {np.shape(theta0)}, expected ({n},) or ({n}, B)")
-    newton = cfg.variant is Variant.NEWTON_ASFES
+    layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
+    theta_at, filters = layout.theta, layout.filters
     f = make_rhs(plant, cfg)
 
     def frozen(t, y):
         dy = f(t, y)
-        dy[:n] = 0.0
+        dy[theta_at] = 0.0
         return dy
 
     period = signal_period(cfg.dither)
@@ -326,23 +327,20 @@ def warmup(
         dt=settings.dt, t_end=period,
         record_stride=step_count(period, settings.dt))
 
-    ys = np.zeros((state_size(n, newton=newton), starts.shape[1]))
-    ys[:n] = starts
-    ys[2 * n] = eval_objective(plant, starts)
-    ys[3 * n + 1] = eval_barrier(plant, starts)
-    ys[3 * n + 2] = 1.0
-    if newton:
-        ys[3 * n + 3] = 1.0
+    # theta at the starts, eta_J and eta_h at J and h there, G_J and G_h
+    # at zero, gamma (and Gamma) at one
+    ys = layout.pack([starts, 0.0, eval_objective(plant, starts), 0.0,
+                      eval_barrier(plant, starts), 1.0, 1.0][:len(layout.blocks)])
 
     results = [None] * starts.shape[1]
     live = list(range(starts.shape[1]))      # batch column -> start
-    prev = ys[n:].copy()
+    prev = ys[filters].copy()
     max_periods = max(1, int(settings.t_end / period))
     for p in range(max_periods):
         runs = _rk4(frozen, ys[:, 0] if single else ys, one_period, None, None)
         ys = np.stack([run.states[-1] for run in runs], axis=1)
-        change = _norms(ys[n:] - prev)
-        scale = np.maximum(_norms(ys[n:]), 1e-30)
+        change = _norms(ys[filters] - prev)
+        scale = np.maximum(_norms(ys[filters]), 1e-30)
         keep = []
         for col, run in enumerate(runs):
             if run.diverged_at is not None:
@@ -351,7 +349,7 @@ def warmup(
                 results[live[col]] = FullState.from_vector(ys[:, col], n)
             else:
                 keep.append(col)
-        ys, prev = ys[:, keep], ys[n:, keep]
+        ys, prev = ys[:, keep], ys[filters, keep]
         live = [live[col] for col in keep]
         if not live:
             break
@@ -384,14 +382,9 @@ def numeric_average(
     This is the independent oracle for :func:`asfes.dynamics.average_rhs`.
     """
     is_state = isinstance(x, AverageState)
-    vec = x.as_vector() if is_state else np.asarray(x, float)
-    n = plant.dimension
-    if vec.shape[0] != state_size(n):
-        raise DimensionMismatch(
-            f"state vector of length {vec.shape[0]}, expected {state_size(n)}"
-        )
-    y = vec.copy()
-    y[:n] += plant.theta_star  # the dithered field works in theta_hat
+    layout = StateLayout.of(plant.dimension)
+    tt, *filters = layout.unpack(x.as_vector() if is_state else x)
+    y = layout.pack([tt + plant.theta_star, *filters])  # the dithered field works in theta_hat
 
     period = signal_period(cfg.dither)
     fastest = 2.0 * math.pi / cfg.dither.omega_max
@@ -405,5 +398,5 @@ def numeric_average(
         raise QuadratureFailure("non-finite integrand while averaging")
     avg = simpson(samples, x=ts, axis=1) / period
     if is_state:
-        return AverageState.from_vector(avg, n)
+        return AverageState.from_vector(avg, plant.dimension)
     return avg

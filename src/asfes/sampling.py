@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import AlgorithmConfig, Variant
+from .dynamics import AlgorithmConfig, StateLayout, Variant
 from .problem import LinearBarrier, PlantModel, QuadraticObjective, validate_plant
 from .signals import DitherConfig
 
@@ -66,6 +66,7 @@ def random_config(
 
 def random_full_state(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random averaged-coordinate state with gamma kept positive."""
-    x = rng.uniform(-2.0, 2.0, size=3 * n + 3)
-    x[3 * n + 2] = rng.uniform(0.2, 2.0)
+    layout = StateLayout.of(n)
+    x = rng.uniform(-2.0, 2.0, size=layout.size)
+    x[layout.gamma] = rng.uniform(0.2, 2.0)
     return x

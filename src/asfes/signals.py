@@ -67,14 +67,18 @@ class DitherConfig:
         if any(r <= 0 for r in ratios):
             raise ValidationError("frequency ratios must be positive")
         validate_frequencies(ratios)
+        # read by every dither and demodulation call, so built once
+        omegas = self.base_scale * np.array([float(r) for r in ratios])
+        omegas.flags.writeable = False
+        object.__setattr__(self, "_omegas", omegas)
 
     @property
     def dimension(self) -> int:
         return len(self.ratios)
 
     def omegas(self) -> np.ndarray:
-        """Frequencies in radians per unit time."""
-        return self.base_scale * np.array([float(r) for r in self.ratios])
+        """Frequencies in radians per unit time (a read-only array)."""
+        return self._omegas
 
     @property
     def omega_max(self) -> float:

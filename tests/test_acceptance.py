@@ -32,7 +32,7 @@ from asfes.analysis import (
     spectral_check,
 )
 from asfes.cli import parse_scenario, run_verify, warmup_settings
-from asfes.dynamics import make_rhs, reduced_rhs
+from asfes.dynamics import StateLayout, make_rhs, reduced_rhs
 from asfes.errors import ComputationError
 from asfes.integrate import (
     IntegrationSettings,
@@ -101,7 +101,7 @@ def _run_variant(scenario, c, variant, theta0, t_end=None, stride=None):
                     scenario.warmup_rel_tol)
     traj = integrate(make_rhs(scenario.plant, cfg), state0.as_vector(), settings,
                      channels=full_state_channels(scenario.plant, cfg),
-                     gamma_index=3 * scenario.plant.dimension + 2)
+                     gamma_index=StateLayout.of(scenario.plant.dimension).gamma)
     return traj
 
 
@@ -203,8 +203,8 @@ def test_criterion_4_jacobian_oracles(plant1, cfg1, plant2, cfg2):
         eq = average_equilibrium(plant, cfg)
         j11 = jacobian_j11(plant, cfg, eq)
         fd = finite_diff_jacobian(average_error_rhs(plant, cfg, eq),
-                                  np.zeros(3 * n + 3), 1e-6)
-        rel11 = float(np.max(np.abs(fd[:2 * n + 1, :2 * n + 1] - j11))
+                                  np.zeros(StateLayout.of(n).size), 1e-6)
+        rel11 = float(np.max(np.abs(fd[:j11.shape[0], :j11.shape[1]] - j11))
                       / max(1.0, np.max(np.abs(j11))))
         j_r = reduced_jacobian(plant, cfg, eq)
         fd_r = finite_diff_jacobian(

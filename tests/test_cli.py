@@ -17,7 +17,7 @@ from asfes.cli import (
     run_verify,
     warmup_settings,
 )
-from asfes.dynamics import Variant, make_rhs
+from asfes.dynamics import StateLayout, Variant, make_rhs
 from asfes.errors import ParseError, ResonantTriple, ValidationError
 from asfes.integrate import full_state_channels, integrate, warmup
 
@@ -127,6 +127,12 @@ class TestParseScenario:
         ("t_end = 2.0", "t_end = inf", "t_end"),
         ("record_stride = 17", "record_stride = 1.5", "record_stride"),
         ("t_end = 2.0", "t_end = 2.0\ngamma_guard = -1", "gamma_guard"),
+        ("k = 0.3", "k = 0.3, 99", "k"),
+        ("t_end = 2.0", "t_end = 2, 500", "t_end"),
+        ("h0 = -1", "h0 = -1, 2", "h0"),
+        ("record_stride = 17", "record_stride = 17, 3", "record_stride"),
+        ("warmup_rel_tol = 1e-4", "warmup_rel_tol = -1", "warmup_rel_tol"),
+        ("warmup_rel_tol = 1e-4", "warmup_rel_tol = inf", "warmup_rel_tol"),
     ])
     def test_meaningless_values_rejected(self, tmp_path, capsys, old, new, key):
         path = write_scenario(tmp_path, EX1_SMALL.replace(old, new))
@@ -167,7 +173,7 @@ class TestRunSimulate:
         traj = integrate(make_rhs(scenario.plant, cfg), state0.as_vector(),
                          scenario.settings,
                          channels=full_state_channels(scenario.plant, cfg),
-                         gamma_index=5)
+                         gamma_index=StateLayout.of(1).gamma)
         rows = (out / "asfes_c0.1_x0.csv").read_text().strip().splitlines()
         header = rows[0].split(",")
         assert header[:3] == ["t", "theta_1", "theta_hat_1"]
@@ -204,6 +210,18 @@ class TestRunSimulate:
         assert "DIVERGED" in summary
         assert "warmup failed" in summary
 
+    def test_diverging_average_and_reduced_runs_are_reported(self, tmp_path):
+        # theta0 = 1e308 overflows J: every run leaves the reals at its first step
+        path = write_scenario(tmp_path, EX1_SMALL.replace("theta0 = -3", "theta0 = 1e308"))
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", str(path), "--out", str(out)]) == 2
+        blocks = {block.split("]")[0]: block
+                  for block in (out / "summary.txt").read_text().split("[")[1:]}
+        for name in ("asfes_c0.1_x0", "average_c0.1_x0", "reduced_c0.1_x0"):
+            assert (out / f"{name}.csv").exists()
+            assert "note: DIVERGED" in blocks[name]
+
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     def test_product_members_match_their_solo_runs(self, tmp_path, scenario_dir, example):
@@ -238,7 +256,7 @@ class TestRunSimulate:
                     traj = integrate(make_rhs(plant, cfg), state0.as_vector(),
                                      scenario.settings,
                                      channels=full_state_channels(plant, cfg),
-                                     gamma_index=3 * n + 2)
+                                     gamma_index=StateLayout.of(n).gamma)
                     rows = (out / f"{variant.value}_c{c:g}_x{xi}.csv").read_text()
                     rows = rows.strip().splitlines()[1:]
                     assert len(rows) == len(traj)

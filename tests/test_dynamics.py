@@ -1,7 +1,12 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import asfes
 
 from asfes import (
     AlgorithmConfig,
@@ -22,8 +27,8 @@ from asfes import (
     smooth_max,
     validate_plant,
 )
-from asfes.analysis import average_equilibrium, finite_diff_jacobian
-from asfes.dynamics import state_size
+from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
+from asfes.dynamics import StateLayout
 from asfes.errors import DimensionMismatch, NotScalar
 from asfes.integrate import numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
@@ -112,8 +117,9 @@ class TestAsfesRhs:
         from asfes.dynamics import make_rhs
 
         plant, cfg = random_plant(rng, n), random_config(rng, n)
-        ys = rng.uniform(-2.0, 2.0, size=(state_size(n), 4))
-        ys[3 * n + 2] = rng.uniform(0.1, 2.0, size=4)
+        layout = StateLayout.of(n)
+        ys = rng.uniform(-2.0, 2.0, size=(layout.size, 4))
+        ys[layout.gamma] = rng.uniform(0.1, 2.0, size=4)
         t = float(rng.uniform(0.0, 1.0))
         got = make_rhs(plant, cfg)(t, ys)
         for b in range(4):
@@ -314,7 +320,7 @@ class TestReducedRhs:
 
 class TestBoundaryLayerRhs:
     def test_origin_is_equilibrium(self, plant2):
-        z = np.zeros(2 * 2 + 3)
+        z = np.zeros(StateLayout.of(2).size - 2)
         np.testing.assert_array_equal(boundary_layer_rhs(z, plant2.h1), z)
 
     def test_riccati_root(self, plant2):
@@ -326,29 +332,63 @@ class TestBoundaryLayerRhs:
     def test_linearization_eigenvalues_all_minus_one(self, plant1, plant2):
         for plant in (plant1, plant2):
             n = plant.dimension
+            rows = StateLayout.of(n).size - n
             jac = finite_diff_jacobian(
                 lambda z: boundary_layer_rhs(z, plant.h1),
-                np.zeros(2 * n + 3), 1e-6,
+                np.zeros(rows), 1e-6,
             )
             eigs = np.sort(np.linalg.eigvals(jac).real)
-            np.testing.assert_allclose(eigs, -np.ones(2 * n + 3), atol=1e-8)
+            np.testing.assert_allclose(eigs, -np.ones(rows), atol=1e-8)
             assert np.max(np.abs(np.linalg.eigvals(jac).imag)) < 1e-10
 
 
-class TestStateContainers:
-    def test_full_state_round_trip(self, rng):
-        vec = rng.uniform(-1.0, 1.0, size=state_size(3))
-        state = FullState.from_vector(vec, 3)
-        np.testing.assert_array_equal(state.as_vector(), vec)
-        vec_n = rng.uniform(-1.0, 1.0, size=state_size(1, newton=True))
-        state_n = FullState.from_vector(vec_n, 1)
-        assert state_n.gamma_newton == vec_n[6]
-        np.testing.assert_array_equal(state_n.as_vector(), vec_n)
+class TestStateLayout:
+    @pytest.mark.parametrize("newton", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_blocks_partition_the_state(self, n, newton):
+        layout = StateLayout.of(n, newton)
+        rows = np.arange(layout.size)
+        # each row in exactly one block, the blocks in order
+        covered = np.concatenate([np.atleast_1d(rows[b]) for b in layout.blocks])
+        np.testing.assert_array_equal(covered, rows)
+        assert (layout.gamma_newton is not None) == newton
+        np.testing.assert_array_equal(rows[layout.filters], rows[layout.theta.stop:])
+        assert len(layout.filter_names) == layout.size - n
+        assert StateLayout.of(n, newton) is layout
 
-    def test_average_state_round_trip(self, rng):
-        vec = rng.uniform(-1.0, 1.0, size=state_size(2))
-        state = AverageState.from_vector(vec, 2)
+    def test_offsets_written_only_in_the_layout(self):
+        # block positions such as 3 * n + 2 belong to StateLayout alone
+        src = Path(asfes.__file__).parent
+        tree = ast.parse((src / "dynamics.py").read_text())
+        cls = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and node.name == "StateLayout")
+        inside = range(cls.lineno, cls.end_lineno + 1)
+        offenders = [
+            f"{path.name}:{i}: {line.strip()}"
+            for path in sorted(src.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"[0-9] \* n", line)
+            and not (path.name == "dynamics.py" and i in inside)
+        ]
+        assert offenders == []
+
+
+class TestStateContainers:
+    @pytest.mark.parametrize("cls, n, newton", [
+        (FullState, 3, False), (FullState, 1, True),
+        (AverageState, 2, False), (Equilibrium, 2, False),
+    ], ids=["full", "full_newton", "average", "equilibrium"])
+    def test_round_trip(self, rng, cls, n, newton):
+        layout = StateLayout.of(n, newton)
+        vec = rng.uniform(-1.0, 1.0, size=layout.size)
+        extra = (0.5, 0.25) if cls is Equilibrium else ()    # d and c1
+        state = cls(*layout.unpack(vec), *extra)
         np.testing.assert_array_equal(state.as_vector(), vec)
+        if cls is not Equilibrium:
+            back = cls.from_vector(vec, n)
+            np.testing.assert_array_equal(back.as_vector(), vec)
+            assert getattr(back, "gamma_newton", None) == (
+                vec[layout.gamma_newton] if newton else None)
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -14,7 +14,7 @@ from asfes import (
     eval_objective,
 )
 from asfes.analysis import average_equilibrium
-from asfes.dynamics import make_average_rhs, make_rhs
+from asfes.dynamics import StateLayout, make_average_rhs, make_rhs
 from asfes.errors import (
     ComputationError,
     NonFiniteState,
@@ -94,7 +94,8 @@ class TestIntegrate:
         x0 = exact_initial_state(plant1, cfg1, [-3.0]).as_vector()
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.05,
                                        record_stride=4, gamma_guard=0.5)
-        traj = integrate(make_rhs(plant1, cfg1), x0, settings, gamma_index=5)
+        traj = integrate(make_rhs(plant1, cfg1), x0, settings,
+                         gamma_index=StateLayout.of(1).gamma)
         assert traj.gamma_exceeded_at is not None  # gamma sits at 1 > 0.5
 
     def test_determinism_bitwise(self, plant1, cfg1):
@@ -172,7 +173,7 @@ class TestBatch:
         run_settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=0.05,
                                            record_stride=3,
                                            gamma_guard=float(rng.uniform(0.3, 3.0)))
-        kwargs = dict(channels=full_state_channels(plant, cfg), gamma_index=3 * n + 2)
+        kwargs = dict(channels=full_state_channels(plant, cfg), gamma_index=StateLayout.of(n).gamma)
         runs = integrate(make_rhs(plant, cfg, c=cs), x0, run_settings, **kwargs)
         assert len(runs) == members
         for b, run in enumerate(runs):
@@ -188,10 +189,11 @@ class TestBatch:
         # a negative gamma makes the Riccati row escape in finite time
         starts = ([1.5, -1.5], [2.0, 2.0], [-0.5, -0.5])
         x0 = np.stack([exact_initial_state(plant2, cfg2, s).as_vector() for s in starts], axis=1)
-        x0[8, 1] = -5.0
+        gamma_at = StateLayout.of(2).gamma
+        x0[gamma_at, 1] = -5.0
         cs = np.array([1.0, 0.5, 0.1])
         run_settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=0.2, record_stride=3)
-        kwargs = dict(channels=full_state_channels(plant2, cfg2), gamma_index=8)
+        kwargs = dict(channels=full_state_channels(plant2, cfg2), gamma_index=gamma_at)
         runs = integrate(make_rhs(plant2, cfg2, c=cs), x0, run_settings, **kwargs)
         for b in (0, 2):
             alone = integrate(make_rhs(plant2, with_c(cfg2, cs[b])), x0[:, b],
