@@ -11,14 +11,11 @@ checks, a deterministic fixed-step integrator, and a scenario-driven CLI.
 
 from .dynamics import (
     AlgorithmConfig,
-    AverageState,
     FullState,
     Variant,
-    asfes_rhs,
-    average_rhs,
     boundary_layer_rhs,
-    classical_es_rhs,
-    nb_asfes_rhs,
+    make_average_rhs,
+    make_rhs,
     reduced_rhs,
 )
 from .analysis import (

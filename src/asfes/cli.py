@@ -46,6 +46,8 @@ from .problem import (
     PlantModel,
     QuadraticObjective,
     constrained_minimum,
+    eval_barrier,
+    eval_objective,
     nb_eigenvector_condition,
     require_finite,
     validate_plant,
@@ -132,13 +134,6 @@ def _parse_dt(text: str, line: int, key: str) -> Optional[float]:
     return None if text.strip().lower() == "auto" else _parse_number(text, line, key)
 
 
-def _parse_stride(text: str, line: int, key: str) -> int:
-    x = _parse_number(text, line, key)
-    if not (math.isfinite(x) and x.is_integer() and x >= 1):
-        raise ParseError(line, f"{key} must be a positive integer, got {text.strip()!r}")
-    return int(x)
-
-
 def _parse_variants(text: str, line: int, key: str) -> tuple:
     names = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
     unknown = [nm for nm in names if nm not in _VARIANT_NAMES]
@@ -150,7 +145,7 @@ def _parse_variants(text: str, line: int, key: str) -> tuple:
 # optional [sim] keys: key -> (default text, converter(text, line, key))
 _SIM_OPTIONS = {
     "dt": ("auto", _parse_dt),
-    "record_stride": ("1", _parse_stride),
+    "record_stride": ("1", _parse_number),
     "gamma_guard": ("1e6", _parse_number),
     "warmup_rel_tol": ("1e-4", _parse_positive),
     "variants": ("asfes", _parse_variants),
@@ -208,7 +203,11 @@ def parse_scenario(path) -> Scenario:
         return _parse_number(v, ln, key)
 
     # plant
-    rows = [_parse_floats(v, ln) for ln, v in require("plant", "hessian_row")]
+    rows = []
+    for ln, v in require("plant", "hessian_row"):
+        rows.append(_parse_floats(v, ln))
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError(ln, f"hessian_row has {len(rows[-1])} entries, not {len(rows[0])}")
     plant = validate_plant(
         QuadraticObjective(j_star=number("plant", "j_star"), hessian=np.array(rows),
                            theta_star=np.array(numbers("plant", "theta_star"))),
@@ -241,6 +240,9 @@ def parse_scenario(path) -> Scenario:
         if th.shape != (plant.dimension,):
             raise ParseError(ln, f"theta0 has {th.shape[0]} components, expected {plant.dimension}")
         require_finite(th, f"line {ln}: theta0")
+        with np.errstate(over="ignore", invalid="ignore"):
+            require_finite((eval_objective(plant, th), eval_barrier(plant, th)),
+                           f"line {ln}: J and h at theta0")
         thetas.append(th)
     opts = {}
     for key, (default, convert) in _SIM_OPTIONS.items():
@@ -580,11 +582,11 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
     )
     cfg2 = AlgorithmConfig(k=0.1, c=1.0, delta=1e-3, omega_f=3.0,
                            dither=DitherConfig(0.25, (75, 100), 1.0))
-    from .dynamics import average_rhs as _avg_rhs
+    average = make_average_rhs(plant2, cfg2)
     worst = 0.0
     for _ in range(trials):
         x = random_full_state(rng, 2)
-        ana = _avg_rhs(plant2, cfg2, x)
+        ana = average(x)
         num = numeric_average(plant2, cfg2, x)
         rel = float(np.max(np.abs(num - ana) / np.maximum(1.0, np.abs(ana))))
         worst = max(worst, rel)

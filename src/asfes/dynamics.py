@@ -153,18 +153,8 @@ class PackedBlocks:
         return layout.pack([getattr(self, f.name) for f in fields(self)][:len(layout.blocks)])
 
 
-class UnpackedBlocks(PackedBlocks):
-    """A :class:`PackedBlocks` container that a state vector also builds."""
-
-    @classmethod
-    def from_vector(cls, vec, n: int):
-        newton = (any(f.name == "gamma_newton" for f in fields(cls))
-                  and np.shape(vec)[:1] == (StateLayout.of(n, True).size,))
-        return cls(*StateLayout.of(n, newton).unpack(vec))
-
-
 @dataclass(frozen=True)
-class FullState(UnpackedBlocks):
+class FullState(PackedBlocks):
     """Algorithm state; ``gamma_newton`` present only for the Newton variant."""
 
     theta_hat: np.ndarray
@@ -175,23 +165,32 @@ class FullState(UnpackedBlocks):
     gamma: float
     gamma_newton: Optional[float] = None
 
-
-@dataclass(frozen=True)
-class AverageState(UnpackedBlocks):
-    """State of the averaged dynamics in the theta_tilde coordinate."""
-
-    theta_tilde_a: np.ndarray
-    g_j_a: np.ndarray
-    eta_j_a: float
-    g_h_a: np.ndarray
-    eta_h_a: float
-    gamma_a: float
+    @classmethod
+    def from_vector(cls, vec, n: int) -> "FullState":
+        newton = np.shape(vec)[:1] == (StateLayout.of(n, True).size,)
+        return cls(*StateLayout.of(n, newton).unpack(vec))
 
 
 def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
-             variant: Optional[Variant] = None,
              c=None) -> Callable[[float, np.ndarray], np.ndarray]:
-    """Build ``f(t, y) -> dy`` for the dithered algorithm.
+    """Build ``f(t, y) -> dy`` for the dithered algorithm of ``cfg.variant``.
+
+    The parameter row depends on the variant:
+
+    * gradient: -k G_J plus the safety override
+      gamma * smooth_max(k G_J'G_h - c eta_h, delta) * G_h;
+    * Newton (one parameter only): k Gamma G_J in place of k G_J in both
+      terms, and Gamma obeys the Riccati row
+      omega_f Gamma (1 - Gamma J N(t)), driven by the second-order
+      demodulation N(t) = (16/a^2)(sin^2(omega t) - 1/2) of the objective,
+      whose period average equals the Hessian;
+    * classical: -k G_J with no safety term.  The barrier filters are still
+      integrated so runs can report h along the trajectory; they do not
+      influence the parameter.
+
+    The four filter rows low-pass the demodulated objective and safety
+    measurements, and gamma tracks 1/||G_h||^2 through its scalar Riccati
+    equation.
 
     ``y`` is one state ``(size,)`` or a component-major batch ``(size, B)``,
     and ``dy`` has its shape.  For a batch, ``t`` may also be a vector of B
@@ -201,14 +200,11 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     Everything constant is hoisted out of the returned closure; the
     integrator calls it a few hundred thousand times per run.
     """
-    variant = cfg.variant if variant is None else variant
     n = plant.dimension
     if cfg.dimension != n:
         raise DimensionMismatch(
             f"dither has {cfg.dimension} frequencies, plant dimension is {n}"
         )
-    if variant is Variant.NEWTON_ASFES and n != 1:
-        raise NotScalar("the Newton-based variant is only defined for one parameter")
     c = cfg.c if c is None else c
     if np.ndim(c) == 0:
         c = float(c)
@@ -225,8 +221,8 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     a = cfg.dither.amplitude
     omegas = cfg.dither.omegas()
     two_over_a = 2.0 / a
-    newton = variant is Variant.NEWTON_ASFES
-    classical = variant is Variant.CLASSICAL_ES
+    newton = cfg.variant is Variant.NEWTON_ASFES
+    classical = cfg.variant is Variant.CLASSICAL_ES
     layout = StateLayout.of(n, newton)
     size = layout.size
     theta_at, gj_at, ej_at, gh_at = layout.theta, layout.g_j, layout.eta_j, layout.g_h
@@ -327,45 +323,13 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     return scalar_rhs
 
 
-def _dispatch_state(plant, cfg, t, x, variant):
-    f = make_rhs(plant, cfg, variant=variant)
-    if isinstance(x, FullState):
-        return FullState.from_vector(f(t, x.as_vector()), plant.dimension)
-    return f(t, np.asarray(x, float))
-
-
-def asfes_rhs(plant: PlantModel, cfg: AlgorithmConfig, t: float, x):
-    """Time derivative of the safe-seeking algorithm.
-
-    The parameter row is -k G_J plus the safety override
-    gamma * smooth_max(k G_J'G_h - c eta_h, delta) * G_h; the four filter
-    rows low-pass the demodulated objective and safety measurements, and
-    gamma tracks 1/||G_h||^2 through its scalar Riccati equation.
-    """
-    return _dispatch_state(plant, cfg, t, x, Variant.ASFES)
-
-
-def nb_asfes_rhs(plant: PlantModel, cfg: AlgorithmConfig, t: float, x):
-    """Newton-based variant (one parameter only).
-
-    The parameter row uses k*Gamma*G_J in place of k*G_J, and Gamma obeys
-    the Riccati equation driven by the second-order demodulation of the
-    objective, whose period average equals the Hessian.
-    """
-    return _dispatch_state(plant, cfg, t, x, Variant.NEWTON_ASFES)
-
-
-def classical_es_rhs(plant: PlantModel, cfg: AlgorithmConfig, t: float, x):
-    """Unconstrained baseline: parameter row -k G_J with no safety term.
-
-    The barrier filter states are still integrated so runs can report h
-    along the trajectory; they do not influence the parameter.
-    """
-    return _dispatch_state(plant, cfg, t, x, Variant.CLASSICAL_ES)
-
-
 def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """Build ``f(x) -> dx`` for the averaged dynamics (autonomous)."""
+    """Build ``f(x) -> dx`` for the averaged dynamics (autonomous).
+
+    The filter rows relax to H theta_tilde, J(theta_tilde + theta*) plus
+    the probing bias (a^2/4) tr(H), h1, and h(theta_tilde + theta*); the
+    parameter and gamma rows keep their original form.
+    """
     n = plant.dimension
     if cfg.dimension != n:
         raise DimensionMismatch(
@@ -409,19 +373,6 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.nd
         return out
 
     return rhs
-
-
-def average_rhs(plant: PlantModel, cfg: AlgorithmConfig, xa):
-    """Time derivative of the averaged dynamics.
-
-    The filter rows relax to H theta_tilde, J(theta_tilde + theta*) plus
-    the probing bias (a^2/4) tr(H), h1, and h(theta_tilde + theta*); the
-    parameter and gamma rows keep their original form.
-    """
-    f = make_average_rhs(plant, cfg)
-    if isinstance(xa, AverageState):
-        return AverageState.from_vector(f(xa.as_vector()), plant.dimension)
-    return f(np.asarray(xa, float))
 
 
 def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r) -> np.ndarray:

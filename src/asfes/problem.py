@@ -140,13 +140,16 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
     asym = float(np.max(np.abs(h - h.T))) if n else 0.0
     if asym > SYMMETRY_TOL:
         raise NonSymmetricHessian(f"max absolute asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-    eigs = np.linalg.eigvalsh(0.5 * (h + h.T))
+    eigs = np.linalg.eigvalsh(0.5 * h + 0.5 * h.T)     # halved first: no overflow
     if eigs[0] <= DEFINITENESS_RTOL * max(eigs[-1], 0.0) or eigs[-1] <= 0.0:
         raise NonPositiveDefiniteHessian(
             f"hessian eigenvalues span [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
         )
-    if float(np.linalg.norm(barrier.h1)) == 0.0:
+    with np.errstate(over="ignore"):
+        h1_squared = float(barrier.h1 @ barrier.h1)    # gamma settles at its inverse
+    if h1_squared == 0.0:
         raise ZeroBarrierGradient("h1 must have at least one nonzero component")
+    require_finite(h1_squared, "||h1||^2")
     return PlantModel(objective=objective, barrier=barrier, dimension=n)
 
 

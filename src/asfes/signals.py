@@ -67,8 +67,16 @@ class DitherConfig:
         if any(r <= 0 for r in ratios):
             raise ValidationError("frequency ratios must be positive")
         validate_frequencies(ratios)
-        # read by every dither and demodulation call, so built once
-        omegas = self.base_scale * np.array([float(r) for r in ratios])
+        # read by every dither and demodulation call, so built once; Python
+        # floats overflow to inf without a warning, huge rationals raise
+        try:
+            omegas = np.array([self.base_scale * float(r) for r in ratios])
+            period = signal_period(self)
+        except OverflowError:
+            omegas, period = np.array([math.inf]), math.inf
+        if not (np.all(np.isfinite(omegas)) and math.isfinite(period)):
+            raise NonFiniteValue("dither frequencies base_scale * ratios and their "
+                                 "common period must be finite floats")
         omegas.flags.writeable = False
         object.__setattr__(self, "_omegas", omegas)
 
@@ -85,17 +93,12 @@ class DitherConfig:
         return self.base_scale * float(max(self.ratios))
 
 
-def validate_frequencies(cfg) -> None:
+def validate_frequencies(ratios: Sequence) -> None:
     """Reject duplicate ratios and any pair summing to a third ratio.
 
-    Accepts a :class:`DitherConfig` or a plain sequence of ratios.  The
-    checks use exact rational comparison.
+    The checks use exact rational comparison.
     """
-    ratios: Sequence[Fraction]
-    if isinstance(cfg, DitherConfig):
-        ratios = cfg.ratios
-    else:
-        ratios = tuple(_as_fraction(r) for r in cfg)
+    ratios = tuple(_as_fraction(r) for r in ratios)
     n = len(ratios)
     for i, j in combinations(range(n), 2):
         if ratios[i] == ratios[j]:

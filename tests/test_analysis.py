@@ -8,7 +8,6 @@ from asfes import (
     LinearBarrier,
     QuadraticObjective,
     Trajectory,
-    average_rhs,
     constrained_minimum,
     eval_barrier,
     validate_plant,
@@ -80,7 +79,7 @@ class TestAverageEquilibrium:
                                LinearBarrier(0.0, -1.0))
         eq = average_equilibrium(plant, cfg1)
         assert eq.eta_h_ae > 0.0
-        assert np.linalg.norm(average_rhs(plant, cfg1, eq.as_vector())) <= 1e-10
+        assert np.linalg.norm(make_average_rhs(plant, cfg1)(eq.as_vector())) <= 1e-10
 
     def test_interior_equilibrium_both_signs(self, rng):
         for sign in (-1, 1):

@@ -4,12 +4,18 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asfes.cli import (
+    _KNOWN_KEYS,
+    Scenario,
     main,
     parse_scenario,
     run_analyze,
@@ -18,7 +24,7 @@ from asfes.cli import (
     warmup_settings,
 )
 from asfes.dynamics import StateLayout, Variant, make_rhs
-from asfes.errors import ParseError, ResonantTriple, ValidationError
+from asfes.errors import NonFiniteValue, ParseError, ResonantTriple, ValidationError
 from asfes.integrate import full_state_channels, integrate, warmup
 
 EX1_SMALL = """
@@ -133,6 +139,10 @@ class TestParseScenario:
         ("record_stride = 17", "record_stride = 17, 3", "record_stride"),
         ("warmup_rel_tol = 1e-4", "warmup_rel_tol = -1", "warmup_rel_tol"),
         ("warmup_rel_tol = 1e-4", "warmup_rel_tol = inf", "warmup_rel_tol"),
+        ("hessian_row = 0.1", "hessian_row = 0.1\nhessian_row = 1, 2", "hessian_row"),
+        ("record_stride = 17", "record_stride = 1e200", "record_stride"),
+        ("ratios = 1", "ratios = 1e400", "ratios"),
+        ("theta0 = -3", "theta0 = 1e308", "theta0"),
     ])
     def test_meaningless_values_rejected(self, tmp_path, capsys, old, new, key):
         path = write_scenario(tmp_path, EX1_SMALL.replace(old, new))
@@ -147,6 +157,57 @@ class TestParseScenario:
         bad = EX1_SMALL.replace("amplitude = 0.25", "")
         with pytest.raises(ParseError):
             parse_scenario(write_scenario(tmp_path, bad))
+
+    def test_start_whose_objective_overflows_rejected(self, tmp_path):
+        path = write_scenario(tmp_path, EX1_SMALL.replace("theta0 = -3", "theta0 = 1e308"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match=r"^line \d+: J and h at theta0"):
+                parse_scenario(path)
+
+
+# values that break one number or list each in its own way
+FUZZ_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e200", "1e-320",
+               "0", "-1", "", "1/0", "a", "1, 2", "3/7", "auto", "true")
+FUZZ_KEYS = sorted((section, key) for section, keys in _KNOWN_KEYS.items() for key in keys)
+
+
+def with_values(text: str, edits) -> str:
+    """``text`` with the first assignment of each ``(section, key)`` set to
+    its value, or the assignment added in a reopened section."""
+    lines = text.splitlines()
+    for (section, key), value in edits:
+        at = next((i for i, line in enumerate(lines)
+                   if line.split("=", 1)[0].strip() == key), None)
+        if at is None:
+            lines += [f"[{section}]", f"{key} = {value}"]
+        else:
+            lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(["example1", "example2"]),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=2))
+@example(name="example2", edits=[(("plant", "hessian_row"), "0")])
+@example(name="example1", edits=[(("sim", "record_stride"), "1e200")])
+@example(name="example1", edits=[(("dither", "ratios"), "1e400")])
+@example(name="example1", edits=[(("sim", "theta0"), "1e308")])
+@example(name="example1", edits=[(("plant", "hessian_row"), "-1e308")])
+@example(name="example1", edits=[(("plant", "h1"), "-1e308")])
+@example(name="example1", edits=[(("dither", "ratios"), "1e308")])
+def test_parser_gives_a_scenario_or_a_validation_error(tmp_path_factory, scenario_dir,
+                                                      name, edits):
+    text = with_values((scenario_dir / f"{name}.scenario").read_text(), edits)
+    path = tmp_path_factory.getbasetemp() / "fuzz.scenario"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(parse_scenario(path), Scenario)
+        except ValidationError:
+            pass
 
 
 class TestRunSimulate:
@@ -211,11 +272,13 @@ class TestRunSimulate:
         assert "warmup failed" in summary
 
     def test_diverging_average_and_reduced_runs_are_reported(self, tmp_path):
-        # theta0 = 1e308 overflows J: every run leaves the reals at its first step
-        path = write_scenario(tmp_path, EX1_SMALL.replace("theta0 = -3", "theta0 = 1e308"))
+        # theta0 = 1e308 overflows J, which the parser rejects; set past it,
+        # every run leaves the reals at its first step
+        scenario = replace(parse_scenario(write_scenario(tmp_path, EX1_SMALL)),
+                           initial_thetas=(np.array([1e308]),))
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["simulate", str(path), "--out", str(out)]) == 2
+            assert run_simulate(scenario, out) == 2
         blocks = {block.split("]")[0]: block
                   for block in (out / "summary.txt").read_text().split("[")[1:]}
         for name in ("asfes_c0.1_x0", "average_c0.1_x0", "reduced_c0.1_x0"):

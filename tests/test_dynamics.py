@@ -10,19 +10,16 @@ import asfes
 
 from asfes import (
     AlgorithmConfig,
-    AverageState,
     DitherConfig,
     FullState,
     LinearBarrier,
     QuadraticObjective,
     Variant,
-    asfes_rhs,
-    average_rhs,
     boundary_layer_rhs,
-    classical_es_rhs,
     eval_barrier,
     eval_objective,
-    nb_asfes_rhs,
+    make_average_rhs,
+    make_rhs,
     reduced_rhs,
     smooth_max,
     validate_plant,
@@ -42,9 +39,9 @@ def warmed_state_example1():
 
 class TestAsfesRhs:
     def test_example1_parameter_row(self, plant1, cfg1):
-        dx = asfes_rhs(plant1, cfg1, 0.0, warmed_state_example1())
+        dx = make_rhs(plant1, cfg1)(0.0, warmed_state_example1().as_vector())
         expected = 0.09 - smooth_max(0.09 - 0.2, 1e-3)
-        assert dx.theta_hat[0] == pytest.approx(expected, abs=1e-15)
+        assert dx[StateLayout.of(1).theta][0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.0877724, abs=5e-8)
 
     def test_example1_parameter_row_scripted(self, plant1, cfg1):
@@ -64,45 +61,45 @@ class TestAsfesRhs:
             -3.0 * x.eta_h + 3.0 * hv,
             3.0 * x.gamma * (1.0 - x.gamma * x.g_h[0] ** 2),
         ])
-        got = asfes_rhs(plant1, cfg1, t, x.as_vector())
+        got = make_rhs(plant1, cfg1)(t, x.as_vector())
         np.testing.assert_allclose(got, want, atol=1e-15)
 
     def test_gamma_riccati_roots(self, plant1, cfg1):
         x = warmed_state_example1().as_vector()
         x[5] = 1.0 / x[3] ** 2  # gamma = 1/||G_h||^2
-        assert asfes_rhs(plant1, cfg1, 0.3, x)[5] == pytest.approx(0.0, abs=1e-15)
+        f = make_rhs(plant1, cfg1)
+        assert f(0.3, x)[5] == pytest.approx(0.0, abs=1e-15)
         x[5] = 0.0
-        assert asfes_rhs(plant1, cfg1, 0.3, x)[5] == 0.0
+        assert f(0.3, x)[5] == 0.0
 
     def test_filter_rows_vanish_at_quasi_steady_values(self, plant2, cfg2):
         # with the demodulated inputs at their slow fixed points the average
         # filter rows are exactly zero
         tt = np.array([0.3, -0.2])
         a = cfg2.dither.amplitude
-        xa = AverageState(
-            theta_tilde_a=tt,
-            g_j_a=plant2.hessian @ tt,
-            eta_j_a=eval_objective(plant2, tt + plant2.theta_star)
+        layout = StateLayout.of(2)
+        xa = layout.pack([
+            tt,
+            plant2.hessian @ tt,
+            eval_objective(plant2, tt + plant2.theta_star)
             + 0.25 * a * a * np.trace(plant2.hessian),
-            g_h_a=plant2.h1.copy(),
-            eta_h_a=eval_barrier(plant2, tt + plant2.theta_star),
-            gamma_a=1.0 / float(plant2.h1 @ plant2.h1),
-        )
-        dxa = average_rhs(plant2, cfg2, xa)
-        np.testing.assert_allclose(dxa.g_j_a, 0.0, atol=1e-15)
-        np.testing.assert_allclose(dxa.g_h_a, 0.0, atol=1e-15)
-        assert dxa.eta_j_a == pytest.approx(0.0, abs=1e-14)
-        assert dxa.eta_h_a == pytest.approx(0.0, abs=1e-14)
-        assert dxa.gamma_a == pytest.approx(0.0, abs=1e-14)
+            plant2.h1.copy(),
+            eval_barrier(plant2, tt + plant2.theta_star),
+            1.0 / float(plant2.h1 @ plant2.h1),
+        ])
+        dxa = make_average_rhs(plant2, cfg2)(xa)
+        np.testing.assert_allclose(dxa[layout.g_j], 0.0, atol=1e-15)
+        np.testing.assert_allclose(dxa[layout.g_h], 0.0, atol=1e-15)
+        assert dxa[layout.eta_j] == pytest.approx(0.0, abs=1e-14)
+        assert dxa[layout.eta_h] == pytest.approx(0.0, abs=1e-14)
+        assert dxa[layout.gamma] == pytest.approx(0.0, abs=1e-14)
 
     def test_dimension_mismatch(self, plant2, cfg2):
         with pytest.raises(DimensionMismatch):
-            asfes_rhs(plant2, cfg2, 0.0, np.zeros(5))
+            make_rhs(plant2, cfg2)(0.0, np.zeros(5))
 
     def test_scalar_fast_path_matches_generic(self, plant1, cfg1, rng):
-        from asfes.dynamics import make_rhs
-
-        fast = make_rhs(plant1, cfg1, variant=Variant.ASFES)
+        fast = make_rhs(plant1, cfg1)
         for _ in range(25):
             y = rng.uniform(-2.0, 2.0, size=6)
             y[5] = rng.uniform(0.1, 2.0)
@@ -114,8 +111,6 @@ class TestAsfesRhs:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_closure_matches_generic(self, n, rng):
-        from asfes.dynamics import make_rhs
-
         plant, cfg = random_plant(rng, n), random_config(rng, n)
         layout = StateLayout.of(n)
         ys = rng.uniform(-2.0, 2.0, size=(layout.size, 4))
@@ -158,7 +153,8 @@ class TestNewtonRhs:
         x = np.concatenate([warmed_state_example1().as_vector(), [10.0]])
         period = 2.0 * math.pi / 200.0
         ts = np.linspace(0.0, period, 4001)
-        vals = np.array([nb_asfes_rhs(plant1, cfg, t, x)[6] for t in ts])
+        f = make_rhs(plant1, cfg)
+        vals = np.array([f(t, x)[6] for t in ts])
         from scipy.integrate import simpson
 
         avg = simpson(vals, x=ts) / period
@@ -176,7 +172,7 @@ class TestNewtonRhs:
                               omega_f=cfg1.omega_f, dither=cfg1.dither,
                               variant=Variant.NEWTON_ASFES)
         x = np.concatenate([warmed_state_example1().as_vector(), [0.0]])
-        assert nb_asfes_rhs(plant1, cfg, 0.1, x)[6] == 0.0
+        assert make_rhs(plant1, cfg)(0.1, x)[6] == 0.0
 
     def test_effective_gain_cancels_hessian(self, plant1, cfg1):
         # with Gamma = 1/H the parameter row sees k*Gamma*G_J = 10x the
@@ -186,11 +182,11 @@ class TestNewtonRhs:
                               variant=Variant.NEWTON_ASFES)
         base = warmed_state_example1().as_vector()
         x = np.concatenate([base, [10.0]])
-        dx_nb = nb_asfes_rhs(plant1, cfg, 0.0, x)
+        dx_nb = make_rhs(plant1, cfg)(0.0, x)
         arg = 0.3 * 10.0 * (-0.3) * (-1.0) - 0.1 * 2.0
         expected = -0.3 * 10.0 * (-0.3) + 1.0 * smooth_max(arg, 1e-3) * (-1.0)
         assert dx_nb[0] == pytest.approx(expected, abs=1e-14)
-        dx_grad = asfes_rhs(plant1, cfg1, 0.0, base)
+        dx_grad = make_rhs(plant1, cfg1)(0.0, base)
         assert abs(-cfg.k * 10.0 * base[1]) == pytest.approx(
             10.0 * abs(-cfg1.k * base[1])
         )
@@ -201,17 +197,19 @@ class TestNewtonRhs:
             AlgorithmConfig(k=0.1, c=1.0, delta=1e-3, omega_f=3.0,
                             dither=cfg2.dither, variant=Variant.NEWTON_ASFES)
         with pytest.raises(NotScalar):
-            nb_asfes_rhs(plant2, cfg2, 0.0, np.zeros(9))
+            cfg2.with_variant(Variant.NEWTON_ASFES)
 
 
 class TestClassicalRhs:
     def test_differs_exactly_by_safety_term(self, plant1, cfg1, rng):
+        asfes = make_rhs(plant1, cfg1)
+        classical = make_rhs(plant1, cfg1.with_variant(Variant.CLASSICAL_ES))
         for _ in range(10):
             y = rng.uniform(-2.0, 2.0, size=6)
             y[5] = rng.uniform(0.1, 2.0)
             t = float(rng.uniform(0.0, 1.0))
-            d_asfes = asfes_rhs(plant1, cfg1, t, y)
-            d_classical = classical_es_rhs(plant1, cfg1, t, y)
+            d_asfes = asfes(t, y)
+            d_classical = classical(t, y)
             arg = cfg1.k * y[1] * y[3] - cfg1.c * y[4]
             safety = y[5] * smooth_max(arg, cfg1.delta) * y[3]
             assert d_asfes[0] - d_classical[0] == pytest.approx(safety, abs=1e-14)
@@ -220,7 +218,8 @@ class TestClassicalRhs:
     def test_zero_gradient_estimate_freezes_parameter(self, plant1, cfg1):
         y = warmed_state_example1().as_vector()
         y[1] = 0.0
-        assert classical_es_rhs(plant1, cfg1, 0.0, y)[0] == 0.0
+        classical = make_rhs(plant1, cfg1.with_variant(Variant.CLASSICAL_ES))
+        assert classical(0.0, y)[0] == 0.0
 
     def test_approaches_classical_as_c_grows(self, plant1, rng):
         # for eta_h > 0 the softened-max argument is driven to -infinity,
@@ -231,8 +230,9 @@ class TestClassicalRhs:
         for c in (10.0, 100.0, 1000.0):
             cfg = AlgorithmConfig(k=0.3, c=c, delta=delta, omega_f=3.0,
                                   dither=DitherConfig(0.25, (1,), 200.0))
-            diff = abs(asfes_rhs(plant1, cfg, 0.0, y)[0]
-                       - classical_es_rhs(plant1, cfg, 0.0, y)[0])
+            classical = cfg.with_variant(Variant.CLASSICAL_ES)
+            diff = abs(make_rhs(plant1, cfg)(0.0, y)[0]
+                       - make_rhs(plant1, classical)(0.0, y)[0])
             bound = y[5] * abs(y[3]) * delta / (2.0 * c * y[4])
             assert diff <= bound * 1.01
             assert diff < prev
@@ -243,13 +243,13 @@ class TestAverageRhs:
     def test_zero_at_equilibrium(self, plant1, cfg1, plant2, cfg2):
         for plant, cfg in ((plant1, cfg1), (plant2, cfg2)):
             eq = average_equilibrium(plant, cfg)
-            res = average_rhs(plant, cfg, eq.as_vector())
+            res = make_average_rhs(plant, cfg)(eq.as_vector())
             assert np.linalg.norm(res) <= 1e-10
 
     def test_gradient_filter_row_at_origin(self, plant2, cfg2, rng):
         x = random_full_state(rng, 2)
         x[:2] = 0.0
-        dx = average_rhs(plant2, cfg2, x)
+        dx = make_average_rhs(plant2, cfg2)(x)
         np.testing.assert_allclose(dx[2:4], -cfg2.omega_f * x[2:4], atol=1e-15)
 
     def test_eta_j_equilibrium_value_example1(self, plant1, cfg1):
@@ -260,16 +260,17 @@ class TestAverageRhs:
         assert eq.eta_j_ae == pytest.approx(expected, abs=1e-15)
         x = eq.as_vector()
         x[2] = expected
-        assert average_rhs(plant1, cfg1, x)[2] == pytest.approx(0.0, abs=1e-15)
+        assert make_average_rhs(plant1, cfg1)(x)[2] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestAveragingConsistency:
     def test_quadrature_matches_analytic_average(self, plant2, cfg2, rng):
         # the central correctness oracle: the period average of the dithered
         # field equals the analytic averaged field, state by state
+        average = make_average_rhs(plant2, cfg2)
         for _ in range(50):
             x = random_full_state(rng, 2)
-            ana = average_rhs(plant2, cfg2, x)
+            ana = average(x)
             num = numeric_average(plant2, cfg2, x)
             np.testing.assert_allclose(
                 num, ana, atol=1e-8, rtol=1e-8,
@@ -281,7 +282,7 @@ class TestAveragingConsistency:
             plant = random_plant(rng, n)
             cfg = random_config(rng, n)
             x = random_full_state(rng, n)
-            ana = average_rhs(plant, cfg, x)
+            ana = make_average_rhs(plant, cfg)(x)
             num = numeric_average(plant, cfg, x)
             np.testing.assert_allclose(num, ana, atol=1e-8, rtol=1e-8)
 
@@ -375,9 +376,8 @@ class TestStateLayout:
 
 class TestStateContainers:
     @pytest.mark.parametrize("cls, n, newton", [
-        (FullState, 3, False), (FullState, 1, True),
-        (AverageState, 2, False), (Equilibrium, 2, False),
-    ], ids=["full", "full_newton", "average", "equilibrium"])
+        (FullState, 3, False), (FullState, 1, True), (Equilibrium, 2, False),
+    ], ids=["full", "full_newton", "equilibrium"])
     def test_round_trip(self, rng, cls, n, newton):
         layout = StateLayout.of(n, newton)
         vec = rng.uniform(-1.0, 1.0, size=layout.size)
@@ -393,5 +393,3 @@ class TestStateContainers:
     def test_bad_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
             FullState.from_vector(np.zeros(8), 2)
-        with pytest.raises(DimensionMismatch):
-            AverageState.from_vector(np.zeros(10), 2)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,20 @@ from hypothesis import strategies as st
 from asfes import (
     AlgorithmConfig,
     DitherConfig,
+    LinearBarrier,
+    QuadraticObjective,
     Variant,
     eval_barrier,
     eval_objective,
+    validate_plant,
 )
 from asfes.analysis import average_equilibrium
 from asfes.dynamics import StateLayout, make_average_rhs, make_rhs
 from asfes.errors import (
     ComputationError,
     NonFiniteState,
+    NonFiniteValue,
+    NonPositiveDefiniteHessian,
     NonPositiveTolerance,
     ValidationError,
     WarmupTimeout,
@@ -285,6 +291,22 @@ class TestWarmup:
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
         with pytest.raises(NonPositiveTolerance):
             warmup(plant1, cfg1, [-3.0], settings, 0.0)
+
+
+def test_overflowing_inputs_fail_by_name_without_warnings(plant1, cfg1):
+    # each of these overflows a float somewhere; the named error must come
+    # without a numpy RuntimeWarning on the way
+    settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            warmup(plant1, cfg1, [1e308], settings, 1e-4)
+        with pytest.raises(NonPositiveDefiniteHessian):
+            validate_plant(QuadraticObjective(0.0, -1e308, 0.0), LinearBarrier(-1.0, -1.0))
+        with pytest.raises(NonFiniteValue, match="h1"):
+            validate_plant(QuadraticObjective(0.0, 0.1, 0.0), LinearBarrier(-1.0, -1e308))
+        with pytest.raises(NonFiniteValue, match="ratios"):
+            DitherConfig(0.25, ("1e308",), 200.0)
 
 
 class TestNumericAverage:
