@@ -27,7 +27,8 @@ from .dynamics import (
     make_rhs,
     reduced_rhs,
 )
-from .errors import ComputationError, NonFiniteState, ParseError, ValidationError
+from .errors import (ComputationError, NonFiniteState, NonFiniteValue, ParseError, TooManySteps,
+                     ValidationError)
 from .integrate import (
     IntegrationSettings,
     Trajectory,
@@ -250,10 +251,20 @@ def parse_scenario(path) -> Scenario:
         opts[key] = convert(v, ln, key)
     dt = default_dt(dither) if opts["dt"] is None else opts["dt"]
 
-    settings = IntegrationSettings(dt=dt, t_end=number("sim", "t_end"),
-                                   record_stride=opts["record_stride"],
-                                   gamma_guard=opts["gamma_guard"])
+    try:
+        settings = IntegrationSettings(dt=dt, t_end=number("sim", "t_end"),
+                                       record_stride=opts["record_stride"],
+                                       gamma_guard=opts["gamma_guard"])
+        # warmup and the dither-free runs step horizons of their own, bounded here too
+        warmup_settings(settings, config.omega_f)
+        if opts["include_average"] or opts["include_reduced"]:
+            _slow_settings(settings, config.omega_f)
+    except (NonFiniteValue, TooManySteps) as exc:
+        raise type(exc)(f"{exc}; set by t_end, dt (auto: base_scale, ratios) and omega_f") from None
     check_resolves_dither(settings, dither)
+    optimum = constrained_minimum(plant)
+    require_finite(np.append(optimum.theta_smin, optimum.j_s_star),
+                   "constrained minimum of [plant] hessian_row, theta_star, j_star, h0 and h1")
     # per-variant configs are validated here so a bad combination fails fast
     for c in c_values:
         for variant in opts["variants"]:
@@ -266,51 +277,38 @@ def parse_scenario(path) -> Scenario:
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def warmup_settings(settings: IntegrationSettings, omega_f: float) -> IntegrationSettings:
     """Horizon for settling the filters, independent of the run horizon:
     sixty filter time constants reach far below the default tolerance."""
     return replace(settings, t_end=max(settings.t_end, 60.0 / omega_f))
 
 
-def _slow_settings(scenario: Scenario) -> IntegrationSettings:
+def _slow_settings(settings: IntegrationSettings, omega_f: float) -> IntegrationSettings:
     """Step for the dither-free hierarchies (averaged and reduced models):
     no fast oscillation to resolve, so 25x the base step, capped by the
     filter time constant."""
-    dt = min(25.0 * scenario.settings.dt, 0.25 / scenario.config.omega_f)
-    return replace(scenario.settings, dt=dt, record_stride=1)
+    return replace(settings, dt=min(25.0 * settings.dt, 0.25 / omega_f), record_stride=1)
 
 
 def write_trajectory_csv(
     path: Path,
     traj: Trajectory,
     theta_hat_label: str,
-    n: int,
     c: float,
     extra_state_names: Sequence[str] = (),
 ) -> None:
     """One row per record: time, plant input theta, raw states, J, h, and
     the assigned-rate envelope h(0)exp(-c t).  17 significant digits so
     re-parsing reproduces every float exactly."""
-    cols = ["t"]
-    cols += [f"theta_{i + 1}" for i in range(n)]
-    state_cols = [f"{theta_hat_label}_{i + 1}" for i in range(n)]
-    state_cols += list(extra_state_names)
-    cols += state_cols
-    cols += ["j", "h", "envelope"]
-    h0 = traj.h_values[0]
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [_fmt(t)]
-            row += [_fmt(x) for x in traj.thetas[i]]
-            row += [_fmt(x) for x in traj.states[i][: len(state_cols)]]
-            row += [_fmt(traj.j_values[i]), _fmt(traj.h_values[i]),
-                    _fmt(h0 * math.exp(-c * t))]
-            fh.write(",".join(row) + "\n")
+    n = traj.thetas.shape[1]
+    state_cols = [f"{theta_hat_label}_{i + 1}" for i in range(n)] + list(extra_state_names)
+    cols = ["t", *(f"theta_{i + 1}" for i in range(n)), *state_cols, "j", "h", "envelope"]
+    # the C library's exp, as the envelope has always been written: numpy's
+    # SIMD exp differs from it in the last bit on some inputs
+    decay = np.fromiter(map(math.exp, (-c * traj.times).tolist()), float, len(traj))
+    table = np.column_stack([traj.times, traj.thetas, traj.states[:, :len(state_cols)],
+                             traj.j_values, traj.h_values, traj.h_values[0] * decay])
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
 def _stepped_as_batch(n: int, members: int) -> bool:
@@ -410,7 +408,7 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     warmed = _warm_starts(scenario)
     runs = {variant: _run_product(scenario, variant, warmed)
             for variant in scenario.variants_to_run}
-    slow = _slow_settings(scenario)
+    slow = _slow_settings(scenario.settings, scenario.config.omega_f)
     summary_lines, diverged = [], False
 
     def record(name, traj, label, c, filter_names=(), notes=()):
@@ -418,7 +416,7 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
         if traj.diverged_at is not None:
             diverged = True
             notes = [*notes, f"DIVERGED: {NonFiniteState(traj.diverged_at)}"]
-        write_trajectory_csv(out / f"{name}.csv", traj, label, n, c, filter_names)
+        write_trajectory_csv(out / f"{name}.csv", traj, label, c, filter_names)
         report = analysis.safety_report(traj, plant, c, optimum)
         summary_lines.extend(_summary_block(name, report, traj, notes))
 
@@ -479,11 +477,11 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
     def emit(section: str, key: str, value) -> None:
         if isinstance(value, float):
             lines.append(f"  {key} = {value:.12g}")
-            rows.append((section, key, _fmt(value)))
+            rows.append((section, key, f"{value:.17g}"))
         elif isinstance(value, np.ndarray):
             lines.append(f"  {key} = [{', '.join(f'{v:.12g}' for v in value)}]")
             for i, v in enumerate(value):
-                rows.append((section, f"{key}_{i + 1}", _fmt(float(v))))
+                rows.append((section, f"{key}_{i + 1}", f"{float(v):.17g}"))
         else:
             lines.append(f"  {key} = {value}")
             rows.append((section, key, str(value)))

@@ -45,6 +45,10 @@ class NonFiniteValue(ValidationError):
     """A number that must be finite is infinite or NaN."""
 
 
+class TooManySteps(ValidationError):
+    """A horizon over its step takes more steps than a run may."""
+
+
 class DuplicateFrequency(ValidationError):
     def __init__(self, i: int, j: int):
         super().__init__(f"dither frequencies {i} and {j} are equal")

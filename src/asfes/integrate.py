@@ -10,7 +10,7 @@ state and a component-major batch of states (see :mod:`asfes.dynamics`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +29,7 @@ from .errors import (
     NonFiniteState,
     NonPositiveTolerance,
     QuadratureFailure,
+    TooManySteps,
     ValidationError,
     WarmupTimeout,
 )
@@ -39,6 +40,8 @@ from .signals import dither, signal_period
 # settings validator only insists on 20
 DEFAULT_SAMPLES_PER_PERIOD = 40
 MIN_SAMPLES_PER_PERIOD = 20
+# a run of more steps is a mistaken scenario: hours at about 10 us per step
+MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,9 @@ class IntegrationSettings:
             raise ValidationError("dt must be positive")
         if self.t_end <= 0.0:
             raise ValidationError("t_end must be positive")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise TooManySteps(
+                f"t_end={self.t_end:g} over dt={self.dt:g} is over {MAX_STEPS:.0e} steps")
         stride = self.record_stride
         # past 2**53 every float is an integer, so none states a stride
         if not (1 <= stride <= 2**53 and stride == int(stride)):
@@ -86,14 +92,15 @@ def check_resolves_dither(settings: IntegrationSettings, dither_cfg) -> None:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded run: times, raw states, and the evaluated plant channels.
+    """Recorded run: times (R,), raw states (R, size), and the plant
+    channels that :func:`integrate` evaluates on them.
 
-    ``thetas`` holds the point fed to the plant maps at each record
+    ``thetas`` (R, n) holds the point fed to the plant maps at each record
     (theta_hat + S(t) for the dithered systems, theta_tilde + theta* for the
     averaged and reduced models); ``j_values`` and ``h_values`` are the
-    objective and safety metric there.  Channel arrays are None for runs of
-    abstract fields with no plant attached.  ``diverged_at`` is the time
-    the state left the reals; the records then stop at the step before.
+    objective and safety metric there, None for a run given no channels.
+    ``diverged_at`` is the time the state left the reals; the records then
+    stop at the step before.
     """
 
     times: np.ndarray
@@ -114,28 +121,28 @@ class Trajectory:
             raise ValidationError("times must be strictly increasing")
 
 
-ChannelFn = Callable[[float, np.ndarray], tuple]
+# channels(times (R,), states (size, R)) -> (theta (n, R), J (R,), h (R,)),
+# over all R records of a run, the states component-major
+ChannelFn = Callable[[np.ndarray, np.ndarray], tuple]
 
 
 def full_state_channels(plant: PlantModel, cfg: AlgorithmConfig) -> ChannelFn:
-    """theta = theta_hat + S(t), with J and h evaluated there; for one state
-    or a component-major batch."""
+    """Channels of the dithered systems: theta = theta_hat + S(t), with J
+    and h evaluated there."""
     theta_at = StateLayout.of(plant.dimension).theta
 
-    def channels(t, y):
-        s = dither(cfg.dither, t)
-        theta = y[theta_at] + (s if y.ndim == 1 else s[:, None])
+    def channels(times, states):
+        theta = states[theta_at] + dither(cfg.dither, times)
         return theta, eval_objective(plant, theta), eval_barrier(plant, theta)
 
     return channels
 
 
 def average_channels(plant: PlantModel) -> ChannelFn:
-    """theta = theta_tilde + theta* for averaged-coordinate states."""
-    n = plant.dimension
+    """Channels of averaged-coordinate states: theta = theta_tilde + theta*."""
 
-    def channels(t, y):
-        theta = y[:n] + plant.theta_star
+    def channels(times, states):
+        theta = states[:plant.dimension] + plant.theta_star[:, None]
         return theta, eval_objective(plant, theta), eval_barrier(plant, theta)
 
     return channels
@@ -156,7 +163,8 @@ def integrate(
 
     ``x0`` is one state ``(size,)``, which gives a :class:`Trajectory`, or
     a component-major batch ``(size, B)``, which gives a list of B, one per
-    member.  ``rhs`` and ``channels`` take the same shapes.
+    member, and ``rhs`` takes the same shapes.  ``channels`` is called once
+    per member, on all of its records (see :data:`ChannelFn`).
 
     A single state that leaves the reals raises :class:`NonFiniteState`,
     carrying the trajectory recorded so far.  In a batch such a member
@@ -166,7 +174,13 @@ def integrate(
     stopped: the local theory gives no global bound, so divergence is
     surfaced as a diagnostic.
     """
-    runs = _rk4(rhs, x0, settings, channels, gamma_index)
+    runs = _rk4(rhs, x0, settings, gamma_index)
+    if channels is not None:
+        # a J or h beyond the float range is recorded as inf, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, run in enumerate(runs):
+                theta, j, h = channels(run.times, run.states.T)
+                runs[i] = replace(run, thetas=theta.T, j_values=j, h_values=h)
     if np.ndim(x0) == 2:
         return runs
     if runs[0].diverged_at is not None:
@@ -174,8 +188,7 @@ def integrate(
     return runs[0]
 
 
-def _rk4(rhs, x0, settings: IntegrationSettings, channels: Optional[ChannelFn],
-         gamma_index: Optional[int]) -> list:
+def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> list:
     """The stepper behind :func:`integrate` and :func:`warmup`: one
     trajectory per member, a single state counting as one member, and a
     member that diverges stops with ``diverged_at`` set."""
@@ -191,26 +204,12 @@ def _rk4(rhs, x0, settings: IntegrationSettings, channels: Optional[ChannelFn],
 
     times = [0.0]
     states = [y.copy()]
-    chans = [channels(0.0, y)] if channels else None
     alive = np.ones(members, dtype=bool)
     # members whose gamma has not crossed the guard yet; None once there are none
     watched = alive.copy() if gamma_index is not None else None
     records = [None] * members         # a diverged member's record count
     diverged_at = [None] * members
     gamma_exceeded_at = [None] * members
-
-    def build() -> list:
-        series = [np.array(states)]        # states, then theta, J and h
-        if chans is not None:
-            series += [np.array([c[i] for c in chans]) for i in range(3)]
-        runs = []
-        for b in range(members):
-            r = len(times) if records[b] is None else records[b]
-            runs.append(Trajectory(
-                np.array(times[:r]), *(x[:r, ..., b].copy() if batch else x for x in series),
-                gamma_exceeded_at=gamma_exceeded_at[b], diverged_at=diverged_at[b],
-            ))
-        return runs
 
     half = 0.5 * h
     sixth = h / 6.0
@@ -250,9 +249,11 @@ def _rk4(rhs, x0, settings: IntegrationSettings, channels: Optional[ChannelFn],
             if (i + 1) % stride == 0 or i + 1 == n_steps:
                 times.append(t_next)
                 states.append(y.copy())
-                if chans is not None:
-                    chans.append(channels(t_next, y))
-    return build()
+    series = np.array(states)
+    ends = [len(times) if r is None else r for r in records]
+    return [Trajectory(np.array(times[:r]), series[:r, :, b].copy() if batch else series,
+                       gamma_exceeded_at=gamma_exceeded_at[b], diverged_at=diverged_at[b])
+            for b, r in enumerate(ends)]
 
 
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:
@@ -339,7 +340,7 @@ def warmup(
     prev = ys[filters].copy()
     max_periods = max(1, int(settings.t_end / period))
     for p in range(max_periods):
-        runs = _rk4(frozen, ys[:, 0] if single else ys, one_period, None, None)
+        runs = _rk4(frozen, ys[:, 0] if single else ys, one_period, None)
         ys = np.stack([run.states[-1] for run in runs], axis=1)
         change = _norms(ys[filters] - prev)
         scale = np.maximum(_norms(ys[filters]), 1e-30)

@@ -224,10 +224,12 @@ def constrained_minimum(plant: PlantModel) -> ConstrainedOptimum:
         return ConstrainedOptimum(
             theta_smin=plant.theta_star.copy(), j_s_star=plant.j_star, active=False
         )
-    hinv_h1 = np.linalg.solve(plant.hessian, plant.h1)
-    q = float(plant.h1 @ hinv_h1)
-    theta_smin = abs(plant.h0) * hinv_h1 / q + plant.theta_star
-    j_s_star = plant.j_star + plant.h0**2 / (2.0 * q)
+    # a plant near the float range gives a non-finite optimum, not a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        hinv_h1 = np.linalg.solve(plant.hessian, plant.h1)
+        q = plant.h1 @ hinv_h1
+        theta_smin = abs(plant.h0) * hinv_h1 / q + plant.theta_star
+        j_s_star = plant.j_star + plant.h0 * plant.h0 / (2.0 * q)
     return ConstrainedOptimum(theta_smin=theta_smin, j_s_star=j_s_star, active=True)
 
 

@@ -60,6 +60,11 @@ class DitherConfig:
                 raise NonFiniteValue(f"dither {name} must be finite, got {getattr(self, name)!r}")
         if self.amplitude <= 0.0:
             raise NonPositiveAmplitude("dither amplitude must be positive")
+        # the averaged model scales by a^2, the Newton demodulator by 16/a^2
+        a2 = self.amplitude * self.amplitude
+        if not (0.0 < a2 < math.inf and 16.0 / a2 < math.inf):
+            raise NonFiniteValue(f"dither amplitude^2 and 16/amplitude^2 must be finite "
+                                 f"and nonzero, got amplitude={self.amplitude!r}")
         if self.base_scale <= 0.0:
             raise ValidationError("base_scale must be positive")
         if not ratios:
@@ -125,9 +130,10 @@ def smooth_max(x, delta: float):
     return float(out) if out.ndim == 0 else out
 
 
-def dither(cfg: DitherConfig, t: float) -> np.ndarray:
-    """Probing signal, component i equal to a*sin(omega_i t)."""
-    return cfg.amplitude * np.sin(cfg.omegas() * t)
+def dither(cfg: DitherConfig, t) -> np.ndarray:
+    """Probing signal, component i equal to a*sin(omega_i t); for a vector
+    of times, one column per time."""
+    return cfg.amplitude * np.sin(np.multiply.outer(cfg.omegas(), t))
 
 
 def demod(cfg: DitherConfig, t: float) -> np.ndarray:

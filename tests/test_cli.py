@@ -143,6 +143,15 @@ class TestParseScenario:
         ("record_stride = 17", "record_stride = 1e200", "record_stride"),
         ("ratios = 1", "ratios = 1e400", "ratios"),
         ("theta0 = -3", "theta0 = 1e308", "theta0"),
+        ("amplitude = 0.25", "amplitude = 1e-320", "amplitude"),
+        ("amplitude = 0.25", "amplitude = 1e200", "amplitude"),
+        ("h0 = -1", "h0 = -1e308", "h0"),
+        ("hessian_row = 0.1", "hessian_row = 1e-320", "hessian_row"),
+        ("dt = auto", "dt = 1e-320", "dt"),
+        ("base_scale = 200", "base_scale = 1e308", "base_scale"),
+        ("base_scale = 200", "base_scale = 1e200", "base_scale"),
+        ("ratios = 1", "ratios = 1e200", "ratios"),
+        ("omega_f = 3", "omega_f = 1e200", "omega_f"),
     ])
     def test_meaningless_values_rejected(self, tmp_path, capsys, old, new, key):
         path = write_scenario(tmp_path, EX1_SMALL.replace(old, new))

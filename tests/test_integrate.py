@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -25,11 +26,13 @@ from asfes.errors import (
     NonFiniteValue,
     NonPositiveDefiniteHessian,
     NonPositiveTolerance,
+    TooManySteps,
     ValidationError,
     WarmupTimeout,
 )
 from asfes.integrate import (
     IntegrationSettings,
+    average_channels,
     check_resolves_dither,
     default_dt,
     exact_initial_state,
@@ -55,6 +58,8 @@ class TestSettings:
             IntegrationSettings(dt=0.1, t_end=math.inf)
         with pytest.raises(ValidationError):
             IntegrationSettings(dt=0.1, t_end=1.0, gamma_guard=-1.0)
+        with pytest.raises(TooManySteps):
+            IntegrationSettings(dt=1e-320, t_end=1.0)
 
     def test_dither_resolution_check(self, cfg1):
         check_resolves_dither(IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0),
@@ -117,19 +122,30 @@ class TestIntegrate:
         assert runs[0].states.tobytes() == runs[1].states.tobytes()
         assert runs[0].j_values.tobytes() == runs[1].j_values.tobytes()
 
-    def test_channel_recomputation_identity(self, plant1, cfg1):
+    def test_channel_recomputation_identity(self, plant1, cfg1, plant2, cfg2):
+        # the channels of a run, evaluated once over all its records, are
+        # bit for bit the plant maps evaluated record by record, for the
+        # dithered and the averaged model at n = 1 and n = 2
         from asfes.signals import dither
 
-        x0 = exact_initial_state(plant1, cfg1, [-3.0]).as_vector()
-        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.5,
-                                       record_stride=11)
-        traj = integrate(make_rhs(plant1, cfg1), x0, settings,
-                         channels=full_state_channels(plant1, cfg1))
-        for i, t in enumerate(traj.times):
-            theta = traj.states[i, :1] + dither(cfg1.dither, t)
-            assert traj.thetas[i] == theta
-            assert traj.j_values[i] == eval_objective(plant1, theta)
-            assert traj.h_values[i] == eval_barrier(plant1, theta)
+        cases = [(plant1, cfg1, [-3.0]), (plant2, cfg2, [1.5, -1.5])]
+        for (plant, cfg, start), averaged in itertools.product(cases, (False, True)):
+            theta_at = StateLayout.of(plant.dimension).theta
+            x0 = exact_initial_state(plant, cfg, start).as_vector()
+            if averaged:
+                x0[theta_at] -= plant.theta_star
+                f = make_average_rhs(plant, cfg)
+                rhs, channels = (lambda t, y: f(y)), average_channels(plant)
+            else:
+                rhs, channels = make_rhs(plant, cfg), full_state_channels(plant, cfg)
+            settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=0.5, record_stride=11)
+            traj = integrate(rhs, x0, settings, channels=channels)
+            for i, t in enumerate(traj.times):
+                offset = plant.theta_star if averaged else dither(cfg.dither, t)
+                theta = traj.states[i, theta_at] + offset
+                assert traj.thetas[i].tobytes() == theta.tobytes()
+                assert traj.j_values[i] == eval_objective(plant, theta)
+                assert traj.h_values[i] == eval_barrier(plant, theta)
 
     def test_rk4_order_on_example1(self, plant1, cfg1):
         x0 = exact_initial_state(plant1, cfg1, [-3.0]).as_vector()
@@ -209,8 +225,7 @@ class TestBatch:
         with pytest.raises(NonFiniteState) as exc:
             integrate(make_rhs(plant2, with_c(cfg2, cs[1])), x0[:, 1], run_settings, **kwargs)
         assert runs[1].diverged_at == exc.value.time < 0.2
-        assert runs[1].times.tobytes() == exc.value.partial.times.tobytes()
-        assert runs[1].states.tobytes() == exc.value.partial.states.tobytes()
+        assert_same_run(runs[1], exc.value.partial)     # channels included
 
 
 class TestWarmup:
