@@ -90,34 +90,36 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
     h1 = plant.h1
     h0 = plant.h0
     k, c, delta = cfg.k, cfg.c, cfg.delta
-    h1_sq = float(h1 @ h1)
-    hinv_h1 = np.linalg.solve(plant.hessian, h1)
-    q = float(h1 @ hinv_h1)
-    d = c * q / (k * h1_sq)
-    nu = (-c * h0 + math.sqrt((c * h0) ** 2 + d * delta)) / (2.0 * d)
-    c1 = nu / (k * h1_sq)
-    g_j_ae = c1 * h1
-    theta_tilde_ae = c1 * hinv_h1
-    eta_h_ae = h0 + float(h1 @ theta_tilde_ae)
     a = cfg.dither.amplitude
-    eta_j_ae = (
-        plant.j_star
-        + 0.5 * c1 * c1 * q
-        + 0.25 * a * a * float(np.trace(plant.hessian))
-    )
-    eq = Equilibrium(
-        theta_tilde_ae=theta_tilde_ae,
-        g_j_ae=g_j_ae,
-        eta_j_ae=eta_j_ae,
-        g_h_ae=h1.copy(),
-        eta_h_ae=eta_h_ae,
-        gamma_ae=1.0 / h1_sq,
-        d=d,
-        c1=c1,
-    )
-    residual = float(np.linalg.norm(make_average_rhs(plant, cfg)(eq.as_vector())))
-    scale = max(1.0, cfg.omega_f) * max(1.0, float(np.linalg.norm(eq.as_vector())))
-    if residual > 1e-10 * scale:
+    # numpy floats throughout: an overflow or a zero divide gives inf or nan,
+    # which the check below names, instead of a bare Python error or warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h1_sq = h1 @ h1
+        hinv_h1 = np.linalg.solve(plant.hessian, h1)
+        q = h1 @ hinv_h1
+        d = c * q / (k * h1_sq)
+        ch0 = c * np.float64(h0)
+        nu = (-ch0 + np.sqrt(ch0 ** 2 + d * delta)) / (2.0 * d)
+        c1 = nu / (k * h1_sq)
+        theta_tilde_ae = c1 * hinv_h1
+        eq = Equilibrium(
+            theta_tilde_ae=theta_tilde_ae,
+            g_j_ae=c1 * h1,
+            eta_j_ae=float(plant.j_star + 0.5 * c1 * c1 * q
+                           + 0.25 * a * a * float(np.trace(plant.hessian))),
+            g_h_ae=h1.copy(),
+            eta_h_ae=float(h0 + h1 @ theta_tilde_ae),
+            gamma_ae=float(1.0 / h1_sq),
+            d=float(d),
+            c1=float(c1),
+        )
+        vec = eq.as_vector()
+        norm = np.linalg.norm(vec)
+        if not np.all(np.isfinite((norm, d, c1))):   # a finite norm has finite entries
+            raise NonFiniteEntry(f"the averaged equilibrium for c={c:g} is not finite")
+        residual = float(np.linalg.norm(make_average_rhs(plant, cfg)(vec)))
+    scale = max(1.0, cfg.omega_f) * max(1.0, float(norm))
+    if not residual <= 1e-10 * scale:
         raise ResidualTooLarge(
             f"equilibrium residual {residual:.3e} exceeds tolerance"
         )

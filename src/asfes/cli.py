@@ -314,8 +314,10 @@ def write_trajectory_csv(
 def _stepped_as_batch(n: int, members: int) -> bool:
     """Whether ``members`` runs of an n-parameter plant step as one batch.
 
-    At n = 1 a lone state runs on the scalar closure, about a tenth of the
-    cost of the array closure a batch needs, so such runs step one by one.
+    At n = 1 the right-hand side reads a lone state's rows as Python floats,
+    a call costing about what one member's share of a 16-member batch does,
+    so such runs step one by one.  No bundled or benchmarked scenario has a
+    multi-member n = 1 product to measure that choice on.
     """
     return members > 1 and n > 1
 

@@ -15,8 +15,10 @@ Five systems share one state, whose blocks and their positions
 States are component-major.  One run is a ``(size,)`` vector; the dithered
 algorithm also steps a batch of B runs as one ``(size, B)`` array, one
 column per member, so the layout's slices and indices address both shapes
-the same way.  Within a batch nothing is summed across members, so each
-member's trajectory is bit-for-bit the one it has when run alone.
+the same way.  At n = 1 the dithered field reads each block as one row
+instead: a float for one state, a ``(B,)`` row for a batch.  Within a batch
+nothing is summed across members, so each member's trajectory is
+bit-for-bit the one it has when run alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
@@ -197,8 +200,12 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     times, one per member.  ``c`` overrides ``cfg.c``: a scalar, or one
     attractivity rate per batch member.
 
-    Everything constant is hoisted out of the returned closure; the
-    integrator calls it a few hundred thousand times per run.
+    One closure serves every dimension and both shapes.  At n = 1 each block
+    is a single row, which the closure reads as a Python float for one state
+    and as a ``(B,)`` row for a batch; at n >= 2 the blocks are ``(n,)`` or
+    ``(n, B)`` and component sums run left to right.  Everything constant is
+    hoisted out of the closure; the integrator calls it a few hundred
+    thousand times per run.
     """
     n = plant.dimension
     if cfg.dimension != n:
@@ -228,43 +235,54 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     theta_at, gj_at, ej_at, gh_at = layout.theta, layout.g_j, layout.eta_j, layout.g_h
     eh_at, gamma_at, big_gamma_at = layout.eta_h, layout.gamma, layout.gamma_newton
     n_coef = 16.0 / (a * a)
-    # per-component constants shaped for one state (ndim 1) or a batch (ndim 2)
-    shaped = {
-        ndim: (omegas.reshape(shape), theta_star.reshape(shape), h1.reshape(shape),
-               hessian_columns(plant.hessian, ndim))
-        for ndim, shape in ((1, (n,)), (2, (n, 1)))
-    }
+    rows = n == 1
+    if rows:
+        # at n = 1 each block is one row: a float for one state (from
+        # y.tolist(), with math's sin and sqrt keeping it one; far cheaper than
+        # numpy scalars) and a (B,) view for a batch, so a component sum is
+        # the row itself and H d is h11 * d
+        theta_at, gj_at, gh_at = theta_at.start, gj_at.start, gh_at.start
+        total, hessian_times = operator.pos, operator.mul
+        consts = (float(omegas[0]), float(theta_star[0]), float(h1[0]), float(plant.hessian[0, 0]))
+        shaped = {1: consts + (math.sin, math.sqrt), 2: consts + (np.sin, np.sqrt)}
+    else:
+        # per-component constants shaped for one state (ndim 1) or a batch
+        # (ndim 2); on one state the component sums are Python floats, and
+        # math.sqrt rounds as np.sqrt does
+        total, hessian_times = component_sum, hessian_product
+        shaped = {
+            ndim: (omegas.reshape(shape), theta_star.reshape(shape), h1.reshape(shape),
+                   hessian_columns(plant.hessian, ndim), np.sin, root)
+            for ndim, shape, root in ((1, (n,), math.sqrt), (2, (n, 1), np.sqrt))
+        }
 
     def rhs(t, y: np.ndarray) -> np.ndarray:
         if y.shape[0] != size:
             raise DimensionMismatch(
                 f"state vector of length {y.shape[0]}, expected {size}"
             )
-        w, ts, h1s, hcols = shaped[y.ndim]
-        # one state: the sums below are Python floats, and math.sqrt rounds
-        # as np.sqrt does
-        root = math.sqrt if y.ndim == 1 else np.sqrt
-        sins = np.sin(w * t)
-        d = y[theta_at] + a * sins - ts                 # theta - theta* at the probe point
-        jv = j_star + 0.5 * component_sum(d * hessian_product(hcols, d))
-        hv = h0 + component_sum(h1s * d)
+        w, ts, h1s, hcols, sin, root = shaped[y.ndim]
+        blocks = y.tolist() if rows and y.ndim == 1 else y
+        sins = sin(w * t)
+        d = blocks[theta_at] + a * sins - ts            # theta - theta* at the probe point
+        jv = j_star + 0.5 * total(d * hessian_times(hcols, d))
+        hv = h0 + total(h1s * d)
         m = two_over_a * sins
-        gj = y[gj_at]
-        eta_j = y[ej_at]
-        gh = y[gh_at]
-        eta_h = y[eh_at]
-        gamma = y[gamma_at]
+        gj = blocks[gj_at]
+        eta_j = blocks[ej_at]
+        gh = blocks[gh_at]
+        eta_h = blocks[eh_at]
+        gamma = blocks[gamma_at]
         out = np.empty(y.shape)
         if classical:
             out[theta_at] = -k * gj
         elif newton:
-            big_gamma = y[big_gamma_at]
-            s = sins[0]
-            arg = k * big_gamma * gj[0] * gh[0] - c * eta_h
-            out[theta_at] = -k * big_gamma * gj[0] + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh[0]
-            out[big_gamma_at] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
+            big_gamma = blocks[big_gamma_at]
+            arg = k * big_gamma * gj * gh - c * eta_h
+            out[theta_at] = -k * big_gamma * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
+            out[big_gamma_at] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (sins * sins - 0.5))
         else:
-            arg = k * component_sum(gj * gh) - c * eta_h
+            arg = k * total(gj * gh) - c * eta_h
             out[theta_at] = -k * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
         ej = jv - eta_j
         eh = hv - eta_h
@@ -272,55 +290,10 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
         out[ej_at] = wf * ej
         out[gh_at] = wf * (eh * m - gh)
         out[eh_at] = wf * eh
-        out[gamma_at] = wf * gamma * (1.0 - gamma * component_sum(gh * gh))
+        out[gamma_at] = wf * gamma * (1.0 - gamma * total(gh * gh))
         return out
 
-    if n != 1 or not isinstance(c, float):
-        return rhs
-
-    # one state at n = 1: plain float arithmetic, about a tenth of the cost of
-    # the array closure above; a property test pins it against a plain numpy
-    # transcription of the field
-    h11 = float(plant.hessian[0, 0])
-    ts0 = float(theta_star[0])
-    h1s = float(h1[0])
-    om1 = float(omegas[0])
-    th1, gj1, gh1 = theta_at.start, gj_at.start, gh_at.start   # one row per block
-    sqrt = math.sqrt
-    sin = math.sin
-
-    def scalar_rhs(t, y: np.ndarray) -> np.ndarray:
-        if y.ndim != 1:
-            return rhs(t, y)
-        if y.shape[0] != size:
-            raise DimensionMismatch(
-                f"state vector of length {y.shape[0]}, expected {size}"
-            )
-        s = sin(om1 * t)
-        d = y[th1] + a * s - ts0
-        jv = j_star + 0.5 * h11 * d * d
-        hv = h0 + h1s * d
-        m = two_over_a * s
-        gj, eta_j, gh, eta_h, gamma = y[gj1], y[ej_at], y[gh1], y[eh_at], y[gamma_at]
-        out = np.empty(size)
-        if classical:
-            out[th1] = -k * gj
-        elif newton:
-            big_gamma = y[big_gamma_at]
-            arg = k * big_gamma * gj * gh - c * eta_h
-            out[th1] = -k * big_gamma * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-            out[big_gamma_at] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (s * s - 0.5))
-        else:
-            arg = k * gj * gh - c * eta_h
-            out[th1] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-        out[gj1] = wf * ((jv - eta_j) * m - gj)
-        out[ej_at] = wf * (jv - eta_j)
-        out[gh1] = wf * ((hv - eta_h) * m - gh)
-        out[eh_at] = wf * (hv - eta_h)
-        out[gamma_at] = wf * gamma * (1.0 - gamma * gh * gh)
-        return out
-
-    return scalar_rhs
+    return rhs
 
 
 def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.ndarray], np.ndarray]:

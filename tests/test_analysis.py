@@ -49,6 +49,14 @@ class TestAverageEquilibrium:
         assert eq.g_j_ae[0] == pytest.approx(-0.10773502691896258, abs=1e-12)
         assert eq.c1 == pytest.approx(0.10773502691896258, abs=1e-12)
 
+    def test_overflow_is_a_named_error(self):
+        # (c h0)^2 overflows: example 1 with c = 1e100 and h0 = -1e100
+        plant = validate_plant(QuadraticObjective(0.0, 0.1, 0.0), LinearBarrier(-1e100, -1.0))
+        cfg = AlgorithmConfig(k=0.3, c=1e100, delta=1e-3, omega_f=3.0,
+                              dither=DitherConfig(0.25, (1,), 200.0))
+        with pytest.raises(NonFiniteEntry):
+            average_equilibrium(plant, cfg)
+
     def test_example1_against_root_finder(self, plant1, cfg1):
         eq = average_equilibrium(plant1, cfg1)
         f = make_average_rhs(plant1, cfg1)

@@ -219,6 +219,30 @@ def test_parser_gives_a_scenario_or_a_validation_error(tmp_path_factory, scenari
             pass
 
 
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(["example1", "example2"]),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=2))
+@example(name="example1", edits=[(("gains", "c"), "1e100"), (("plant", "h0"), "-1e100")])
+@example(name="example1", edits=[(("gains", "c"), "1e308")])
+@example(name="example1", edits=[(("gains", "c"), "1e-320")])
+@example(name="example1", edits=[(("gains", "delta"), "1e308")])
+@example(name="example2", edits=[(("gains", "k"), "1e308")])
+@example(name="example1", edits=[(("gains", "k"), "1e-320")])
+@example(name="example1", edits=[(("plant", "h0"), "1e200")])
+@example(name="example1", edits=[(("plant", "hessian_row"), "1e200")])
+@example(name="example2", edits=[(("plant", "j_star"), "-1e308")])
+def test_analyze_exits_0_1_or_2(tmp_path_factory, scenario_dir, name, edits):
+    # past the parser: a scenario that parses is analyzed or fails by name
+    text = with_values((scenario_dir / f"{name}.scenario").read_text(), edits)
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_analyze.scenario"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path), "--out", str(base / "fuzz_analyze")]) in (0, 1, 2)
+
 class TestRunSimulate:
     def test_small_example1_outputs(self, tmp_path):
         scenario = parse_scenario(write_scenario(tmp_path, EX1_SMALL))

@@ -98,28 +98,21 @@ class TestAsfesRhs:
         with pytest.raises(DimensionMismatch):
             make_rhs(plant2, cfg2)(0.0, np.zeros(5))
 
-    def test_scalar_fast_path_matches_generic(self, plant1, cfg1, rng):
-        fast = make_rhs(plant1, cfg1)
-        for _ in range(25):
-            y = rng.uniform(-2.0, 2.0, size=6)
-            y[5] = rng.uniform(0.1, 2.0)
-            t = float(rng.uniform(0.0, 1.0))
-            got = fast(t, y.copy())
-            want = _generic_rhs_reference(plant1, cfg1, t, y)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
-
-
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_closure_matches_generic(self, n, rng):
+        # one closure for one state (size,) and a batch (size, B), at n = 1
+        # (each block a row) and n >= 2 alike
         plant, cfg = random_plant(rng, n), random_config(rng, n)
         layout = StateLayout.of(n)
         ys = rng.uniform(-2.0, 2.0, size=(layout.size, 4))
         ys[layout.gamma] = rng.uniform(0.1, 2.0, size=4)
         t = float(rng.uniform(0.0, 1.0))
-        got = make_rhs(plant, cfg)(t, ys)
+        rhs = make_rhs(plant, cfg)
+        got = rhs(t, ys)
         for b in range(4):
             want = _generic_rhs_reference(plant, cfg, t, ys[:, b])
             np.testing.assert_allclose(got[:, b], want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rhs(t, ys[:, b].copy()), want, rtol=1e-12, atol=1e-12)
 
 
 def _generic_rhs_reference(plant, cfg, t, y):
@@ -372,6 +365,17 @@ class TestStateLayout:
             and not (path.name == "dynamics.py" and i in inside)
         ]
         assert offenders == []
+
+    def test_make_rhs_builds_one_closure(self):
+        # one dithered field for every dimension and batch size: no second
+        # (scalar) copy of it nested in make_rhs
+        src = Path(asfes.__file__).parent / "dynamics.py"
+        tree = ast.parse(src.read_text())
+        make = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "make_rhs")
+        nested = [node for node in ast.walk(make) if node is not make
+                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        assert len(nested) == 1, [ast.dump(node)[:60] for node in nested]
 
 
 class TestStateContainers:
