@@ -98,6 +98,17 @@ class TestAsfesRhs:
         with pytest.raises(DimensionMismatch):
             make_rhs(plant2, cfg2)(0.0, np.zeros(5))
 
+    def test_scalar_fast_path_matches_generic(self, plant1, cfg1, rng):
+        # at n = 1 one state runs on Python floats, each block a row
+        fast = make_rhs(plant1, cfg1)
+        for _ in range(25):
+            y = rng.uniform(-2.0, 2.0, size=6)
+            y[5] = rng.uniform(0.1, 2.0)
+            t = float(rng.uniform(0.0, 1.0))
+            got = fast(t, y.copy())
+            want = _generic_rhs_reference(plant1, cfg1, t, y)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_batched_closure_matches_generic(self, n, rng):
         # one closure for one state (size,) and a batch (size, B), at n = 1
