@@ -312,14 +312,27 @@ def write_trajectory_csv(
 
 
 def _stepped_as_batch(n: int, members: int) -> bool:
-    """Whether ``members`` runs of an n-parameter plant step as one batch.
+    """Whether ``members`` runs of an n-parameter plant step as one batch:
+    a dithered variant's c x theta0 product, or the reduced model's.
 
-    At n = 1 the right-hand side reads a lone state's rows as Python floats,
+    At n = 1 the right-hand sides read a lone state's rows as Python floats,
     a call costing about what one member's share of a 16-member batch does,
     so such runs step one by one.  No bundled or benchmarked scenario has a
     multi-member n = 1 product to measure that choice on.
     """
     return members > 1 and n > 1
+
+
+def _step_product(n: int, field, cs: list, x0: list, settings: IntegrationSettings,
+                  **kwargs) -> list:
+    """Trajectories of the members ``(cs[i], x0[i])``, stepped as one batch
+    where :func:`_stepped_as_batch` says so and one by one otherwise.
+    ``field(c)`` is the right-hand side for one rate or a vector of rates,
+    one per member; ``kwargs`` go to :func:`integrate`."""
+    if _stepped_as_batch(n, len(cs)):
+        return integrate(field(np.array(cs)), np.stack(x0, axis=1), settings, **kwargs)
+    return [_integrate_kept(field(c), state0, settings, **kwargs)
+            for c, state0 in zip(cs, x0)]
 
 
 def _warm_starts(scenario: Scenario) -> dict:
@@ -371,16 +384,27 @@ def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
         notes.append(member_notes)
         x0.append(state0.as_vector())
     cfg = scenario.config_for(scenario.c_values[0], variant)
-    channels = full_state_channels(plant, cfg)
-    cs = [c for c, _ in members]
-    if _stepped_as_batch(n, len(members)):
-        trajs = integrate(make_rhs(plant, cfg, c=np.array(cs)), np.stack(x0, axis=1),
-                          scenario.settings, channels=channels, gamma_index=gamma_at)
-    else:
-        trajs = [_integrate_kept(make_rhs(plant, cfg, c=c), state0, scenario.settings,
-                                 channels=channels, gamma_index=gamma_at)
-                 for c, state0 in zip(cs, x0)]
+    trajs = _step_product(n, lambda c: make_rhs(plant, cfg, c=c), [c for c, _ in members], x0,
+                          scenario.settings, channels=full_state_channels(plant, cfg),
+                          gamma_index=gamma_at)
     return list(zip(trajs, notes))
+
+
+def _reduced_product(scenario: Scenario, settings: IntegrationSettings) -> list:
+    """The reduced model over the c x theta0 product (c-major), each member
+    from theta0 - theta*, stepped as one batch where
+    :func:`_stepped_as_batch` says so.  Returns the trajectories in product
+    order."""
+    plant = scenario.plant
+    cfg = scenario.config_for(scenario.c_values[0], Variant.ASFES)
+
+    def field(c):
+        return lambda t, y: reduced_rhs(plant, cfg, y, c=c)
+
+    cs = [c for c in scenario.c_values for _ in scenario.initial_thetas]
+    x0 = [th - plant.theta_star for _ in scenario.c_values for th in scenario.initial_thetas]
+    return _step_product(plant.dimension, field, cs, x0, settings,
+                         channels=reduced_channels(plant))
 
 
 def _integrate_kept(*args, **kwargs) -> Trajectory:
@@ -396,10 +420,11 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     """Warm up and integrate every requested variant (plus the averaged and
     reduced hierarchies when asked), writing one CSV per run and a summary.
 
-    Each variant's c x theta0 product is stepped as one batch (at n >= 2),
-    after one warmup per distinct start.  Returns 0 on success, 2 if any run
-    diverged (its CSV then holds the trajectory up to the failure, and its
-    summary block a DIVERGED note).
+    Each variant's c x theta0 product, and the reduced model's, is stepped
+    as one batch (at n >= 2), the dithered ones after one warmup per
+    distinct start; the averaged runs step one by one.  Returns 0 on
+    success, 2 if any run diverged (its CSV then holds the trajectory up to
+    the failure, and its summary block a DIVERGED note).
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -411,6 +436,7 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     runs = {variant: _run_product(scenario, variant, warmed)
             for variant in scenario.variants_to_run}
     slow = _slow_settings(scenario.settings, scenario.config.omega_f)
+    reduced = _reduced_product(scenario, slow) if scenario.include_reduced else None
     summary_lines, diverged = [], False
 
     def record(name, traj, label, c, filter_names=(), notes=()):
@@ -439,12 +465,8 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
                                        channels=average_channels(plant),
                                        gamma_index=layout.gamma),
                        "theta_tilde", c, layout.filter_names)
-            if scenario.include_reduced:
-                record(f"reduced_c{c:g}_x{xi}",
-                       _integrate_kept(lambda t, y: reduced_rhs(plant, cfg, y),
-                                       theta0 - plant.theta_star, slow,
-                                       channels=reduced_channels(plant)),
-                       "theta_tilde", c)
+            if reduced is not None:
+                record(f"reduced_c{c:g}_x{xi}", reduced[member], "theta_tilde", c)
 
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     return 2 if diverged else 0

@@ -16,8 +16,10 @@ States are component-major.  One run is a ``(size,)`` vector; the dithered
 algorithm also steps a batch of B runs as one ``(size, B)`` array, one
 column per member, so the layout's slices and indices address both shapes
 the same way.  At n = 1 the dithered field reads each block as one row
-instead: a float for one state, a ``(B,)`` row for a batch.  Within a batch
-nothing is summed across members, so each member's trajectory is
+instead: a float for one state, a ``(B,)`` row for a batch.  The reduced
+model likewise takes one point ``(n,)``, read as floats, or a batch
+``(n, B)``, read as ``(B,)`` rows.  Within a batch nothing is summed across
+members, and every sum runs left to right, so each member's trajectory is
 bit-for-bit the one it has when run alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
 from .problem import PlantModel, component_sum, hessian_columns, hessian_product
-from .signals import DitherConfig, smooth_max
+from .signals import DitherConfig
 
 
 class Variant(enum.Enum):
@@ -174,6 +176,27 @@ class FullState(PackedBlocks):
         return cls(*StateLayout.of(n, newton).unpack(vec))
 
 
+def _rates(c):
+    """The attractivity rate a field takes: a float, or a ``(B,)`` array of
+    finite positive rates, one per batch member."""
+    if type(c) is float:        # reduced_rhs's per-call case; np.ndim costs about 1 us
+        return c
+    if np.ndim(c) == 0:
+        return float(c)
+    c = np.asarray(c, float)
+    if c.ndim != 1 or not np.all(np.isfinite(c)) or np.any(c <= 0.0):
+        raise ValidationError("c must be finite and strictly positive, one value per member")
+    return c
+
+
+def _check_members(c: np.ndarray, y: np.ndarray) -> None:
+    """Per-member rates ``c`` need a batch ``y`` of as many members."""
+    if y.ndim != 2 or y.shape[1] != c.shape[0]:
+        given = "one state" if y.ndim == 1 else f"a batch of {y.shape[1]}"
+        raise DimensionMismatch(
+            f"c holds one rate per member, {c.shape[0]} in all, for {given}")
+
+
 def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
              c=None) -> Callable[[float, np.ndarray], np.ndarray]:
     """Build ``f(t, y) -> dy`` for the dithered algorithm of ``cfg.variant``.
@@ -212,13 +235,8 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
         raise DimensionMismatch(
             f"dither has {cfg.dimension} frequencies, plant dimension is {n}"
         )
-    c = cfg.c if c is None else c
-    if np.ndim(c) == 0:
-        c = float(c)
-    else:
-        c = np.asarray(c, float)
-        if c.ndim != 1 or not np.all(np.isfinite(c)) or np.any(c <= 0.0):
-            raise ValidationError("c must be finite and strictly positive, one value per member")
+    c = _rates(cfg.c if c is None else c)
+    per_member = not isinstance(c, float)
 
     theta_star = plant.theta_star
     j_star = plant.j_star
@@ -261,6 +279,8 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
             raise DimensionMismatch(
                 f"state vector of length {y.shape[0]}, expected {size}"
             )
+        if per_member:
+            _check_members(c, y)
         w, ts, h1s, hcols, sin, root = shaped[y.ndim]
         blocks = y.tolist() if rows and y.ndim == 1 else y
         sins = sin(w * t)
@@ -348,22 +368,55 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.nd
     return rhs
 
 
-def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r) -> np.ndarray:
+def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r, c=None) -> np.ndarray:
     """Quasi-steady reduced model in the theta_tilde coordinate.
 
     Obtained by pinning every filter at its instantaneous fixed point:
     -k H x + h1/||h1||^2 * smooth_max(k x'H h1 - c (h0 + h1'x), delta).
     Along this field h satisfies dh/dt + c h > 0, so {h >= 0} is forward
     invariant and h decays no faster than exp(-c t).
+
+    ``theta_tilde_r`` is one point ``(n,)`` (any sequence; a number at
+    n = 1) or a component-major batch ``(n, B)``, and the result has its
+    shape.  ``c`` overrides ``cfg.c`` as in :func:`make_rhs`: a scalar, or
+    one rate per batch member.  One point is computed on Python floats and
+    a batch on its ``(B,)`` rows, with the same left-to-right sums, so each
+    member is bit-for-bit its one-point value.
     """
-    x = np.atleast_1d(np.asarray(theta_tilde_r, float))
+    x = np.asarray(theta_tilde_r, float)
     n = plant.dimension
-    if x.shape != (n,):
-        raise DimensionMismatch(f"theta_tilde_r has shape {x.shape}, expected ({n},)")
-    h1 = plant.h1
-    hx = plant.hessian @ x
-    arg = cfg.k * float(hx @ h1) - cfg.c * (plant.h0 + float(h1 @ x))
-    return -cfg.k * hx + (h1 / float(h1 @ h1)) * smooth_max(arg, cfg.delta)
+    if x.ndim == 0:
+        x = x.reshape(1)
+    if x.ndim > 2 or x.shape[0] != n:
+        raise DimensionMismatch(
+            f"theta_tilde_r has shape {x.shape}, expected ({n},) or ({n}, B)")
+    c = _rates(cfg.c if c is None else c)
+    if not isinstance(c, float):
+        _check_members(c, x)
+    if x.ndim == 1:
+        # Python floats (math.sqrt rounds as np.sqrt does): far cheaper than
+        # numpy on a few components
+        x, root = x.tolist(), math.sqrt
+    else:
+        root = np.sqrt
+    k = cfg.k
+    h1 = plant.h1.tolist()
+    # every sum left to right, none by BLAS or pairwise, so that nothing
+    # depends on the batch around a member
+    hx = []
+    for row in plant.hessian.tolist():
+        total = row[0] * x[0]
+        for j in range(1, n):
+            total = total + row[j] * x[j]
+        hx.append(total)
+    hx_h1, h1_x, q = hx[0] * h1[0], h1[0] * x[0], h1[0] * h1[0]
+    for i in range(1, n):
+        hx_h1 = hx_h1 + hx[i] * h1[i]
+        h1_x = h1_x + h1[i] * x[i]
+        q = q + h1[i] * h1[i]
+    arg = k * hx_h1 - c * (plant.h0 + h1_x)
+    s = 0.5 * (arg + root(arg * arg + cfg.delta))          # smooth_max(arg, delta)
+    return np.array([-k * hx_i + (h1_i / q) * s for hx_i, h1_i in zip(hx, h1)])
 
 
 def boundary_layer_rhs(z_b, h1) -> np.ndarray:

@@ -16,16 +16,18 @@ from hypothesis import strategies as st
 from asfes.cli import (
     _KNOWN_KEYS,
     Scenario,
+    _slow_settings,
     main,
     parse_scenario,
     run_analyze,
     run_simulate,
     run_verify,
     warmup_settings,
+    write_trajectory_csv,
 )
-from asfes.dynamics import StateLayout, Variant, make_rhs
+from asfes.dynamics import StateLayout, Variant, make_rhs, reduced_rhs
 from asfes.errors import NonFiniteValue, ParseError, ResonantTriple, ValidationError
-from asfes.integrate import full_state_channels, integrate, warmup
+from asfes.integrate import full_state_channels, integrate, reduced_channels, warmup
 
 EX1_SMALL = """
 [plant]
@@ -243,6 +245,27 @@ def test_analyze_exits_0_1_or_2(tmp_path_factory, scenario_dir, name, edits):
         warnings.simplefilter("error")
         assert main(["analyze", str(path), "--out", str(base / "fuzz_analyze")]) in (0, 1, 2)
 
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(name=st.sampled_from(["example1", "example2"]),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)),
+                      min_size=1, max_size=2))
+@example(name="example1", edits=[(("sim", "warmup_rel_tol"), "1e-320")])
+@example(name="example2", edits=[(("gains", "k"), "1e200")])
+@example(name="example2", edits=[(("gains", "c"), "1e200")])
+def test_simulate_exits_0_1_or_2(tmp_path_factory, scenario_dir, name, edits):
+    # past the parser: a scenario that parses is simulated or fails by name;
+    # the horizon is cut to t_end = 0.3 unless an edit sets it
+    text = with_values((scenario_dir / f"{name}.scenario").read_text(),
+                       [(("sim", "t_end"), "0.3"), *edits])
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz_simulate.scenario"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", str(path), "--out", str(base / "fuzz_simulate")]) in (0, 1, 2)
+
+
 class TestRunSimulate:
     def test_small_example1_outputs(self, tmp_path):
         scenario = parse_scenario(write_scenario(tmp_path, EX1_SMALL))
@@ -362,6 +385,14 @@ class TestRunSimulate:
                         assert vals[1:1 + n] == list(traj.thetas[i])
                         assert vals[1 + n:-3] == list(traj.states[i])
                         assert vals[-3:-1] == [traj.j_values[i], traj.h_values[i]]
+                # the reduced model's product, batched on example 2 too
+                reduced = integrate(lambda t, y: reduced_rhs(plant, cfg, y),
+                                    theta0 - plant.theta_star,
+                                    _slow_settings(scenario.settings, cfg.omega_f),
+                                    channels=reduced_channels(plant))
+                alone = tmp_path / "alone.csv"
+                write_trajectory_csv(alone, reduced, "theta_tilde", c)
+                assert (out / f"reduced_c{c:g}_x{xi}.csv").read_bytes() == alone.read_bytes()
 
 
 class TestRunAnalyze:

@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
 import asfes
 
@@ -291,7 +294,62 @@ class TestAveragingConsistency:
             np.testing.assert_allclose(num, ana, atol=1e-8, rtol=1e-8)
 
 
+def _reduced_rhs_reference(plant, cfg, x):
+    """The reduced field at one point as BLAS products and smooth_max, and
+    a first-order bound on how far rounding its three dot products moves
+    each component: a few ulps of each term and of the softened max's
+    argument, which the max's cancellation can pass on whole."""
+    x = np.atleast_1d(np.asarray(x, float))
+    h1 = plant.h1
+    hx = plant.hessian @ x
+    arg = cfg.k * float(hx @ h1) - cfg.c * (plant.h0 + float(h1 @ x))
+    s = smooth_max(arg, cfg.delta)
+    q = float(h1 @ h1)
+    size_hx = np.abs(plant.hessian) @ np.abs(x)
+    size_arg = (cfg.k * float(size_hx @ np.abs(h1))
+                + cfg.c * (abs(plant.h0) + float(np.abs(h1) @ np.abs(x))))
+    bound = 1e-14 * (cfg.k * size_hx + np.abs(h1) / q * (s + size_arg))
+    return -cfg.k * hx + (h1 / q) * s, bound
+
+
 class TestReducedRhs:
+    def test_one_point_matches_the_reference(self, rng):
+        # BLAS may fuse multiply-adds, so at n >= 2 the two differ by the
+        # rounding of their dot products; at n = 1 there is no sum to differ
+        for i in range(300):
+            n = i % 3 + 1
+            plant, cfg = random_plant(rng, n), random_config(rng, n)
+            x = rng.uniform(-3.0, 3.0, n)
+            got = reduced_rhs(plant, cfg, x)
+            want, bound = _reduced_rhs_reference(plant, cfg, x)
+            assert got.shape == (n,)
+            assert reduced_rhs(plant, cfg, x.tolist()).tobytes() == got.tobytes()
+            if n == 1:
+                assert got.tobytes() == want.tobytes()
+                assert reduced_rhs(plant, cfg, float(x[0])).tobytes() == got.tobytes()
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + bound), (got, want)
+
+    @hypothesis_settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), members=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_batch_members_match_their_solo_points(self, n, members, seed):
+        # each column of a (n, B) batch, with its own c, is bit for bit the
+        # value of its one-point call
+        rng = np.random.default_rng(seed)
+        plant, cfg = random_plant(rng, n), random_config(rng, n)
+        cs = rng.uniform(0.1, 2.0, size=members)
+        x = rng.uniform(-3.0, 3.0, size=(n, members))
+        out = reduced_rhs(plant, cfg, x, c=cs)
+        assert out.shape == (n, members)
+        for b in range(members):
+            assert out[:, b].tobytes() == reduced_rhs(plant, cfg, x[:, b], c=cs[b]).tobytes()
+        shared = reduced_rhs(plant, cfg, x)
+        assert shared.tobytes() == reduced_rhs(plant, cfg, x, c=np.full(members, cfg.c)).tobytes()
+
+    def test_bad_shapes_rejected(self, plant2, cfg2):
+        for x in (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 2, 1)), 1.0):
+            with pytest.raises(DimensionMismatch):
+                reduced_rhs(plant2, cfg2, x)
+
     def test_zero_at_average_equilibrium(self, plant1, cfg1, plant2, cfg2):
         for plant, cfg in ((plant1, cfg1), (plant2, cfg2)):
             eq = average_equilibrium(plant, cfg)
@@ -387,6 +445,45 @@ class TestStateLayout:
         nested = [node for node in ast.walk(make) if node is not make
                   and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
         assert len(nested) == 1, [ast.dump(node)[:60] for node in nested]
+
+    @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs"])
+    def test_fields_take_no_matrix_product(self, name):
+        # a BLAS product's order of summation, and its fused multiply-adds,
+        # may depend on the batch around a member; the fields sum left to
+        # right, so that nothing sums across members and each member is
+        # bit for bit its own run
+        src = Path(asfes.__file__).parent / "dynamics.py"
+        tree = ast.parse(src.read_text())
+        field = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == name)
+        products = ("dot", "vdot", "inner", "matmul", "einsum", "tensordot")
+        found = [ast.dump(node)[:60] for node in ast.walk(field)
+                 if isinstance(getattr(node, "op", None), ast.MatMult)
+                 or (isinstance(node, ast.Attribute) and node.attr in products)
+                 or (isinstance(node, ast.Name) and node.id in products)]
+        assert found == []
+
+
+@pytest.mark.parametrize("field", ["make_rhs", "reduced_rhs"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_rates_are_one_per_member(n, field, rng):
+    # per-member rates on one state, or on a batch of another size, are a
+    # named mismatch, not a bare TypeError or broadcasting ValueError
+    plant, cfg = random_plant(rng, n), random_config(rng, n)
+    if field == "make_rhs":
+        def call(c, y):
+            return make_rhs(plant, cfg, c=c)(0.0, y)
+        one = random_full_state(rng, n)
+    else:
+        def call(c, y):
+            return reduced_rhs(plant, cfg, y, c=c)
+        one = rng.uniform(-1.0, 1.0, n)
+    batch = np.stack([one] * 3, axis=1)
+    with pytest.raises(DimensionMismatch, match=r"^c holds .*, 1 in all, for one state$"):
+        call(np.array([0.3]), one)
+    with pytest.raises(DimensionMismatch, match=r"^c holds .*, 2 in all, for a batch of 3$"):
+        call(np.array([0.3, 0.5]), batch)
+    assert call(np.array([0.3, 0.5, 0.7]), batch).shape == batch.shape
 
 
 class TestStateContainers:
