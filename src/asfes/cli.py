@@ -28,7 +28,7 @@ from .dynamics import (
     reduced_rhs,
 )
 from .errors import (ComputationError, NonFiniteState, NonFiniteValue, ParseError, TooManySteps,
-                     ValidationError)
+                     UnusableOutput, ValidationError)
 from .integrate import (
     IntegrationSettings,
     Trajectory,
@@ -159,9 +159,12 @@ def parse_scenario(path) -> Scenario:
     """Parse and validate a scenario file (unknown keys are rejected)."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(None, f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"{path} is not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                               f"at offset {exc.start}") from exc
     sections: dict = {name: {} for name in _KNOWN_KEYS}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -315,10 +318,13 @@ def _stepped_as_batch(n: int, members: int) -> bool:
     """Whether ``members`` runs of an n-parameter plant step as one batch:
     a dithered variant's c x theta0 product, or the reduced model's.
 
-    At n = 1 the right-hand sides read a lone state's rows as Python floats,
-    a call costing about what one member's share of a 16-member batch does,
-    so such runs step one by one.  No bundled or benchmarked scenario has a
-    multi-member n = 1 product to measure that choice on.
+    A lone state steps on Python floats.  Per RK4 step of the dithered
+    field, on a shared 2-core VM (Python 3.11, numpy 2.4): at n = 1 one
+    state takes 10-12 us, against 8-10 us for one member's share of a
+    16-member batch, 33 us at B = 4 and 2.2-2.5 us at B = 64; at n = 2 one
+    state takes 92-113 us, against 61 us a member at B = 4 and 14 us at
+    B = 16.  So n = 1 runs step one by one.  No bundled or benchmarked
+    scenario has a multi-member n = 1 product to measure that choice on.
     """
     return members > 1 and n > 1
 
@@ -416,6 +422,18 @@ def _integrate_kept(*args, **kwargs) -> Trajectory:
         return exc.partial
 
 
+def _output_dir(output_dir) -> Path:
+    """The output directory, made if missing; one that cannot be made (a
+    file is in its place or in its path) is :class:`UnusableOutput`."""
+    out = Path(output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnusableOutput(f"--out {out} cannot be used as a directory: "
+                             f"{exc.strerror or exc}") from exc
+    return out
+
+
 def run_simulate(scenario: Scenario, output_dir) -> int:
     """Warm up and integrate every requested variant (plus the averaged and
     reduced hierarchies when asked), writing one CSV per run and a summary.
@@ -426,8 +444,7 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     success, 2 if any run diverged (its CSV then holds the trajectory up to
     the failure, and its summary block a DIVERGED note).
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(output_dir)
     plant = scenario.plant
     n = plant.dimension
     layout = StateLayout.of(n)
@@ -491,8 +508,7 @@ def _summary_block(name: str, report, traj: Trajectory, notes: list) -> list:
 def run_analyze(scenario: Scenario, output_dir) -> int:
     """Write equilibrium, constrained-optimum, spectral and Jacobian-check
     results to a readable report plus a machine-readable CSV."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(output_dir)
     plant = scenario.plant
     n = plant.dimension
     lines = []

@@ -18,7 +18,12 @@ column per member, so the layout's slices and indices address both shapes
 the same way.  At n = 1 the dithered field reads each block as one row
 instead: a float for one state, a ``(B,)`` row for a batch.  The reduced
 model likewise takes one point ``(n,)``, read as floats, or a batch
-``(n, B)``, read as ``(B,)`` rows.  Within a batch nothing is summed across
+``(n, B)``, read as ``(B,)`` rows.
+
+The integrator steps one state on Python floats and hands it to a field as
+a list of floats (see :mod:`asfes.integrate`).  The dithered and averaged
+fields then return a list, the reduced model an array; given an array,
+each field returns an array.  Within a batch nothing is summed across
 members, and every sum runs left to right, so each member's trajectory is
 bit-for-bit the one it has when run alone.
 
@@ -189,16 +194,16 @@ def _rates(c):
     return c
 
 
-def _check_members(c: np.ndarray, y: np.ndarray) -> None:
+def _check_members(c: np.ndarray, y) -> None:
     """Per-member rates ``c`` need a batch ``y`` of as many members."""
-    if y.ndim != 2 or y.shape[1] != c.shape[0]:
-        given = "one state" if y.ndim == 1 else f"a batch of {y.shape[1]}"
+    shape = np.shape(y)
+    if len(shape) != 2 or shape[1] != c.shape[0]:
+        given = "one state" if len(shape) == 1 else f"a batch of {shape[1]}"
         raise DimensionMismatch(
             f"c holds one rate per member, {c.shape[0]} in all, for {given}")
 
 
-def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
-             c=None) -> Callable[[float, np.ndarray], np.ndarray]:
+def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
     """Build ``f(t, y) -> dy`` for the dithered algorithm of ``cfg.variant``.
 
     The parameter row depends on the variant:
@@ -219,14 +224,18 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     equation.
 
     ``y`` is one state ``(size,)`` or a component-major batch ``(size, B)``,
-    and ``dy`` has its shape.  For a batch, ``t`` may also be a vector of B
-    times, one per member.  ``c`` overrides ``cfg.c``: a scalar, or one
-    attractivity rate per batch member.
+    and ``dy`` has its shape.  One state may also be a list of floats, as
+    the integrator passes it, and ``dy`` is then a list too.  For a batch,
+    ``t`` may also be a vector of B times, one per member.  ``c`` overrides
+    ``cfg.c``: a scalar, or one attractivity rate per batch member.
 
     One closure serves every dimension and both shapes.  At n = 1 each block
     is a single row, which the closure reads as a Python float for one state
-    and as a ``(B,)`` row for a batch; at n >= 2 the blocks are ``(n,)`` or
-    ``(n, B)`` and component sums run left to right.  Everything constant is
+    (straight from a list, with no array made on the way) and as a ``(B,)``
+    row for a batch.  At n >= 2 the blocks are ``(n,)`` or ``(n, B)``, and
+    component sums run left to right; a list's scalar blocks are read as
+    floats, its vector blocks from an array made of it, and ``dy`` is made
+    a list on the way out.  Everything constant is
     hoisted out of the closure; the integrator calls it a few hundred
     thousand times per run.
     """
@@ -255,10 +264,10 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
     n_coef = 16.0 / (a * a)
     rows = n == 1
     if rows:
-        # at n = 1 each block is one row: a float for one state (from
-        # y.tolist(), with math's sin and sqrt keeping it one; far cheaper than
-        # numpy scalars) and a (B,) view for a batch, so a component sum is
-        # the row itself and H d is h11 * d
+        # at n = 1 each block is one row: a float for one state (read from
+        # the list, or from y.tolist(), with math's sin and sqrt keeping it
+        # one; far cheaper than numpy scalars) and a (B,) view for a batch,
+        # so a component sum is the row itself and H d is h11 * d
         theta_at, gj_at, gh_at = theta_at.start, gj_at.start, gh_at.start
         total, hessian_times = operator.pos, operator.mul
         consts = (float(omegas[0]), float(theta_star[0]), float(h1[0]), float(plant.hessian[0, 0]))
@@ -274,26 +283,30 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
             for ndim, shape, root in ((1, (n,), math.sqrt), (2, (n, 1), np.sqrt))
         }
 
-    def rhs(t, y: np.ndarray) -> np.ndarray:
-        if y.shape[0] != size:
-            raise DimensionMismatch(
-                f"state vector of length {y.shape[0]}, expected {size}"
-            )
+    def rhs(t, y):
+        if len(y) != size:
+            raise DimensionMismatch(f"state vector of length {len(y)}, expected {size}")
+        listed = type(y) is list
         if per_member:
             _check_members(c, y)
-        w, ts, h1s, hcols, sin, root = shaped[y.ndim]
-        blocks = y.tolist() if rows and y.ndim == 1 else y
+        ndim = 1 if listed else y.ndim
+        floats = rows and ndim == 1
+        w, ts, h1s, hcols, sin, root = shaped[ndim]
+        # a list's scalar blocks are read as floats, and so is every block at
+        # n = 1; a list's vector blocks at n >= 2 come from an array of it
+        scalars = y.tolist() if floats and not listed else y
+        blocks = scalars if floats else (np.array(y) if listed else y)
         sins = sin(w * t)
         d = blocks[theta_at] + a * sins - ts            # theta - theta* at the probe point
         jv = j_star + 0.5 * total(d * hessian_times(hcols, d))
         hv = h0 + total(h1s * d)
         m = two_over_a * sins
         gj = blocks[gj_at]
-        eta_j = blocks[ej_at]
+        eta_j = scalars[ej_at]
         gh = blocks[gh_at]
-        eta_h = blocks[eh_at]
-        gamma = blocks[gamma_at]
-        out = np.empty(y.shape)
+        eta_h = scalars[eh_at]
+        gamma = scalars[gamma_at]
+        out = [0.0] * size if floats else np.empty(blocks.shape)
         if classical:
             out[theta_at] = -k * gj
         elif newton:
@@ -311,17 +324,22 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig,
         out[gh_at] = wf * (eh * m - gh)
         out[eh_at] = wf * eh
         out[gamma_at] = wf * gamma * (1.0 - gamma * total(gh * gh))
+        if floats != listed:
+            return np.array(out) if floats else out.tolist()
         return out
 
     return rhs
 
 
-def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.ndarray], np.ndarray]:
+def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     """Build ``f(x) -> dx`` for the averaged dynamics (autonomous).
 
     The filter rows relax to H theta_tilde, J(theta_tilde + theta*) plus
     the probing bias (a^2/4) tr(H), h1, and h(theta_tilde + theta*); the
     parameter and gamma rows keep their original form.
+
+    ``x`` is one state ``(size,)``, an array or a list of floats, and
+    ``dx`` has its type.
     """
     n = plant.dimension
     if cfg.dimension != n:
@@ -341,11 +359,12 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.nd
     eh_at, gamma_at = layout.eta_h, layout.gamma
     sqrt = math.sqrt
 
-    def rhs(x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != size:
-            raise DimensionMismatch(
-                f"state vector of length {x.shape[0]}, expected {size}"
-            )
+    def rhs(x):
+        if len(x) != size:
+            raise DimensionMismatch(f"state vector of length {len(x)}, expected {size}")
+        listed = type(x) is list
+        if listed:
+            x = np.array(x)
         tt = x[theta_at]
         gj = x[gj_at]
         eta_j = x[ej_at]
@@ -363,7 +382,7 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable[[np.nd
         out[gh_at] = wf * (h1 - gh)
         out[eh_at] = wf * (hv - eta_h)
         out[gamma_at] = wf * gamma * (1.0 - gamma * float(gh @ gh))
-        return out
+        return out.tolist() if listed else out
 
     return rhs
 
@@ -381,24 +400,27 @@ def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r, c=None) 
     shape.  ``c`` overrides ``cfg.c`` as in :func:`make_rhs`: a scalar, or
     one rate per batch member.  One point is computed on Python floats and
     a batch on its ``(B,)`` rows, with the same left-to-right sums, so each
-    member is bit-for-bit its one-point value.
+    member is bit-for-bit its one-point value.  The result is an array,
+    also for a list of floats, which is read without a conversion.
     """
-    x = np.asarray(theta_tilde_r, float)
     n = plant.dimension
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.ndim > 2 or x.shape[0] != n:
-        raise DimensionMismatch(
-            f"theta_tilde_r has shape {x.shape}, expected ({n},) or ({n}, B)")
+    x = theta_tilde_r
+    # one point is read as Python floats (math.sqrt rounds as np.sqrt does):
+    # far cheaper than numpy on a few components.  A list of n floats, as
+    # the stepper passes it, is read as it is.
+    if not (type(x) is list and len(x) == n and all(type(v) is float for v in x)):
+        x = np.asarray(theta_tilde_r, float)
+        if x.ndim == 0:
+            x = x.reshape(1)
+        if x.ndim > 2 or x.shape[0] != n:
+            raise DimensionMismatch(
+                f"theta_tilde_r has shape {x.shape}, expected ({n},) or ({n}, B)")
+        if x.ndim == 1:
+            x = x.tolist()
     c = _rates(cfg.c if c is None else c)
     if not isinstance(c, float):
         _check_members(c, x)
-    if x.ndim == 1:
-        # Python floats (math.sqrt rounds as np.sqrt does): far cheaper than
-        # numpy on a few components
-        x, root = x.tolist(), math.sqrt
-    else:
-        root = np.sqrt
+    root = math.sqrt if type(x) is list else np.sqrt
     k = cfg.k
     h1 = plant.h1.tolist()
     # every sum left to right, none by BLAS or pairwise, so that nothing

@@ -72,6 +72,10 @@ class EmptyTrajectory(ValidationError):
     pass
 
 
+class UnusableOutput(ValidationError):
+    """An output directory that cannot be made or written into."""
+
+
 class ParseError(ValidationError):
     def __init__(self, line: int | None, message: str):
         where = f"line {line}: " if line is not None else ""

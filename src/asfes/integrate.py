@@ -5,11 +5,16 @@ A fixed step is deliberate: the dither period dictates the resolution
 anyway, and identical inputs must give bit-identical trajectories so golden
 traces and determinism checks stay meaningful.  One stepper serves a single
 state and a component-major batch of states (see :mod:`asfes.dynamics`).
+A batch steps on numpy arrays.  A single state steps on Python floats:
+the right-hand side gets the state as a list and may return a list or a
+1-D array, and each stage is the array expression written per component,
+so the records are bit for bit those of the array arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -152,7 +157,7 @@ reduced_channels = average_channels  # the reduced model uses the same coordinat
 
 
 def integrate(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable,
     x0,
     settings: IntegrationSettings,
     channels: Optional[ChannelFn] = None,
@@ -163,8 +168,11 @@ def integrate(
 
     ``x0`` is one state ``(size,)``, which gives a :class:`Trajectory`, or
     a component-major batch ``(size, B)``, which gives a list of B, one per
-    member, and ``rhs`` takes the same shapes.  ``channels`` is called once
-    per member, on all of its records (see :data:`ChannelFn`).
+    member.  For a batch ``rhs(t, y)`` gets and returns ``(size, B)``
+    arrays.  One state is stepped on Python floats: ``rhs`` gets a list of
+    ``size`` floats and returns a list or a 1-D array of as many, which
+    the stepper turns into a list.  ``channels`` is called once per member,
+    on all of its records (see :data:`ChannelFn`).
 
     A single state that leaves the reals raises :class:`NonFiniteState`,
     carrying the trajectory recorded so far.  In a batch such a member
@@ -196,14 +204,59 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
     if y.ndim not in (1, 2):
         raise DimensionMismatch("x0 must be a state vector or a (size, B) batch")
     batch = y.ndim == 2
-    members = y.shape[1] if batch else 1
+    shape = y.shape
+    members = shape[1] if batch else 1
     n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
     stride = settings.record_stride
     guard = settings.gamma_guard
 
+    half = 0.5 * h
+    sixth = h / 6.0
     times = [0.0]
-    states = [y.copy()]
+    states = array("d")                # every record, flat, in step order
+    if batch:
+        field = rhs
+
+        def stage(y, k, step):
+            return y + step * k
+
+        def advance(y, k1, k2, k3, k4):
+            return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        def finite(y):
+            return np.isfinite(y).all()
+
+        def record(y):
+            states.frombytes(y.tobytes())
+    else:
+        # one state steps on Python floats: numpy's per-call cost outweighs
+        # its arithmetic on a few components, and each float expression
+        # below rounds as the array one does, element by element
+        y = y.tolist()
+        size = len(y)
+
+        def field(t, y):
+            k = rhs(t, y)
+            if type(k) is not list:
+                k = k.tolist()
+            if len(k) != size:      # zip below would cut the state short
+                raise DimensionMismatch(f"rhs gave {len(k)} components for a state of {size}")
+            return k
+
+        def stage(y, k, step):
+            return [a + step * b for a, b in zip(y, k)]
+
+        def advance(y, k1, k2, k3, k4):
+            return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+
+        def finite(y):
+            return all(map(math.isfinite, y))
+
+        record = states.extend
+
+    record(y)
     alive = np.ones(members, dtype=bool)
     # members whose gamma has not crossed the guard yet; None once there are none
     watched = alive.copy() if gamma_index is not None else None
@@ -211,20 +264,18 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
     diverged_at = [None] * members
     gamma_exceeded_at = [None] * members
 
-    half = 0.5 * h
-    sixth = h / 6.0
     # divergence is detected per member; the intermediate inf/nan warnings
     # on the way there are noise
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             t = i * h
-            k1 = rhs(t, y)
-            k2 = rhs(t + half, y + half * k1)
-            k3 = rhs(t + half, y + half * k2)
-            k4 = rhs(t + h, y + h * k3)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = field(t, y)
+            k2 = field(t + half, stage(y, k1, half))
+            k3 = field(t + half, stage(y, k2, half))
+            k4 = field(t + h, stage(y, k3, h))
+            y = advance(y, k1, k2, k3, k4)
             t_next = (i + 1) * h
-            if not np.isfinite(y).all():
+            if not finite(y):
                 bad = ~np.isfinite(y).all(axis=0) if batch else np.ones(1, dtype=bool)
                 for b in np.flatnonzero(bad & alive):
                     diverged_at[b] = t_next
@@ -248,8 +299,8 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
                         watched = None
             if (i + 1) % stride == 0 or i + 1 == n_steps:
                 times.append(t_next)
-                states.append(y.copy())
-    series = np.array(states)
+                record(y)
+    series = np.frombuffer(states).reshape(len(times), *shape)
     ends = [len(times) if r is None else r for r in records]
     return [Trajectory(np.array(times[:r]), series[:r, :, b].copy() if batch else series,
                        gamma_exceeded_at=gamma_exceeded_at[b], diverged_at=diverged_at[b])
@@ -319,10 +370,12 @@ def warmup(
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
     theta_at, filters = layout.theta, layout.filters
     f = make_rhs(plant, cfg)
+    still = [0.0] * n
 
     def frozen(t, y):
+        # one start's field is a list, a batch's an (size, B) array
         dy = f(t, y)
-        dy[theta_at] = 0.0
+        dy[theta_at] = still if type(dy) is list else 0.0
         return dy
 
     period = signal_period(cfg.dither)

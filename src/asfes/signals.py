@@ -119,9 +119,13 @@ def validate_frequencies(ratios: Sequence) -> None:
 def smooth_max(x, delta: float):
     """Softened positive part (x + sqrt(x^2 + delta)) / 2.
 
-    Strictly positive for every x, exceeding max(x, 0) by at most
+    Positive in exact arithmetic, exceeding max(x, 0) by at most
     sqrt(delta)/2 (the gap peaks at x = 0).  Keeping the output positive is
-    what lets the safety filter gain stay differentiable.
+    what lets the safety filter gain stay differentiable.  In floating point
+    the sum cancels for very negative x: the exact value is about
+    delta / (4 |x|), but ``smooth_max(-1e5, 1e-3)`` is 0.17% off it and
+    ``smooth_max(-1e9, 1e-3)`` is 0.0.  The form is kept as it is because
+    every recorded trajectory is computed with it.
     """
     if delta <= 0.0:
         raise NonPositiveDelta("delta must be positive")

@@ -26,7 +26,8 @@ from asfes.cli import (
     write_trajectory_csv,
 )
 from asfes.dynamics import StateLayout, Variant, make_rhs, reduced_rhs
-from asfes.errors import NonFiniteValue, ParseError, ResonantTriple, ValidationError
+from asfes.errors import (NonFiniteValue, ParseError, ResonantTriple, UnusableOutput,
+                          ValidationError)
 from asfes.integrate import full_state_channels, integrate, reduced_channels, warmup
 
 EX1_SMALL = """
@@ -124,6 +125,16 @@ class TestParseScenario:
         rc = main(["simulate", str(tmp_path / "nope.scenario"), "--out",
                    str(tmp_path / "out")])
         assert rc == 1
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "latin.scenario"
+        path.write_bytes(b"[plant]\nj_star = 0\xff\n")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            parse_scenario(path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("old, new, key", [
         ("k = 0.3", "k = nan", "k"),
@@ -264,6 +275,31 @@ def test_simulate_exits_0_1_or_2(tmp_path_factory, scenario_dir, name, edits):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["simulate", str(path), "--out", str(base / "fuzz_simulate")]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("where", ["file", "under_file"])
+def test_out_that_cannot_be_a_directory_is_rejected(tmp_path, monkeypatch, capsys,
+                                                    command, where):
+    # --out naming a file, or a path through one, is a named validation
+    # error, raised before anything is stepped
+    import asfes.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("stepped before the output directory was checked")
+
+    for name in ("warmup", "integrate"):
+        monkeypatch.setattr(cli, name, never)
+    path = write_scenario(tmp_path, EX1_SMALL)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker if where == "file" else blocker / "sub"
+    runner = run_simulate if command == "simulate" else run_analyze
+    with pytest.raises(UnusableOutput, match="--out"):
+        runner(parse_scenario(path), out)
+    assert main([command, str(path), "--out", str(out)]) == 1
+    assert "--out" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 class TestRunSimulate:

@@ -446,6 +446,17 @@ class TestStateLayout:
                   and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
         assert len(nested) == 1, [ast.dump(node)[:60] for node in nested]
 
+    def test_rk4_holds_one_stepping_loop(self):
+        # one state and a batch step in the same loop, with the stage
+        # operations of each shape bound before it
+        src = Path(asfes.__file__).parent / "integrate.py"
+        tree = ast.parse(src.read_text())
+        rk4 = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_rk4")
+        loops = [node for node in ast.walk(rk4) if isinstance(node, ast.For)
+                 and ast.unparse(node.iter) == "range(n_steps)"]
+        assert len(loops) == 1
+
     @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs"])
     def test_fields_take_no_matrix_product(self, name):
         # a BLAS product's order of summation, and its fused multiply-adds,
@@ -484,6 +495,42 @@ def test_rates_are_one_per_member(n, field, rng):
     with pytest.raises(DimensionMismatch, match=r"^c holds .*, 2 in all, for a batch of 3$"):
         call(np.array([0.3, 0.5]), batch)
     assert call(np.array([0.3, 0.5, 0.7]), batch).shape == batch.shape
+
+
+@pytest.mark.parametrize("case", [
+    (1, Variant.ASFES), (1, Variant.NEWTON_ASFES), (1, Variant.CLASSICAL_ES),
+    (2, Variant.ASFES), (2, Variant.CLASSICAL_ES), (3, Variant.ASFES), "average1",
+    "average2", "average3",
+])
+def test_fields_return_a_list_for_a_list(case, rng):
+    # the integrator passes one state as a list of floats: the dithered and
+    # averaged fields answer with a list, an array with an array, and the
+    # two hold the same bits
+    if isinstance(case, str):
+        n = int(case[-1])
+        plant, cfg = random_plant(rng, n), random_config(rng, n)
+        average = make_average_rhs(plant, cfg)
+
+        def field(y):
+            return average(y)
+    else:
+        n, variant = case
+        plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+        dithered = make_rhs(plant, cfg)
+
+        def field(y):
+            return dithered(0.37, y)
+    y = random_full_state(rng, n)
+    if case == (1, Variant.NEWTON_ASFES):
+        y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
+    from_array = field(y)
+    from_list = field(y.tolist())
+    assert type(from_array) is np.ndarray and type(from_list) is list
+    assert all(type(v) is float for v in from_list)
+    assert np.array(from_list).tobytes() == from_array.tobytes()
+    for wrong in (y.tolist()[:-1], y.tolist() + [0.0]):
+        with pytest.raises(DimensionMismatch):
+            field(wrong)
 
 
 class TestStateContainers:

@@ -19,9 +19,10 @@ from asfes import (
     validate_plant,
 )
 from asfes.analysis import average_equilibrium
-from asfes.dynamics import StateLayout, make_average_rhs, make_rhs
+from asfes.dynamics import StateLayout, make_average_rhs, make_rhs, reduced_rhs
 from asfes.errors import (
     ComputationError,
+    DimensionMismatch,
     NonFiniteState,
     NonFiniteValue,
     NonPositiveDefiniteHessian,
@@ -39,6 +40,7 @@ from asfes.integrate import (
     full_state_channels,
     integrate,
     numeric_average,
+    step_count,
     warmup,
 )
 from asfes.sampling import random_config, random_full_state, random_plant
@@ -74,7 +76,7 @@ class TestSettings:
 
 class TestIntegrate:
     def test_exponential_decay(self):
-        traj = integrate(lambda t, y: -y, np.array([1.0]),
+        traj = integrate(lambda t, y: [-v for v in y], np.array([1.0]),
                          IntegrationSettings(dt=1e-3, t_end=1.0, record_stride=1000))
         assert traj.times[-1] == pytest.approx(1.0, abs=1e-12)
         assert traj.states[-1, 0] == pytest.approx(math.exp(-1.0), abs=1e-9)
@@ -95,7 +97,7 @@ class TestIntegrate:
     def test_non_finite_state_raises_with_time_and_partial(self):
         # finite-time blow-up of dx/dt = x^2 from x(0) = 1 at t = 1
         with pytest.raises(NonFiniteState) as exc:
-            integrate(lambda t, y: y * y, np.array([1.0]),
+            integrate(lambda t, y: [v * v for v in y], np.array([1.0]),
                       IntegrationSettings(dt=1e-3, t_end=2.0))
         assert 0.9 < exc.value.time < 1.1
         assert exc.value.partial is not None
@@ -231,6 +233,104 @@ class TestBatch:
             integrate(make_rhs(plant2, with_c(cfg2, cs[1])), x0[:, 1], run_settings, **kwargs)
         assert runs[1].diverged_at == exc.value.time < 0.2
         assert_same_run(runs[1], exc.value.partial)     # channels included
+
+
+def _rk4_reference(rhs, x0, settings, gamma_index=None):
+    """The one-state RK4 loop as it was written on numpy arrays: the state
+    and its stages are ``(size,)`` arrays, and ``rhs`` gets and returns
+    arrays.  Returns ``(times, states, gamma_exceeded_at, diverged_at)``."""
+    y = np.array(x0, dtype=float)
+    n_steps = step_count(settings.t_end, settings.dt)
+    h = settings.t_end / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    times, states = [0.0], [y.copy()]
+    gamma_exceeded_at = diverged_at = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            t = i * h
+            k1 = rhs(t, y)
+            k2 = rhs(t + half, y + half * k1)
+            k3 = rhs(t + half, y + half * k2)
+            k4 = rhs(t + h, y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_next = (i + 1) * h
+            if not np.isfinite(y).all():
+                diverged_at = t_next
+                break
+            if (gamma_index is not None and gamma_exceeded_at is None
+                    and abs(y[gamma_index]) > settings.gamma_guard):
+                gamma_exceeded_at = t_next
+            if (i + 1) % settings.record_stride == 0 or i + 1 == n_steps:
+                times.append(t_next)
+                states.append(y.copy())
+    return np.array(times), np.array(states), gamma_exceeded_at, diverged_at
+
+
+def _one_state_case(model, n, variant, seed):
+    """A random plant's field of ``model``, a start, the gamma row (None
+    for the reduced model, which has no gamma) and the configuration."""
+    rng = np.random.default_rng(seed)
+    plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+    theta0 = rng.uniform(-2.0, 2.0, n)
+    if model == "reduced":
+        return (lambda t, y: reduced_rhs(plant, cfg, y)), theta0 - plant.theta_star, None, cfg
+    x0 = exact_initial_state(plant, cfg, theta0).as_vector()
+    if model == "average":
+        x0[:n] -= plant.theta_star
+        f = make_average_rhs(plant, cfg)
+        return (lambda t, y: f(y)), x0, StateLayout.of(n).gamma, cfg
+    return make_rhs(plant, cfg), x0, StateLayout.of(n).gamma, cfg
+
+
+class TestFloatStepper:
+    @pytest.mark.parametrize("model, n, variant", [
+        ("full", 1, Variant.ASFES), ("full", 1, Variant.NEWTON_ASFES),
+        ("full", 1, Variant.CLASSICAL_ES), ("full", 2, Variant.ASFES),
+        ("average", 1, Variant.ASFES), ("average", 2, Variant.ASFES),
+        ("reduced", 1, Variant.ASFES), ("reduced", 2, Variant.ASFES),
+        ("reduced", 3, Variant.ASFES),
+    ])
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_matches_the_array_arithmetic(self, model, n, variant, seed):
+        # one state steps on Python floats; every record, and the time the
+        # gamma guard is crossed, is bit for bit the numpy loop's
+        rhs, x0, gamma_at, cfg = _one_state_case(model, n, variant, seed)
+        guard = 1e6
+        if gamma_at is not None:
+            # gamma from half its fixed point climbs back, across the guard
+            x0[gamma_at] *= 0.5
+            guard = 1.2 * x0[gamma_at]
+        dt = 0.01 if model == "reduced" else default_dt(cfg.dither)
+        settings = IntegrationSettings(dt=dt, t_end=400 * dt, record_stride=7, gamma_guard=guard)
+        times, states, crossed, diverged = _rk4_reference(rhs, x0, settings, gamma_at)
+        try:
+            traj = integrate(rhs, x0, settings, gamma_index=gamma_at)
+        except NonFiniteState as exc:       # a Newton start may escape
+            traj = exc.partial
+        assert traj.diverged_at == diverged
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.gamma_exceeded_at == crossed
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_diverging_run_matches_the_array_arithmetic(self, n):
+        # a negative gamma makes the Riccati row escape in finite time
+        rhs, x0, gamma_at, cfg = _one_state_case("full", n, Variant.ASFES, 5)
+        x0[gamma_at] = -5.0
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=1.0, record_stride=3)
+        times, states, crossed, diverged = _rk4_reference(rhs, x0, settings, gamma_at)
+        assert diverged is not None
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(rhs, x0, settings, gamma_index=gamma_at)
+        partial = exc.value.partial
+        assert exc.value.time == partial.diverged_at == diverged
+        assert partial.times.tobytes() == times.tobytes()
+        assert partial.states.tobytes() == states.tobytes()
+        assert partial.gamma_exceeded_at == crossed
+
+    def test_rhs_of_another_length_is_a_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            integrate(lambda t, y: [0.0], np.zeros(2), IntegrationSettings(dt=0.1, t_end=1.0))
 
 
 class TestWarmup:
