@@ -15,6 +15,7 @@ from .dynamics import (
     Variant,
     boundary_layer_rhs,
     make_average_rhs,
+    make_reduced_rhs,
     make_rhs,
     reduced_rhs,
 )
@@ -51,9 +52,7 @@ from .problem import (
 from .signals import (
     DitherConfig,
     common_period,
-    demod,
     dither,
-    newton_demod,
     signal_period,
     smooth_max,
     validate_frequencies,

@@ -24,6 +24,7 @@ from .dynamics import (
     StateLayout,
     Variant,
     make_average_rhs,
+    make_reduced_rhs,
     make_rhs,
     reduced_rhs,
 )
@@ -314,28 +315,43 @@ def write_trajectory_csv(
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
-def _stepped_as_batch(n: int, members: int) -> bool:
-    """Whether ``members`` runs of an n-parameter plant step as one batch:
-    a dithered variant's c x theta0 product, or the reduced model's.
+# a product of more members than this steps as one batch (see _stepped_as_batch)
+BATCH_ABOVE = 16
 
-    A lone state steps on Python floats.  Per RK4 step of the dithered
-    field, on a shared 2-core VM (Python 3.11, numpy 2.4): at n = 1 one
-    state takes 10-12 us, against 8-10 us for one member's share of a
-    16-member batch, 33 us at B = 4 and 2.2-2.5 us at B = 64; at n = 2 one
-    state takes 92-113 us, against 61 us a member at B = 4 and 14 us at
-    B = 16.  So n = 1 runs step one by one.  No bundled or benchmarked
-    scenario has a multi-member n = 1 product to measure that choice on.
+
+def _stepped_as_batch(members: int) -> bool:
+    """Whether ``members`` runs step as one batch: a dithered variant's
+    c x theta0 product, the warmup of its distinct starts, or the reduced
+    model's product.  Otherwise each run steps alone on Python floats.
+
+    A batch pays numpy's per-call cost once per row operation for all its
+    members, a lone state only float arithmetic.  Per RK4 step of the
+    dithered field, in us per member (medians of 7 rounds on a shared
+    2-core VM, Python 3.11, numpy 2.4; ``BENCH_templated_field.json``):
+
+    =====  =========  ======  ======  ======  ======  ======
+    n      one state  B = 8   B = 16  B = 20  B = 32  B = 64
+    =====  =========  ======  ======  ======  ======  ======
+    1      16.6       27.8    15.0    12.3    7.9     4.0
+    2      21.1       46.1    24.4    19.9    12.6    6.5
+    3      26.3       63.9    32.4    26.0    17.7    8.8
+    =====  =========  ======  ======  ======  ======  ======
+
+    The batch overtakes one state at 15-16 members at n = 1, 17-20 at
+    n = 2 and 20-23 at n = 3 over three such runs.  Near there a batch's
+    per-member cost changes only as 1/B, so one threshold serves every n.
+    The reduced model's rows are cheaper and cross over at 8-16 members;
+    its runs are short.
     """
-    return members > 1 and n > 1
+    return members > BATCH_ABOVE
 
 
-def _step_product(n: int, field, cs: list, x0: list, settings: IntegrationSettings,
-                  **kwargs) -> list:
+def _step_product(field, cs: list, x0: list, settings: IntegrationSettings, **kwargs) -> list:
     """Trajectories of the members ``(cs[i], x0[i])``, stepped as one batch
     where :func:`_stepped_as_batch` says so and one by one otherwise.
     ``field(c)`` is the right-hand side for one rate or a vector of rates,
     one per member; ``kwargs`` go to :func:`integrate`."""
-    if _stepped_as_batch(n, len(cs)):
+    if _stepped_as_batch(len(cs)):
         return integrate(field(np.array(cs)), np.stack(x0, axis=1), settings, **kwargs)
     return [_integrate_kept(field(c), state0, settings, **kwargs)
             for c, state0 in zip(cs, x0)]
@@ -357,7 +373,7 @@ def _warm_starts(scenario: Scenario) -> dict:
     for newton in sorted({v is Variant.NEWTON_ASFES for v in scenario.variants_to_run}):
         cfg = scenario.config_for(scenario.c_values[0],
                                   Variant.NEWTON_ASFES if newton else Variant.ASFES)
-        if _stepped_as_batch(plant.dimension, len(starts)):
+        if _stepped_as_batch(len(starts)):
             results = warmup(plant, cfg, np.stack(starts, axis=1), settings, tol)
         else:
             results = []
@@ -390,7 +406,7 @@ def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
         notes.append(member_notes)
         x0.append(state0.as_vector())
     cfg = scenario.config_for(scenario.c_values[0], variant)
-    trajs = _step_product(n, lambda c: make_rhs(plant, cfg, c=c), [c for c, _ in members], x0,
+    trajs = _step_product(lambda c: make_rhs(plant, cfg, c=c), [c for c, _ in members], x0,
                           scenario.settings, channels=full_state_channels(plant, cfg),
                           gamma_index=gamma_at)
     return list(zip(trajs, notes))
@@ -405,12 +421,14 @@ def _reduced_product(scenario: Scenario, settings: IntegrationSettings) -> list:
     cfg = scenario.config_for(scenario.c_values[0], Variant.ASFES)
 
     def field(c):
+        # reduced_rhs builds the field on each call, where the other runs
+        # build it once: perfbench's tracer counts the reduced model's
+        # calls through dynamics.reduced_rhs
         return lambda t, y: reduced_rhs(plant, cfg, y, c=c)
 
     cs = [c for c in scenario.c_values for _ in scenario.initial_thetas]
     x0 = [th - plant.theta_star for _ in scenario.c_values for th in scenario.initial_thetas]
-    return _step_product(plant.dimension, field, cs, x0, settings,
-                         channels=reduced_channels(plant))
+    return _step_product(field, cs, x0, settings, channels=reduced_channels(plant))
 
 
 def _integrate_kept(*args, **kwargs) -> Trajectory:
@@ -439,10 +457,11 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     reduced hierarchies when asked), writing one CSV per run and a summary.
 
     Each variant's c x theta0 product, and the reduced model's, is stepped
-    as one batch (at n >= 2), the dithered ones after one warmup per
-    distinct start; the averaged runs step one by one.  Returns 0 on
-    success, 2 if any run diverged (its CSV then holds the trajectory up to
-    the failure, and its summary block a DIVERGED note).
+    as one batch where :func:`_stepped_as_batch` says so and run by run
+    otherwise, the dithered ones after one warmup per distinct start; the
+    averaged runs step one by one.  Returns 0 on success, 2 if any run
+    diverged (its CSV then holds the trajectory up to the failure, and its
+    summary block a DIVERGED note).
     """
     out = _output_dir(output_dir)
     plant = scenario.plant
@@ -571,9 +590,9 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit(sec, "j11_fd_rel_error",
              float(np.max(np.abs(lead - j11)) / max(1.0, np.max(np.abs(j11)))))
         j_r = analysis.reduced_jacobian(plant, cfg, eq)
+        reduced = make_reduced_rhs(plant, cfg)
         fd_r = analysis.finite_diff_jacobian(
-            lambda x: reduced_rhs(plant, cfg, x + eq.theta_tilde_ae),
-            np.zeros(n), 1e-6)
+            lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
         emit(sec, "jr_fd_rel_error",
              float(np.max(np.abs(fd_r - j_r)) / max(1.0, np.max(np.abs(j_r)))))
         lines.append("")
@@ -681,9 +700,10 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         plant = random_plant(rng, nn, h0_sign=-1)
         cfg = random_config(rng, nn)
         settings = IntegrationSettings(dt=0.005, t_end=8.0, record_stride=1)
+        reduced = make_reduced_rhs(plant, cfg)
         for start_scale in (1.0, -1.0):
             x0 = plant.h1 / float(np.linalg.norm(plant.h1)) * start_scale * 2.0
-            traj = integrate(lambda t, y: reduced_rhs(plant, cfg, y), x0,
+            traj = integrate(lambda t, y: reduced(y), x0,
                              settings, channels=reduced_channels(plant))
             gap = traj.h_values - traj.h_values[0] * np.exp(-cfg.c * traj.times)
             worst_gap = min(worst_gap, float(np.min(gap)))

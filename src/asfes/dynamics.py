@@ -13,19 +13,23 @@ Five systems share one state, whose blocks and their positions
   rows alone.
 
 States are component-major.  One run is a ``(size,)`` vector; the dithered
-algorithm also steps a batch of B runs as one ``(size, B)`` array, one
-column per member, so the layout's slices and indices address both shapes
-the same way.  At n = 1 the dithered field reads each block as one row
-instead: a float for one state, a ``(B,)`` row for a batch.  The reduced
-model likewise takes one point ``(n,)``, read as floats, or a batch
-``(n, B)``, read as ``(B,)`` rows.
+algorithm and the reduced model also step a batch of B runs as one
+``(size, B)`` array, one column per member, so the layout's slices and
+indices address both shapes the same way.
 
-The integrator steps one state on Python floats and hands it to a field as
-a list of floats (see :mod:`asfes.integrate`).  The dithered and averaged
-fields then return a list, the reduced model an array; given an array,
-each field returns an array.  Within a batch nothing is summed across
-members, and every sum runs left to right, so each member's trajectory is
-bit-for-bit the one it has when run alone.
+The dithered, averaged and reduced fields are each written once, as an
+expression template: a generator emits the source of the field with every
+component unrolled for the dimension n (and, for the dithered field, the
+variant), and the source is compiled once per model, n and shape.  One
+state is computed on Python floats, a list in and a list out, as the
+integrator passes it (see :mod:`asfes.integrate`); a batch is computed on
+its ``(B,)`` rows with numpy.  A 1-D array goes through the float shape and
+comes back as an array.  On a few components numpy's per-call cost, not
+the arithmetic, sets the price of a call: one n = 2 call of the dithered
+field costs about 2 us on floats against 37 us on ``(n,)`` arrays.  Every
+sum runs left to right, no matrix product is taken, and nothing is summed
+across members, so each member of a batch is bit for bit the run it has
+alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -36,14 +40,14 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
+import types
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
-from .problem import PlantModel, component_sum, hessian_columns, hessian_product
+from .problem import PlantModel
 from .signals import DitherConfig
 
 
@@ -203,6 +207,164 @@ def _check_members(c: np.ndarray, y) -> None:
             f"c holds one rate per member, {c.shape[0]} in all, for {given}")
 
 
+# ---- the fields' expression template ------------------------------------------
+#
+# Each field is written once, below, as the source of one function with every
+# component unrolled for the dimension n.  Every sum runs left to right and is
+# fully parenthesised, so one member's value never depends on the batch
+# around it.  One source serves two shapes, which differ only in the names
+# the function finds in its namespace and in how the result is assembled:
+#
+# * floats: one state as a list of Python floats, with math's sin and sqrt;
+#   the function returns a list;
+# * rows: a component-major batch ``(size, B)``, each component a ``(B,)``
+#   row, with numpy's sin and sqrt; the function returns a ``(size, B)``
+#   array.
+#
+# math.sin and math.sqrt round as numpy's do, so a member of a batch is bit
+# for bit the state run alone.  Plant and design constants are bound through
+# the namespace as well, never written into the source, so each source is
+# compiled once per (model, n, shape).
+
+_SHAPES = {"floats": {"sin": math.sin, "sqrt": math.sqrt},
+           "rows": {"sin": np.sin, "sqrt": np.sqrt, "array": np.array}}
+# smooth_max(arg, delta), as the fields write it
+_SOFT_MAX = "(0.5 * (arg + sqrt(((arg * arg) + delta))))"
+
+
+def _sum(terms: list) -> str:
+    total = terms[0]
+    for term in terms[1:]:
+        total = f"({total} + {term})"
+    return total
+
+
+def _dot(left: str, right: str, n: int) -> str:
+    """sum_i left_i * right_i, the component names as format strings of i."""
+    return _sum([f"({left.format(i)} * {right.format(i)})" for i in range(n)])
+
+
+def _hessian_times(x: str, i: int, n: int) -> str:
+    """Component i of H x."""
+    return _sum([f"(H{i}_{j} * {x.format(j)})" for j in range(n)])
+
+
+def _field_parts(model: str, n: int) -> tuple:
+    """``(parameters, body lines, result expressions)`` of one field:
+    ``model`` is a :class:`Variant` value or ``"average"`` or ``"reduced"``."""
+    idx = range(n)
+    if model == "reduced":
+        # -k H x + h1/||h1||^2 * smooth_max(k x'H h1 - c (h0 + h1'x), delta)
+        lines = [f"{', '.join(f'x{i}' for i in idx)}, = x"]
+        lines += [f"hx{i} = {_hessian_times('x{}', i, n)}" for i in idx]
+        lines.append(f"arg = ((k * {_dot('hx{}', 'h1_{}', n)}) - "
+                     f"(c * (h0 + {_dot('h1_{}', 'x{}', n)})))")
+        lines.append(f"s = {_SOFT_MAX}")
+        return ["x"], lines, [f"((neg_k * hx{i}) + (p{i} * s))" for i in idx]
+
+    newton = model == Variant.NEWTON_ASFES.value
+    state = ([f"th{i}" for i in idx] + [f"gj{i}" for i in idx] + ["eta_j"]
+             + [f"gh{i}" for i in idx] + ["eta_h", "gamma"] + (["big_gamma"] if newton else []))
+    lines = [f"{', '.join(state)} = y"]
+    if model == "average":
+        # the state's theta block is theta_tilde; the filters relax to their
+        # period averages, eta_J with the probing bias
+        lines += [f"g{i} = {_hessian_times('th{}', i, n)}" for i in idx]
+        lines.append(f"jv = (j_star + (0.5 * {_dot('th{}', 'g{}', n)}))")
+        lines.append(f"hv = (h0 + {_dot('h1_{}', 'th{}', n)})")
+        lines.append("e_j = ((jv + trace_term) - eta_j)")
+        gj_rows = [f"(wf * (g{i} - gj{i}))" for i in idx]
+        gh_rows = [f"(wf * (h1_{i} - gh{i}))" for i in idx]
+    else:
+        # the plant is probed at theta_hat + a sin(omega t); the filters
+        # low-pass the measurements demodulated by (2/a) sin(omega t)
+        lines += [f"s{i} = sin((w{i} * t))" for i in idx]
+        lines += [f"d{i} = ((th{i} + (a * s{i})) - ts{i})" for i in idx]
+        lines += [f"hd{i} = {_hessian_times('d{}', i, n)}" for i in idx]
+        lines.append(f"jv = (j_star + (0.5 * {_dot('d{}', 'hd{}', n)}))")
+        lines.append(f"hv = (h0 + {_dot('h1_{}', 'd{}', n)})")
+        lines += [f"m{i} = (two_over_a * s{i})" for i in idx]
+        lines.append("e_j = (jv - eta_j)")
+        gj_rows = [f"(wf * ((e_j * m{i}) - gj{i}))" for i in idx]
+        gh_rows = [f"(wf * ((e_h * m{i}) - gh{i}))" for i in idx]
+    lines.append("e_h = (hv - eta_h)")
+    if model == Variant.CLASSICAL_ES.value:
+        theta_rows = [f"(neg_k * gj{i})" for i in idx]
+    else:
+        # the gradient row plus the safety override
+        # gamma * smooth_max(k G_J'G_h - c eta_h, delta) * G_h; the Newton
+        # variant scales G_J by Gamma in both terms
+        if newton:
+            lines.append("arg = ((((k * big_gamma) * gj0) * gh0) - (c * eta_h))")
+        else:
+            lines.append(f"arg = ((k * {_dot('gj{}', 'gh{}', n)}) - (c * eta_h))")
+        lines.append(f"safety = (gamma * {_SOFT_MAX})")
+        gain = "(neg_k * big_gamma)" if newton else "neg_k"
+        theta_rows = [f"(({gain} * gj{i}) + (safety * gh{i}))" for i in idx]
+    rows = theta_rows + gj_rows + ["(wf * e_j)"] + gh_rows + [
+        "(wf * e_h)", f"((wf * gamma) * (1.0 - (gamma * {_dot('gh{}', 'gh{}', n)})))"]
+    if newton:
+        # the Riccati row of Gamma, driven by the second-order demodulation
+        # J (16/a^2)(sin^2(omega t) - 1/2) of the objective
+        rows.append("((wf * big_gamma) * (1.0 - (((big_gamma * jv) * n_coef) "
+                    "* ((s0 * s0) - 0.5))))")
+    return (["y"] if model == "average" else ["t", "y"]), lines, rows
+
+
+def _field_source(model: str, n: int, shape: str) -> str:
+    """The source of one shape of a field (see the comment above
+    :func:`_sum`)."""
+    params, lines, rows = _field_parts(model, n)
+    result = "[" + ",\n            ".join(rows) + "]"
+    if shape == "rows":
+        result = f"array({result})"
+    body = "\n".join(f"    {line}" for line in [*lines, f"return {result}"])
+    return f"def {model}_{shape}({', '.join(params)}):\n{body}\n"
+
+
+@functools.cache
+def _field_code(model: str, n: int, shape: str) -> types.CodeType:
+    module = compile(_field_source(model, n, shape), f"<asfes {model} field, n={n}>", "exec")
+    return next(const for const in module.co_consts if isinstance(const, types.CodeType))
+
+
+def _field(model: str, n: int, shape: str, constants: dict) -> Callable:
+    """One shape of a field, bound to ``constants``."""
+    return types.FunctionType(_field_code(model, n, shape), {**constants, **_SHAPES[shape]})
+
+
+@functools.cache
+def _names(prefix: str, n: int) -> tuple:
+    """The names of the n components of a constant in the sources."""
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+@functools.cache
+def _plant_names(n: int) -> tuple:
+    return ("j_star", "h0", *_names("h1_", n), *_names("ts", n),
+            *(f"H{i}_{j}" for i in range(n) for j in range(n)))
+
+
+def _plant_constants(plant: PlantModel) -> dict:
+    """The plant's constants, as floats, by their names in the sources."""
+    values = [plant.j_star, plant.h0, *plant.h1.tolist(), *plant.theta_star.tolist(),
+              *plant.hessian.ravel().tolist()]
+    return dict(zip(_plant_names(plant.dimension), values))
+
+
+def _design_constants(cfg: AlgorithmConfig, c) -> dict:
+    return {"k": cfg.k, "neg_k": -cfg.k, "c": c, "delta": cfg.delta, "wf": cfg.omega_f}
+
+
+def _check_dimension(plant: PlantModel, cfg: AlgorithmConfig) -> int:
+    n = plant.dimension
+    if cfg.dimension != n:
+        raise DimensionMismatch(
+            f"dither has {cfg.dimension} frequencies, plant dimension is {n}"
+        )
+    return n
+
+
 def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
     """Build ``f(t, y) -> dy`` for the dithered algorithm of ``cfg.variant``.
 
@@ -229,104 +391,34 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
     ``t`` may also be a vector of B times, one per member.  ``c`` overrides
     ``cfg.c``: a scalar, or one attractivity rate per batch member.
 
-    One closure serves every dimension and both shapes.  At n = 1 each block
-    is a single row, which the closure reads as a Python float for one state
-    (straight from a list, with no array made on the way) and as a ``(B,)``
-    row for a batch.  At n >= 2 the blocks are ``(n,)`` or ``(n, B)``, and
-    component sums run left to right; a list's scalar blocks are read as
-    floats, its vector blocks from an array made of it, and ``dy`` is made
-    a list on the way out.  Everything constant is
-    hoisted out of the closure; the integrator calls it a few hundred
-    thousand times per run.
+    The arithmetic is the field's expression template, unrolled for n and
+    the variant and built in two shapes: one state on Python floats (a list
+    is read as it is, a 1-D array through ``tolist``) and a batch on its
+    ``(B,)`` rows.  The closure returned only checks the state and picks the
+    shape.  One state's RK4 step takes about 17 us at n = 1, 21 at n = 2
+    and 26 at n = 3 (medians on a shared 2-core VM, Python 3.11; see
+    ``BENCH_templated_field.json``).
     """
-    n = plant.dimension
-    if cfg.dimension != n:
-        raise DimensionMismatch(
-            f"dither has {cfg.dimension} frequencies, plant dimension is {n}"
-        )
+    n = _check_dimension(plant, cfg)
     c = _rates(cfg.c if c is None else c)
     per_member = not isinstance(c, float)
-
-    theta_star = plant.theta_star
-    j_star = plant.j_star
-    h0 = plant.h0
-    h1 = plant.h1
-    k, delta, wf = cfg.k, cfg.delta, cfg.omega_f
     a = cfg.dither.amplitude
-    omegas = cfg.dither.omegas()
-    two_over_a = 2.0 / a
-    newton = cfg.variant is Variant.NEWTON_ASFES
-    classical = cfg.variant is Variant.CLASSICAL_ES
-    layout = StateLayout.of(n, newton)
-    size = layout.size
-    theta_at, gj_at, ej_at, gh_at = layout.theta, layout.g_j, layout.eta_j, layout.g_h
-    eh_at, gamma_at, big_gamma_at = layout.eta_h, layout.gamma, layout.gamma_newton
-    n_coef = 16.0 / (a * a)
-    rows = n == 1
-    if rows:
-        # at n = 1 each block is one row: a float for one state (read from
-        # the list, or from y.tolist(), with math's sin and sqrt keeping it
-        # one; far cheaper than numpy scalars) and a (B,) view for a batch,
-        # so a component sum is the row itself and H d is h11 * d
-        theta_at, gj_at, gh_at = theta_at.start, gj_at.start, gh_at.start
-        total, hessian_times = operator.pos, operator.mul
-        consts = (float(omegas[0]), float(theta_star[0]), float(h1[0]), float(plant.hessian[0, 0]))
-        shaped = {1: consts + (math.sin, math.sqrt), 2: consts + (np.sin, np.sqrt)}
-    else:
-        # per-component constants shaped for one state (ndim 1) or a batch
-        # (ndim 2); on one state the component sums are Python floats, and
-        # math.sqrt rounds as np.sqrt does
-        total, hessian_times = component_sum, hessian_product
-        shaped = {
-            ndim: (omegas.reshape(shape), theta_star.reshape(shape), h1.reshape(shape),
-                   hessian_columns(plant.hessian, ndim), np.sin, root)
-            for ndim, shape, root in ((1, (n,), math.sqrt), (2, (n, 1), np.sqrt))
-        }
+    constants = {**_plant_constants(plant), **_design_constants(cfg, c), "a": a,
+                 "two_over_a": 2.0 / a, "n_coef": 16.0 / (a * a)}
+    constants.update(zip(_names("w", n), cfg.dither.omegas().tolist()))
+    floats, rows = (_field(cfg.variant.value, n, shape, constants) for shape in _SHAPES)
+    size = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES).size
 
     def rhs(t, y):
         if len(y) != size:
             raise DimensionMismatch(f"state vector of length {len(y)}, expected {size}")
-        listed = type(y) is list
         if per_member:
             _check_members(c, y)
-        ndim = 1 if listed else y.ndim
-        floats = rows and ndim == 1
-        w, ts, h1s, hcols, sin, root = shaped[ndim]
-        # a list's scalar blocks are read as floats, and so is every block at
-        # n = 1; a list's vector blocks at n >= 2 come from an array of it
-        scalars = y.tolist() if floats and not listed else y
-        blocks = scalars if floats else (np.array(y) if listed else y)
-        sins = sin(w * t)
-        d = blocks[theta_at] + a * sins - ts            # theta - theta* at the probe point
-        jv = j_star + 0.5 * total(d * hessian_times(hcols, d))
-        hv = h0 + total(h1s * d)
-        m = two_over_a * sins
-        gj = blocks[gj_at]
-        eta_j = scalars[ej_at]
-        gh = blocks[gh_at]
-        eta_h = scalars[eh_at]
-        gamma = scalars[gamma_at]
-        out = [0.0] * size if floats else np.empty(blocks.shape)
-        if classical:
-            out[theta_at] = -k * gj
-        elif newton:
-            big_gamma = blocks[big_gamma_at]
-            arg = k * big_gamma * gj * gh - c * eta_h
-            out[theta_at] = -k * big_gamma * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
-            out[big_gamma_at] = wf * big_gamma * (1.0 - big_gamma * jv * n_coef * (sins * sins - 0.5))
-        else:
-            arg = k * total(gj * gh) - c * eta_h
-            out[theta_at] = -k * gj + gamma * (0.5 * (arg + root(arg * arg + delta))) * gh
-        ej = jv - eta_j
-        eh = hv - eta_h
-        out[gj_at] = wf * (ej * m - gj)
-        out[ej_at] = wf * ej
-        out[gh_at] = wf * (eh * m - gh)
-        out[eh_at] = wf * eh
-        out[gamma_at] = wf * gamma * (1.0 - gamma * total(gh * gh))
-        if floats != listed:
-            return np.array(out) if floats else out.tolist()
-        return out
+        if type(y) is list:
+            return floats(t, y)
+        if y.ndim == 2:
+            return rows(t, y)
+        return np.array(floats(t, y.tolist()))
 
     return rhs
 
@@ -339,106 +431,77 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     parameter and gamma rows keep their original form.
 
     ``x`` is one state ``(size,)``, an array or a list of floats, and
-    ``dx`` has its type.
+    ``dx`` has its type.  It is computed on Python floats from the field's
+    expression template, with the dithered field's left-to-right sums.
     """
-    n = plant.dimension
-    if cfg.dimension != n:
-        raise DimensionMismatch(
-            f"dither has {cfg.dimension} frequencies, plant dimension is {n}"
-        )
-    hess = plant.hessian
-    j_star = plant.j_star
-    h0 = plant.h0
-    h1 = plant.h1
-    k, c, delta, wf = cfg.k, cfg.c, cfg.delta, cfg.omega_f
-    # the probing bias on the filtered objective; analysis-side knowledge
-    trace_term = 0.25 * cfg.dither.amplitude**2 * float(np.trace(hess))
-    layout = StateLayout.of(n)
-    size = layout.size
-    theta_at, gj_at, ej_at, gh_at = layout.theta, layout.g_j, layout.eta_j, layout.g_h
-    eh_at, gamma_at = layout.eta_h, layout.gamma
-    sqrt = math.sqrt
+    n = _check_dimension(plant, cfg)
+    constants = {**_plant_constants(plant), **_design_constants(cfg, cfg.c),
+                 # the probing bias on the filtered objective; analysis-side knowledge
+                 "trace_term": 0.25 * cfg.dither.amplitude**2 * float(np.trace(plant.hessian))}
+    floats = _field("average", n, "floats", constants)
+    size = StateLayout.of(n).size
 
     def rhs(x):
         if len(x) != size:
             raise DimensionMismatch(f"state vector of length {len(x)}, expected {size}")
-        listed = type(x) is list
-        if listed:
-            x = np.array(x)
-        tt = x[theta_at]
-        gj = x[gj_at]
-        eta_j = x[ej_at]
-        gh = x[gh_at]
-        eta_h = x[eh_at]
-        gamma = x[gamma_at]
-        h_tt = hess @ tt
-        jv = j_star + 0.5 * float(tt @ h_tt)
-        hv = h0 + float(h1 @ tt)
-        out = np.empty(size)
-        arg = k * float(gj @ gh) - c * eta_h
-        out[theta_at] = -k * gj + gamma * (0.5 * (arg + sqrt(arg * arg + delta))) * gh
-        out[gj_at] = wf * (h_tt - gj)
-        out[ej_at] = wf * (jv + trace_term - eta_j)
-        out[gh_at] = wf * (h1 - gh)
-        out[eh_at] = wf * (hv - eta_h)
-        out[gamma_at] = wf * gamma * (1.0 - gamma * float(gh @ gh))
-        return out.tolist() if listed else out
+        if type(x) is list:
+            return floats(x)
+        return np.array(floats(x.tolist()))
 
     return rhs
 
 
-def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r, c=None) -> np.ndarray:
-    """Quasi-steady reduced model in the theta_tilde coordinate.
+def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
+    """Build ``f(x) -> dx`` for the quasi-steady reduced model in the
+    theta_tilde coordinate.
 
     Obtained by pinning every filter at its instantaneous fixed point:
     -k H x + h1/||h1||^2 * smooth_max(k x'H h1 - c (h0 + h1'x), delta).
     Along this field h satisfies dh/dt + c h > 0, so {h >= 0} is forward
     invariant and h decays no faster than exp(-c t).
 
-    ``theta_tilde_r`` is one point ``(n,)`` (any sequence; a number at
-    n = 1) or a component-major batch ``(n, B)``, and the result has its
-    shape.  ``c`` overrides ``cfg.c`` as in :func:`make_rhs`: a scalar, or
-    one rate per batch member.  One point is computed on Python floats and
-    a batch on its ``(B,)`` rows, with the same left-to-right sums, so each
-    member is bit-for-bit its one-point value.  The result is an array,
-    also for a list of floats, which is read without a conversion.
+    ``x`` is one point ``(n,)`` (any sequence; a number at n = 1) or a
+    component-major batch ``(n, B)``, and the result has its shape: a list
+    for a list of floats, an array otherwise.  ``c`` overrides ``cfg.c`` as
+    in :func:`make_rhs`: a scalar, or one rate per batch member.  One point
+    is computed on Python floats and a batch on its ``(B,)`` rows, from the
+    same expression template, so each member is bit for bit its one-point
+    value.
     """
     n = plant.dimension
-    x = theta_tilde_r
-    # one point is read as Python floats (math.sqrt rounds as np.sqrt does):
-    # far cheaper than numpy on a few components.  A list of n floats, as
-    # the stepper passes it, is read as it is.
-    if not (type(x) is list and len(x) == n and all(type(v) is float for v in x)):
-        x = np.asarray(theta_tilde_r, float)
-        if x.ndim == 0:
-            x = x.reshape(1)
-        if x.ndim > 2 or x.shape[0] != n:
-            raise DimensionMismatch(
-                f"theta_tilde_r has shape {x.shape}, expected ({n},) or ({n}, B)")
-        if x.ndim == 1:
-            x = x.tolist()
     c = _rates(cfg.c if c is None else c)
-    if not isinstance(c, float):
-        _check_members(c, x)
-    root = math.sqrt if type(x) is list else np.sqrt
-    k = cfg.k
+    per_member = not isinstance(c, float)
     h1 = plant.h1.tolist()
-    # every sum left to right, none by BLAS or pairwise, so that nothing
-    # depends on the batch around a member
-    hx = []
-    for row in plant.hessian.tolist():
-        total = row[0] * x[0]
-        for j in range(1, n):
-            total = total + row[j] * x[j]
-        hx.append(total)
-    hx_h1, h1_x, q = hx[0] * h1[0], h1[0] * x[0], h1[0] * h1[0]
-    for i in range(1, n):
-        hx_h1 = hx_h1 + hx[i] * h1[i]
-        h1_x = h1_x + h1[i] * x[i]
-        q = q + h1[i] * h1[i]
-    arg = k * hx_h1 - c * (plant.h0 + h1_x)
-    s = 0.5 * (arg + root(arg * arg + cfg.delta))          # smooth_max(arg, delta)
-    return np.array([-k * hx_i + (h1_i / q) * s for hx_i, h1_i in zip(hx, h1)])
+    q = h1[0] * h1[0]
+    for v in h1[1:]:
+        q = q + v * v
+    constants = {**_plant_constants(plant), **_design_constants(cfg, c)}
+    constants.update(zip(_names("p", n), [v / q for v in h1]))
+    floats, rows = (_field("reduced", n, shape, constants) for shape in _SHAPES)
+
+    def reduced(x):
+        # a list of n floats, as the stepper passes it, is read as it is
+        if not (type(x) is list and len(x) == n and all(type(v) is float for v in x)):
+            x = np.asarray(x, float)
+            if x.ndim == 0:
+                x = x.reshape(1)
+            if x.ndim > 2 or x.shape[0] != n:
+                raise DimensionMismatch(
+                    f"theta_tilde_r has shape {x.shape}, expected ({n},) or ({n}, B)")
+        if per_member:
+            _check_members(c, x)
+        if type(x) is list:
+            return floats(x)
+        if x.ndim == 2:
+            return rows(x)
+        return np.array(floats(x.tolist()))
+
+    return reduced
+
+
+def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r, c=None) -> np.ndarray:
+    """:func:`make_reduced_rhs` built and called once, as an array."""
+    return np.asarray(make_reduced_rhs(plant, cfg, c)(theta_tilde_r))
 
 
 def boundary_layer_rhs(z_b, h1) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Dither and demodulation signals, the softened max, and period arithmetic.
+"""The dither, the softened max, and period arithmetic.
+
+The demodulation signals (2/a) sin(omega t) and the Newton variant's
+(16/a^2)(sin^2(omega t) - 1/2) are written into the fields themselves (see
+:mod:`asfes.dynamics`).
 
 Frequencies are stored as exact rationals times a common base scale so that
 admissibility (no duplicate frequencies, no pair summing to a third) and the
@@ -72,7 +76,7 @@ class DitherConfig:
         if any(r <= 0 for r in ratios):
             raise ValidationError("frequency ratios must be positive")
         validate_frequencies(ratios)
-        # read by every dither and demodulation call, so built once; Python
+        # read by every dither call and every field build, so built once; Python
         # floats overflow to inf without a warning, huge rationals raise
         try:
             omegas = np.array([self.base_scale * float(r) for r in ratios])
@@ -138,19 +142,6 @@ def dither(cfg: DitherConfig, t) -> np.ndarray:
     """Probing signal, component i equal to a*sin(omega_i t); for a vector
     of times, one column per time."""
     return cfg.amplitude * np.sin(np.multiply.outer(cfg.omegas(), t))
-
-
-def demod(cfg: DitherConfig, t: float) -> np.ndarray:
-    """Demodulation signal, component i equal to (2/a)*sin(omega_i t)."""
-    return (2.0 / cfg.amplitude) * np.sin(cfg.omegas() * t)
-
-
-def newton_demod(amplitude: float, omega: float, t: float) -> float:
-    """Second-order demodulator (16/a^2)(sin^2(omega t) - 1/2), scalar case."""
-    if amplitude <= 0.0:
-        raise NonPositiveAmplitude("amplitude must be positive")
-    s = math.sin(omega * t)
-    return (16.0 / amplitude**2) * (s * s - 0.5)
 
 
 def common_period(cfg: DitherConfig) -> float:

@@ -31,7 +31,7 @@ from asfes.analysis import (
     spectral_check,
 )
 from asfes.cli import parse_scenario, run_verify, warmup_settings
-from asfes.dynamics import StateLayout, make_average_rhs, make_rhs, reduced_rhs
+from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.errors import ComputationError
 from asfes.integrate import (
     IntegrationSettings,
@@ -205,9 +205,8 @@ def test_criterion_4_jacobian_oracles(plant1, cfg1, plant2, cfg2):
         rel11 = float(np.max(np.abs(fd[:j11.shape[0], :j11.shape[1]] - j11))
                       / max(1.0, np.max(np.abs(j11))))
         j_r = reduced_jacobian(plant, cfg, eq)
-        fd_r = finite_diff_jacobian(
-            lambda x: reduced_rhs(plant, cfg, x + eq.theta_tilde_ae),
-            np.zeros(n), 1e-6)
+        reduced = make_reduced_rhs(plant, cfg)
+        fd_r = finite_diff_jacobian(lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
         rel_r = float(np.max(np.abs(fd_r - j_r)) / max(1.0, np.max(np.abs(j_r))))
         worst11, worst_r = max(worst11, rel11), max(worst_r, rel_r)
     ok = worst11 <= 1e-6 and worst_r <= 1e-6
@@ -220,8 +219,9 @@ def test_criterion_5_reduced_exact_safety(ex1):
     plant, cfg = ex1.plant, ex1.config_for(0.1, Variant.ASFES)
     settings = IntegrationSettings(dt=0.01, t_end=150.0, record_stride=1)
     worst = math.inf
+    reduced = make_reduced_rhs(plant, cfg)
     for start in (-3.0, 0.5):  # safe (h = 2) and unsafe (h = -1.5)
-        traj = integrate(lambda t, y: reduced_rhs(plant, cfg, y),
+        traj = integrate(lambda t, y: reduced(y),
                          np.array([start - plant.theta_star[0]]), settings,
                          channels=reduced_channels(plant))
         rep = safety_report(traj, plant, cfg.c, constrained_minimum(plant))

@@ -24,7 +24,7 @@ from asfes.analysis import (
     spectral_check,
     z_matrix,
 )
-from asfes.dynamics import StateLayout, make_average_rhs, reduced_rhs
+from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs
 from asfes.errors import EmptyTrajectory, NonFiniteEntry, NonPositiveTolerance
 from asfes.integrate import (
     IntegrationSettings,
@@ -195,9 +195,9 @@ class TestJacobians:
         for plant, cfg in cases:
             eq = average_equilibrium(plant, cfg)
             j_r = reduced_jacobian(plant, cfg, eq)
+            reduced = make_reduced_rhs(plant, cfg)
             fd = finite_diff_jacobian(
-                lambda x: reduced_rhs(plant, cfg, x + eq.theta_tilde_ae),
-                np.zeros(plant.dimension), 1e-6)
+                lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(plant.dimension), 1e-6)
             assert np.max(np.abs(fd - j_r)) <= 1e-6 * max(1.0, np.max(np.abs(j_r)))
 
     def test_reduced_spectrum_real_negative(self, rng):
@@ -255,8 +255,8 @@ class TestSpectralCheck:
 class TestSafetyReport:
     def test_reduced_model_safe_start(self, plant1, cfg1):
         settings = IntegrationSettings(dt=0.01, t_end=150.0, record_stride=1)
-        traj = integrate(lambda t, y: reduced_rhs(plant1, cfg1, y),
-                         np.array([-3.0]), settings,
+        reduced = make_reduced_rhs(plant1, cfg1)
+        traj = integrate(lambda t, y: reduced(y), np.array([-3.0]), settings,
                          channels=reduced_channels(plant1))
         report = safety_report(traj, plant1, cfg1.c, constrained_minimum(plant1))
         assert report.worst_violation >= -1e-6
@@ -265,8 +265,8 @@ class TestSafetyReport:
 
     def test_reduced_model_unsafe_start(self, plant1, cfg1):
         settings = IntegrationSettings(dt=0.01, t_end=150.0, record_stride=1)
-        traj = integrate(lambda t, y: reduced_rhs(plant1, cfg1, y),
-                         np.array([0.5]), settings,
+        reduced = make_reduced_rhs(plant1, cfg1)
+        traj = integrate(lambda t, y: reduced(y), np.array([0.5]), settings,
                          channels=reduced_channels(plant1))
         report = safety_report(traj, plant1, cfg1.c, constrained_minimum(plant1))
         assert report.worst_violation >= -1e-6

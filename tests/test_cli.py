@@ -25,7 +25,7 @@ from asfes.cli import (
     warmup_settings,
     write_trajectory_csv,
 )
-from asfes.dynamics import StateLayout, Variant, make_rhs, reduced_rhs
+from asfes.dynamics import StateLayout, Variant, make_reduced_rhs, make_rhs
 from asfes.errors import (NonFiniteValue, ParseError, ResonantTriple, UnusableOutput,
                           ValidationError)
 from asfes.integrate import full_state_channels, integrate, reduced_channels, warmup
@@ -421,8 +421,9 @@ class TestRunSimulate:
                         assert vals[1:1 + n] == list(traj.thetas[i])
                         assert vals[1 + n:-3] == list(traj.states[i])
                         assert vals[-3:-1] == [traj.j_values[i], traj.h_values[i]]
-                # the reduced model's product, batched on example 2 too
-                reduced = integrate(lambda t, y: reduced_rhs(plant, cfg, y),
+                # the reduced model's product
+                field = make_reduced_rhs(plant, cfg)
+                reduced = integrate(lambda t, y: field(y),
                                     theta0 - plant.theta_star,
                                     _slow_settings(scenario.settings, cfg.omega_f),
                                     channels=reduced_channels(plant))

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from asfes import (
     QuadraticObjective,
     Variant,
     boundary_layer_rhs,
+    dither,
     eval_barrier,
     eval_objective,
     make_average_rhs,
@@ -27,11 +29,13 @@ from asfes import (
     smooth_max,
     validate_plant,
 )
+from asfes import dynamics
 from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
-from asfes.dynamics import StateLayout
+from asfes.dynamics import StateLayout, make_reduced_rhs
 from asfes.errors import DimensionMismatch, NotScalar
 from asfes.integrate import numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
+from oracles import demod, newton_demod
 
 
 def warmed_state_example1():
@@ -130,7 +134,8 @@ class TestAsfesRhs:
 
 
 def _generic_rhs_reference(plant, cfg, t, y):
-    """Plain numpy transcription of the dithered field (no fast path)."""
+    """Plain numpy transcription of the dithered field (no fast path), for
+    every variant."""
     n = plant.dimension
     sins = np.sin(cfg.dither.omegas() * t)
     d = y[:n] + cfg.dither.amplitude * sins - plant.theta_star
@@ -139,15 +144,83 @@ def _generic_rhs_reference(plant, cfg, t, y):
     m = (2.0 / cfg.dither.amplitude) * sins
     gj, eta_j = y[n:2 * n], y[2 * n]
     gh, eta_h, gamma = y[2 * n + 1:3 * n + 1], y[3 * n + 1], y[3 * n + 2]
-    arg = cfg.k * float(gj @ gh) - cfg.c * eta_h
+    gain = cfg.k * y[3 * n + 3] if cfg.variant is Variant.NEWTON_ASFES else cfg.k
+    arg = gain * float(gj @ gh) - cfg.c * eta_h
     out = np.empty_like(y)
-    out[:n] = -cfg.k * gj + gamma * smooth_max(arg, cfg.delta) * gh
+    out[:n] = -gain * gj
+    if cfg.variant is not Variant.CLASSICAL_ES:
+        out[:n] += gamma * smooth_max(arg, cfg.delta) * gh
+    if cfg.variant is Variant.NEWTON_ASFES:
+        big_gamma = y[3 * n + 3]
+        second = (16.0 / cfg.dither.amplitude**2) * (sins[0] ** 2 - 0.5)
+        out[3 * n + 3] = cfg.omega_f * big_gamma * (1.0 - big_gamma * jv * second)
     out[n:2 * n] = cfg.omega_f * ((jv - eta_j) * m - gj)
     out[2 * n] = cfg.omega_f * (jv - eta_j)
     out[2 * n + 1:3 * n + 1] = cfg.omega_f * ((hv - eta_h) * m - gh)
     out[3 * n + 1] = cfg.omega_f * (hv - eta_h)
     out[3 * n + 2] = cfg.omega_f * gamma * (1.0 - gamma * float(gh @ gh))
     return out
+
+
+def _random_states(rng, n, newton, members):
+    """A component-major batch of states with gamma (and Gamma) positive."""
+    layout = StateLayout.of(n, newton)
+    ys = rng.uniform(-2.0, 2.0, size=(layout.size, members))
+    ys[layout.gamma] = rng.uniform(0.1, 2.0, size=members)
+    if newton:
+        ys[layout.gamma_newton] = rng.uniform(0.2, 2.0, size=members)
+    return ys
+
+
+@hypothesis_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=st.one_of(
+           st.tuples(st.integers(1, 5), st.sampled_from([Variant.ASFES, Variant.CLASSICAL_ES])),
+           st.tuples(st.just(1), st.just(Variant.NEWTON_ASFES))),
+       members=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_float_field_is_each_rows_member(case, members, seed):
+    # the template's two shapes: one state on floats is bit for bit its
+    # member of a batch on rows (own time and rate), and both are the field
+    n, variant = case
+    rng = np.random.default_rng(seed)
+    plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+    ys = _random_states(rng, n, variant is Variant.NEWTON_ASFES, members)
+    ts, cs = rng.uniform(0.0, 2.0, size=members), rng.uniform(0.1, 2.0, size=members)
+    batch = make_rhs(plant, cfg, c=cs)(ts, ys)
+    for b in range(members):
+        one = make_rhs(plant, cfg, c=cs[b])(float(ts[b]), ys[:, b].tolist())
+        assert np.array(one).tobytes() == batch[:, b].tobytes()
+        want = _generic_rhs_reference(plant, replace(cfg, c=float(cs[b])), ts[b], ys[:, b])
+        np.testing.assert_allclose(one, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, variant", [
+    (1, Variant.ASFES), (1, Variant.NEWTON_ASFES), (1, Variant.CLASSICAL_ES),
+    (2, Variant.ASFES), (3, Variant.CLASSICAL_ES), (4, Variant.ASFES),
+])
+def test_filter_and_riccati_rows_demodulate(n, variant, rng):
+    # the filter rows low-pass J and h at the probe point, demodulated by
+    # (2/a) sin(omega t); the Newton row is driven by J (16/a^2)(sin^2 - 1/2)
+    newton = variant is Variant.NEWTON_ASFES
+    layout = StateLayout.of(n, newton)
+    plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+    f = make_rhs(plant, cfg)
+    wf = cfg.omega_f
+    for y, t in zip(_random_states(rng, n, newton, 10).T, rng.uniform(0.0, 5.0, size=10)):
+        dy = np.array(f(t, y.tolist()))
+        probe = y[layout.theta] + dither(cfg.dither, t)
+        jv, hv, m = eval_objective(plant, probe), eval_barrier(plant, probe), demod(cfg.dither, t)
+        want = [
+            (layout.g_j, wf * ((jv - y[layout.eta_j]) * m - y[layout.g_j])),
+            (layout.eta_j, wf * (jv - y[layout.eta_j])),
+            (layout.g_h, wf * ((hv - y[layout.eta_h]) * m - y[layout.g_h])),
+            (layout.eta_h, wf * (hv - y[layout.eta_h])),
+        ]
+        if newton:
+            big_gamma = y[layout.gamma_newton]
+            second = newton_demod(cfg.dither.amplitude, cfg.dither.omegas()[0], t)
+            want.append((layout.gamma_newton, wf * big_gamma * (1.0 - big_gamma * jv * second)))
+        for rows, value in want:
+            np.testing.assert_allclose(dy[rows], value, rtol=1e-12, atol=1e-12)
 
 
 class TestNewtonRhs:
@@ -457,25 +530,32 @@ class TestStateLayout:
                  and ast.unparse(node.iter) == "range(n_steps)"]
         assert len(loops) == 1
 
-    @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs"])
+    @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs", "make_reduced_rhs",
+                                      "make_average_rhs", "_field_parts", "generated"])
     def test_fields_take_no_matrix_product(self, name):
         # a BLAS product's order of summation, and its fused multiply-adds,
         # may depend on the batch around a member; the fields sum left to
         # right, so that nothing sums across members and each member is
-        # bit for bit its own run
-        src = Path(asfes.__file__).parent / "dynamics.py"
-        tree = ast.parse(src.read_text())
-        field = next(node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == name)
+        # bit for bit its own run.  "generated" is every source the
+        # template emits.
+        if name == "generated":
+            models = [v.value for v in Variant] + ["average", "reduced"]
+            trees = [ast.parse(dynamics._field_source(model, n, shape))
+                     for model in models for n in (1, 2, 3) for shape in ("floats", "rows")
+                     if model != Variant.NEWTON_ASFES.value or n == 1]
+        else:
+            src = Path(asfes.__file__).parent / "dynamics.py"
+            trees = [next(node for node in ast.parse(src.read_text()).body
+                          if isinstance(node, ast.FunctionDef) and node.name == name)]
         products = ("dot", "vdot", "inner", "matmul", "einsum", "tensordot")
-        found = [ast.dump(node)[:60] for node in ast.walk(field)
+        found = [ast.dump(node)[:60] for tree in trees for node in ast.walk(tree)
                  if isinstance(getattr(node, "op", None), ast.MatMult)
                  or (isinstance(node, ast.Attribute) and node.attr in products)
                  or (isinstance(node, ast.Name) and node.id in products)]
         assert found == []
 
 
-@pytest.mark.parametrize("field", ["make_rhs", "reduced_rhs"])
+@pytest.mark.parametrize("field", ["make_rhs", "reduced_rhs", "make_reduced_rhs"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_rates_are_one_per_member(n, field, rng):
     # per-member rates on one state, or on a batch of another size, are a
@@ -485,9 +565,13 @@ def test_rates_are_one_per_member(n, field, rng):
         def call(c, y):
             return make_rhs(plant, cfg, c=c)(0.0, y)
         one = random_full_state(rng, n)
-    else:
+    elif field == "reduced_rhs":
         def call(c, y):
             return reduced_rhs(plant, cfg, y, c=c)
+        one = rng.uniform(-1.0, 1.0, n)
+    else:
+        def call(c, y):
+            return make_reduced_rhs(plant, cfg, c=c)(y)
         one = rng.uniform(-1.0, 1.0, n)
     batch = np.stack([one] * 3, axis=1)
     with pytest.raises(DimensionMismatch, match=r"^c holds .*, 1 in all, for one state$"):
@@ -500,19 +584,16 @@ def test_rates_are_one_per_member(n, field, rng):
 @pytest.mark.parametrize("case", [
     (1, Variant.ASFES), (1, Variant.NEWTON_ASFES), (1, Variant.CLASSICAL_ES),
     (2, Variant.ASFES), (2, Variant.CLASSICAL_ES), (3, Variant.ASFES), "average1",
-    "average2", "average3",
+    "average2", "average3", "reduced1", "reduced2", "reduced3",
 ])
 def test_fields_return_a_list_for_a_list(case, rng):
-    # the integrator passes one state as a list of floats: the dithered and
-    # averaged fields answer with a list, an array with an array, and the
-    # two hold the same bits
+    # the integrator passes one state as a list of floats: the dithered,
+    # averaged and reduced fields answer with a list, an array with an
+    # array, and the two hold the same bits
     if isinstance(case, str):
         n = int(case[-1])
         plant, cfg = random_plant(rng, n), random_config(rng, n)
-        average = make_average_rhs(plant, cfg)
-
-        def field(y):
-            return average(y)
+        field = (make_average_rhs if case.startswith("average") else make_reduced_rhs)(plant, cfg)
     else:
         n, variant = case
         plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
@@ -520,7 +601,7 @@ def test_fields_return_a_list_for_a_list(case, rng):
 
         def field(y):
             return dithered(0.37, y)
-    y = random_full_state(rng, n)
+    y = rng.uniform(-1.0, 1.0, n) if str(case).startswith("reduced") else random_full_state(rng, n)
     if case == (1, Variant.NEWTON_ASFES):
         y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
     from_array = field(y)

@@ -19,7 +19,7 @@ from asfes import (
     validate_plant,
 )
 from asfes.analysis import average_equilibrium
-from asfes.dynamics import StateLayout, make_average_rhs, make_rhs, reduced_rhs
+from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.errors import (
     ComputationError,
     DimensionMismatch,
@@ -273,7 +273,8 @@ def _one_state_case(model, n, variant, seed):
     plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
     theta0 = rng.uniform(-2.0, 2.0, n)
     if model == "reduced":
-        return (lambda t, y: reduced_rhs(plant, cfg, y)), theta0 - plant.theta_star, None, cfg
+        reduced = make_reduced_rhs(plant, cfg)
+        return (lambda t, y: reduced(y)), theta0 - plant.theta_star, None, cfg
     x0 = exact_initial_state(plant, cfg, theta0).as_vector()
     if model == "average":
         x0[:n] -= plant.theta_star

@@ -7,9 +7,7 @@ import pytest
 from asfes import (
     DitherConfig,
     common_period,
-    demod,
     dither,
-    newton_demod,
     signal_period,
     smooth_max,
     validate_frequencies,
@@ -20,6 +18,7 @@ from asfes.errors import (
     NonPositiveDelta,
     ResonantTriple,
 )
+from oracles import demod, newton_demod
 
 
 class TestSmoothMax:
