@@ -24,7 +24,6 @@ from .dynamics import (
     StateLayout,
     Variant,
     make_average_rhs,
-    make_reduced_rhs,
     make_rhs,
     reduced_rhs,
 )
@@ -341,7 +340,10 @@ def _stepped_as_batch(members: int) -> bool:
     n = 2 and 20-23 at n = 3 over three such runs.  Near there a batch's
     per-member cost changes only as 1/B, so one threshold serves every n.
     The reduced model's rows are cheaper and cross over at 8-16 members;
-    its runs are short.
+    its runs are short.  End to end, ``run_simulate`` on 32-member
+    products at n = 1 and 2 took 0.79-0.88 of the member-by-member time
+    under this rule, and batched products of 8-16 members took 1.05-2.4
+    times as long.
     """
     return members > BATCH_ABOVE
 
@@ -421,9 +423,9 @@ def _reduced_product(scenario: Scenario, settings: IntegrationSettings) -> list:
     cfg = scenario.config_for(scenario.c_values[0], Variant.ASFES)
 
     def field(c):
-        # reduced_rhs builds the field on each call, where the other runs
-        # build it once: perfbench's tracer counts the reduced model's
-        # calls through dynamics.reduced_rhs
+        # reduced_rhs reuses the field it built last, so each run builds it
+        # once; every reduced run steps through it, and perfbench's tracer
+        # counts the reduced model's calls by that name
         return lambda t, y: reduced_rhs(plant, cfg, y, c=c)
 
     cs = [c for c in scenario.c_values for _ in scenario.initial_thetas]
@@ -590,9 +592,9 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit(sec, "j11_fd_rel_error",
              float(np.max(np.abs(lead - j11)) / max(1.0, np.max(np.abs(j11)))))
         j_r = analysis.reduced_jacobian(plant, cfg, eq)
-        reduced = make_reduced_rhs(plant, cfg)
         fd_r = analysis.finite_diff_jacobian(
-            lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
+            lambda x: reduced_rhs(plant, cfg, x + eq.theta_tilde_ae),
+            np.zeros(n), 1e-6)
         emit(sec, "jr_fd_rel_error",
              float(np.max(np.abs(fd_r - j_r)) / max(1.0, np.max(np.abs(j_r)))))
         lines.append("")
@@ -700,10 +702,9 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         plant = random_plant(rng, nn, h0_sign=-1)
         cfg = random_config(rng, nn)
         settings = IntegrationSettings(dt=0.005, t_end=8.0, record_stride=1)
-        reduced = make_reduced_rhs(plant, cfg)
         for start_scale in (1.0, -1.0):
             x0 = plant.h1 / float(np.linalg.norm(plant.h1)) * start_scale * 2.0
-            traj = integrate(lambda t, y: reduced(y), x0,
+            traj = integrate(lambda t, y: reduced_rhs(plant, cfg, y), x0,
                              settings, channels=reduced_channels(plant))
             gap = traj.h_values - traj.h_values[0] * np.exp(-cfg.c * traj.times)
             worst_gap = min(worst_gap, float(np.min(gap)))

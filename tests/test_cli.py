@@ -380,8 +380,28 @@ class TestRunSimulate:
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     def test_product_members_match_their_solo_runs(self, tmp_path, scenario_dir, example):
-        # two rates x two starts, stepped as one batch on example 2's plant
-        # (n = 2) and member by member on example 1's (n = 1): either way
+        # two rates x two starts, below cli.BATCH_ABOVE: the warmups and
+        # every product step member by member
+        self.check_members_match_their_solo_runs(tmp_path, scenario_dir, example)
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_batched_product_members_match_their_solo_runs(self, tmp_path, scenario_dir,
+                                                           example, monkeypatch):
+        # the same products with the threshold lowered, so that the two
+        # starts warm up as one batch and each four-member product steps as
+        # one batch with a rate per member
+        import asfes.cli as cli
+        monkeypatch.setattr(cli, "BATCH_ABOVE", 1)
+        batches = []
+        stepped_as_batch = cli._stepped_as_batch
+        monkeypatch.setattr(cli, "_stepped_as_batch",
+                            lambda members: batches.append(members) or stepped_as_batch(members))
+        self.check_members_match_their_solo_runs(tmp_path, scenario_dir, example)
+        # one warmup of the two starts, then asfes, classical and reduced
+        assert batches == [2, 4, 4, 4]
+
+    @staticmethod
+    def check_members_match_their_solo_runs(tmp_path, scenario_dir, example):
         # each member's CSV holds the run it has alone, after one warmup
         # per start shared by both rates and both variants
         text = (scenario_dir / f"{example}.scenario").read_text()

@@ -418,6 +418,31 @@ class TestReducedRhs:
         shared = reduced_rhs(plant, cfg, x)
         assert shared.tobytes() == reduced_rhs(plant, cfg, x, c=np.full(members, cfg.c)).tobytes()
 
+    def test_field_is_built_once_per_plant_config_and_rate(self, plant1, cfg1, plant2, cfg2,
+                                                           monkeypatch):
+        # a run stepped through reduced_rhs builds its field once; another
+        # plant, config or rate builds its own, and gets its own values
+        builds = []
+        make = dynamics.make_reduced_rhs
+        monkeypatch.setattr(dynamics, "make_reduced_rhs",
+                            lambda *args: builds.append(args) or make(*args))
+        monkeypatch.setattr(dynamics, "_last_reduced", (None, None, None, None))
+        x = np.array([0.5, -0.25])
+        cfg2_fast = replace(cfg2, c=2.0 * cfg2.c)
+        plant2_shifted = validate_plant(plant2.objective,
+                                        LinearBarrier(h0=plant2.h0 - 0.5, h1=plant2.h1))
+        rate = 0.5
+        # the second to fourth keys each change one of config, plant, rate
+        keys = [(plant2, cfg2, None), (plant2, cfg2_fast, None),
+                (plant2_shifted, cfg2_fast, None), (plant2_shifted, cfg2_fast, rate),
+                (plant1, cfg1, None), (plant2, cfg2, None)]
+        for plant, cfg, c in keys:
+            point = x[:plant.dimension]
+            for _ in range(3):
+                got = reduced_rhs(plant, cfg, point, c=c)
+                assert got.tobytes() == np.asarray(make(plant, cfg, c)(point)).tobytes()
+        assert builds == keys
+
     def test_bad_shapes_rejected(self, plant2, cfg2):
         for x in (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 2, 1)), 1.0):
             with pytest.raises(DimensionMismatch):
