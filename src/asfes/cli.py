@@ -315,7 +315,7 @@ def write_trajectory_csv(
 
 
 # a product of more members than this steps as one batch (see _stepped_as_batch)
-BATCH_ABOVE = 16
+BATCH_ABOVE = 40
 
 
 def _stepped_as_batch(members: int) -> bool:
@@ -324,26 +324,24 @@ def _stepped_as_batch(members: int) -> bool:
     model's product.  Otherwise each run steps alone on Python floats.
 
     A batch pays numpy's per-call cost once per row operation for all its
-    members, a lone state only float arithmetic.  Per RK4 step of the
-    dithered field, in us per member (medians of 7 rounds on a shared
-    2-core VM, Python 3.11, numpy 2.4; ``BENCH_templated_field.json``):
+    members, a lone state only float arithmetic in its generated RK4 loop.
+    Per RK4 step of the dithered field, in us per member (medians of 7
+    rounds on a shared 2-core VM, Python 3.11, numpy 2.4;
+    ``BENCH_generated_loop.json``):
 
-    =====  =========  ======  ======  ======  ======  ======
-    n      one state  B = 8   B = 16  B = 20  B = 32  B = 64
-    =====  =========  ======  ======  ======  ======  ======
-    1      16.6       27.8    15.0    12.3    7.9     4.0
-    2      21.1       46.1    24.4    19.9    12.6    6.5
-    3      26.3       63.9    32.4    26.0    17.7    8.8
-    =====  =========  ======  ======  ======  ======  ======
+    =====  =========  ======  ======  ======  ======  ======  ======
+    n      one state  B = 8   B = 16  B = 24  B = 32  B = 48  B = 64
+    =====  =========  ======  ======  ======  ======  ======  ======
+    1      5.7        27.7    13.8    9.6     7.2     4.6     3.5
+    2      7.8        40.2    20.5    13.6    11.8    7.8     5.5
+    3      10.8       53.5    32.6    21.3    14.9    10.7    7.0
+    =====  =========  ======  ======  ======  ======  ======  ======
 
-    The batch overtakes one state at 15-16 members at n = 1, 17-20 at
-    n = 2 and 20-23 at n = 3 over three such runs.  Near there a batch's
-    per-member cost changes only as 1/B, so one threshold serves every n.
-    The reduced model's rows are cheaper and cross over at 8-16 members;
-    its runs are short.  End to end, ``run_simulate`` on 32-member
-    products at n = 1 and 2 took 0.79-0.88 of the member-by-member time
-    under this rule, and batched products of 8-16 members took 1.05-2.4
-    times as long.
+    In most rounds the batch loses at 32 members and first wins at 48, at
+    every n, so one threshold between the two serves every n.  The
+    reduced model's rows are cheaper and cross over at 16-24 members; its
+    runs are short.  No bundled scenario and no benchmark workload has a
+    product above the threshold.
     """
     return members > BATCH_ABOVE
 

@@ -21,15 +21,17 @@ The dithered, averaged and reduced fields are each written once, as an
 expression template: a generator emits the source of the field with every
 component unrolled for the dimension n (and, for the dithered field, the
 variant), and the source is compiled once per model, n and shape.  One
-state is computed on Python floats, a list in and a list out, as the
-integrator passes it (see :mod:`asfes.integrate`); a batch is computed on
-its ``(B,)`` rows with numpy.  A 1-D array goes through the float shape and
-comes back as an array.  On a few components numpy's per-call cost, not
+state is computed on Python floats, a list in and a list out; a batch is
+computed on its ``(B,)`` rows with numpy.  A 1-D array goes through the
+float shape and comes back as an array.  The integrator writes the
+dithered field's body straight into its generated RK4 loop (see
+:mod:`asfes.integrate`).  On a few components numpy's per-call cost, not
 the arithmetic, sets the price of a call: one n = 2 call of the dithered
-field costs about 2 us on floats against 37 us on ``(n,)`` arrays.  Every
-sum runs left to right, no matrix product is taken, and nothing is summed
-across members, so each member of a batch is bit for bit the run it has
-alone.
+field on one state costs about 2 us as a list and 70 us as the rows of a
+``(size, 1)`` batch (``timeit`` minimum on a shared 2-core VM, Python
+3.11).  Every sum runs left to right, no matrix product is taken, and
+nothing is summed across members, so each member of a batch is bit for
+bit the run it has alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -248,22 +250,24 @@ def _hessian_times(x: str, i: int, n: int) -> str:
 
 
 def _field_parts(model: str, n: int) -> tuple:
-    """``(parameters, body lines, result expressions)`` of one field:
-    ``model`` is a :class:`Variant` value or ``"average"`` or ``"reduced"``."""
+    """``(parameters, state names, body lines, result expressions)`` of one
+    field: ``model`` is a :class:`Variant` value or ``"average"`` or
+    ``"reduced"``.  The body reads the state through its names, which the
+    last parameter unpacks into."""
     idx = range(n)
     if model == "reduced":
         # -k H x + h1/||h1||^2 * smooth_max(k x'H h1 - c (h0 + h1'x), delta)
-        lines = [f"{', '.join(f'x{i}' for i in idx)}, = x"]
-        lines += [f"hx{i} = {_hessian_times('x{}', i, n)}" for i in idx]
+        lines = [f"hx{i} = {_hessian_times('x{}', i, n)}" for i in idx]
         lines.append(f"arg = ((k * {_dot('hx{}', 'h1_{}', n)}) - "
                      f"(c * (h0 + {_dot('h1_{}', 'x{}', n)})))")
         lines.append(f"s = {_SOFT_MAX}")
-        return ["x"], lines, [f"((neg_k * hx{i}) + (p{i} * s))" for i in idx]
+        return (["x"], [f"x{i}" for i in idx], lines,
+                [f"((neg_k * hx{i}) + (p{i} * s))" for i in idx])
 
     newton = model == Variant.NEWTON_ASFES.value
     state = ([f"th{i}" for i in idx] + [f"gj{i}" for i in idx] + ["eta_j"]
              + [f"gh{i}" for i in idx] + ["eta_h", "gamma"] + (["big_gamma"] if newton else []))
-    lines = [f"{', '.join(state)} = y"]
+    lines = []
     if model == "average":
         # the state's theta block is theta_tilde; the filters relax to their
         # period averages, eta_J with the probing bias
@@ -306,24 +310,30 @@ def _field_parts(model: str, n: int) -> tuple:
         # J (16/a^2)(sin^2(omega t) - 1/2) of the objective
         rows.append("((wf * big_gamma) * (1.0 - (((big_gamma * jv) * n_coef) "
                     "* ((s0 * s0) - 0.5))))")
-    return (["y"] if model == "average" else ["t", "y"]), lines, rows
+    return (["y"] if model == "average" else ["t", "y"]), state, lines, rows
 
 
 def _field_source(model: str, n: int, shape: str) -> str:
     """The source of one shape of a field (see the comment above
     :func:`_sum`)."""
-    params, lines, rows = _field_parts(model, n)
+    params, state, lines, rows = _field_parts(model, n)
     result = "[" + ",\n            ".join(rows) + "]"
     if shape == "rows":
         result = f"array({result})"
-    body = "\n".join(f"    {line}" for line in [*lines, f"return {result}"])
+    unpack = f"{', '.join(state)}, = {params[-1]}"
+    body = "\n".join(f"    {line}" for line in [unpack, *lines, f"return {result}"])
     return f"def {model}_{shape}({', '.join(params)}):\n{body}\n"
+
+
+def _function_code(source: str, filename: str) -> types.CodeType:
+    """The code of the one function ``source`` defines."""
+    module = compile(source, filename, "exec")
+    return next(const for const in module.co_consts if isinstance(const, types.CodeType))
 
 
 @functools.cache
 def _field_code(model: str, n: int, shape: str) -> types.CodeType:
-    module = compile(_field_source(model, n, shape), f"<asfes {model} field, n={n}>", "exec")
-    return next(const for const in module.co_consts if isinstance(const, types.CodeType))
+    return _function_code(_field_source(model, n, shape), f"<asfes {model} field, n={n}>")
 
 
 def _field(model: str, n: int, shape: str, constants: dict) -> Callable:
@@ -393,9 +403,12 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
     the variant and built in two shapes: one state on Python floats (a list
     is read as it is, a 1-D array through ``tolist``) and a batch on its
     ``(B,)`` rows.  The closure returned only checks the state and picks the
-    shape.  One state's RK4 step takes about 17 us at n = 1, 21 at n = 2
-    and 26 at n = 3 (medians on a shared 2-core VM, Python 3.11; see
-    ``BENCH_templated_field.json``).
+    shape.  For one rate it also carries ``template``, the ``(model, n,
+    constants)`` it was built from, so that the integrator can write the
+    field's body into its generated RK4 loop (None for per-member rates).
+    One state's RK4 step in that loop takes about 6 us at n = 1,
+    8 at n = 2 and 11 at n = 3 (medians on a shared 2-core VM,
+    Python 3.11; see ``BENCH_generated_loop.json``).
     """
     n = _check_dimension(plant, cfg)
     c = _rates(cfg.c if c is None else c)
@@ -418,6 +431,7 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
             return rows(t, y)
         return np.array(floats(t, y.tolist()))
 
+    rhs.template = None if per_member else (cfg.variant.value, n, constants)
     return rhs
 
 

@@ -5,15 +5,25 @@ A fixed step is deliberate: the dither period dictates the resolution
 anyway, and identical inputs must give bit-identical trajectories so golden
 traces and determinism checks stay meaningful.  One stepper serves a single
 state and a component-major batch of states (see :mod:`asfes.dynamics`).
-A batch steps on numpy arrays.  A single state steps on Python floats:
-the right-hand side gets the state as a list and may return a list or a
-1-D array, and each stage is the array expression written per component,
-so the records are bit for bit those of the array arithmetic.
+A batch steps on numpy arrays.  A single state steps on Python floats, in
+an RK4 loop generated for its right-hand side and compiled once per kind.
+A dithered field of :func:`~asfes.dynamics.make_rhs` is written into the
+loop, stage by stage; any other right-hand side is called once per stage
+with the state as a list, and may return a list or a 1-D array.  Each
+stage is the array expression written per component, so the records are
+bit for bit those of the array arithmetic.  One RK4 step of a dithered
+field costs about 6 us at n = 1 and 8 us at n = 2 that way, against 9 and
+12 us when the same field is called once per stage (medians on a shared
+2-core VM, Python 3.11; ``BENCH_generated_loop.json``).
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import math
+import re
+import types
 from array import array
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -22,10 +32,13 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .dynamics import (
+    _SHAPES,
     AlgorithmConfig,
     FullState,
     StateLayout,
     Variant,
+    _field_parts,
+    _function_code,
     make_rhs,
 )
 from .errors import (
@@ -45,7 +58,7 @@ from .signals import dither, signal_period
 # settings validator only insists on 20
 DEFAULT_SAMPLES_PER_PERIOD = 40
 MIN_SAMPLES_PER_PERIOD = 20
-# a run of more steps is a mistaken scenario: hours at about 10 us per step
+# a run of more steps is a mistaken scenario: hours at about 6 us per step
 MAX_STEPS = 10**9
 
 
@@ -171,7 +184,9 @@ def integrate(
     member.  For a batch ``rhs(t, y)`` gets and returns ``(size, B)``
     arrays.  One state is stepped on Python floats: ``rhs`` gets a list of
     ``size`` floats and returns a list or a 1-D array of as many, which
-    the stepper turns into a list.  ``channels`` is called once per member,
+    the stepper turns into a list; a dithered field of
+    :func:`~asfes.dynamics.make_rhs` is not called but written into the
+    stepping loop.  ``channels`` is called once per member,
     on all of its records (see :data:`ChannelFn`).
 
     A single state that leaves the reals raises :class:`NonFiniteState`,
@@ -196,67 +211,39 @@ def integrate(
     return runs[0]
 
 
-def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> list:
+def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
+         held: int = 0) -> list:
     """The stepper behind :func:`integrate` and :func:`warmup`: one
     trajectory per member, a single state counting as one member, and a
-    member that diverges stops with ``diverged_at`` set."""
+    member that diverges stops with ``diverged_at`` set.  The first
+    ``held`` rows are held where they are: their derivative is taken as
+    zero, whatever ``rhs`` gives."""
     y = np.array(x0, dtype=float)
     if y.ndim not in (1, 2):
         raise DimensionMismatch("x0 must be a state vector or a (size, B) batch")
-    batch = y.ndim == 2
-    shape = y.shape
-    members = shape[1] if batch else 1
     n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
     stride = settings.record_stride
     guard = settings.gamma_guard
-
-    half = 0.5 * h
-    sixth = h / 6.0
     times = [0.0]
     states = array("d")                # every record, flat, in step order
-    if batch:
-        field = rhs
+    if y.ndim == 1:
+        size = y.shape[0]
+        loop = _one_state_loop(rhs, size, held, gamma_index)
+        # an opaque rhs may compute on numpy; its inf/nan warnings on the
+        # way to a divergence are noise, as in a batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            stopped, crossed = loop(rhs, y.tolist(), n_steps, h, stride, guard, times, states)
+        return [Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), size),
+                           gamma_exceeded_at=None if crossed is None else crossed * h,
+                           diverged_at=None if stopped is None else stopped * h)]
 
-        def stage(y, k, step):
-            return y + step * k
-
-        def advance(y, k1, k2, k3, k4):
-            return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        def finite(y):
-            return np.isfinite(y).all()
-
-        def record(y):
-            states.frombytes(y.tobytes())
-    else:
-        # one state steps on Python floats: numpy's per-call cost outweighs
-        # its arithmetic on a few components, and each float expression
-        # below rounds as the array one does, element by element
-        y = y.tolist()
-        size = len(y)
-
-        def field(t, y):
-            k = rhs(t, y)
-            if type(k) is not list:
-                k = k.tolist()
-            if len(k) != size:      # zip below would cut the state short
-                raise DimensionMismatch(f"rhs gave {len(k)} components for a state of {size}")
-            return k
-
-        def stage(y, k, step):
-            return [a + step * b for a, b in zip(y, k)]
-
-        def advance(y, k1, k2, k3, k4):
-            return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-        def finite(y):
-            return all(map(math.isfinite, y))
-
-        record = states.extend
-
-    record(y)
+    # a batch steps on numpy arrays, one column per member
+    field = _holding(rhs, held) if held else rhs
+    half = 0.5 * h
+    sixth = h / 6.0
+    members = y.shape[1]
+    states.frombytes(y.tobytes())
     alive = np.ones(members, dtype=bool)
     # members whose gamma has not crossed the guard yet; None once there are none
     watched = alive.copy() if gamma_index is not None else None
@@ -270,13 +257,13 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
         for i in range(n_steps):
             t = i * h
             k1 = field(t, y)
-            k2 = field(t + half, stage(y, k1, half))
-            k3 = field(t + half, stage(y, k2, half))
-            k4 = field(t + h, stage(y, k3, h))
-            y = advance(y, k1, k2, k3, k4)
+            k2 = field(t + half, y + half * k1)
+            k3 = field(t + half, y + half * k2)
+            k4 = field(t + h, y + h * k3)
+            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t_next = (i + 1) * h
-            if not finite(y):
-                bad = ~np.isfinite(y).all(axis=0) if batch else np.ones(1, dtype=bool)
+            if not np.isfinite(y).all():
+                bad = ~np.isfinite(y).all(axis=0)
                 for b in np.flatnonzero(bad & alive):
                     diverged_at[b] = t_next
                     records[b] = len(times)
@@ -290,7 +277,7 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
                     watched &= alive
             if watched is not None:
                 g = abs(y[gamma_index])
-                if (g.max() if batch else g) > guard:
+                if g.max() > guard:
                     crossed = watched & (g > guard)
                     for b in np.flatnonzero(crossed):
                         gamma_exceeded_at[b] = t_next
@@ -299,12 +286,170 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
                         watched = None
             if (i + 1) % stride == 0 or i + 1 == n_steps:
                 times.append(t_next)
-                record(y)
-    series = np.frombuffer(states).reshape(len(times), *shape)
+                states.frombytes(y.tobytes())
+    series = np.frombuffer(states).reshape(len(times), *y.shape)
     ends = [len(times) if r is None else r for r in records]
-    return [Trajectory(np.array(times[:r]), series[:r, :, b].copy() if batch else series,
+    return [Trajectory(np.array(times[:r]), series[:r, :, b].copy(),
                        gamma_exceeded_at=gamma_exceeded_at[b], diverged_at=diverged_at[b])
             for b, r in enumerate(ends)]
+
+
+def _holding(rhs, rows: int) -> Callable:
+    """A batch's ``rhs`` with the derivatives of its first ``rows`` rows zero."""
+
+    def field(t, y):
+        dy = rhs(t, y)
+        dy[:rows] = 0.0
+        return dy
+
+    return field
+
+
+# ---- the one-state RK4 loop, generated ----------------------------------------
+#
+# One state is stepped by a function generated for its right-hand side: each
+# component is a local float, and the four stages are written out, so that a
+# step costs its arithmetic and little else.  A stage's derivative takes one
+# of two forms:
+#
+# * fused: the body of a dithered field of asfes.dynamics (the ``template`` of
+#   a make_rhs closure), written into the loop once per stage with the stage's
+#   locals suffixed; the lines of the time alone are computed once for stages
+#   2 and 3, which share t + h/2;
+# * opaque: a call of ``rhs`` on the stage's state as a list, for any other
+#   right-hand side.  It may return a list or a 1-D array, of the state's
+#   length.
+#
+# The stage points and the update are the array expressions y + (h/2) k and
+# y + (h/6) (((k1 + 2 k2) + 2 k3) + k4) written per component, so the records
+# are bit for bit those of the array arithmetic.  The loop records into
+# ``times`` and the flat ``states`` and returns two step numbers: where the
+# state left the reals (None if it did not) and where gamma first crossed the
+# guard (None if it did not).
+
+# each stage's time, and the step that leads from the state to its point
+_STAGES = (("t", None), ("t_half", "half"), ("t_half", "half"), ("t_step", "h"))
+
+
+def _as_list(dy, size: int) -> list:
+    """A one-state derivative as a list of ``size`` floats."""
+    if type(dy) is not list:
+        dy = dy.tolist()
+    if len(dy) != size:     # unpacking it would fail without naming the fault
+        raise DimensionMismatch(f"rhs gave {len(dy)} components for a state of {size}")
+    return dy
+
+
+def _stage_parts(model: Optional[str], n: int) -> tuple:
+    """``(state names, body lines, derivative expressions)`` of one stage:
+    the dithered field ``model`` at dimension n, or, for model None, a call
+    of ``rhs`` on a state of n rows."""
+    if model is None:
+        state = [f"y{r}" for r in range(n)]
+        rows = [f"dy{r}" for r in range(n)]
+        return state, [f"dy = rhs(t, [{', '.join(state)}])",
+                       f"if type(dy) is not list or len(dy) != {n}: dy = as_list(dy, {n})",
+                       f"{', '.join(rows)}, = dy"], rows
+    _, state, lines, rows = _field_parts(model, n)
+    return state, lines, rows
+
+
+def _names(code: str) -> tuple:
+    """The names one line of source assigns and the names it reads."""
+    names = [node for node in ast.walk(ast.parse(code)) if isinstance(node, ast.Name)]
+    return ({node.id for node in names if isinstance(node.ctx, ast.Store)},
+            {node.id for node in names if isinstance(node.ctx, ast.Load)})
+
+
+def _renamed(code: str, rename: dict) -> str:
+    return re.sub(r"\b\w+\b", lambda m: rename.get(m.group(), m.group()), code)
+
+
+def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
+    """The loop for the dithered field ``model`` at dimension n, or the
+    opaque loop (model None) for a state of n rows, with the first ``held``
+    rows held and gamma watched at row ``gamma_index`` (None: not at all)."""
+    state, lines, rows = _stage_parts(model, n)
+    rows = ["0.0"] * held + rows[held:]
+    body = [(line, *_names(line)) for line in lines]       # (line, assigned, read)
+    if model is not None:
+        # a field's lines that only the held rows read are dropped
+        needed = set().union(*(_names(row)[1] for row in rows))
+        kept = []
+        for line, assigned, read in reversed(body):
+            if assigned & needed:
+                kept.insert(0, (line, assigned, read))
+                needed |= read
+        body = kept
+    local = {"t", *state, *(name for _, assigned, _ in body for name in assigned)}
+    timed = {"t"}                   # the time and what is computed from it alone
+    for _, assigned, read in body:
+        if read & local <= timed:
+            timed |= assigned
+
+    steps = []
+    stages = []                     # each stage's derivative, row by row
+    for s, (t, step) in enumerate(_STAGES, start=1):
+        rename = {name: f"{name}_{s}" for name in local}
+        if s == 1:
+            rename.update((x, x) for x in state)
+        if s == 3:
+            rename.update((name, f"{name}_2") for name in timed)
+        rename["t"] = t
+        if step is not None:
+            steps += [f"{rename[x]} = ({x} + ({step} * {k}))" for x, k in zip(state, stages[-1])]
+        steps += [_renamed(line, rename) for line, assigned, _ in body
+                  if not (s == 3 and assigned <= timed)]
+        ks = []
+        for r, row in enumerate(rows):
+            # a held row's 0.0, or a local the body assigned, serves as it is
+            if row == "0.0" or (row.isidentifier() and row not in state):
+                ks.append(_renamed(row, rename))
+            else:
+                steps.append(f"k{s}_{r} = {_renamed(row, rename)}")
+                ks.append(f"k{s}_{r}")
+        stages.append(ks)
+    steps += [f"{x} = ({x} + (sixth * ((({k1} + (2.0 * {k2})) + (2.0 * {k3})) + {k4})))"
+              for x, k1, k2, k3, k4 in zip(state, *stages)]
+    # x - x is 0.0 for a finite x and nan otherwise
+    steps += [f"if ({' + '.join(f'({x} - {x})' for x in state)}) != 0.0:",
+              "    return (i + 1), crossed"]
+    if gamma_index is not None:
+        steps += [f"if crossed is None and abs({state[gamma_index]}) > guard:",
+                  "    crossed = (i + 1)"]
+    steps += ["if ((i + 1) % stride) == 0 or (i + 1) == n_steps:",
+              "    append(((i + 1) * h))",
+              f"    record(({', '.join(state)},))"]
+    body_lines = [
+        "half = (0.5 * h)", "sixth = (h / 6.0)", f"{', '.join(state)}, = y",
+        "append, record = times.append, states.extend", f"record(({', '.join(state)},))",
+        "crossed = None",
+        "for i in range(n_steps):",
+        *(f"    {line}" for line in
+          ["t = (i * h)", "t_half = (t + half)", "t_step = (t + h)", *steps]),
+        "return None, crossed"]
+    return (f"def rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states):\n"
+            + "".join(f"    {line}\n" for line in body_lines))
+
+
+@functools.cache
+def _loop_code(model: Optional[str], n: int, held: int,
+               gamma_index: Optional[int]) -> types.CodeType:
+    return _function_code(_loop_source(model, n, held, gamma_index),
+                          f"<asfes rk4 loop, {model or 'opaque'}, n={n}>")
+
+
+def _one_state_loop(rhs, size: int, held: int, gamma_index: Optional[int]) -> Callable:
+    """The generated loop that steps one state of ``size`` rows of ``rhs``:
+    fused with the field's template where ``rhs`` carries one for a state of
+    that size, opaque otherwise."""
+    template = getattr(rhs, "template", None)
+    if template is not None:
+        model, n, constants = template
+        if StateLayout.of(n, model == Variant.NEWTON_ASFES.value).size == size:
+            return types.FunctionType(_loop_code(model, n, held, gamma_index),
+                                      {**constants, **_SHAPES["floats"]})
+    return types.FunctionType(_loop_code(None, size, held, gamma_index), {"as_list": _as_list})
 
 
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:
@@ -370,14 +515,6 @@ def warmup(
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
     theta_at, filters = layout.theta, layout.filters
     f = make_rhs(plant, cfg)
-    still = [0.0] * n
-
-    def frozen(t, y):
-        # one start's field is a list, a batch's an (size, B) array
-        dy = f(t, y)
-        dy[theta_at] = still if type(dy) is list else 0.0
-        return dy
-
     period = signal_period(cfg.dither)
     one_period = IntegrationSettings(
         dt=settings.dt, t_end=period,
@@ -393,7 +530,7 @@ def warmup(
     prev = ys[filters].copy()
     max_periods = max(1, int(settings.t_end / period))
     for p in range(max_periods):
-        runs = _rk4(frozen, ys[:, 0] if single else ys, one_period, None)
+        runs = _rk4(f, ys[:, 0] if single else ys, one_period, None, held=theta_at.stop)
         ys = np.stack([run.states[-1] for run in runs], axis=1)
         change = _norms(ys[filters] - prev)
         scale = np.maximum(_norms(ys[filters]), 1e-30)

@@ -33,9 +33,25 @@ from asfes import dynamics
 from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
 from asfes.dynamics import StateLayout, make_reduced_rhs
 from asfes.errors import DimensionMismatch, NotScalar
-from asfes.integrate import numeric_average
+from asfes.integrate import _loop_source, numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
 from oracles import demod, newton_demod
+
+
+def generated_loop_keys():
+    """Every kind of one-state RK4 loop: each dithered field at n = 1, 2, 3
+    (Newton at 1) and the opaque loop for states of 1 to 10 rows, with and
+    without held theta rows and a watched gamma row."""
+    keys = []
+    for model in [v.value for v in Variant] + [None]:
+        for n in (1, 2, 3) if model else range(1, 11):
+            if model == Variant.NEWTON_ASFES.value and n > 1:
+                continue
+            layout = StateLayout.of(n, model == Variant.NEWTON_ASFES.value)
+            held_rows = (0, n) if model else (0, 1)
+            keys += [(model, n, held, gamma) for held in held_rows
+                     for gamma in (None, layout.gamma if model else n - 1)]
+    return keys
 
 
 def warmed_state_example1():
@@ -545,8 +561,8 @@ class TestStateLayout:
         assert len(nested) == 1, [ast.dump(node)[:60] for node in nested]
 
     def test_rk4_holds_one_stepping_loop(self):
-        # one state and a batch step in the same loop, with the stage
-        # operations of each shape bound before it
+        # a batch steps in _rk4's one loop; one state steps in a loop that
+        # one generator writes for every right-hand side, holding one loop
         src = Path(asfes.__file__).parent / "integrate.py"
         tree = ast.parse(src.read_text())
         rk4 = next(node for node in tree.body
@@ -554,6 +570,10 @@ class TestStateLayout:
         loops = [node for node in ast.walk(rk4) if isinstance(node, ast.For)
                  and ast.unparse(node.iter) == "range(n_steps)"]
         assert len(loops) == 1
+        for key in generated_loop_keys():
+            loops = [node for node in ast.walk(ast.parse(_loop_source(*key)))
+                     if isinstance(node, ast.For)]
+            assert [ast.unparse(node.iter) for node in loops] == ["range(n_steps)"]
 
     @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs", "make_reduced_rhs",
                                       "make_average_rhs", "_field_parts", "generated"])
@@ -562,12 +582,14 @@ class TestStateLayout:
         # may depend on the batch around a member; the fields sum left to
         # right, so that nothing sums across members and each member is
         # bit for bit its own run.  "generated" is every source the
-        # template emits.
+        # template emits, and every RK4 loop generated from it.
         if name == "generated":
             models = [v.value for v in Variant] + ["average", "reduced"]
             trees = [ast.parse(dynamics._field_source(model, n, shape))
                      for model in models for n in (1, 2, 3) for shape in ("floats", "rows")
                      if model != Variant.NEWTON_ASFES.value or n == 1]
+            trees += [ast.parse(_loop_source(model, n, held, gamma))
+                      for model, n, held, gamma in generated_loop_keys()]
         else:
             src = Path(asfes.__file__).parent / "dynamics.py"
             trees = [next(node for node in ast.parse(src.read_text()).body

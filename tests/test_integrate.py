@@ -33,6 +33,8 @@ from asfes.errors import (
 )
 from asfes.integrate import (
     IntegrationSettings,
+    _one_state_loop,
+    _rk4,
     average_channels,
     check_resolves_dither,
     default_dt,
@@ -168,9 +170,9 @@ class TestIntegrate:
 TRAJECTORY_FIELDS = ("times", "states", "thetas", "j_values", "h_values")
 
 
-def assert_same_run(got, want):
+def assert_same_run(got, want, fields=TRAJECTORY_FIELDS):
     """Byte-identical records, crossing time and divergence time."""
-    for name in TRAJECTORY_FIELDS:
+    for name in fields:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.gamma_exceeded_at == want.gamma_exceeded_at
     assert got.diverged_at == want.diverged_at
@@ -332,6 +334,69 @@ class TestFloatStepper:
     def test_rhs_of_another_length_is_a_mismatch(self):
         with pytest.raises(DimensionMismatch):
             integrate(lambda t, y: [0.0], np.zeros(2), IntegrationSettings(dt=0.1, t_end=1.0))
+
+
+def _fused_and_opaque(rhs, x0, settings, gamma_at, held=0):
+    """One state of a make_rhs field stepped by the fused loop, and by the
+    opaque loop through a plain lambda around the same field."""
+    opaque = lambda t, y: rhs(t, y)  # noqa: E731
+    loops = [_one_state_loop(f, len(x0), held, gamma_at).__code__.co_name for f in (rhs, opaque)]
+    assert loops == [f"rk4_{rhs.template[0]}_{rhs.template[1]}", f"rk4_opaque_{len(x0)}"]
+    return [_rk4(f, x0, settings, gamma_at, held)[0] for f in (rhs, opaque)]
+
+
+def assert_same_records(got, want):
+    """:func:`assert_same_run` for runs recorded without channels."""
+    assert_same_run(got, want, fields=("times", "states"))
+
+
+class TestGeneratedLoop:
+    @hypothesis_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=st.sampled_from([(1, Variant.NEWTON_ASFES)]
+                                + [(n, variant) for n in (1, 2, 3, 4)
+                                   for variant in (Variant.ASFES, Variant.CLASSICAL_ES)]),
+           held=st.booleans(), stride=st.integers(1, 12), steps=st.integers(1, 150),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_loop_is_the_opaque_loop(self, case, held, stride, steps, seed):
+        # the dithered field written into the loop steps bit for bit as the
+        # loop that calls it, with its theta rows held (as in warmup) or
+        # not, across the gamma guard and into divergence (a negative
+        # Gamma escapes)
+        n, variant = case
+        rng = np.random.default_rng(seed)
+        plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+        layout = StateLayout.of(n, variant is Variant.NEWTON_ASFES)
+        x0 = rng.uniform(-2.0, 2.0, layout.size)
+        x0[layout.gamma] = rng.uniform(0.2, 2.0)
+        dt = default_dt(cfg.dither)
+        settings = IntegrationSettings(
+            dt=dt, t_end=steps * dt * rng.uniform(0.5, 1.0), record_stride=stride,
+            gamma_guard=float(x0[layout.gamma] * rng.uniform(0.9, 1.5)))
+        rhs = make_rhs(plant, cfg, c=float(rng.uniform(0.01, 5.0)))
+        fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma,
+                                          layout.theta.stop if held else 0)
+        assert_same_records(fused, opaque)
+
+    def test_newton_escape_is_the_same_in_both_loops(self, plant1, cfg1):
+        # NB-ASfES on example 1 from theta0 = -3: Gamma crosses the guard
+        # at the second step and leaves the reals at the third; with theta
+        # held, as in warmup, it escapes too
+        cfg = cfg1.with_variant(Variant.NEWTON_ASFES)
+        layout = StateLayout.of(1, True)
+        x0 = exact_initial_state(plant1, cfg, [-3.0]).as_vector()
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=1.0, record_stride=1)
+        rhs = make_rhs(plant1, cfg)
+        fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma_newton)
+        assert fused.gamma_exceeded_at == 2 * fused.times[1]
+        assert fused.diverged_at == 3 * fused.times[1]
+        assert_same_records(fused, opaque)
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(rhs, x0, settings, gamma_index=layout.gamma_newton)
+        assert exc.value.time == fused.diverged_at
+        assert_same_records(exc.value.partial, fused)
+        fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma_newton, held=1)
+        assert fused.diverged_at is not None and np.all(fused.states[:, 0] == -3.0)
+        assert_same_records(fused, opaque)
 
 
 class TestWarmup:
