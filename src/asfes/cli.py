@@ -27,8 +27,8 @@ from .dynamics import (
     make_rhs,
     reduced_rhs,
 )
-from .errors import (ComputationError, NonFiniteState, NonFiniteValue, ParseError, TooManySteps,
-                     UnusableOutput, ValidationError)
+from .errors import (ComputationError, NonFiniteState, NonFiniteValue, NonPositiveTrials,
+                     ParseError, TooManySteps, UnusableOutput, ValidationError)
 from .integrate import (
     IntegrationSettings,
     Trajectory,
@@ -252,6 +252,11 @@ def parse_scenario(path) -> Scenario:
     for key, (default, convert) in _SIM_OPTIONS.items():
         ln, v = sections["sim"].get(key, (None, default))
         opts[key] = convert(v, ln, key)
+    if not (opts["variants"] or opts["include_average"] or opts["include_reduced"]):
+        # the default variants are not empty, so the file set them
+        raise ParseError(sections["sim"]["variants"][0],
+                         "variants: no variant given and include_average and include_reduced "
+                         "are false, so the scenario asks for no run")
     dt = default_dt(dither) if opts["dt"] is None else opts["dt"]
 
     try:
@@ -314,49 +319,6 @@ def write_trajectory_csv(
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
-# a product of more members than this steps as one batch (see _stepped_as_batch)
-BATCH_ABOVE = 40
-
-
-def _stepped_as_batch(members: int) -> bool:
-    """Whether ``members`` runs step as one batch: a dithered variant's
-    c x theta0 product, the warmup of its distinct starts, or the reduced
-    model's product.  Otherwise each run steps alone on Python floats.
-
-    A batch pays numpy's per-call cost once per row operation for all its
-    members, a lone state only float arithmetic in its generated RK4 loop.
-    Per RK4 step of the dithered field, in us per member (medians of 7
-    rounds on a shared 2-core VM, Python 3.11, numpy 2.4;
-    ``BENCH_generated_loop.json``):
-
-    =====  =========  ======  ======  ======  ======  ======  ======
-    n      one state  B = 8   B = 16  B = 24  B = 32  B = 48  B = 64
-    =====  =========  ======  ======  ======  ======  ======  ======
-    1      5.7        27.7    13.8    9.6     7.2     4.6     3.5
-    2      7.8        40.2    20.5    13.6    11.8    7.8     5.5
-    3      10.8       53.5    32.6    21.3    14.9    10.7    7.0
-    =====  =========  ======  ======  ======  ======  ======  ======
-
-    In most rounds the batch loses at 32 members and first wins at 48, at
-    every n, so one threshold between the two serves every n.  The
-    reduced model's rows are cheaper and cross over at 16-24 members; its
-    runs are short.  No bundled scenario and no benchmark workload has a
-    product above the threshold.
-    """
-    return members > BATCH_ABOVE
-
-
-def _step_product(field, cs: list, x0: list, settings: IntegrationSettings, **kwargs) -> list:
-    """Trajectories of the members ``(cs[i], x0[i])``, stepped as one batch
-    where :func:`_stepped_as_batch` says so and one by one otherwise.
-    ``field(c)`` is the right-hand side for one rate or a vector of rates,
-    one per member; ``kwargs`` go to :func:`integrate`."""
-    if _stepped_as_batch(len(cs)):
-        return integrate(field(np.array(cs)), np.stack(x0, axis=1), settings, **kwargs)
-    return [_integrate_kept(field(c), state0, settings, **kwargs)
-            for c, state0 in zip(cs, x0)]
-
-
 def _warm_starts(scenario: Scenario) -> dict:
     """Warm up each distinct start once per filter layout (with or without
     the Newton row): the frozen filter rows depend neither on c nor on the
@@ -365,70 +327,62 @@ def _warm_starts(scenario: Scenario) -> dict:
     Returns ``{(newton, theta0 bytes): initial state or the ComputationError
     its warmup failed with}``.
     """
-    plant = scenario.plant
     starts = list({th.tobytes(): th for th in scenario.initial_thetas}.values())
     settings = warmup_settings(scenario.settings, scenario.config.omega_f)
-    tol = scenario.warmup_rel_tol
     warmed = {}
     for newton in sorted({v is Variant.NEWTON_ASFES for v in scenario.variants_to_run}):
         cfg = scenario.config_for(scenario.c_values[0],
                                   Variant.NEWTON_ASFES if newton else Variant.ASFES)
-        if _stepped_as_batch(len(starts)):
-            results = warmup(plant, cfg, np.stack(starts, axis=1), settings, tol)
-        else:
-            results = []
-            for theta0 in starts:
-                try:
-                    results.append(warmup(plant, cfg, theta0, settings, tol))
-                except ComputationError as exc:
-                    results.append(exc)
-        warmed.update({(newton, th.tobytes()): r for th, r in zip(starts, results)})
+        for theta0 in starts:
+            try:
+                result = warmup(scenario.plant, cfg, theta0, settings, scenario.warmup_rel_tol)
+            except ComputationError as exc:
+                result = exc
+            warmed[(newton, theta0.tobytes())] = result
     return warmed
 
 
 def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
-    """One variant over the c x theta0 product (c-major), stepped as one
-    batch where :func:`_stepped_as_batch` says so.  Returns
-    ``[(trajectory, notes)]`` in product order."""
+    """One variant over the c x theta0 product (c-major), run by run.
+    Returns ``[(trajectory, notes)]`` in product order."""
     plant = scenario.plant
-    n = plant.dimension
     newton = variant is Variant.NEWTON_ASFES
-    gamma_at = StateLayout.of(n, newton).gamma
-    members = [(c, th) for c in scenario.c_values for th in scenario.initial_thetas]
-    notes, x0 = [], []
-    for c, theta0 in members:
-        state0 = warmed[(newton, theta0.tobytes())]
-        member_notes = []
-        if isinstance(state0, ComputationError):
-            member_notes.append(f"warmup failed ({state0}); "
-                                "falling back to exact filter initialization")
-            state0 = exact_initial_state(plant, scenario.config_for(c, variant), theta0)
-        notes.append(member_notes)
-        x0.append(state0.as_vector())
-    cfg = scenario.config_for(scenario.c_values[0], variant)
-    trajs = _step_product(lambda c: make_rhs(plant, cfg, c=c), [c for c, _ in members], x0,
-                          scenario.settings, channels=full_state_channels(plant, cfg),
-                          gamma_index=gamma_at)
-    return list(zip(trajs, notes))
+    gamma_at = StateLayout.of(plant.dimension, newton).gamma
+    runs = []
+    for c in scenario.c_values:
+        cfg = scenario.config_for(c, variant)
+        for theta0 in scenario.initial_thetas:
+            state0 = warmed[(newton, theta0.tobytes())]
+            notes = []
+            if isinstance(state0, ComputationError):
+                notes.append(f"warmup failed ({state0}); "
+                             "falling back to exact filter initialization")
+                state0 = exact_initial_state(plant, cfg, theta0)
+            traj = _integrate_kept(make_rhs(plant, cfg), state0.as_vector(), scenario.settings,
+                                   channels=full_state_channels(plant, cfg),
+                                   gamma_index=gamma_at)
+            runs.append((traj, notes))
+    return runs
 
 
 def _reduced_product(scenario: Scenario, settings: IntegrationSettings) -> list:
-    """The reduced model over the c x theta0 product (c-major), each member
-    from theta0 - theta*, stepped as one batch where
-    :func:`_stepped_as_batch` says so.  Returns the trajectories in product
-    order."""
+    """The reduced model over the c x theta0 product (c-major), each run
+    from theta0 - theta*.  Returns the trajectories in product order."""
     plant = scenario.plant
-    cfg = scenario.config_for(scenario.c_values[0], Variant.ASFES)
+    runs = []
+    for c in scenario.c_values:
+        cfg = scenario.config_for(c, Variant.ASFES)
 
-    def field(c):
-        # reduced_rhs reuses the field it built last, so each run builds it
-        # once; every reduced run steps through it, and perfbench's tracer
-        # counts the reduced model's calls by that name
-        return lambda t, y: reduced_rhs(plant, cfg, y, c=c)
+        def field(t, y):
+            # reduced_rhs reuses the field it built last, so each rate builds
+            # it once; every reduced run steps through it, and perfbench's
+            # tracer counts the reduced model's calls by that name
+            return reduced_rhs(plant, cfg, y)
 
-    cs = [c for c in scenario.c_values for _ in scenario.initial_thetas]
-    x0 = [th - plant.theta_star for _ in scenario.c_values for th in scenario.initial_thetas]
-    return _step_product(field, cs, x0, settings, channels=reduced_channels(plant))
+        runs += [_integrate_kept(field, th - plant.theta_star, settings,
+                                 channels=reduced_channels(plant))
+                 for th in scenario.initial_thetas]
+    return runs
 
 
 def _integrate_kept(*args, **kwargs) -> Trajectory:
@@ -456,12 +410,10 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
     """Warm up and integrate every requested variant (plus the averaged and
     reduced hierarchies when asked), writing one CSV per run and a summary.
 
-    Each variant's c x theta0 product, and the reduced model's, is stepped
-    as one batch where :func:`_stepped_as_batch` says so and run by run
-    otherwise, the dithered ones after one warmup per distinct start; the
-    averaged runs step one by one.  Returns 0 on success, 2 if any run
-    diverged (its CSV then holds the trajectory up to the failure, and its
-    summary block a DIVERGED note).
+    Every run steps alone, one per c x theta0 member of each variant and
+    model, the dithered ones after one warmup per distinct start.  Returns
+    0 on success, 2 if any run diverged (its CSV then holds the trajectory
+    up to the failure, and its summary block a DIVERGED note).
     """
     out = _output_dir(output_dir)
     plant = scenario.plant
@@ -614,11 +566,11 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
 
 def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
     """Run the seeded randomized invariant suites and print one line per
-    property.  Returns 0 when every property holds, 3 otherwise."""
+    property.  Returns 0 when every property holds, 3 otherwise; a
+    ``trials`` below one is :class:`NonPositiveTrials`."""
     stream = stream or sys.stdout
     if trials <= 0:
-        print("verify: --trials must be a positive integer", file=stream)
-        return 1
+        raise NonPositiveTrials(f"--trials must be a positive integer, got {trials}")
 
     failures = 0
 

@@ -12,26 +12,28 @@ Five systems share one state, whose blocks and their positions
 * the boundary-layer (fast filter transient) model, the layout's filter
   rows alone.
 
-States are component-major.  One run is a ``(size,)`` vector; the dithered
-algorithm and the reduced model also step a batch of B runs as one
-``(size, B)`` array, one column per member, so the layout's slices and
-indices address both shapes the same way.
+States are component-major.  One run is one ``(size,)`` vector, with one
+attractivity rate, its config's ``c``.  The dithered field also evaluates
+a ``(size, B)`` array, one state per column, each at its own time: the
+averaging oracle (:func:`asfes.integrate.numeric_average`) takes all its
+quadrature nodes in one such call.  The layout's slices and indices
+address both shapes the same way.
 
 The dithered, averaged and reduced fields are each written once, as an
 expression template: a generator emits the source of the field with every
 component unrolled for the dimension n (and, for the dithered field, the
 variant), and the source is compiled once per model, n and shape.  One
-state is computed on Python floats, a list in and a list out; a batch is
-computed on its ``(B,)`` rows with numpy.  A 1-D array goes through the
-float shape and comes back as an array.  The integrator writes the
-dithered field's body straight into its generated RK4 loop (see
-:mod:`asfes.integrate`).  On a few components numpy's per-call cost, not
-the arithmetic, sets the price of a call: one n = 2 call of the dithered
-field on one state costs about 2 us as a list and 70 us as the rows of a
-``(size, 1)`` batch (``timeit`` minimum on a shared 2-core VM, Python
-3.11).  Every sum runs left to right, no matrix product is taken, and
-nothing is summed across members, so each member of a batch is bit for
-bit the run it has alone.
+state is computed on Python floats, a list in and a list out; the
+dithered field's columns are computed on their ``(B,)`` rows with numpy.
+A 1-D array goes through the float shape and comes back as an array.
+The integrator writes the dithered field's body straight into its
+generated RK4 loop (see :mod:`asfes.integrate`).  On a few components
+numpy's per-call cost, not the arithmetic, sets the price of a call: one
+n = 2 call of the dithered field on one state costs about 2 us as a list
+and 70 us as the rows of a ``(size, 1)`` array (``timeit`` minimum on a
+shared 2-core VM, Python 3.11).  Every sum runs left to right and no
+matrix product is taken, so each column is bit for bit the state
+computed alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -73,6 +75,8 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         for name in ("k", "c", "delta", "omega_f"):
+            if np.ndim(getattr(self, name)) != 0:
+                raise ValidationError(f"{name} must be one number, got {getattr(self, name)!r}")
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise NonFiniteValue(f"{name} must be finite, got {value!r}")
@@ -97,8 +101,9 @@ class StateLayout:
     ``[theta, G_J, eta_J, G_h, eta_h, gamma(, Gamma)]``.
 
     Vector blocks are slices and scalar blocks ints, so they index a state
-    ``(size,)`` and a batch ``(size, B)`` alike; ``gamma_newton`` is None
-    without the Newton block, and ``blocks`` holds the positions in order.
+    ``(size,)`` and a ``(size, B)`` array of states alike; ``gamma_newton``
+    is None without the Newton block, and ``blocks`` holds the positions in
+    order.
     ``filters`` is every row after theta, which is also the boundary-layer
     state, and ``filter_names`` names those rows as CSV columns.  Build one
     with :meth:`of`, which makes each layout once.
@@ -130,9 +135,8 @@ class StateLayout:
                    3 * n + 3 + int(newton), slice(n, None), tuple(names), blocks)
 
     def pack(self, values) -> np.ndarray:
-        """The state with the values of :attr:`blocks`, in order; a batch
-        ``(size, B)`` when the theta value is ``(n, B)``."""
-        vec = np.empty((self.size,) + np.shape(values[0])[1:])
+        """The state with the values of :attr:`blocks`, in order."""
+        vec = np.empty(self.size)
         for where, value in zip(self.blocks, values, strict=True):
             vec[where] = value
         return vec
@@ -187,43 +191,24 @@ class FullState(PackedBlocks):
         return cls(*StateLayout.of(n, newton).unpack(vec))
 
 
-def _rates(c):
-    """The attractivity rate a field takes: a float, or a ``(B,)`` array of
-    finite positive rates, one per batch member."""
-    if np.ndim(c) == 0:
-        return float(c)
-    c = np.asarray(c, float)
-    if c.ndim != 1 or not np.all(np.isfinite(c)) or np.any(c <= 0.0):
-        raise ValidationError("c must be finite and strictly positive, one value per member")
-    return c
-
-
-def _check_members(c: np.ndarray, y) -> None:
-    """Per-member rates ``c`` need a batch ``y`` of as many members."""
-    shape = np.shape(y)
-    if len(shape) != 2 or shape[1] != c.shape[0]:
-        given = "one state" if len(shape) == 1 else f"a batch of {shape[1]}"
-        raise DimensionMismatch(
-            f"c holds one rate per member, {c.shape[0]} in all, for {given}")
-
-
 # ---- the fields' expression template ------------------------------------------
 #
 # Each field is written once, below, as the source of one function with every
 # component unrolled for the dimension n.  Every sum runs left to right and is
-# fully parenthesised, so one member's value never depends on the batch
+# fully parenthesised, so one column's value never depends on the columns
 # around it.  One source serves two shapes, which differ only in the names
 # the function finds in its namespace and in how the result is assembled:
 #
 # * floats: one state as a list of Python floats, with math's sin and sqrt;
 #   the function returns a list;
-# * rows: a component-major batch ``(size, B)``, each component a ``(B,)``
-#   row, with numpy's sin and sqrt; the function returns a ``(size, B)``
-#   array.
+# * rows: a component-major ``(size, B)`` array of states, each component a
+#   ``(B,)`` row, with numpy's sin and sqrt; the function returns a
+#   ``(size, B)`` array.  Only the dithered field is built in this shape,
+#   for the averaging oracle.
 #
-# math.sin and math.sqrt round as numpy's do, so a member of a batch is bit
-# for bit the state run alone.  Plant and design constants are bound through
-# the namespace as well, never written into the source, so each source is
+# math.sin and math.sqrt round as numpy's do, so a column is bit for bit the
+# state computed alone.  Plant and design constants are bound through the
+# namespace as well, never written into the source, so each source is
 # compiled once per (model, n, shape).
 
 _SHAPES = {"floats": {"sin": math.sin, "sqrt": math.sqrt},
@@ -360,8 +345,9 @@ def _plant_constants(plant: PlantModel) -> dict:
     return dict(zip(_plant_names(plant.dimension), values))
 
 
-def _design_constants(cfg: AlgorithmConfig, c) -> dict:
-    return {"k": cfg.k, "neg_k": -cfg.k, "c": c, "delta": cfg.delta, "wf": cfg.omega_f}
+def _design_constants(cfg: AlgorithmConfig) -> dict:
+    return {"k": cfg.k, "neg_k": -cfg.k, "c": float(cfg.c), "delta": cfg.delta,
+            "wf": cfg.omega_f}
 
 
 def _check_dimension(plant: PlantModel, cfg: AlgorithmConfig) -> int:
@@ -373,8 +359,9 @@ def _check_dimension(plant: PlantModel, cfg: AlgorithmConfig) -> int:
     return n
 
 
-def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
-    """Build ``f(t, y) -> dy`` for the dithered algorithm of ``cfg.variant``.
+def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
+    """Build ``f(t, y) -> dy`` for the dithered algorithm of ``cfg.variant``,
+    with the attractivity rate ``cfg.c``.
 
     The parameter row depends on the variant:
 
@@ -393,28 +380,25 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
     measurements, and gamma tracks 1/||G_h||^2 through its scalar Riccati
     equation.
 
-    ``y`` is one state ``(size,)`` or a component-major batch ``(size, B)``,
-    and ``dy`` has its shape.  One state may also be a list of floats, as
-    the integrator passes it, and ``dy`` is then a list too.  For a batch,
-    ``t`` may also be a vector of B times, one per member.  ``c`` overrides
-    ``cfg.c``: a scalar, or one attractivity rate per batch member.
+    ``y`` is one state ``(size,)``, an array or a list of floats, and
+    ``dy`` has its type.  A component-major ``(size, B)`` array of states
+    gives ``(size, B)``; ``t`` may then be a vector of B times, one per
+    column, as the averaging oracle passes its quadrature nodes.
 
     The arithmetic is the field's expression template, unrolled for n and
     the variant and built in two shapes: one state on Python floats (a list
-    is read as it is, a 1-D array through ``tolist``) and a batch on its
-    ``(B,)`` rows.  The closure returned only checks the state and picks the
-    shape.  For one rate it also carries ``template``, the ``(model, n,
-    constants)`` it was built from, so that the integrator can write the
-    field's body into its generated RK4 loop (None for per-member rates).
-    One state's RK4 step in that loop takes about 6 us at n = 1,
-    8 at n = 2 and 11 at n = 3 (medians on a shared 2-core VM,
-    Python 3.11; see ``BENCH_generated_loop.json``).
+    is read as it is, a 1-D array through ``tolist``) and the columns of a
+    2-D array on their ``(B,)`` rows.  The closure returned only checks
+    the state and picks the shape.  It also carries ``template``, the
+    ``(model, n, constants)`` it was built from, so that the integrator
+    can write the field's body into its generated RK4 loop.  One state's
+    RK4 step in that loop takes about 6 us at n = 1, 8 at n = 2 and 11 at
+    n = 3 (medians on a shared 2-core VM, Python 3.11; see
+    ``BENCH_generated_loop.json``).
     """
     n = _check_dimension(plant, cfg)
-    c = _rates(cfg.c if c is None else c)
-    per_member = not isinstance(c, float)
     a = cfg.dither.amplitude
-    constants = {**_plant_constants(plant), **_design_constants(cfg, c), "a": a,
+    constants = {**_plant_constants(plant), **_design_constants(cfg), "a": a,
                  "two_over_a": 2.0 / a, "n_coef": 16.0 / (a * a)}
     constants.update(zip(_names("w", n), cfg.dither.omegas().tolist()))
     floats, rows = (_field(cfg.variant.value, n, shape, constants) for shape in _SHAPES)
@@ -423,15 +407,13 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
     def rhs(t, y):
         if len(y) != size:
             raise DimensionMismatch(f"state vector of length {len(y)}, expected {size}")
-        if per_member:
-            _check_members(c, y)
         if type(y) is list:
             return floats(t, y)
         if y.ndim == 2:
             return rows(t, y)
         return np.array(floats(t, y.tolist()))
 
-    rhs.template = None if per_member else (cfg.variant.value, n, constants)
+    rhs.template = (cfg.variant.value, n, constants)
     return rhs
 
 
@@ -447,7 +429,7 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     expression template, with the dithered field's left-to-right sums.
     """
     n = _check_dimension(plant, cfg)
-    constants = {**_plant_constants(plant), **_design_constants(cfg, cfg.c),
+    constants = {**_plant_constants(plant), **_design_constants(cfg),
                  # the probing bias on the filtered objective; analysis-side knowledge
                  "trace_term": 0.25 * cfg.dither.amplitude**2 * float(np.trace(plant.hessian))}
     floats = _field("average", n, "floats", constants)
@@ -463,7 +445,7 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     return rhs
 
 
-def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callable:
+def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     """Build ``f(x) -> dx`` for the quasi-steady reduced model in the
     theta_tilde coordinate.
 
@@ -472,61 +454,49 @@ def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, c=None) -> Callabl
     Along this field h satisfies dh/dt + c h > 0, so {h >= 0} is forward
     invariant and h decays no faster than exp(-c t).
 
-    ``x`` is one point ``(n,)`` (any sequence; a number at n = 1) or a
-    component-major batch ``(n, B)``, and the result has its shape: a list
-    for a list of floats, an array otherwise.  ``c`` overrides ``cfg.c`` as
-    in :func:`make_rhs`: a scalar, or one rate per batch member.  One point
-    is computed on Python floats and a batch on its ``(B,)`` rows, from the
-    same expression template, so each member is bit for bit its one-point
-    value.
+    ``x`` is one point ``(n,)`` (any sequence; a number at n = 1), and the
+    result is a list for a list of floats, an array otherwise.  It is
+    computed on Python floats from the field's expression template.
     """
     n = plant.dimension
-    c = _rates(cfg.c if c is None else c)
-    per_member = not isinstance(c, float)
     h1 = plant.h1.tolist()
     q = h1[0] * h1[0]
     for v in h1[1:]:
         q = q + v * v
-    constants = {**_plant_constants(plant), **_design_constants(cfg, c)}
+    constants = {**_plant_constants(plant), **_design_constants(cfg)}
     constants.update(zip(_names("p", n), [v / q for v in h1]))
-    floats, rows = (_field("reduced", n, shape, constants) for shape in _SHAPES)
+    floats = _field("reduced", n, "floats", constants)
 
     def reduced(x):
         # a list of n floats, as the stepper passes it, is read as it is
-        if not (type(x) is list and len(x) == n and all(type(v) is float for v in x)):
-            x = np.asarray(x, float)
-            if x.ndim == 0:
-                x = x.reshape(1)
-            if x.ndim > 2 or x.shape[0] != n:
-                raise DimensionMismatch(
-                    f"theta_tilde_r has shape {x.shape}, expected ({n},) or ({n}, B)")
-        if per_member:
-            _check_members(c, x)
-        if type(x) is list:
+        if type(x) is list and len(x) == n and all(type(v) is float for v in x):
             return floats(x)
-        if x.ndim == 2:
-            return rows(x)
+        x = np.asarray(x, float)
+        if x.ndim == 0:
+            x = x.reshape(1)
+        if x.shape != (n,):
+            raise DimensionMismatch(f"theta_tilde_r has shape {x.shape}, expected ({n},)")
         return np.array(floats(x.tolist()))
 
     return reduced
 
 
-# (plant, cfg, c, field) of the reduced field reduced_rhs built last
-_last_reduced = (None, None, None, None)
+# (plant, cfg, field) of the reduced field reduced_rhs built last
+_last_reduced = (None, None, None)
 
 
-def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r, c=None) -> np.ndarray:
+def reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig, theta_tilde_r) -> np.ndarray:
     """:func:`make_reduced_rhs` called once, as an array.
 
-    The field built last is kept and called again while ``plant``, ``cfg``
-    and ``c`` are the same objects, so a run stepped through this function
+    The field built last is kept and called again while ``plant`` and
+    ``cfg`` are the same objects, so a run stepped through this function
     builds its field once (about 3 us a call at n = 2, the array included,
     against 18 us with the build)."""
     global _last_reduced
     last = _last_reduced
-    if last[0] is not plant or last[1] is not cfg or last[2] is not c:
-        last = _last_reduced = (plant, cfg, c, make_reduced_rhs(plant, cfg, c))
-    return np.asarray(last[3](theta_tilde_r))
+    if last[0] is not plant or last[1] is not cfg:
+        last = _last_reduced = (plant, cfg, make_reduced_rhs(plant, cfg))
+    return np.asarray(last[2](theta_tilde_r))
 
 
 def boundary_layer_rhs(z_b, h1) -> np.ndarray:

@@ -41,6 +41,10 @@ class NonPositiveTolerance(ValidationError):
     pass
 
 
+class NonPositiveTrials(ValidationError):
+    """A property suite asked to run fewer than one trial."""
+
+
 class NonFiniteValue(ValidationError):
     """A number that must be finite is infinite or NaN."""
 

@@ -3,18 +3,17 @@ quadrature oracle for the averaged dynamics.
 
 A fixed step is deliberate: the dither period dictates the resolution
 anyway, and identical inputs must give bit-identical trajectories so golden
-traces and determinism checks stay meaningful.  One stepper serves a single
-state and a component-major batch of states (see :mod:`asfes.dynamics`).
-A batch steps on numpy arrays.  A single state steps on Python floats, in
-an RK4 loop generated for its right-hand side and compiled once per kind.
-A dithered field of :func:`~asfes.dynamics.make_rhs` is written into the
-loop, stage by stage; any other right-hand side is called once per stage
-with the state as a list, and may return a list or a 1-D array.  Each
-stage is the array expression written per component, so the records are
-bit for bit those of the array arithmetic.  One RK4 step of a dithered
-field costs about 6 us at n = 1 and 8 us at n = 2 that way, against 9 and
-12 us when the same field is called once per stage (medians on a shared
-2-core VM, Python 3.11; ``BENCH_generated_loop.json``).
+traces and determinism checks stay meaningful.  One stepper serves every
+run, one state at a time, on Python floats, in an RK4 loop generated for
+its right-hand side and compiled once per kind.  A dithered field of
+:func:`~asfes.dynamics.make_rhs` is written into the loop, stage by stage;
+any other right-hand side is called once per stage with the state as a
+list, and may return a list or a 1-D array.  Each stage is the array
+expression written per component, so the records are bit for bit those
+of the array arithmetic.  One RK4 step of a dithered field costs about
+6 us at n = 1 and 8 us at n = 2 that way, against 9 and 12 us when the
+same field is called once per stage (medians on a shared 2-core VM,
+Python 3.11; ``BENCH_generated_loop.json``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .dynamics import (
     make_rhs,
 )
 from .errors import (
-    ComputationError,
     DimensionMismatch,
     NonFiniteState,
     NonPositiveTolerance,
@@ -175,134 +173,58 @@ def integrate(
     settings: IntegrationSettings,
     channels: Optional[ChannelFn] = None,
     gamma_index: Optional[int] = None,
-):
-    """Classic fixed-step RK4 from t=0 to t_end, recording every
-    ``record_stride``-th step (plus the first and last).
+) -> Trajectory:
+    """Classic fixed-step RK4 of one state ``x0`` ``(size,)`` from t=0 to
+    t_end, recording every ``record_stride``-th step (plus the first and
+    last).
 
-    ``x0`` is one state ``(size,)``, which gives a :class:`Trajectory`, or
-    a component-major batch ``(size, B)``, which gives a list of B, one per
-    member.  For a batch ``rhs(t, y)`` gets and returns ``(size, B)``
-    arrays.  One state is stepped on Python floats: ``rhs`` gets a list of
+    The state is stepped on Python floats: ``rhs(t, y)`` gets a list of
     ``size`` floats and returns a list or a 1-D array of as many, which
     the stepper turns into a list; a dithered field of
     :func:`~asfes.dynamics.make_rhs` is not called but written into the
-    stepping loop.  ``channels`` is called once per member,
-    on all of its records (see :data:`ChannelFn`).
+    stepping loop.  ``channels`` is called once, on all the records (see
+    :data:`ChannelFn`).
 
-    A single state that leaves the reals raises :class:`NonFiniteState`,
-    carrying the trajectory recorded so far.  In a batch such a member
-    stops instead: its trajectory ends at the step before and records
-    ``diverged_at``, and the other members go on.  Crossing
-    ``gamma_guard`` in magnitude at ``gamma_index`` is only flagged, not
-    stopped: the local theory gives no global bound, so divergence is
-    surfaced as a diagnostic.
+    A state that leaves the reals raises :class:`NonFiniteState`, carrying
+    the trajectory recorded up to the step before, channels included.
+    Crossing ``gamma_guard`` in magnitude at ``gamma_index`` is only
+    flagged, not stopped: the local theory gives no global bound, so
+    divergence is surfaced as a diagnostic.
     """
-    runs = _rk4(rhs, x0, settings, gamma_index)
+    run = _rk4(rhs, x0, settings, gamma_index)
     if channels is not None:
         # a J or h beyond the float range is recorded as inf, with no warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, run in enumerate(runs):
-                theta, j, h = channels(run.times, run.states.T)
-                runs[i] = replace(run, thetas=theta.T, j_values=j, h_values=h)
-    if np.ndim(x0) == 2:
-        return runs
-    if runs[0].diverged_at is not None:
-        raise NonFiniteState(runs[0].diverged_at, partial=runs[0])
-    return runs[0]
+            theta, j, h = channels(run.times, run.states.T)
+        run = replace(run, thetas=theta.T, j_values=j, h_values=h)
+    if run.diverged_at is not None:
+        raise NonFiniteState(run.diverged_at, partial=run)
+    return run
 
 
 def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
-         held: int = 0) -> list:
-    """The stepper behind :func:`integrate` and :func:`warmup`: one
-    trajectory per member, a single state counting as one member, and a
-    member that diverges stops with ``diverged_at`` set.  The first
-    ``held`` rows are held where they are: their derivative is taken as
-    zero, whatever ``rhs`` gives."""
+         held: int = 0) -> Trajectory:
+    """The stepper behind :func:`integrate` and :func:`warmup`: the
+    trajectory of one state, which stops with ``diverged_at`` set where
+    the state leaves the reals.  The first ``held`` rows are held where
+    they are: their derivative is taken as zero, whatever ``rhs`` gives."""
     y = np.array(x0, dtype=float)
-    if y.ndim not in (1, 2):
-        raise DimensionMismatch("x0 must be a state vector or a (size, B) batch")
+    if y.ndim != 1:
+        raise DimensionMismatch(f"x0 has shape {y.shape}; it must be one state vector")
     n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
-    stride = settings.record_stride
-    guard = settings.gamma_guard
     times = [0.0]
     states = array("d")                # every record, flat, in step order
-    if y.ndim == 1:
-        size = y.shape[0]
-        loop = _one_state_loop(rhs, size, held, gamma_index)
-        # an opaque rhs may compute on numpy; its inf/nan warnings on the
-        # way to a divergence are noise, as in a batch
-        with np.errstate(over="ignore", invalid="ignore"):
-            stopped, crossed = loop(rhs, y.tolist(), n_steps, h, stride, guard, times, states)
-        return [Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), size),
-                           gamma_exceeded_at=None if crossed is None else crossed * h,
-                           diverged_at=None if stopped is None else stopped * h)]
-
-    # a batch steps on numpy arrays, one column per member
-    field = _holding(rhs, held) if held else rhs
-    half = 0.5 * h
-    sixth = h / 6.0
-    members = y.shape[1]
-    states.frombytes(y.tobytes())
-    alive = np.ones(members, dtype=bool)
-    # members whose gamma has not crossed the guard yet; None once there are none
-    watched = alive.copy() if gamma_index is not None else None
-    records = [None] * members         # a diverged member's record count
-    diverged_at = [None] * members
-    gamma_exceeded_at = [None] * members
-
-    # divergence is detected per member; the intermediate inf/nan warnings
-    # on the way there are noise
+    size = y.shape[0]
+    loop = _one_state_loop(rhs, size, held, gamma_index)
+    # an opaque rhs may compute on numpy; its inf/nan warnings on the way
+    # to a divergence are noise
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            t = i * h
-            k1 = field(t, y)
-            k2 = field(t + half, y + half * k1)
-            k3 = field(t + half, y + half * k2)
-            k4 = field(t + h, y + h * k3)
-            y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_next = (i + 1) * h
-            if not np.isfinite(y).all():
-                bad = ~np.isfinite(y).all(axis=0)
-                for b in np.flatnonzero(bad & alive):
-                    diverged_at[b] = t_next
-                    records[b] = len(times)
-                alive &= ~bad
-                if not alive.any():
-                    break
-                # park diverged members at a finite state; their columns are
-                # never read again, and columns do not mix
-                y[:, bad] = 0.0
-                if watched is not None:
-                    watched &= alive
-            if watched is not None:
-                g = abs(y[gamma_index])
-                if g.max() > guard:
-                    crossed = watched & (g > guard)
-                    for b in np.flatnonzero(crossed):
-                        gamma_exceeded_at[b] = t_next
-                    watched &= ~crossed
-                    if not watched.any():
-                        watched = None
-            if (i + 1) % stride == 0 or i + 1 == n_steps:
-                times.append(t_next)
-                states.frombytes(y.tobytes())
-    series = np.frombuffer(states).reshape(len(times), *y.shape)
-    ends = [len(times) if r is None else r for r in records]
-    return [Trajectory(np.array(times[:r]), series[:r, :, b].copy(),
-                       gamma_exceeded_at=gamma_exceeded_at[b], diverged_at=diverged_at[b])
-            for b, r in enumerate(ends)]
-
-
-def _holding(rhs, rows: int) -> Callable:
-    """A batch's ``rhs`` with the derivatives of its first ``rows`` rows zero."""
-
-    def field(t, y):
-        dy = rhs(t, y)
-        dy[:rows] = 0.0
-        return dy
-
-    return field
+        stopped, crossed = loop(rhs, y.tolist(), n_steps, h, settings.record_stride,
+                                settings.gamma_guard, times, states)
+    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), size),
+                      gamma_exceeded_at=None if crossed is None else crossed * h,
+                      diverged_at=None if stopped is None else stopped * h)
 
 
 # ---- the one-state RK4 loop, generated ----------------------------------------
@@ -484,81 +406,52 @@ def warmup(
     theta0,
     settings: IntegrationSettings,
     rel_tol: float,
-):
-    """Settle the filters with the parameter frozen at theta0.
+) -> FullState:
+    """Settle the filters with the parameter frozen at theta0 ``(n,)``.
 
-    Steps the filter subsystem (parameter rows masked) with the stepper of
+    Steps the filter subsystem (parameter rows held) with the stepper of
     :func:`integrate`, one signal period at a time, and compares the filter
     states one period apart: sampling at period boundaries removes the
-    dither ripple, which never converges pointwise.  A start is settled
-    once the relative change drops below ``rel_tol``; it fails with
-    :class:`WarmupTimeout` when ``t_end`` is exhausted first, or with
-    :class:`NonFiniteState`.
-
-    ``theta0`` is one start ``(n,)``: the assembled initial state is
-    returned, or the failure raised.  A component-major ``(n, B)`` array is
-    a batch of B starts stepped together, each settling at its own period
-    boundary: the result is a list with, per start, its initial state or
-    the :class:`ComputationError` it failed with.
+    dither ripple, which never converges pointwise.  The start is settled
+    once the relative change drops below ``rel_tol``, and the assembled
+    initial state is returned.  It fails with :class:`WarmupTimeout` when
+    ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
     check_resolves_dither(settings, cfg.dither)
     n = plant.dimension
-    starts = np.asarray(theta0, float)
-    single = starts.ndim < 2
-    if single:
-        starts = starts.reshape(-1, 1)
-    if starts.ndim != 2 or starts.shape[0] != n:
-        raise DimensionMismatch(
-            f"theta0 has shape {np.shape(theta0)}, expected ({n},) or ({n}, B)")
+    start = np.atleast_1d(np.asarray(theta0, float))
+    if start.shape != (n,):
+        raise DimensionMismatch(f"theta0 has shape {np.shape(theta0)}, expected ({n},)")
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
-    theta_at, filters = layout.theta, layout.filters
+    filters = layout.filters
     f = make_rhs(plant, cfg)
     period = signal_period(cfg.dither)
     one_period = IntegrationSettings(
         dt=settings.dt, t_end=period,
         record_stride=step_count(period, settings.dt))
 
-    # theta at the starts, eta_J and eta_h at J and h there, G_J and G_h
+    # theta at the start, eta_J and eta_h at J and h there, G_J and G_h
     # at zero, gamma (and Gamma) at one
-    ys = layout.pack([starts, 0.0, eval_objective(plant, starts), 0.0,
-                      eval_barrier(plant, starts), 1.0, 1.0][:len(layout.blocks)])
-
-    results = [None] * starts.shape[1]
-    live = list(range(starts.shape[1]))      # batch column -> start
-    prev = ys[filters].copy()
-    max_periods = max(1, int(settings.t_end / period))
-    for p in range(max_periods):
-        runs = _rk4(f, ys[:, 0] if single else ys, one_period, None, held=theta_at.stop)
-        ys = np.stack([run.states[-1] for run in runs], axis=1)
-        change = _norms(ys[filters] - prev)
-        scale = np.maximum(_norms(ys[filters]), 1e-30)
-        keep = []
-        for col, run in enumerate(runs):
-            if run.diverged_at is not None:
-                results[live[col]] = NonFiniteState(p * period + run.diverged_at)
-            elif change[col] <= rel_tol * scale[col]:
-                results[live[col]] = FullState.from_vector(ys[:, col], n)
-            else:
-                keep.append(col)
-        ys, prev = ys[:, keep], ys[filters, keep]
-        live = [live[col] for col in keep]
-        if not live:
-            break
-    for start in live:
-        results[start] = WarmupTimeout(
-            f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}")
-    if single:
-        if isinstance(results[0], ComputationError):
-            raise results[0]
-        return results[0]
-    return results
+    y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
+                     eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])
+    prev = y[filters]
+    for p in range(max(1, int(settings.t_end / period))):
+        run = _rk4(f, y, one_period, None, held=layout.theta.stop)
+        if run.diverged_at is not None:
+            raise NonFiniteState(p * period + run.diverged_at)
+        y = run.states[-1]
+        if _norm(y[filters] - prev) <= rel_tol * max(_norm(y[filters]), 1e-30):
+            return FullState.from_vector(y, n)
+        prev = y[filters]
+    raise WarmupTimeout(
+        f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}")
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of a component-major batch."""
-    return np.sqrt(component_sum(x * x))
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector, its squares summed left to right."""
+    return math.sqrt(component_sum(x * x))
 
 
 def numeric_average(
@@ -585,7 +478,7 @@ def numeric_average(
     intervals += intervals % 2  # composite Simpson wants an even count
     ts = np.linspace(0.0, period, intervals + 1)
     f = make_rhs(plant, cfg.with_variant(Variant.ASFES))
-    # every node in one call: the state broadcast over a batch, one time each
+    # every node in one call: the state broadcast over the nodes, one time each
     samples = f(ts, np.broadcast_to(y[:, None], (y.shape[0], ts.shape[0])))
     if not np.all(np.isfinite(samples)):
         raise QuadratureFailure("non-finite integrand while averaging")

@@ -1,3 +1,4 @@
+import importlib.resources
 import io
 import math
 import os
@@ -26,8 +27,8 @@ from asfes.cli import (
     write_trajectory_csv,
 )
 from asfes.dynamics import StateLayout, Variant, make_reduced_rhs, make_rhs
-from asfes.errors import (NonFiniteValue, ParseError, ResonantTriple, UnusableOutput,
-                          ValidationError)
+from asfes.errors import (NonFiniteValue, NonPositiveTrials, ParseError, ResonantTriple,
+                          UnusableOutput, ValidationError)
 from asfes.integrate import full_state_channels, integrate, reduced_channels, warmup
 
 EX1_SMALL = """
@@ -180,6 +181,24 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario(write_scenario(tmp_path, bad))
 
+    def test_scenario_that_asks_for_no_run_rejected(self, tmp_path, capsys):
+        # no variant, and neither the averaged nor the reduced model
+        text = EX1_SMALL.replace("include_reduced = true", "include_reduced = false")
+        text = text.replace("include_average = true", "include_average = false")
+        path = write_scenario(tmp_path, text.replace("variants = asfes", "variants ="))
+        line = text.splitlines().index("variants = asfes") + 1
+        with pytest.raises(ParseError, match="no run") as exc:
+            parse_scenario(path)
+        assert exc.value.line == line
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert f"error: line {line}: variants:" in capsys.readouterr().err
+        assert not out.exists()
+        # a model alone is a run
+        alone = text.replace("variants = asfes", "variants =").replace(
+            "include_reduced = false", "include_reduced = true")
+        assert parse_scenario(write_scenario(tmp_path, alone)).variants_to_run == ()
+
     def test_start_whose_objective_overflows_rejected(self, tmp_path):
         path = write_scenario(tmp_path, EX1_SMALL.replace("theta0 = -3", "theta0 = 1e308"))
         with warnings.catch_warnings():
@@ -231,6 +250,35 @@ def test_parser_gives_a_scenario_or_a_validation_error(tmp_path_factory, scenari
         except ValidationError:
             pass
 
+
+BUNDLED = {name: (importlib.resources.files("asfes") / "scenarios" / f"{name}.scenario")
+           .read_text().splitlines() for name in ("example1", "example2")}
+# a line of arbitrary text, a line of either bundled scenario, or a known
+# key set to arbitrary text
+ANY_LINE = st.one_of(st.text(), st.sampled_from(sorted({line for lines in BUNDLED.values()
+                                                        for line in lines})),
+                     st.builds("{0[1]} = {1}".format, st.sampled_from(FUZZ_KEYS), st.text()))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(BUNDLED)),
+       edits=st.lists(st.tuples(st.integers(0, 60), st.booleans(), ANY_LINE), max_size=6))
+def test_parser_raises_only_validation_errors_on_any_text(tmp_path_factory, name, edits):
+    # a bundled scenario with lines replaced by, or added from, arbitrary
+    # text and lines of either scenario: a scenario, or a ValidationError,
+    # and no warning on the way
+    lines = list(BUNDLED[name])
+    for at, insert, line in edits:
+        at %= len(lines) + 1
+        lines[at:at + (not insert)] = [line]
+    path = tmp_path_factory.getbasetemp() / "fuzz_text.scenario"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(parse_scenario(path), Scenario)
+        except ValidationError:
+            pass
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -380,25 +428,9 @@ class TestRunSimulate:
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     def test_product_members_match_their_solo_runs(self, tmp_path, scenario_dir, example):
-        # two rates x two starts, below cli.BATCH_ABOVE: the warmups and
-        # every product step member by member
+        # two rates x two starts: the warmups and every product step
+        # member by member
         self.check_members_match_their_solo_runs(tmp_path, scenario_dir, example)
-
-    @pytest.mark.parametrize("example", ["example1", "example2"])
-    def test_batched_product_members_match_their_solo_runs(self, tmp_path, scenario_dir,
-                                                           example, monkeypatch):
-        # the same products with the threshold lowered, so that the two
-        # starts warm up as one batch and each four-member product steps as
-        # one batch with a rate per member
-        import asfes.cli as cli
-        monkeypatch.setattr(cli, "BATCH_ABOVE", 1)
-        batches = []
-        stepped_as_batch = cli._stepped_as_batch
-        monkeypatch.setattr(cli, "_stepped_as_batch",
-                            lambda members: batches.append(members) or stepped_as_batch(members))
-        self.check_members_match_their_solo_runs(tmp_path, scenario_dir, example)
-        # one warmup of the two starts, then asfes, classical and reduced
-        assert batches == [2, 4, 4, 4]
 
     @staticmethod
     def check_members_match_their_solo_runs(tmp_path, scenario_dir, example):
@@ -516,9 +548,17 @@ class TestRunVerify:
         assert bufs[0] == bufs[1]
         assert "ALL PROPERTIES PASS" in bufs[0]
 
-    def test_zero_trials_usage_error(self):
-        buf = io.StringIO()
-        assert run_verify(7, 0, stream=buf) == 1
+    def test_zero_trials_usage_error(self, capsys):
+        for trials in (0, -3):
+            buf = io.StringIO()
+            with pytest.raises(NonPositiveTrials, match="--trials"):
+                run_verify(7, trials, stream=buf)
+            assert buf.getvalue() == ""
+            assert main(["verify", "--trials", str(trials)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: --trials must be a positive integer, got {trials}\n")
 
     def test_main_verify(self, capsys):
         rc = main(["verify", "--seed", "3", "--trials", "10"])

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import re
 from dataclasses import replace
@@ -32,7 +33,7 @@ from asfes import (
 from asfes import dynamics
 from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
 from asfes.dynamics import StateLayout, make_reduced_rhs
-from asfes.errors import DimensionMismatch, NotScalar
+from asfes.errors import DimensionMismatch, NotScalar, ValidationError
 from asfes.integrate import _loop_source, numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
 from oracles import demod, newton_demod
@@ -179,7 +180,7 @@ def _generic_rhs_reference(plant, cfg, t, y):
 
 
 def _random_states(rng, n, newton, members):
-    """A component-major batch of states with gamma (and Gamma) positive."""
+    """A component-major array of states with gamma (and Gamma) positive."""
     layout = StateLayout.of(n, newton)
     ys = rng.uniform(-2.0, 2.0, size=(layout.size, members))
     ys[layout.gamma] = rng.uniform(0.1, 2.0, size=members)
@@ -195,17 +196,19 @@ def _random_states(rng, n, newton, members):
        members=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_float_field_is_each_rows_member(case, members, seed):
     # the template's two shapes: one state on floats is bit for bit its
-    # member of a batch on rows (own time and rate), and both are the field
+    # column of a 2-D call on rows (each column at its own time, as the
+    # averaging oracle calls it), and both are the field
     n, variant = case
     rng = np.random.default_rng(seed)
     plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
     ys = _random_states(rng, n, variant is Variant.NEWTON_ASFES, members)
-    ts, cs = rng.uniform(0.0, 2.0, size=members), rng.uniform(0.1, 2.0, size=members)
-    batch = make_rhs(plant, cfg, c=cs)(ts, ys)
+    ts = rng.uniform(0.0, 2.0, size=members)
+    rhs = make_rhs(plant, cfg)
+    columns = rhs(ts, ys)
     for b in range(members):
-        one = make_rhs(plant, cfg, c=cs[b])(float(ts[b]), ys[:, b].tolist())
-        assert np.array(one).tobytes() == batch[:, b].tobytes()
-        want = _generic_rhs_reference(plant, replace(cfg, c=float(cs[b])), ts[b], ys[:, b])
+        one = rhs(float(ts[b]), ys[:, b].tolist())
+        assert np.array(one).tobytes() == columns[:, b].tobytes()
+        want = _generic_rhs_reference(plant, cfg, ts[b], ys[:, b])
         np.testing.assert_allclose(one, want, rtol=1e-12, atol=1e-12)
 
 
@@ -418,51 +421,40 @@ class TestReducedRhs:
                 assert reduced_rhs(plant, cfg, float(x[0])).tobytes() == got.tobytes()
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want) + bound), (got, want)
 
-    @hypothesis_settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(1, 3), members=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_batch_members_match_their_solo_points(self, n, members, seed):
-        # each column of a (n, B) batch, with its own c, is bit for bit the
-        # value of its one-point call
-        rng = np.random.default_rng(seed)
-        plant, cfg = random_plant(rng, n), random_config(rng, n)
-        cs = rng.uniform(0.1, 2.0, size=members)
-        x = rng.uniform(-3.0, 3.0, size=(n, members))
-        out = reduced_rhs(plant, cfg, x, c=cs)
-        assert out.shape == (n, members)
-        for b in range(members):
-            assert out[:, b].tobytes() == reduced_rhs(plant, cfg, x[:, b], c=cs[b]).tobytes()
-        shared = reduced_rhs(plant, cfg, x)
-        assert shared.tobytes() == reduced_rhs(plant, cfg, x, c=np.full(members, cfg.c)).tobytes()
-
     def test_field_is_built_once_per_plant_config_and_rate(self, plant1, cfg1, plant2, cfg2,
                                                            monkeypatch):
         # a run stepped through reduced_rhs builds its field once; another
-        # plant, config or rate builds its own, and gets its own values
+        # plant, or a config with another rate, builds its own, and gets
+        # its own values
         builds = []
         make = dynamics.make_reduced_rhs
         monkeypatch.setattr(dynamics, "make_reduced_rhs",
                             lambda *args: builds.append(args) or make(*args))
-        monkeypatch.setattr(dynamics, "_last_reduced", (None, None, None, None))
+        monkeypatch.setattr(dynamics, "_last_reduced", (None, None, None))
         x = np.array([0.5, -0.25])
         cfg2_fast = replace(cfg2, c=2.0 * cfg2.c)
         plant2_shifted = validate_plant(plant2.objective,
                                         LinearBarrier(h0=plant2.h0 - 0.5, h1=plant2.h1))
-        rate = 0.5
-        # the second to fourth keys each change one of config, plant, rate
-        keys = [(plant2, cfg2, None), (plant2, cfg2_fast, None),
-                (plant2_shifted, cfg2_fast, None), (plant2_shifted, cfg2_fast, rate),
-                (plant1, cfg1, None), (plant2, cfg2, None)]
-        for plant, cfg, c in keys:
+        # the second and third keys each change one of rate and plant
+        keys = [(plant2, cfg2), (plant2, cfg2_fast), (plant2_shifted, cfg2_fast),
+                (plant1, cfg1), (plant2, cfg2)]
+        for plant, cfg in keys:
             point = x[:plant.dimension]
             for _ in range(3):
-                got = reduced_rhs(plant, cfg, point, c=c)
-                assert got.tobytes() == np.asarray(make(plant, cfg, c)(point)).tobytes()
+                got = reduced_rhs(plant, cfg, point)
+                assert got.tobytes() == np.asarray(make(plant, cfg)(point)).tobytes()
         assert builds == keys
+        assert reduced_rhs(plant2, cfg2, x).tobytes() != reduced_rhs(plant2, cfg2_fast,
+                                                                     x).tobytes()
 
     def test_bad_shapes_rejected(self, plant2, cfg2):
-        for x in (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 2, 1)), 1.0):
+        # an (n, B) array of points among them: the field takes one point
+        field = make_reduced_rhs(plant2, cfg2)
+        for x in (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 3)), np.zeros((2, 2, 1)), 1.0):
             with pytest.raises(DimensionMismatch):
                 reduced_rhs(plant2, cfg2, x)
+            with pytest.raises(DimensionMismatch):
+                field(x)
 
     def test_zero_at_average_equilibrium(self, plant1, cfg1, plant2, cfg2):
         for plant, cfg in ((plant1, cfg1), (plant2, cfg2)):
@@ -550,7 +542,7 @@ class TestStateLayout:
         assert offenders == []
 
     def test_make_rhs_builds_one_closure(self):
-        # one dithered field for every dimension and batch size: no second
+        # one dithered field for every dimension and shape: no second
         # (scalar) copy of it nested in make_rhs
         src = Path(asfes.__file__).parent / "dynamics.py"
         tree = ast.parse(src.read_text())
@@ -561,32 +553,32 @@ class TestStateLayout:
         assert len(nested) == 1, [ast.dump(node)[:60] for node in nested]
 
     def test_rk4_holds_one_stepping_loop(self):
-        # a batch steps in _rk4's one loop; one state steps in a loop that
-        # one generator writes for every right-hand side, holding one loop
+        # every state steps in a loop that one generator writes for every
+        # right-hand side, holding one loop; _rk4 has no loop of its own
         src = Path(asfes.__file__).parent / "integrate.py"
         tree = ast.parse(src.read_text())
         rk4 = next(node for node in tree.body
                    if isinstance(node, ast.FunctionDef) and node.name == "_rk4")
-        loops = [node for node in ast.walk(rk4) if isinstance(node, ast.For)
-                 and ast.unparse(node.iter) == "range(n_steps)"]
-        assert len(loops) == 1
+        assert [node for node in ast.walk(rk4) if isinstance(node, (ast.For, ast.While))] == []
         for key in generated_loop_keys():
             loops = [node for node in ast.walk(ast.parse(_loop_source(*key)))
-                     if isinstance(node, ast.For)]
+                     if isinstance(node, (ast.For, ast.While))]
             assert [ast.unparse(node.iter) for node in loops] == ["range(n_steps)"]
 
     @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs", "make_reduced_rhs",
                                       "make_average_rhs", "_field_parts", "generated"])
     def test_fields_take_no_matrix_product(self, name):
         # a BLAS product's order of summation, and its fused multiply-adds,
-        # may depend on the batch around a member; the fields sum left to
-        # right, so that nothing sums across members and each member is
-        # bit for bit its own run.  "generated" is every source the
-        # template emits, and every RK4 loop generated from it.
+        # may depend on the columns around a state; the fields sum left to
+        # right, so that nothing sums across columns and each column is
+        # bit for bit its own state.  "generated" is every source the
+        # template emits (the dithered fields in both shapes, the averaged
+        # and reduced fields on floats), and every RK4 loop generated from it.
         if name == "generated":
-            models = [v.value for v in Variant] + ["average", "reduced"]
+            shapes = {v.value: ("floats", "rows") for v in Variant}
+            shapes.update(average=("floats",), reduced=("floats",))
             trees = [ast.parse(dynamics._field_source(model, n, shape))
-                     for model in models for n in (1, 2, 3) for shape in ("floats", "rows")
+                     for model, kinds in shapes.items() for n in (1, 2, 3) for shape in kinds
                      if model != Variant.NEWTON_ASFES.value or n == 1]
             trees += [ast.parse(_loop_source(model, n, held, gamma))
                       for model, n, held, gamma in generated_loop_keys()]
@@ -605,27 +597,31 @@ class TestStateLayout:
 @pytest.mark.parametrize("field", ["make_rhs", "reduced_rhs", "make_reduced_rhs"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_rates_are_one_per_member(n, field, rng):
-    # per-member rates on one state, or on a batch of another size, are a
-    # named mismatch, not a bare TypeError or broadcasting ValueError
+    # each run has one attractivity rate, its config's c: a field takes no
+    # rate of its own, a config with a rate that is not one positive
+    # number is a named ValidationError, and a field built from a config
+    # with another rate takes that rate
     plant, cfg = random_plant(rng, n), random_config(rng, n)
-    if field == "make_rhs":
-        def call(c, y):
-            return make_rhs(plant, cfg, c=c)(0.0, y)
-        one = random_full_state(rng, n)
-    elif field == "reduced_rhs":
-        def call(c, y):
-            return reduced_rhs(plant, cfg, y, c=c)
-        one = rng.uniform(-1.0, 1.0, n)
+    if field == "reduced_rhs":
+        def call(config):
+            return reduced_rhs(plant, config, point)
+        point = rng.uniform(-1.0, 1.0, n)
+    elif field == "make_rhs":
+        def call(config):
+            return make_rhs(plant, config)(0.0, point)
+        point = random_full_state(rng, n)
     else:
-        def call(c, y):
-            return make_reduced_rhs(plant, cfg, c=c)(y)
-        one = rng.uniform(-1.0, 1.0, n)
-    batch = np.stack([one] * 3, axis=1)
-    with pytest.raises(DimensionMismatch, match=r"^c holds .*, 1 in all, for one state$"):
-        call(np.array([0.3]), one)
-    with pytest.raises(DimensionMismatch, match=r"^c holds .*, 2 in all, for a batch of 3$"):
-        call(np.array([0.3, 0.5]), batch)
-    assert call(np.array([0.3, 0.5, 0.7]), batch).shape == batch.shape
+        def call(config):
+            return make_reduced_rhs(plant, config)(point)
+        point = rng.uniform(-1.0, 1.0, n)
+    assert "c" not in inspect.signature(getattr(dynamics, field)).parameters
+    for rate in (-1.0, 0.0, math.nan, math.inf, np.array([0.3, 0.5]), np.array([0.3])):
+        with pytest.raises(ValidationError):
+            replace(cfg, c=rate)
+    rate = 2.0 * cfg.c
+    fresh = AlgorithmConfig(k=cfg.k, c=rate, delta=cfg.delta, omega_f=cfg.omega_f,
+                            dither=cfg.dither)
+    assert call(replace(cfg, c=rate)).tobytes() == call(fresh).tobytes()
 
 
 @pytest.mark.parametrize("case", [

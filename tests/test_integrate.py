@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from asfes import (
 from asfes.analysis import average_equilibrium
 from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.errors import (
-    ComputationError,
     DimensionMismatch,
     NonFiniteState,
     NonFiniteValue,
@@ -178,65 +178,6 @@ def assert_same_run(got, want, fields=TRAJECTORY_FIELDS):
     assert got.diverged_at == want.diverged_at
 
 
-def with_c(cfg, c):
-    return AlgorithmConfig(k=cfg.k, c=float(c), delta=cfg.delta, omega_f=cfg.omega_f,
-                           dither=cfg.dither, variant=cfg.variant)
-
-
-class TestBatch:
-    @hypothesis_settings(max_examples=20, deadline=None, derandomize=True, database=None)
-    @given(case=st.sampled_from([(1, Variant.ASFES), (1, Variant.NEWTON_ASFES),
-                                 (1, Variant.CLASSICAL_ES), (2, Variant.ASFES),
-                                 (2, Variant.CLASSICAL_ES), (3, Variant.ASFES)]),
-           members=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-    def test_members_match_their_solo_runs(self, case, members, seed):
-        # each member of a batch, with its own c, is bit for bit the run it
-        # has alone as (size, 1) and as one state (size,), at every n and for
-        # every variant (Newton at n = 1 only)
-        n, variant = case
-        rng = np.random.default_rng(seed)
-        plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
-        cs = rng.uniform(0.1, 2.0, size=members)
-        x0 = np.stack([exact_initial_state(plant, cfg, rng.uniform(-2.0, 2.0, n)).as_vector()
-                       for _ in range(members)], axis=1)
-        run_settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=0.05,
-                                           record_stride=3,
-                                           gamma_guard=float(rng.uniform(0.3, 3.0)))
-        kwargs = dict(channels=full_state_channels(plant, cfg), gamma_index=StateLayout.of(n).gamma)
-        runs = integrate(make_rhs(plant, cfg, c=cs), x0, run_settings, **kwargs)
-        assert len(runs) == members
-        for b, run in enumerate(runs):
-            alone = integrate(make_rhs(plant, cfg, c=cs[b:b + 1]), x0[:, b:b + 1],
-                              run_settings, **kwargs)
-            assert_same_run(run, alone[0])
-            try:
-                single = integrate(make_rhs(plant, with_c(cfg, cs[b])), x0[:, b],
-                                   run_settings, **kwargs)
-            except NonFiniteState as exc:
-                single = exc.partial
-            assert_same_run(run, single)
-
-    def test_diverging_member_is_masked(self, plant2, cfg2):
-        # a negative gamma makes the Riccati row escape in finite time
-        starts = ([1.5, -1.5], [2.0, 2.0], [-0.5, -0.5])
-        x0 = np.stack([exact_initial_state(plant2, cfg2, s).as_vector() for s in starts], axis=1)
-        gamma_at = StateLayout.of(2).gamma
-        x0[gamma_at, 1] = -5.0
-        cs = np.array([1.0, 0.5, 0.1])
-        run_settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=0.2, record_stride=3)
-        kwargs = dict(channels=full_state_channels(plant2, cfg2), gamma_index=gamma_at)
-        runs = integrate(make_rhs(plant2, cfg2, c=cs), x0, run_settings, **kwargs)
-        for b in (0, 2):
-            alone = integrate(make_rhs(plant2, with_c(cfg2, cs[b])), x0[:, b],
-                              run_settings, **kwargs)
-            assert_same_run(runs[b], alone)
-            assert alone.diverged_at is None and alone.times[-1] == pytest.approx(0.2)
-        with pytest.raises(NonFiniteState) as exc:
-            integrate(make_rhs(plant2, with_c(cfg2, cs[1])), x0[:, 1], run_settings, **kwargs)
-        assert runs[1].diverged_at == exc.value.time < 0.2
-        assert_same_run(runs[1], exc.value.partial)     # channels included
-
-
 def _rk4_reference(rhs, x0, settings, gamma_index=None):
     """The one-state RK4 loop as it was written on numpy arrays: the state
     and its stages are ``(size,)`` arrays, and ``rhs`` gets and returns
@@ -336,13 +277,24 @@ class TestFloatStepper:
             integrate(lambda t, y: [0.0], np.zeros(2), IntegrationSettings(dt=0.1, t_end=1.0))
 
 
+def test_an_array_of_states_is_a_mismatch(plant2, cfg2):
+    # integrate and warmup take one state and one start: a component-major
+    # (size, B) or (n, B) array is a named mismatch
+    settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=1.0)
+    x0 = exact_initial_state(plant2, cfg2, [1.5, -1.5]).as_vector()
+    with pytest.raises(DimensionMismatch):
+        integrate(make_rhs(plant2, cfg2), np.stack([x0, x0], axis=1), settings)
+    with pytest.raises(DimensionMismatch):
+        warmup(plant2, cfg2, np.array([[1.5, -0.5], [-1.5, -0.5]]), settings, 1e-4)
+
+
 def _fused_and_opaque(rhs, x0, settings, gamma_at, held=0):
     """One state of a make_rhs field stepped by the fused loop, and by the
     opaque loop through a plain lambda around the same field."""
     opaque = lambda t, y: rhs(t, y)  # noqa: E731
     loops = [_one_state_loop(f, len(x0), held, gamma_at).__code__.co_name for f in (rhs, opaque)]
     assert loops == [f"rk4_{rhs.template[0]}_{rhs.template[1]}", f"rk4_opaque_{len(x0)}"]
-    return [_rk4(f, x0, settings, gamma_at, held)[0] for f in (rhs, opaque)]
+    return [_rk4(f, x0, settings, gamma_at, held) for f in (rhs, opaque)]
 
 
 def assert_same_records(got, want):
@@ -372,7 +324,7 @@ class TestGeneratedLoop:
         settings = IntegrationSettings(
             dt=dt, t_end=steps * dt * rng.uniform(0.5, 1.0), record_stride=stride,
             gamma_guard=float(x0[layout.gamma] * rng.uniform(0.9, 1.5)))
-        rhs = make_rhs(plant, cfg, c=float(rng.uniform(0.01, 5.0)))
+        rhs = make_rhs(plant, replace(cfg, c=float(rng.uniform(0.01, 5.0))))
         fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma,
                                           layout.theta.stop if held else 0)
         assert_same_records(fused, opaque)
@@ -390,10 +342,14 @@ class TestGeneratedLoop:
         assert fused.gamma_exceeded_at == 2 * fused.times[1]
         assert fused.diverged_at == 3 * fused.times[1]
         assert_same_records(fused, opaque)
+        channels = full_state_channels(plant1, cfg)
         with pytest.raises(NonFiniteState) as exc:
-            integrate(rhs, x0, settings, gamma_index=layout.gamma_newton)
+            integrate(rhs, x0, settings, channels=channels, gamma_index=layout.gamma_newton)
         assert exc.value.time == fused.diverged_at
-        assert_same_records(exc.value.partial, fused)
+        # the partial trajectory carries its channels
+        theta, j, h = channels(fused.times, fused.states.T)
+        assert_same_run(exc.value.partial,
+                        replace(fused, thetas=theta.T, j_values=j, h_values=h))
         fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma_newton, held=1)
         assert fused.diverged_at is not None and np.all(fused.states[:, 0] == -3.0)
         assert_same_records(fused, opaque)
@@ -449,29 +405,6 @@ class TestWarmup:
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
         with pytest.raises(WarmupTimeout):
             warmup(plant1, cfg1, [-3.0], settings, 1e-12)
-
-    def test_batch_matches_single_starts(self, plant2, cfg2):
-        settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=20.0)
-        starts = np.array([[1.5, 1.5], [-0.5, -0.5], [2.5, 0.5]])
-        states = warmup(plant2, cfg2, starts.T, settings, 1e-4)
-        for start, state in zip(starts, states):
-            alone = warmup(plant2, cfg2, start, settings, 1e-4)
-            assert state.as_vector().tobytes() == alone.as_vector().tobytes()
-
-    def test_batch_reports_each_failure(self, plant1, cfg1):
-        # the start far from the minimizer escapes (see the single-start
-        # test above), the near one settles, each at its own time
-        cfg = AlgorithmConfig(k=cfg1.k, c=cfg1.c, delta=cfg1.delta,
-                              omega_f=cfg1.omega_f, dither=cfg1.dither,
-                              variant=Variant.NEWTON_ASFES)
-        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=40.0)
-        far, near = warmup(plant1, cfg, [[-3.0, -0.2]], settings, 1e-4)
-        assert isinstance(far, NonFiniteState)
-        assert near.gamma_newton == pytest.approx(10.0, rel=0.05)
-        short = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
-        timeouts = warmup(plant1, cfg1, [[-3.0, -2.0]], short, 1e-12)
-        assert all(isinstance(r, WarmupTimeout) for r in timeouts)
-        assert all(isinstance(r, ComputationError) for r in timeouts)
 
     def test_rejects_bad_tolerance(self, plant1, cfg1):
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
