@@ -135,11 +135,21 @@ def _parse_dt(text: str, line: int, key: str) -> Optional[float]:
     return None if text.strip().lower() == "auto" else _parse_number(text, line, key)
 
 
+def _named_once(values, names, line: int, key: str) -> None:
+    """Runs and report sections are named by ``names``, so two values with
+    one name would be written one over the other."""
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(line, f"{key}: {values[names.index(name)]} and {values[i]} "
+                                   f"would both be written as {name}, one over the other")
+
+
 def _parse_variants(text: str, line: int, key: str) -> tuple:
     names = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
     unknown = [nm for nm in names if nm not in _VARIANT_NAMES]
     if unknown:
         raise ParseError(line, f"{key}: unknown variant {unknown[0]!r}")
+    _named_once(names, names, line, key)
     return tuple(_VARIANT_NAMES[nm] for nm in names)
 
 
@@ -231,7 +241,9 @@ def parse_scenario(path) -> Scenario:
                              f"{plant.dimension}-parameter plant")
 
     # gains
-    c_values = tuple(numbers("gains", "c"))
+    ln, v = require("gains", "c")
+    c_values = tuple(_parse_floats(v, ln))
+    _named_once(c_values, [f"c{c:g}" for c in c_values], ln, "c")
     config = AlgorithmConfig(k=number("gains", "k"), c=c_values[0],
                              delta=number("gains", "delta"),
                              omega_f=number("gains", "omega_f"),
@@ -319,81 +331,6 @@ def write_trajectory_csv(
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
 
 
-def _warm_starts(scenario: Scenario) -> dict:
-    """Warm up each distinct start once per filter layout (with or without
-    the Newton row): the frozen filter rows depend neither on c nor on the
-    safety term.
-
-    Returns ``{(newton, theta0 bytes): initial state or the ComputationError
-    its warmup failed with}``.
-    """
-    starts = list({th.tobytes(): th for th in scenario.initial_thetas}.values())
-    settings = warmup_settings(scenario.settings, scenario.config.omega_f)
-    warmed = {}
-    for newton in sorted({v is Variant.NEWTON_ASFES for v in scenario.variants_to_run}):
-        cfg = scenario.config_for(scenario.c_values[0],
-                                  Variant.NEWTON_ASFES if newton else Variant.ASFES)
-        for theta0 in starts:
-            try:
-                result = warmup(scenario.plant, cfg, theta0, settings, scenario.warmup_rel_tol)
-            except ComputationError as exc:
-                result = exc
-            warmed[(newton, theta0.tobytes())] = result
-    return warmed
-
-
-def _run_product(scenario: Scenario, variant: Variant, warmed: dict) -> list:
-    """One variant over the c x theta0 product (c-major), run by run.
-    Returns ``[(trajectory, notes)]`` in product order."""
-    plant = scenario.plant
-    newton = variant is Variant.NEWTON_ASFES
-    gamma_at = StateLayout.of(plant.dimension, newton).gamma
-    runs = []
-    for c in scenario.c_values:
-        cfg = scenario.config_for(c, variant)
-        for theta0 in scenario.initial_thetas:
-            state0 = warmed[(newton, theta0.tobytes())]
-            notes = []
-            if isinstance(state0, ComputationError):
-                notes.append(f"warmup failed ({state0}); "
-                             "falling back to exact filter initialization")
-                state0 = exact_initial_state(plant, cfg, theta0)
-            traj = _integrate_kept(make_rhs(plant, cfg), state0.as_vector(), scenario.settings,
-                                   channels=full_state_channels(plant, cfg),
-                                   gamma_index=gamma_at)
-            runs.append((traj, notes))
-    return runs
-
-
-def _reduced_product(scenario: Scenario, settings: IntegrationSettings) -> list:
-    """The reduced model over the c x theta0 product (c-major), each run
-    from theta0 - theta*.  Returns the trajectories in product order."""
-    plant = scenario.plant
-    runs = []
-    for c in scenario.c_values:
-        cfg = scenario.config_for(c, Variant.ASFES)
-
-        def field(t, y):
-            # reduced_rhs reuses the field it built last, so each rate builds
-            # it once; every reduced run steps through it, and perfbench's
-            # tracer counts the reduced model's calls by that name
-            return reduced_rhs(plant, cfg, y)
-
-        runs += [_integrate_kept(field, th - plant.theta_star, settings,
-                                 channels=reduced_channels(plant))
-                 for th in scenario.initial_thetas]
-    return runs
-
-
-def _integrate_kept(*args, **kwargs) -> Trajectory:
-    """:func:`integrate` for one state, where a run that diverges gives the
-    trajectory recorded up to the failure (``diverged_at`` set)."""
-    try:
-        return integrate(*args, **kwargs)
-    except NonFiniteState as exc:
-        return exc.partial
-
-
 def _output_dir(output_dir) -> Path:
     """The output directory, made if missing; one that cannot be made (a
     file is in its place or in its path) is :class:`UnusableOutput`."""
@@ -408,53 +345,80 @@ def _output_dir(output_dir) -> Path:
 
 def run_simulate(scenario: Scenario, output_dir) -> int:
     """Warm up and integrate every requested variant (plus the averaged and
-    reduced hierarchies when asked), writing one CSV per run and a summary.
+    reduced models when asked), writing one CSV per run and a summary.
 
-    Every run steps alone, one per c x theta0 member of each variant and
-    model, the dithered ones after one warmup per distinct start.  Returns
-    0 on success, 2 if any run diverged (its CSV then holds the trajectory
-    up to the failure, and its summary block a DIVERGED note).
+    The runs go c-major, then theta0: at each (c, theta0) the variants in
+    the scenario's order, then the averaged run, then the reduced run
+    (from theta0 - theta*).  Each run steps alone and is written, CSV and
+    summary block, before the next one steps.  A dithered run starts from
+    the warmup of its start and filter layout (with or without the Newton
+    row), done the first time that pair comes up and shared by every later
+    run of it: the warmup holds the theta rows, so it reads neither c nor
+    the safety term.  A failed warmup falls back to the exact filter
+    initialization, with a note.  Returns 0 on success, 2 if any run
+    diverged (its CSV then holds the trajectory up to the failure, and its
+    summary block a DIVERGED note).
     """
     out = _output_dir(output_dir)
     plant = scenario.plant
     n = plant.dimension
-    layout = StateLayout.of(n)
+    average_layout = StateLayout.of(n)
     optimum = constrained_minimum(plant)
-    warmed = _warm_starts(scenario)
-    runs = {variant: _run_product(scenario, variant, warmed)
-            for variant in scenario.variants_to_run}
+    warm = warmup_settings(scenario.settings, scenario.config.omega_f)
     slow = _slow_settings(scenario.settings, scenario.config.omega_f)
-    reduced = _reduced_product(scenario, slow) if scenario.include_reduced else None
+    warmed = {}  # (newton, theta0 bytes) -> initial state, or the error its warmup raised
     summary_lines, diverged = [], False
 
-    def record(name, traj, label, c, filter_names=(), notes=()):
+    def run(name, rhs, x0, settings, label, c, channels, layout=None, notes=()):
         nonlocal diverged
-        if traj.diverged_at is not None:
+        try:
+            traj = integrate(rhs, x0, settings, channels=channels,
+                             gamma_index=None if layout is None else layout.gamma)
+        except NonFiniteState as exc:
             diverged = True
-            notes = [*notes, f"DIVERGED: {NonFiniteState(traj.diverged_at)}"]
-        write_trajectory_csv(out / f"{name}.csv", traj, label, c, filter_names)
+            traj, notes = exc.partial, [*notes, f"DIVERGED: {exc}"]
+        write_trajectory_csv(out / f"{name}.csv", traj, label, c,
+                             () if layout is None else layout.filter_names)
         report = analysis.safety_report(traj, plant, c, optimum)
         summary_lines.extend(_summary_block(name, report, traj, notes))
 
-    for ci, c in enumerate(scenario.c_values):
+    for c in scenario.c_values:
         cfg = scenario.config_for(c, Variant.ASFES)
+
+        def reduced(t, y):
+            # reduced_rhs reuses the field it built last while plant and cfg
+            # are the same objects, so each rate builds it once; perfbench's
+            # tracer counts the reduced model's calls by that name
+            return reduced_rhs(plant, cfg, y)
+
         for xi, theta0 in enumerate(scenario.initial_thetas):
-            member = ci * len(scenario.initial_thetas) + xi
             for variant in scenario.variants_to_run:
-                traj, notes = runs[variant][member]
-                record(f"{variant.value}_c{c:g}_x{xi}", traj, "theta_hat", c,
-                       StateLayout.of(n, variant is Variant.NEWTON_ASFES).filter_names, notes)
+                run_cfg = scenario.config_for(c, variant)
+                newton = variant is Variant.NEWTON_ASFES
+                key = (newton, theta0.tobytes())
+                if key not in warmed:
+                    try:
+                        warmed[key] = warmup(plant, run_cfg, theta0, warm,
+                                             scenario.warmup_rel_tol)
+                    except ComputationError as exc:
+                        warmed[key] = exc
+                state0, notes = warmed[key], []
+                if isinstance(state0, ComputationError):
+                    notes.append(f"warmup failed ({state0}); "
+                                 "falling back to exact filter initialization")
+                    state0 = exact_initial_state(plant, run_cfg, theta0)
+                run(f"{variant.value}_c{c:g}_x{xi}", make_rhs(plant, run_cfg),
+                    state0.as_vector(), scenario.settings, "theta_hat", c,
+                    full_state_channels(plant, run_cfg), StateLayout.of(n, newton), notes)
             if scenario.include_average:
                 x0 = exact_initial_state(plant, cfg, theta0).as_vector()
-                x0[layout.theta] = theta0 - plant.theta_star
+                x0[average_layout.theta] = theta0 - plant.theta_star
                 f = make_average_rhs(plant, cfg)
-                record(f"average_c{c:g}_x{xi}",
-                       _integrate_kept(lambda t, y: f(y), x0, slow,
-                                       channels=average_channels(plant),
-                                       gamma_index=layout.gamma),
-                       "theta_tilde", c, layout.filter_names)
-            if reduced is not None:
-                record(f"reduced_c{c:g}_x{xi}", reduced[member], "theta_tilde", c)
+                run(f"average_c{c:g}_x{xi}", lambda t, y: f(y), x0, slow, "theta_tilde", c,
+                    average_channels(plant), average_layout)
+            if scenario.include_reduced:
+                run(f"reduced_c{c:g}_x{xi}", reduced, theta0 - plant.theta_star, slow,
+                    "theta_tilde", c, reduced_channels(plant))
 
     (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
     return 2 if diverged else 0

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.resources
 import io
 import math
@@ -26,10 +27,11 @@ from asfes.cli import (
     warmup_settings,
     write_trajectory_csv,
 )
-from asfes.dynamics import StateLayout, Variant, make_reduced_rhs, make_rhs
-from asfes.errors import (NonFiniteValue, NonPositiveTrials, ParseError, ResonantTriple,
-                          UnusableOutput, ValidationError)
-from asfes.integrate import full_state_channels, integrate, reduced_channels, warmup
+from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
+from asfes.errors import (ComputationError, NonFiniteValue, NonPositiveTrials, ParseError,
+                          ResonantTriple, UnusableOutput, ValidationError)
+from asfes.integrate import (average_channels, exact_initial_state, full_state_channels,
+                             integrate, reduced_channels, warmup)
 
 EX1_SMALL = """
 [plant]
@@ -199,6 +201,27 @@ class TestParseScenario:
             "include_reduced = false", "include_reduced = true")
         assert parse_scenario(write_scenario(tmp_path, alone)).variants_to_run == ()
 
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    @pytest.mark.parametrize("old, new, key", [
+        ("c = 0.1", "c = 0.1, 0.10000001", "c"),
+        ("c = 0.1", "c = 0.1, 0.1", "c"),
+        ("variants = asfes", "variants = asfes, classical, ASFES", "variants"),
+    ])
+    def test_runs_that_would_share_a_name_rejected(self, tmp_path, capsys, command,
+                                                   old, new, key):
+        # runs are named by f"{c:g}" and the variant, analysis sections by
+        # f"{c:g}": two alike would write one file or section over the other
+        text = EX1_SMALL.replace(old, new)
+        path = write_scenario(tmp_path, text)
+        line = text.splitlines().index(new) + 1
+        with pytest.raises(ParseError, match="one over the other") as exc:
+            parse_scenario(path)
+        assert exc.value.line == line
+        out = tmp_path / "out"
+        assert main([command, str(path), "--out", str(out)]) == 1
+        assert f"error: line {line}: {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_start_whose_objective_overflows_rejected(self, tmp_path):
         path = write_scenario(tmp_path, EX1_SMALL.replace("theta0 = -3", "theta0 = 1e308"))
         with warnings.catch_warnings():
@@ -249,6 +272,63 @@ def test_parser_gives_a_scenario_or_a_validation_error(tmp_path_factory, scenari
             assert isinstance(parse_scenario(path), Scenario)
         except ValidationError:
             pass
+
+
+def render_sections(text: str) -> str:
+    """``text`` rendered back from its sections: one ``key = value`` a line,
+    the sections in file order (a reopened one merged into its first),
+    comments and blank lines dropped."""
+    sections, current = {}, None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            current = sections.setdefault(line[1:-1].strip(), [])
+        elif line:
+            key, value = (part.strip() for part in line.split("=", 1))
+            current.append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "".join(f"{entry}\n" for entry in entries)
+                   for name, entries in sections.items())
+
+
+def same_scenario(a, b) -> bool:
+    """Field by field: arrays by ``np.array_equal``, everything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(same_scenario(getattr(a, f.name), getattr(b, f.name))
+                                          for f in dataclasses.fields(a))
+    if isinstance(a, tuple):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(same_scenario(x, y) for x, y in zip(a, b)))
+    return a == b
+
+
+# values that many keys accept, so that more edited scenarios parse
+VALID_VALUES = ("0.5", "2", "1e-3", "1, 2", "1.5, 2.5", "75, 100", "classical, asfes",
+                "true", "false", "auto")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(name=st.sampled_from(["example1", "example2"]),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                                st.sampled_from(VALID_VALUES) | st.sampled_from(FUZZ_VALUES)),
+                      max_size=2))
+@example(name="example2", edits=[])
+@example(name="example1", edits=[(("gains", "c"), "1, 2"), (("sim", "gamma_guard"), "1e200")])
+@example(name="example1", edits=[(("sim", "variants"), "classical, asfes"),
+                                 (("sim", "include_average"), "0")])
+def test_valid_scenario_survives_render_and_parse(tmp_path_factory, scenario_dir, name, edits):
+    text = with_values((scenario_dir / f"{name}.scenario").read_text(), edits)
+    base = tmp_path_factory.getbasetemp()
+    path, rendered = base / "render_in.scenario", base / "render_out.scenario"
+    path.write_text(text)
+    try:
+        scenario = parse_scenario(path)
+    except ValidationError:
+        return
+    rendered.write_text(render_sections(text))
+    assert same_scenario(parse_scenario(rendered), scenario)
 
 
 BUNDLED = {name: (importlib.resources.files("asfes") / "scenarios" / f"{name}.scenario")
@@ -350,6 +430,12 @@ def test_out_that_cannot_be_a_directory_is_rejected(tmp_path, monkeypatch, capsy
     assert blocker.read_text() == "not a directory"
 
 
+def summary_blocks(out) -> dict:
+    """``{run name: its block of summary.txt}``."""
+    return {block.split("]")[0]: block
+            for block in (out / "summary.txt").read_text().split("[")[1:]}
+
+
 class TestRunSimulate:
     def test_small_example1_outputs(self, tmp_path):
         scenario = parse_scenario(write_scenario(tmp_path, EX1_SMALL))
@@ -419,12 +505,47 @@ class TestRunSimulate:
         out = tmp_path / "out"
         with np.errstate(over="ignore", invalid="ignore"):
             assert run_simulate(scenario, out) == 2
-        blocks = {block.split("]")[0]: block
-                  for block in (out / "summary.txt").read_text().split("[")[1:]}
+        blocks = summary_blocks(out)
         for name in ("asfes_c0.1_x0", "average_c0.1_x0", "reduced_c0.1_x0"):
             assert (out / f"{name}.csv").exists()
             assert "note: DIVERGED" in blocks[name]
 
+
+    def test_warmups_are_shared_by_rates_and_variants(self, tmp_path, scenario_dir,
+                                                      monkeypatch):
+        # 2 rates x 2 starts x 3 variants: one warmup per start and filter
+        # layout (with or without the Newton row), 4 in all, not 12; a failed
+        # Newton warmup reaches that start's Newton run at every rate
+        import asfes.cli as cli
+
+        text = (scenario_dir / "example1.scenario").read_text()
+        text = re.sub(r"(?m)^theta0 = .*\n", "", text)
+        text = re.sub(r"(?m)^c = .*$", "c = 1, 0.1", text)
+        text = re.sub(r"(?m)^t_end = .*$", "theta0 = -3\ntheta0 = -0.2\nt_end = 0.5", text)
+        text = re.sub(r"(?m)^variants = .*$", "variants = asfes, classical, newton", text)
+        text = re.sub(r"(?m)^include_(reduced|average) = .*$", "include_\\1 = false", text)
+        calls, failed = [], set()
+
+        def counted(plant, cfg, theta0, *args):
+            calls.append((cfg.variant is Variant.NEWTON_ASFES, float(theta0[0])))
+            try:
+                return warmup(plant, cfg, theta0, *args)
+            except ComputationError:
+                failed.add(calls[-1])
+                raise
+
+        monkeypatch.setattr(cli, "warmup", counted)
+        out = tmp_path / "out"
+        assert run_simulate(parse_scenario(write_scenario(tmp_path, text)), out) == 2
+        assert sorted(calls) == [(False, -3.0), (False, -0.2), (True, -3.0), (True, -0.2)]
+        assert failed == {(True, -3.0)}
+        blocks = summary_blocks(out)
+        assert len(blocks) == 12
+        for c in ("1", "0.1"):
+            for xi, theta0 in enumerate((-3.0, -0.2)):
+                for m in ("asfes", "classical", "newton"):
+                    assert ("note: warmup failed" in blocks[f"{m}_c{c}_x{xi}"]) == (
+                        (m == "newton", theta0) in failed)
 
     @pytest.mark.parametrize("example", ["example1", "example2"])
     def test_product_members_match_their_solo_runs(self, tmp_path, scenario_dir, example):
@@ -442,7 +563,7 @@ class TestRunSimulate:
         text = re.sub(r"(?m)^t_end = .*$", "theta0 = {}\ntheta0 = {}\nt_end = 0.5".format(
             *(("-3", "-2") if example == "example1" else ("1.5, 1.5", "-0.5, -0.5"))), text)
         text = re.sub(r"(?m)^variants = .*$", "variants = asfes, classical", text)
-        text = text.replace("include_average = true", "include_average = false")
+        text = re.sub(r"(?m)^include_average = .*$", "include_average = true", text)
         scenario = parse_scenario(write_scenario(tmp_path, text))
         plant = scenario.plant
         n = plant.dimension
@@ -451,7 +572,7 @@ class TestRunSimulate:
         names = [line[1:-1] for line in (out / "summary.txt").read_text().splitlines()
                  if line.startswith("[")]
         assert names == [f"{m}_c{c}_x{x}" for c in ("1", "0.1") for x in (0, 1)
-                         for m in ("asfes", "classical", "reduced")]
+                         for m in ("asfes", "classical", "average", "reduced")]
         for c in (1.0, 0.1):
             for xi, theta0 in enumerate(scenario.initial_thetas):
                 cfg = scenario.config_for(c, Variant.ASFES)
@@ -473,13 +594,24 @@ class TestRunSimulate:
                         assert vals[1:1 + n] == list(traj.thetas[i])
                         assert vals[1 + n:-3] == list(traj.states[i])
                         assert vals[-3:-1] == [traj.j_values[i], traj.h_values[i]]
+                slow = _slow_settings(scenario.settings, cfg.omega_f)
+                alone = tmp_path / "alone.csv"
+                # the averaged model's product, from the exact initial state
+                # with theta_tilde in the theta rows
+                cfg = scenario.config_for(c, Variant.ASFES)
+                layout = StateLayout.of(n)
+                x0 = exact_initial_state(plant, cfg, theta0).as_vector()
+                x0[layout.theta] = theta0 - plant.theta_star
+                average = make_average_rhs(plant, cfg)
+                averaged = integrate(lambda t, y: average(y), x0, slow,
+                                     channels=average_channels(plant),
+                                     gamma_index=layout.gamma)
+                write_trajectory_csv(alone, averaged, "theta_tilde", c, layout.filter_names)
+                assert (out / f"average_c{c:g}_x{xi}.csv").read_bytes() == alone.read_bytes()
                 # the reduced model's product
                 field = make_reduced_rhs(plant, cfg)
-                reduced = integrate(lambda t, y: field(y),
-                                    theta0 - plant.theta_star,
-                                    _slow_settings(scenario.settings, cfg.omega_f),
+                reduced = integrate(lambda t, y: field(y), theta0 - plant.theta_star, slow,
                                     channels=reduced_channels(plant))
-                alone = tmp_path / "alone.csv"
                 write_trajectory_csv(alone, reduced, "theta_tilde", c)
                 assert (out / f"reduced_c{c:g}_x{xi}.csv").read_bytes() == alone.read_bytes()
 
