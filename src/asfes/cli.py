@@ -24,11 +24,12 @@ from .dynamics import (
     StateLayout,
     Variant,
     make_average_rhs,
+    make_reduced_rhs,
     make_rhs,
     reduced_rhs,
 )
-from .errors import (ComputationError, NonFiniteState, NonFiniteValue, NonPositiveTrials,
-                     ParseError, TooManySteps, UnusableOutput, ValidationError)
+from .errors import (ComputationError, NegativeSeed, NonFiniteState, NonFiniteValue,
+                     NonPositiveTrials, ParseError, TooManySteps, UnusableOutput, ValidationError)
 from .integrate import (
     IntegrationSettings,
     Trajectory,
@@ -506,9 +507,9 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit(sec, "j11_fd_rel_error",
              float(np.max(np.abs(lead - j11)) / max(1.0, np.max(np.abs(j11)))))
         j_r = analysis.reduced_jacobian(plant, cfg, eq)
+        reduced = make_reduced_rhs(plant, cfg)
         fd_r = analysis.finite_diff_jacobian(
-            lambda x: reduced_rhs(plant, cfg, x + eq.theta_tilde_ae),
-            np.zeros(n), 1e-6)
+            lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
         emit(sec, "jr_fd_rel_error",
              float(np.max(np.abs(fd_r - j_r)) / max(1.0, np.max(np.abs(j_r)))))
         lines.append("")
@@ -531,10 +532,13 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
 def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
     """Run the seeded randomized invariant suites and print one line per
     property.  Returns 0 when every property holds, 3 otherwise; a
-    ``trials`` below one is :class:`NonPositiveTrials`."""
+    ``trials`` below one is :class:`NonPositiveTrials`, a negative ``seed``
+    :class:`NegativeSeed`."""
     stream = stream or sys.stdout
     if trials <= 0:
         raise NonPositiveTrials(f"--trials must be a positive integer, got {trials}")
+    if seed < 0:
+        raise NegativeSeed(f"--seed must be a non-negative integer, got {seed}")
 
     failures = 0
 
@@ -618,8 +622,8 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         settings = IntegrationSettings(dt=0.005, t_end=8.0, record_stride=1)
         for start_scale in (1.0, -1.0):
             x0 = plant.h1 / float(np.linalg.norm(plant.h1)) * start_scale * 2.0
-            traj = integrate(lambda t, y: reduced_rhs(plant, cfg, y), x0,
-                             settings, channels=reduced_channels(plant))
+            traj = integrate(make_reduced_rhs(plant, cfg), x0, settings,
+                             channels=reduced_channels(plant))
             gap = traj.h_values - traj.h_values[0] * np.exp(-cfg.c * traj.times)
             worst_gap = min(worst_gap, float(np.min(gap)))
     report("reduced-exact-safety", worst_gap >= -1e-6,

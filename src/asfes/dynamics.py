@@ -23,17 +23,18 @@ The dithered, averaged and reduced fields are each written once, as an
 expression template: a generator emits the source of the field with every
 component unrolled for the dimension n (and, for the dithered field, the
 variant), and the source is compiled once per model, n and shape.  One
-state is computed on Python floats, a list in and a list out; the
-dithered field's columns are computed on their ``(B,)`` rows with numpy.
-A 1-D array goes through the float shape and comes back as an array.
-The integrator writes the dithered field's body straight into its
-generated RK4 loop (see :mod:`asfes.integrate`).  On a few components
-numpy's per-call cost, not the arithmetic, sets the price of a call: one
-n = 2 call of the dithered field on one state costs about 2 us as a list
-and 70 us as the rows of a ``(size, 1)`` array (``timeit`` minimum on a
-shared 2-core VM, Python 3.11).  Every sum runs left to right and no
-matrix product is taken, so each column is bit for bit the state
-computed alone.
+binder makes the field of every model, with one set of input rules: one
+state is computed on Python floats, a list in and a list out, and any
+other one state goes through the float shape and comes back as an array;
+the dithered field's columns are computed on their ``(B,)`` rows with
+numpy.  Every field carries its template, size included, and the
+integrator writes its body straight into its generated RK4 loop (see
+:mod:`asfes.integrate`).  On a few components numpy's per-call cost, not
+the arithmetic, sets the price of a call: one n = 2 call of the dithered
+field on one state costs about 2 us as a list and 70 us as the rows of a
+``(size, 1)`` array (``timeit`` minimum on a shared 2-core VM, Python
+3.11).  Every sum runs left to right and no matrix product is taken, so
+each column is bit for bit the state computed alone.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -333,30 +334,51 @@ def _names(prefix: str, n: int) -> tuple:
 
 
 @functools.cache
-def _plant_names(n: int) -> tuple:
+def _constant_names(n: int) -> tuple:
+    """The names of the plant's and the design's constants in the sources."""
     return ("j_star", "h0", *_names("h1_", n), *_names("ts", n),
-            *(f"H{i}_{j}" for i in range(n) for j in range(n)))
+            *(f"H{i}_{j}" for i in range(n) for j in range(n)), "k", "neg_k", "c", "delta", "wf")
 
 
-def _plant_constants(plant: PlantModel) -> dict:
-    """The plant's constants, as floats, by their names in the sources."""
-    values = [plant.j_star, plant.h0, *plant.h1.tolist(), *plant.theta_star.tolist(),
-              *plant.hessian.ravel().tolist()]
-    return dict(zip(_plant_names(plant.dimension), values))
+def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) -> Callable:
+    """The field ``model`` (see :func:`_field_parts`) of ``plant`` and
+    ``cfg``, its template bound to their constants and to ``constants``.
 
-
-def _design_constants(cfg: AlgorithmConfig) -> dict:
-    return {"k": cfg.k, "neg_k": -cfg.k, "c": float(cfg.c), "delta": cfg.delta,
-            "wf": cfg.omega_f}
-
-
-def _check_dimension(plant: PlantModel, cfg: AlgorithmConfig) -> int:
+    The last argument is the state; a list of ``size`` floats gives a list,
+    any other ``(size,)`` state (a number at size 1) an array, a dithered
+    field's ``(size, B)`` array its columns, and anything else is
+    :class:`DimensionMismatch`.  The field carries its template,
+    ``(model, n, size, constants)``, for the integrator's RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
-        raise DimensionMismatch(
-            f"dither has {cfg.dimension} frequencies, plant dimension is {n}"
-        )
-    return n
+        raise DimensionMismatch(f"dither has {cfg.dimension} frequencies, plant dimension is {n}")
+    values = [plant.j_star, plant.h0, *plant.h1.tolist(), *plant.theta_star.tolist(),
+              *plant.hessian.ravel().tolist(), cfg.k, -cfg.k, float(cfg.c), cfg.delta,
+              cfg.omega_f]
+    constants = {**dict(zip(_constant_names(n), values, strict=True)), **constants}
+    dithered = model not in ("average", "reduced")
+    size = n if model == "reduced" else StateLayout.of(n, model == Variant.NEWTON_ASFES.value).size
+    floats = _field(model, n, "floats", constants)
+    rows = _field(model, n, "rows", constants) if dithered else None
+
+    def field(*args):
+        y = args[-1]
+        if type(y) is list and len(y) == size and all(type(v) is float for v in y):
+            return floats(*args)
+        try:
+            y = np.asarray(y, float)
+        except (TypeError, ValueError):
+            raise DimensionMismatch(
+                f"a state must be {size} numbers, got a {type(y).__name__}") from None
+        if y.shape == (size,) or (y.ndim == 0 and size == 1):
+            return np.array(floats(*args[:-1], y.reshape(size).tolist()))
+        if dithered and y.ndim == 2 and y.shape[0] == size:
+            return rows(*args[:-1], y)
+        raise DimensionMismatch(f"state of shape {y.shape}, expected ({size},)"
+                                + (f" or ({size}, B)" if dithered else ""))
+
+    field.template = (model, n, size, constants)
+    return field
 
 
 def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
@@ -380,41 +402,27 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     measurements, and gamma tracks 1/||G_h||^2 through its scalar Riccati
     equation.
 
-    ``y`` is one state ``(size,)``, an array or a list of floats, and
-    ``dy`` has its type.  A component-major ``(size, B)`` array of states
+    ``y`` is one state ``(size,)``: a list of floats gives a list, any
+    other state an array.  A component-major ``(size, B)`` array of states
     gives ``(size, B)``; ``t`` may then be a vector of B times, one per
-    column, as the averaging oracle passes its quadrature nodes.
+    column, as the averaging oracle passes its quadrature nodes.  Any other
+    shape is :class:`DimensionMismatch`.
 
     The arithmetic is the field's expression template, unrolled for n and
-    the variant and built in two shapes: one state on Python floats (a list
-    is read as it is, a 1-D array through ``tolist``) and the columns of a
-    2-D array on their ``(B,)`` rows.  The closure returned only checks
-    the state and picks the shape.  It also carries ``template``, the
-    ``(model, n, constants)`` it was built from, so that the integrator
-    can write the field's body into its generated RK4 loop.  One state's
-    RK4 step in that loop takes about 6 us at n = 1, 8 at n = 2 and 11 at
-    n = 3 (medians on a shared 2-core VM, Python 3.11; see
+    the variant and built in two shapes: one state on Python floats and the
+    columns of a 2-D array on their ``(B,)`` rows.  The closure returned,
+    made by the binder that serves every model, only checks the state and
+    picks the shape.  It also carries ``template``, the
+    ``(model, n, size, constants)`` it was built from, so that the
+    integrator can write the field's body into its generated RK4 loop.
+    One state's RK4 step in that loop takes about 6 us at n = 1, 8 at
+    n = 2 and 11 at n = 3 (medians on a shared 2-core VM, Python 3.11; see
     ``BENCH_generated_loop.json``).
     """
-    n = _check_dimension(plant, cfg)
     a = cfg.dither.amplitude
-    constants = {**_plant_constants(plant), **_design_constants(cfg), "a": a,
-                 "two_over_a": 2.0 / a, "n_coef": 16.0 / (a * a)}
-    constants.update(zip(_names("w", n), cfg.dither.omegas().tolist()))
-    floats, rows = (_field(cfg.variant.value, n, shape, constants) for shape in _SHAPES)
-    size = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES).size
-
-    def rhs(t, y):
-        if len(y) != size:
-            raise DimensionMismatch(f"state vector of length {len(y)}, expected {size}")
-        if type(y) is list:
-            return floats(t, y)
-        if y.ndim == 2:
-            return rows(t, y)
-        return np.array(floats(t, y.tolist()))
-
-    rhs.template = (cfg.variant.value, n, constants)
-    return rhs
+    omegas = zip(_names("w", plant.dimension), cfg.dither.omegas().tolist())
+    return _bind(cfg.variant.value, plant, cfg,
+                 {"a": a, "two_over_a": 2.0 / a, "n_coef": 16.0 / (a * a), **dict(omegas)})
 
 
 def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
@@ -424,25 +432,15 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     the probing bias (a^2/4) tr(H), h1, and h(theta_tilde + theta*); the
     parameter and gamma rows keep their original form.
 
-    ``x`` is one state ``(size,)``, an array or a list of floats, and
-    ``dx`` has its type.  It is computed on Python floats from the field's
-    expression template, with the dithered field's left-to-right sums.
+    ``x`` is one state ``(size,)``: a list of floats gives a list, any
+    other state an array (see :func:`make_rhs`).  It is computed on Python
+    floats from the field's expression template, with the dithered field's
+    left-to-right sums, and the integrator fuses it as it does the dithered
+    field.
     """
-    n = _check_dimension(plant, cfg)
-    constants = {**_plant_constants(plant), **_design_constants(cfg),
-                 # the probing bias on the filtered objective; analysis-side knowledge
-                 "trace_term": 0.25 * cfg.dither.amplitude**2 * float(np.trace(plant.hessian))}
-    floats = _field("average", n, "floats", constants)
-    size = StateLayout.of(n).size
-
-    def rhs(x):
-        if len(x) != size:
-            raise DimensionMismatch(f"state vector of length {len(x)}, expected {size}")
-        if type(x) is list:
-            return floats(x)
-        return np.array(floats(x.tolist()))
-
-    return rhs
+    # the probing bias on the filtered objective; analysis-side knowledge
+    bias = 0.25 * cfg.dither.amplitude**2 * float(np.trace(plant.hessian))
+    return _bind("average", plant, cfg, {"trace_term": bias})
 
 
 def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
@@ -456,29 +454,14 @@ def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
 
     ``x`` is one point ``(n,)`` (any sequence; a number at n = 1), and the
     result is a list for a list of floats, an array otherwise.  It is
-    computed on Python floats from the field's expression template.
+    computed on Python floats from the field's expression template, and the
+    integrator fuses it as it does the dithered field.
     """
-    n = plant.dimension
     h1 = plant.h1.tolist()
     q = h1[0] * h1[0]
     for v in h1[1:]:
         q = q + v * v
-    constants = {**_plant_constants(plant), **_design_constants(cfg)}
-    constants.update(zip(_names("p", n), [v / q for v in h1]))
-    floats = _field("reduced", n, "floats", constants)
-
-    def reduced(x):
-        # a list of n floats, as the stepper passes it, is read as it is
-        if type(x) is list and len(x) == n and all(type(v) is float for v in x):
-            return floats(x)
-        x = np.asarray(x, float)
-        if x.ndim == 0:
-            x = x.reshape(1)
-        if x.shape != (n,):
-            raise DimensionMismatch(f"theta_tilde_r has shape {x.shape}, expected ({n},)")
-        return np.array(floats(x.tolist()))
-
-    return reduced
+    return _bind("reduced", plant, cfg, dict(zip(_names("p", len(h1)), [v / q for v in h1])))
 
 
 # (plant, cfg, field) of the reduced field reduced_rhs built last

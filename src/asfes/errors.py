@@ -45,6 +45,10 @@ class NonPositiveTrials(ValidationError):
     """A property suite asked to run fewer than one trial."""
 
 
+class NegativeSeed(ValidationError):
+    """A property suite given a seed its random generators cannot take."""
+
+
 class NonFiniteValue(ValidationError):
     """A number that must be finite is infinite or NaN."""
 

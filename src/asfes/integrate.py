@@ -5,8 +5,9 @@ A fixed step is deliberate: the dither period dictates the resolution
 anyway, and identical inputs must give bit-identical trajectories so golden
 traces and determinism checks stay meaningful.  One stepper serves every
 run, one state at a time, on Python floats, in an RK4 loop generated for
-its right-hand side and compiled once per kind.  A dithered field of
-:func:`~asfes.dynamics.make_rhs` is written into the loop, stage by stage;
+its right-hand side and compiled once per kind.  A field of
+:mod:`asfes.dynamics` (dithered, averaged or reduced) is written into the
+loop, stage by stage, from the template it carries, its size included;
 any other right-hand side is called once per stage with the state as a
 list, and may return a list or a 1-D array.  Each stage is the array
 expression written per component, so the records are bit for bit those
@@ -180,10 +181,12 @@ def integrate(
 
     The state is stepped on Python floats: ``rhs(t, y)`` gets a list of
     ``size`` floats and returns a list or a 1-D array of as many, which
-    the stepper turns into a list; a dithered field of
-    :func:`~asfes.dynamics.make_rhs` is not called but written into the
-    stepping loop.  ``channels`` is called once, on all the records (see
-    :data:`ChannelFn`).
+    the stepper turns into a list.  A field of :func:`~asfes.dynamics.make_rhs`,
+    :func:`~asfes.dynamics.make_average_rhs` or
+    :func:`~asfes.dynamics.make_reduced_rhs` is not called but written into
+    the stepping loop, and an ``x0`` that is not of its size is a
+    :class:`DimensionMismatch`.  ``channels`` is called once, on all the
+    records (see :data:`ChannelFn`).
 
     A state that leaves the reals raises :class:`NonFiniteState`, carrying
     the trajectory recorded up to the step before, channels included.
@@ -234,10 +237,10 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
 # step costs its arithmetic and little else.  A stage's derivative takes one
 # of two forms:
 #
-# * fused: the body of a dithered field of asfes.dynamics (the ``template`` of
-#   a make_rhs closure), written into the loop once per stage with the stage's
-#   locals suffixed; the lines of the time alone are computed once for stages
-#   2 and 3, which share t + h/2;
+# * fused: the body of a field of asfes.dynamics (the ``template`` it carries),
+#   written into the loop once per stage with the stage's locals suffixed; the
+#   lines of the time alone are computed once for stages 2 and 3, which share
+#   t + h/2;
 # * opaque: a call of ``rhs`` on the stage's state as a list, for any other
 #   right-hand side.  It may return a list or a 1-D array, of the state's
 #   length.
@@ -264,8 +267,8 @@ def _as_list(dy, size: int) -> list:
 
 def _stage_parts(model: Optional[str], n: int) -> tuple:
     """``(state names, body lines, derivative expressions)`` of one stage:
-    the dithered field ``model`` at dimension n, or, for model None, a call
-    of ``rhs`` on a state of n rows."""
+    the field ``model`` at dimension n, or, for model None, a call of
+    ``rhs`` on a state of n rows."""
     if model is None:
         state = [f"y{r}" for r in range(n)]
         rows = [f"dy{r}" for r in range(n)]
@@ -288,7 +291,7 @@ def _renamed(code: str, rename: dict) -> str:
 
 
 def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
-    """The loop for the dithered field ``model`` at dimension n, or the
+    """The loop for the field ``model`` at dimension n, or the
     opaque loop (model None) for a state of n rows, with the first ``held``
     rows held and gamma watched at row ``gamma_index`` (None: not at all)."""
     state, lines, rows = _stage_parts(model, n)
@@ -363,15 +366,18 @@ def _loop_code(model: Optional[str], n: int, held: int,
 
 def _one_state_loop(rhs, size: int, held: int, gamma_index: Optional[int]) -> Callable:
     """The generated loop that steps one state of ``size`` rows of ``rhs``:
-    fused with the field's template where ``rhs`` carries one for a state of
-    that size, opaque otherwise."""
+    fused with the field's template where ``rhs`` carries one, opaque
+    otherwise.  A templated field given a state of another size is a
+    :class:`DimensionMismatch`."""
     template = getattr(rhs, "template", None)
-    if template is not None:
-        model, n, constants = template
-        if StateLayout.of(n, model == Variant.NEWTON_ASFES.value).size == size:
-            return types.FunctionType(_loop_code(model, n, held, gamma_index),
-                                      {**constants, **_SHAPES["floats"]})
-    return types.FunctionType(_loop_code(None, size, held, gamma_index), {"as_list": _as_list})
+    if template is None:
+        return types.FunctionType(_loop_code(None, size, held, gamma_index), {"as_list": _as_list})
+    model, n, field_size, constants = template
+    if size != field_size:
+        raise DimensionMismatch(
+            f"x0 has {size} rows; the {model} field at n={n} takes {field_size}")
+    return types.FunctionType(_loop_code(model, n, held, gamma_index),
+                              {**constants, **_SHAPES["floats"]})
 
 
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:

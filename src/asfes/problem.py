@@ -171,19 +171,13 @@ def component_sum(x):
     return total
 
 
-def hessian_columns(hessian: np.ndarray, ndim: int) -> np.ndarray:
-    """The Hessian's columns, shaped to multiply a component-major array of
-    ``ndim`` dimensions: ``(n,)`` for one point, ``(n, 1)`` for a batch."""
-    return hessian.T if ndim == 1 else hessian.T[:, :, None]
-
-
-def hessian_product(columns: np.ndarray, d):
-    """H d as an explicit sum over the Hessian's columns (see
-    :func:`hessian_columns`), for the same batch-independence as
-    :func:`component_sum`."""
-    hd = columns[0] * d[0]
+def hessian_product(hessian: np.ndarray, d):
+    """H d for one point ``(n,)`` or a component-major batch ``(n, B)``, as
+    an explicit sum over the Hessian's columns, for the same
+    batch-independence as :func:`component_sum`."""
+    hd = np.multiply.outer(hessian[:, 0], d[0])
     for j in range(1, d.shape[0]):
-        hd = hd + columns[j] * d[j]
+        hd = hd + np.multiply.outer(hessian[:, j], d[j])
     return hd
 
 
@@ -201,7 +195,7 @@ def eval_objective(plant: PlantModel, theta):
     """J(theta) = J* + (theta - theta*)' H (theta - theta*) / 2, for one point
     (a float) or a component-major batch ``(n, B)`` (one value per member)."""
     d = _offset(plant, theta)
-    hd = hessian_product(hessian_columns(plant.hessian, d.ndim), d)
+    hd = hessian_product(plant.hessian, d)
     return plant.j_star + 0.5 * component_sum(d * hd)
 
 

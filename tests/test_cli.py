@@ -28,8 +28,8 @@ from asfes.cli import (
     write_trajectory_csv,
 )
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
-from asfes.errors import (ComputationError, NonFiniteValue, NonPositiveTrials, ParseError,
-                          ResonantTriple, UnusableOutput, ValidationError)
+from asfes.errors import (ComputationError, NegativeSeed, NonFiniteValue, NonPositiveTrials,
+                          ParseError, ResonantTriple, UnusableOutput, ValidationError)
 from asfes.integrate import (average_channels, exact_initial_state, full_state_channels,
                              integrate, reduced_channels, warmup)
 
@@ -691,6 +691,18 @@ class TestRunVerify:
             assert captured.out == ""
             assert captured.err == (
                 f"error: --trials must be a positive integer, got {trials}\n")
+
+    def test_negative_seed_usage_error(self, capsys):
+        # the suites' random generators take no negative seed: it is named
+        # before any suite runs, not a numpy traceback
+        buf = io.StringIO()
+        with pytest.raises(NegativeSeed, match="--seed"):
+            run_verify(-1, 5, stream=buf)
+        assert buf.getvalue() == ""
+        assert main(["verify", "--seed", "-1", "--trials", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
     def test_main_verify(self, capsys):
         rc = main(["verify", "--seed", "3", "--trials", "10"])

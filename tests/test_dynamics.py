@@ -42,7 +42,9 @@ from oracles import demod, newton_demod
 def generated_loop_keys():
     """Every kind of one-state RK4 loop: each dithered field at n = 1, 2, 3
     (Newton at 1) and the opaque loop for states of 1 to 10 rows, with and
-    without held theta rows and a watched gamma row."""
+    without held theta rows and a watched gamma row; the averaged field at
+    n = 1, 2, 3 with and without a watched gamma row, and the reduced field
+    (which has none) at n = 1, 2, 3."""
     keys = []
     for model in [v.value for v in Variant] + [None]:
         for n in (1, 2, 3) if model else range(1, 11):
@@ -52,6 +54,9 @@ def generated_loop_keys():
             held_rows = (0, n) if model else (0, 1)
             keys += [(model, n, held, gamma) for held in held_rows
                      for gamma in (None, layout.gamma if model else n - 1)]
+    for n in (1, 2, 3):
+        keys += [("average", n, 0, None), ("average", n, 0, StateLayout.of(n).gamma),
+                 ("reduced", n, 0, None)]
     return keys
 
 
@@ -542,15 +547,20 @@ class TestStateLayout:
         assert offenders == []
 
     def test_make_rhs_builds_one_closure(self):
-        # one dithered field for every dimension and shape: no second
-        # (scalar) copy of it nested in make_rhs
+        # one closure for every model, dimension and shape: the binder
+        # defines it, and no factory defines a closure of its own
         src = Path(asfes.__file__).parent / "dynamics.py"
         tree = ast.parse(src.read_text())
-        make = next(node for node in tree.body
-                    if isinstance(node, ast.FunctionDef) and node.name == "make_rhs")
-        nested = [node for node in ast.walk(make) if node is not make
-                  and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
-        assert len(nested) == 1, [ast.dump(node)[:60] for node in nested]
+
+        def nested(name):
+            outer = next(node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == name)
+            return [ast.dump(node)[:60] for node in ast.walk(outer) if node is not outer
+                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+        assert len(nested("_bind")) == 1, nested("_bind")
+        for factory in ("make_rhs", "make_average_rhs", "make_reduced_rhs"):
+            assert nested(factory) == [], factory
 
     def test_rk4_holds_one_stepping_loop(self):
         # every state steps in a loop that one generator writes for every
@@ -565,7 +575,7 @@ class TestStateLayout:
                      if isinstance(node, (ast.For, ast.While))]
             assert [ast.unparse(node.iter) for node in loops] == ["range(n_steps)"]
 
-    @pytest.mark.parametrize("name", ["make_rhs", "reduced_rhs", "make_reduced_rhs",
+    @pytest.mark.parametrize("name", ["make_rhs", "_bind", "reduced_rhs", "make_reduced_rhs",
                                       "make_average_rhs", "_field_parts", "generated"])
     def test_fields_take_no_matrix_product(self, name):
         # a BLAS product's order of summation, and its fused multiply-adds,
@@ -631,8 +641,10 @@ def test_rates_are_one_per_member(n, field, rng):
 ])
 def test_fields_return_a_list_for_a_list(case, rng):
     # the integrator passes one state as a list of floats: the dithered,
-    # averaged and reduced fields answer with a list, an array with an
-    # array, and the two hold the same bits
+    # averaged and reduced fields answer with a list, any other sequence
+    # with an array, and the two hold the same bits.  Anything but one
+    # state (or the dithered field's (size, B) columns) is a
+    # DimensionMismatch, never a bare TypeError or AttributeError
     if isinstance(case, str):
         n = int(case[-1])
         plant, cfg = random_plant(rng, n), random_config(rng, n)
@@ -652,9 +664,20 @@ def test_fields_return_a_list_for_a_list(case, rng):
     assert type(from_array) is np.ndarray and type(from_list) is list
     assert all(type(v) is float for v in from_list)
     assert np.array(from_list).tobytes() == from_array.tobytes()
-    for wrong in (y.tolist()[:-1], y.tolist() + [0.0]):
+    from_tuple = field(tuple(y.tolist()))
+    assert type(from_tuple) is np.ndarray and from_tuple.tobytes() == from_array.tobytes()
+    wrong = [y.tolist()[:-1], y.tolist() + [0.0], tuple(y.tolist()[:-1]),
+             y.reshape(-1, 1, 1), ["x"] * len(y), [[0.5, 0.5]] * len(y) + [[0.5]]]
+    if len(y) > 1:          # a number is the one point of the reduced field at n = 1
+        wrong += [0.5, np.array(0.5)]
+    else:
+        assert field(float(y[0])).tobytes() == field(np.array(y[0])).tobytes() == \
+            from_array.tobytes()
+    if not isinstance(case, tuple):     # only the dithered field takes columns
+        wrong.append(np.stack([y, y], axis=1))
+    for bad in wrong:
         with pytest.raises(DimensionMismatch):
-            field(wrong)
+            field(bad)
 
 
 class TestStateContainers:

@@ -288,10 +288,23 @@ def test_an_array_of_states_is_a_mismatch(plant2, cfg2):
         warmup(plant2, cfg2, np.array([[1.5, -0.5], [-1.5, -0.5]]), settings, 1e-4)
 
 
+def test_a_field_given_a_state_of_another_size_is_a_mismatch(plant2, cfg2):
+    # a field carries its size in its template: a start of another size is
+    # named, not stepped by the opaque loop into a TypeError
+    settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=0.1)
+    for make, size in ((make_rhs, 9), (make_average_rhs, 9), (make_reduced_rhs, 2)):
+        for x0 in (np.zeros(size - 1), np.zeros(size + 1)):
+            with pytest.raises(DimensionMismatch):
+                integrate(make(plant2, cfg2), x0, settings)
+
+
 def _fused_and_opaque(rhs, x0, settings, gamma_at, held=0):
-    """One state of a make_rhs field stepped by the fused loop, and by the
-    opaque loop through a plain lambda around the same field."""
-    opaque = lambda t, y: rhs(t, y)  # noqa: E731
+    """One state of a field of asfes.dynamics stepped by the fused loop,
+    and by the opaque loop through a plain lambda around the same field."""
+    if rhs.template[0] in ("average", "reduced"):
+        opaque = lambda t, y: rhs(y)  # noqa: E731
+    else:
+        opaque = lambda t, y: rhs(t, y)  # noqa: E731
     loops = [_one_state_loop(f, len(x0), held, gamma_at).__code__.co_name for f in (rhs, opaque)]
     assert loops == [f"rk4_{rhs.template[0]}_{rhs.template[1]}", f"rk4_opaque_{len(x0)}"]
     return [_rk4(f, x0, settings, gamma_at, held) for f in (rhs, opaque)]
@@ -303,31 +316,63 @@ def assert_same_records(got, want):
 
 
 class TestGeneratedLoop:
-    @hypothesis_settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis_settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(case=st.sampled_from([(1, Variant.NEWTON_ASFES)]
                                 + [(n, variant) for n in (1, 2, 3, 4)
-                                   for variant in (Variant.ASFES, Variant.CLASSICAL_ES)]),
+                                   for variant in (Variant.ASFES, Variant.CLASSICAL_ES)]
+                                + [(n, model) for n in (1, 2, 3)
+                                   for model in ("average", "reduced")]),
            held=st.booleans(), stride=st.integers(1, 12), steps=st.integers(1, 150),
            seed=st.integers(0, 2**32 - 1))
     def test_fused_loop_is_the_opaque_loop(self, case, held, stride, steps, seed):
-        # the dithered field written into the loop steps bit for bit as the
-        # loop that calls it, with its theta rows held (as in warmup) or
-        # not, across the gamma guard and into divergence (a negative
-        # Gamma escapes)
-        n, variant = case
+        # a field written into the loop steps bit for bit as the loop that
+        # calls it: the dithered field with its theta rows held (as in
+        # warmup) or not, across the gamma guard and into divergence (a
+        # negative Gamma escapes), the averaged field across the guard,
+        # and the reduced field
+        n, model = case
         rng = np.random.default_rng(seed)
-        plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
-        layout = StateLayout.of(n, variant is Variant.NEWTON_ASFES)
-        x0 = rng.uniform(-2.0, 2.0, layout.size)
-        x0[layout.gamma] = rng.uniform(0.2, 2.0)
+        dithered = isinstance(model, Variant)
+        plant = random_plant(rng, n)
+        cfg = random_config(rng, n, model if dithered else Variant.ASFES)
+        cfg = replace(cfg, c=float(rng.uniform(0.01, 5.0)))
         dt = default_dt(cfg.dither)
+        if model == "reduced":
+            rhs, x0 = make_reduced_rhs(plant, cfg), rng.uniform(-2.0, 2.0, n)
+            gamma_at, guard = None, 1e6
+        else:
+            layout = StateLayout.of(n, model is Variant.NEWTON_ASFES)
+            x0 = rng.uniform(-2.0, 2.0, layout.size)
+            gamma_at = layout.gamma
+            x0[gamma_at] = rng.uniform(0.2, 2.0)
+            guard = float(x0[gamma_at] * rng.uniform(0.9, 1.5))
+            rhs = (make_rhs if dithered else make_average_rhs)(plant, cfg)
         settings = IntegrationSettings(
             dt=dt, t_end=steps * dt * rng.uniform(0.5, 1.0), record_stride=stride,
-            gamma_guard=float(x0[layout.gamma] * rng.uniform(0.9, 1.5)))
-        rhs = make_rhs(plant, replace(cfg, c=float(rng.uniform(0.01, 5.0))))
-        fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma,
-                                          layout.theta.stop if held else 0)
+            gamma_guard=guard)
+        fused, opaque = _fused_and_opaque(rhs, x0, settings, gamma_at,
+                                          layout.theta.stop if held and dithered else 0)
         assert_same_records(fused, opaque)
+
+    @pytest.mark.parametrize("model", ["average", "reduced"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_averaged_and_reduced_fields_integrate_as_their_lambdas(self, model, n):
+        # integrate takes the averaged and reduced fields themselves, and
+        # records the bytes of the same field called through a lambda
+        rng = np.random.default_rng(n)
+        plant, cfg = random_plant(rng, n), random_config(rng, n)
+        theta0 = rng.uniform(-2.0, 2.0, n)
+        if model == "average":
+            f = make_average_rhs(plant, cfg)
+            x0 = exact_initial_state(plant, cfg, theta0).as_vector()
+            x0[:n] -= plant.theta_star
+            gamma_at = StateLayout.of(n).gamma
+        else:
+            f, x0, gamma_at = make_reduced_rhs(plant, cfg), theta0 - plant.theta_star, None
+        settings = IntegrationSettings(dt=0.01, t_end=3.0, record_stride=7)
+        runs = [integrate(rhs, x0, settings, channels=average_channels(plant),
+                          gamma_index=gamma_at) for rhs in (f, lambda t, y: f(y))]
+        assert_same_run(*runs)
 
     def test_newton_escape_is_the_same_in_both_loops(self, plant1, cfg1):
         # NB-ASfES on example 1 from theta0 = -3: Gamma crosses the guard
