@@ -12,7 +12,9 @@ Squaring away the square root leaves the quadratic
 
 whose positive root is nu = (-c h0 + sqrt(c^2 h0^2 + d delta)) / (2 d).
 This pre-simplified form is regular at h0 = 0, so no special-casing of the
-grazing constraint is needed.
+grazing constraint is needed.  Where c h0 > 0 its numerator cancels, so
+the root is taken there in the rationalised form
+nu = delta / (2 (c h0 + sqrt(c^2 h0^2 + d delta))).
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
         q = h1 @ hinv_h1
         d = c * q / (k * h1_sq)
         ch0 = c * np.float64(h0)
-        nu = (-ch0 + np.sqrt(ch0 ** 2 + d * delta)) / (2.0 * d)
+        root = np.sqrt(ch0 ** 2 + d * delta)
+        # -c h0 + root cancels for a large c h0 > 0; its rationalised form does not
+        nu = delta / (2.0 * (ch0 + root)) if ch0 > 0.0 else (-ch0 + root) / (2.0 * d)
         c1 = nu / (k * h1_sq)
         theta_tilde_ae = c1 * hinv_h1
         eq = Equilibrium(
@@ -127,9 +131,16 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
 
 
 def equilibrium_alpha(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> float:
-    """Slope of the softened max at the equilibrium argument, in (0, 1)."""
+    """Slope of the softened max at the equilibrium argument, in (0, 1):
+    0.5 (arg / sqrt(arg^2 + delta) + 1), rationalised for arg < 0.  It
+    rounds to 1.0 where 1 - alpha, about delta / (4 arg^2), is under half
+    an ulp: for arg above about 7e7 sqrt(delta)."""
     arg = cfg.k * eq.c1 * float(plant.h1 @ plant.h1) - cfg.c * eq.eta_h_ae
-    return 0.5 * (arg / math.sqrt(arg * arg + cfg.delta) + 1.0)
+    root = math.sqrt(arg * arg + cfg.delta)
+    if arg < 0.0:
+        # arg + root cancels for a large -arg; its rationalised form does not
+        return 0.5 * cfg.delta / (root * (root - arg))
+    return 0.5 * (arg / root + 1.0)
 
 
 def m_matrix(k: float, h1: np.ndarray, alpha: float) -> np.ndarray:

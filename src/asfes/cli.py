@@ -329,7 +329,24 @@ def write_trajectory_csv(
     decay = np.fromiter(map(math.exp, (-c * traj.times).tolist()), float, len(traj))
     table = np.column_stack([traj.times, traj.thetas, traj.states[:, :len(state_cols)],
                              traj.j_values, traj.h_values, traj.h_values[0] * decay])
-    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=",".join(cols), comments="")
+    write_csv(path, cols, table)
+
+
+# rows formatted by one % at a time: about 0.3 MB of text at 11 columns
+CSV_BLOCK_ROWS = 1024
+
+
+def write_csv(path: Path, cols: Sequence[str], table: np.ndarray) -> None:
+    """The header ``cols`` and the rows of ``table`` (R, len(cols)), each
+    value as ``%.17g``: the bytes of ``np.savetxt`` with that format, a
+    comma delimiter and the header uncommented, written a block of
+    :data:`CSV_BLOCK_ROWS` rows at a time."""
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    with open(path, "w") as out:
+        out.write(",".join(cols) + "\n")
+        for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
+            block = table[start:start + CSV_BLOCK_ROWS]
+            out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _output_dir(output_dir) -> Path:

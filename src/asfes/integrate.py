@@ -15,6 +15,12 @@ of the array arithmetic.  One RK4 step of a dithered field costs about
 6 us at n = 1 and 8 us at n = 2 that way, against 9 and 12 us when the
 same field is called once per stage (medians on a shared 2-core VM,
 Python 3.11; ``BENCH_generated_loop.json``).
+
+Warmup steps one signal period after another with the parameter held, so
+the loop it steps with keeps what depends only on the time and the held
+parameter in a table in the first period and reads it back in the rest,
+which makes each warmup take about half as long
+(``BENCH_tabulated_warmup.json``).
 """
 
 from __future__ import annotations
@@ -59,6 +65,9 @@ DEFAULT_SAMPLES_PER_PERIOD = 40
 MIN_SAMPLES_PER_PERIOD = 20
 # a run of more steps is a mistaken scenario: hours at about 6 us per step
 MAX_STEPS = 10**9
+# a warmup period of more steps is computed in place, without a table: at
+# this bound a table holds about 1.6 MB at n = 1 and 2.4 MB at n = 3
+WARMUP_TABLE_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -224,7 +233,7 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
     # to a divergence are noise
     with np.errstate(over="ignore", invalid="ignore"):
         stopped, crossed = loop(rhs, y.tolist(), n_steps, h, settings.record_stride,
-                                settings.gamma_guard, times, states)
+                                settings.gamma_guard, times, states, None)
     return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), size),
                       gamma_exceeded_at=None if crossed is None else crossed * h,
                       diverged_at=None if stopped is None else stopped * h)
@@ -251,6 +260,23 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
 # ``times`` and the flat ``states`` and returns two step numbers: where the
 # state left the reals (None if it did not) and where gamma first crossed the
 # guard (None if it did not).
+#
+# Every loop takes a last argument, ``table``, which only a loop with held
+# rows reads.  Such a loop takes the table form, for warmup, which steps the
+# same period from t = 0 and the same held rows again and again.  A line of a
+# stage is fixed when it reads only the loop index, the held rows, the
+# constants and what other fixed lines computed: the times, and in a
+# dithered field the dither, the dithered point, J and h there and the
+# demodulation.  The fixed lines come first in a step and run while
+# ``fill`` holds, that is when the loop is given no table (every line is
+# computed in place) or an empty one, to which each step appends the
+# values of its fixed lines that the other lines read.  Given a filled
+# table, a step unpacks them from ``table[i]`` instead.  The table serves
+# any later call with the same step, step count, constants and held rows,
+# if the rows it was filled from are as a step leaves them: a step holds a
+# row at v + 0.0, which turns -0.0 into 0.0.  The opaque loop's fixed lines
+# are the times and the held rows' stage points; its ``rhs`` is still
+# called four times a step.
 
 # each stage's time, and the step that leads from the state to its point
 _STAGES = (("t", None), ("t_half", "half"), ("t_half", "half"), ("t_step", "h"))
@@ -293,7 +319,9 @@ def _renamed(code: str, rename: dict) -> str:
 def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
     """The loop for the field ``model`` at dimension n, or the
     opaque loop (model None) for a state of n rows, with the first ``held``
-    rows held and gamma watched at row ``gamma_index`` (None: not at all)."""
+    rows held and gamma watched at row ``gamma_index`` (None: not at all).
+    A loop with held rows takes the table form (see the comment above
+    :data:`_STAGES`)."""
     state, lines, rows = _stage_parts(model, n)
     rows = ["0.0"] * held + rows[held:]
     body = [(line, *_names(line)) for line in lines]       # (line, assigned, read)
@@ -312,7 +340,7 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
         if read & local <= timed:
             timed |= assigned
 
-    steps = []
+    steps = ["t = (i * h)", "t_half = (t + half)", "t_step = (t + h)"]
     stages = []                     # each stage's derivative, row by row
     for s, (t, step) in enumerate(_STAGES, start=1):
         rename = {name: f"{name}_{s}" for name in local}
@@ -334,6 +362,10 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
                 steps.append(f"k{s}_{r} = {_renamed(row, rename)}")
                 ks.append(f"k{s}_{r}")
         stages.append(ks)
+    preamble = []
+    if held:
+        steps, preamble = _tabulated(steps, set(state[held:])), [
+            "fill = not table", "keep = None if table is None else table.append"]
     steps += [f"{x} = ({x} + (sixth * ((({k1} + (2.0 * {k2})) + (2.0 * {k3})) + {k4})))"
               for x, k1, k2, k3, k4 in zip(state, *stages)]
     # x - x is 0.0 for a finite x and nan otherwise
@@ -348,13 +380,33 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
     body_lines = [
         "half = (0.5 * h)", "sixth = (h / 6.0)", f"{', '.join(state)}, = y",
         "append, record = times.append, states.extend", f"record(({', '.join(state)},))",
-        "crossed = None",
+        "crossed = None", *preamble,
         "for i in range(n_steps):",
-        *(f"    {line}" for line in
-          ["t = (i * h)", "t_half = (t + half)", "t_step = (t + h)", *steps]),
+        *(f"    {line}" for line in steps),
         "return None, crossed"]
-    return (f"def rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states):\n"
-            + "".join(f"    {line}\n" for line in body_lines))
+    return (f"def rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states, "
+            "table):\n" + "".join(f"    {line}\n" for line in body_lines))
+
+
+def _tabulated(steps: list, varying: set) -> list:
+    """A step's stage lines in the table form: the fixed lines, which read
+    none of the ``varying`` rows or what is computed from them, run and
+    are kept while ``fill`` holds; otherwise the values of theirs that the
+    other lines read are unpacked from ``table[i]``."""
+    fixed, varied = [], []
+    for line in steps:
+        assigned, read = _names(line)
+        if read & varying:
+            varying |= assigned
+            varied.append(line)
+        else:
+            fixed.append((line, sorted(assigned)))
+    read = set().union(*(_names(line)[1] for line in varied))
+    kept = [name for _, assigned in fixed for name in assigned if name in read]
+    entry = f"({', '.join(kept)},)" if kept else "()"
+    return ["if fill:", *(f"    {line}" for line, _ in fixed),
+            "    if keep is not None:", f"        keep({entry})",
+            "else:", f"    {entry} = table[i]", *varied]
 
 
 @functools.cache
@@ -415,13 +467,20 @@ def warmup(
 ) -> FullState:
     """Settle the filters with the parameter frozen at theta0 ``(n,)``.
 
-    Steps the filter subsystem (parameter rows held) with the stepper of
+    Steps the filter subsystem (parameter rows held) in the RK4 loop of
     :func:`integrate`, one signal period at a time, and compares the filter
     states one period apart: sampling at period boundaries removes the
     dither ripple, which never converges pointwise.  The start is settled
     once the relative change drops below ``rel_tol``, and the assembled
     initial state is returned.  It fails with :class:`WarmupTimeout` when
     ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
+
+    Every period starts at t = 0 from the same held rows, so what the loop
+    computes from the time and those rows alone (the dither, J and h at the
+    dithered point, the demodulation) is the same in each: it is kept in a
+    table by the first period and read back by the others, unless a period
+    has more than :data:`WARMUP_TABLE_STEPS` steps.  The states are bit for
+    bit those of stepping every period afresh.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
@@ -434,20 +493,28 @@ def warmup(
     filters = layout.filters
     f = make_rhs(plant, cfg)
     period = signal_period(cfg.dither)
-    one_period = IntegrationSettings(
-        dt=settings.dt, t_end=period,
-        record_stride=step_count(period, settings.dt))
+    IntegrationSettings(dt=settings.dt, t_end=period)    # a period of too many steps fails
+    n_steps = step_count(period, settings.dt)
+    h = period / n_steps
+    loop = _one_state_loop(f, layout.size, layout.theta.stop, None)
+    periods = max(1, int(settings.t_end / period))
+    table = [] if periods > 1 and n_steps <= WARMUP_TABLE_STEPS else None
+    # a step holds a row at v + 0.0, which is v but for -0.0: a start with
+    # a -0.0 steps its first period in place and fills the table in its second
+    held_as_after = (start + 0.0).tobytes() == start.tobytes()
 
     # theta at the start, eta_J and eta_h at J and h there, G_J and G_h
     # at zero, gamma (and Gamma) at one
     y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
                      eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])
     prev = y[filters]
-    for p in range(max(1, int(settings.t_end / period))):
-        run = _rk4(f, y, one_period, None, held=layout.theta.stop)
-        if run.diverged_at is not None:
-            raise NonFiniteState(p * period + run.diverged_at)
-        y = run.states[-1]
+    for p in range(periods):
+        states = array("d")     # the start and the end of the period
+        stopped, _ = loop(f, y.tolist(), n_steps, h, n_steps, settings.gamma_guard, [],
+                          states, table if p or held_as_after else None)
+        if stopped is not None:
+            raise NonFiniteState(p * period + stopped * h)
+        y = np.frombuffer(states)[layout.size:]
         if _norm(y[filters] - prev) <= rel_tol * max(_norm(y[filters]), 1e-30):
             return FullState.from_vector(y, n)
         prev = y[filters]

@@ -1,5 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 from scipy.optimize import root
 
 from asfes import (
@@ -114,6 +118,36 @@ class TestAverageEquilibrium:
             opt = constrained_minimum(plant)
             gap = np.linalg.norm(plant.theta_star + eq.theta_tilde_ae - opt.theta_smin)
             assert gap < 1e-4
+
+
+@hypothesis_settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), sign=st.sampled_from([-1.0, 1.0]),
+       log_c_h0=st.floats(-3.0, 8.0))
+def test_closed_forms_do_not_cancel(n, seed, sign, log_c_h0):
+    # nu and alpha against their exact values (50 digits, from the same
+    # float d, c h0, delta and argument) on random plants with |c h0| up
+    # to 1e8: nu > 0 within 1e-12 relative, where -c h0 + sqrt(...)
+    # cancels for c h0 > 0, and alpha within 1e-12 relative and in (0, 1)
+    # where it is below 1 by more than half an ulp, as 1 - arg/root
+    # cancels for arg < 0
+    rng = np.random.default_rng(seed)
+    base, cfg = random_plant(rng, n), random_config(rng, n)
+    plant = validate_plant(
+        QuadraticObjective(base.j_star, base.hessian, base.theta_star),
+        LinearBarrier(sign * 10.0**log_c_h0 / cfg.c, base.h1))
+    eq = average_equilibrium(plant, cfg)
+    mpmath.mp.dps = 50
+    c_h0, d, delta = (mpmath.mpf(float(v)) for v in (cfg.c * np.float64(plant.h0), eq.d,
+                                                     cfg.delta))
+    nu = (-c_h0 + mpmath.sqrt(c_h0 * c_h0 + d * delta)) / (2 * d)
+    h1_sq = plant.h1 @ plant.h1
+    assert nu > 0 and eq.c1 > 0.0
+    assert abs(eq.c1 - nu / mpmath.mpf(float(cfg.k * h1_sq))) <= 1e-12 * eq.c1
+    arg = mpmath.mpf(cfg.k * eq.c1 * float(h1_sq) - cfg.c * eq.eta_h_ae)
+    exact = (arg / mpmath.sqrt(arg * arg + delta) + 1) / 2
+    alpha = equilibrium_alpha(plant, cfg, eq)
+    assert abs(alpha - exact) <= 1e-12 * exact
+    assert 0.0 < alpha <= 1.0 and (alpha < 1.0 or 1 - exact < 2.0**-54)
 
 
 class TestJacobians:

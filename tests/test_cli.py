@@ -25,6 +25,7 @@ from asfes.cli import (
     run_simulate,
     run_verify,
     warmup_settings,
+    write_csv,
     write_trajectory_csv,
 )
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
@@ -719,3 +720,19 @@ def test_python_dash_m_help():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert "simulate" in done.stdout
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
+def test_block_csv_is_savetxt(tmp_path, rows):
+    # rows formatted a block at a time are the bytes of np.savetxt, across
+    # the block boundary, for nan, +-inf, -0.0 and subnormal values
+    rng = np.random.default_rng(rows)
+    table = rng.standard_normal((rows, 11)) * 10.0 ** rng.integers(-300, 300, (rows, 11))
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308]
+    table.flat[rng.choice(table.size, min(table.size, 40), replace=False)] = \
+        rng.choice(special, min(table.size, 40))
+    cols = ["t", *(f"c{i}" for i in range(10))]
+    write_csv(tmp_path / "block.csv", cols, table)
+    np.savetxt(tmp_path / "savetxt.csv", table, fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()

@@ -44,7 +44,8 @@ def generated_loop_keys():
     (Newton at 1) and the opaque loop for states of 1 to 10 rows, with and
     without held theta rows and a watched gamma row; the averaged field at
     n = 1, 2, 3 with and without a watched gamma row, and the reduced field
-    (which has none) at n = 1, 2, 3."""
+    (which has none) at n = 1, 2, 3.  The loops with held rows, warmup's,
+    are in the table form."""
     keys = []
     for model in [v.value for v in Variant] + [None]:
         for n in (1, 2, 3) if model else range(1, 11):
@@ -574,6 +575,26 @@ class TestStateLayout:
             loops = [node for node in ast.walk(ast.parse(_loop_source(*key)))
                      if isinstance(node, (ast.For, ast.While))]
             assert [ast.unparse(node.iter) for node in loops] == ["range(n_steps)"]
+
+    def test_held_rows_take_the_table_form(self):
+        # a loop with held rows looks its table up once, in the branch that
+        # skips the fixed lines, and no fixed line reads a row that is not
+        # held; a loop without held rows never looks its table up
+        for model, n, held, gamma in generated_loop_keys():
+            fn = ast.parse(_loop_source(model, n, held, gamma)).body[0]
+            unpack = next(node for node in fn.body
+                          if isinstance(node, ast.Assign) and ast.unparse(node.value) == "y")
+            unheld = {elt.id for elt in unpack.targets[0].elts[held:]}
+            loop = next(node for node in fn.body if isinstance(node, ast.For))
+            lookups = [ast.unparse(node) for node in ast.walk(loop)
+                       if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "table"]
+            assert lookups == (["table[i]"] if held else []), (model, n, held)
+            if held:
+                branch = loop.body[0]
+                assert ast.unparse(branch.test) == "fill"
+                read = {node.id for line in branch.body for node in ast.walk(line)
+                        if isinstance(node, ast.Name)}
+                assert read & unheld == set(), (model, n, held)
 
     @pytest.mark.parametrize("name", ["make_rhs", "_bind", "reduced_rhs", "make_reduced_rhs",
                                       "make_average_rhs", "_field_parts", "generated"])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import warnings
@@ -45,7 +46,12 @@ from asfes.integrate import (
     step_count,
     warmup,
 )
+from asfes.problem import component_sum
 from asfes.sampling import random_config, random_full_state, random_plant
+from asfes.signals import signal_period
+
+# the module, which the package's integrate function shadows as an attribute
+integrate_module = importlib.import_module("asfes.integrate")
 
 
 class TestSettings:
@@ -455,6 +461,163 @@ class TestWarmup:
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
         with pytest.raises(NonPositiveTolerance):
             warmup(plant1, cfg1, [-3.0], settings, 0.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _warmup_reference(rhs, plant, cfg, theta0, settings, rel_tol):
+    """Warmup stepped as it was before its table: ``_rk4`` with the theta
+    rows held, every line computed in place, one period at a time.
+    Returns ``(outcome, steps)``: the outcome is ``("settled", state
+    bytes)``, ``("diverged", time)`` or ``("timeout", None)``."""
+    n = plant.dimension
+    start = np.atleast_1d(np.asarray(theta0, float))
+    layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
+    period = signal_period(cfg.dither)
+    n_steps = step_count(period, settings.dt)
+    one_period = IntegrationSettings(dt=settings.dt, t_end=period, record_stride=n_steps)
+    y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
+                     eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])
+    prev = y[layout.filters]
+
+    def norm(x):
+        return math.sqrt(component_sum(x * x))
+
+    for p in range(max(1, int(settings.t_end / period))):
+        run = _rk4(rhs, y, one_period, None, held=n)
+        if run.diverged_at is not None:
+            stopped = round(run.diverged_at / (period / n_steps))
+            return ("diverged", p * period + run.diverged_at), p * n_steps + stopped
+        y = run.states[-1]
+        if norm(y[layout.filters] - prev) <= rel_tol * max(norm(y[layout.filters]), 1e-30):
+            return ("settled", y.tobytes()), (p + 1) * n_steps
+        prev = y[layout.filters]
+    return ("timeout", None), (p + 1) * n_steps
+
+
+def _warmup_outcome(plant, cfg, theta0, settings, rel_tol):
+    try:
+        return "settled", warmup(plant, cfg, theta0, settings, rel_tol).as_vector().tobytes()
+    except NonFiniteState as exc:
+        return "diverged", exc.time
+    except WarmupTimeout:
+        return "timeout", None
+
+
+def _tables_seen(monkeypatch):
+    """The length of the table each loop call gets (None: no table), as
+    the calls come."""
+    seen = []
+    one_state_loop = integrate_module._one_state_loop
+
+    def spied(*args):
+        loop = one_state_loop(*args)
+
+        def call(*loop_args):
+            seen.append(None if loop_args[-1] is None else len(loop_args[-1]))
+            return loop(*loop_args)
+        return call
+
+    monkeypatch.setattr(integrate_module, "_one_state_loop", spied)
+    return seen
+
+
+class TestTabulatedWarmup:
+    """Warmup keeps the lines of its first period that read only the time
+    and the held rows in a table and reads them back in the later periods;
+    every outcome is bit for bit that of stepping each period afresh."""
+
+    def check(self, monkeypatch, plant, cfg, theta0, settings, rel_tol, tables=None):
+        """Assert the outcome is the reference's, and return it.
+        ``tables(n_steps, periods)`` is the table length each period's
+        loop call gets; by default the table is filled in the first period
+        and read in the rest."""
+        want, steps = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings,
+                                        rel_tol)
+        seen = _tables_seen(monkeypatch)
+        assert _warmup_outcome(plant, cfg, theta0, settings, rel_tol) == want
+        n_steps = step_count(signal_period(cfg.dither), settings.dt)
+        periods = -(-steps // n_steps)
+        tables = tables or (lambda n_steps, periods: [0] + [n_steps] * (periods - 1))
+        assert seen == tables(n_steps, periods)
+        return want
+
+    @pytest.mark.parametrize("variant, n", [(Variant.ASFES, 1), (Variant.ASFES, 2),
+                                            (Variant.ASFES, 3), (Variant.CLASSICAL_ES, 1),
+                                            (Variant.CLASSICAL_ES, 2), (Variant.CLASSICAL_ES, 3),
+                                            (Variant.NEWTON_ASFES, 1)])
+    def test_random_plants(self, monkeypatch, variant, n):
+        rng = np.random.default_rng(100 + n)
+        plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+        theta0 = plant.theta_star + rng.uniform(-0.3, 0.3, n)
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=20.0)
+        outcome = self.check(monkeypatch, plant, cfg, theta0, settings, 1e-6)
+        assert outcome[0] == "settled"
+
+    @pytest.mark.parametrize("theta0", [[-0.0], [0.4, -0.0]])
+    def test_negative_zero_start_fills_the_table_in_its_second_period(self, monkeypatch,
+                                                                      theta0):
+        # a step holds -0.0 at 0.0, so the first period steps in place
+        rng = np.random.default_rng(len(theta0))
+        n = len(theta0)
+        plant, cfg = random_plant(rng, n), random_config(rng, n)
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=20.0)
+        outcome = self.check(monkeypatch, plant, cfg, theta0, settings, 1e-6,
+                             lambda n_steps, periods: [None, 0] + [n_steps] * (periods - 2))
+        assert outcome[0] == "settled"
+
+    def test_overflowing_start_diverges_at_the_same_time(self, monkeypatch, plant1, cfg1):
+        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
+        outcome = self.check(monkeypatch, plant1, cfg1, [1e308], settings, 1e-4)
+        assert outcome[0] == "diverged"
+
+    def test_newton_escape_at_the_same_time(self, monkeypatch, plant1, cfg1):
+        # example 1's Newton warmup from theta0 = -3 escapes in a later period
+        cfg = cfg1.with_variant(Variant.NEWTON_ASFES)
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=30.0)
+        outcome = self.check(monkeypatch, plant1, cfg, [-3.0], settings, 1e-4)
+        assert outcome[0] == "diverged" and outcome[1] > signal_period(cfg.dither)
+
+    def test_timeout(self, monkeypatch, plant1, cfg1):
+        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
+        outcome = self.check(monkeypatch, plant1, cfg1, [-3.0], settings, 1e-12)
+        assert outcome[0] == "timeout"
+
+    def test_one_period_takes_no_table(self, monkeypatch, plant1, cfg1):
+        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.04)
+        outcome = self.check(monkeypatch, plant1, cfg1, [-3.0], settings, 1e-4,
+                             lambda n_steps, periods: [None])
+        assert outcome[0] == "timeout"
+
+    def test_period_over_the_cap_takes_no_table(self, monkeypatch, plant2, cfg2):
+        settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=30.0)
+        n_steps = step_count(signal_period(cfg2.dither), settings.dt)
+        monkeypatch.setattr(integrate_module, "WARMUP_TABLE_STEPS", n_steps - 1)
+        outcome = self.check(monkeypatch, plant2, cfg2, [1.5, -0.5], settings, 1e-4,
+                             lambda n_steps, periods: [None] * periods)
+        assert outcome[0] == "settled"
+
+    @pytest.mark.parametrize("variant, n, theta0", [(Variant.ASFES, 2, [1.5, -0.5]),
+                                                    (Variant.NEWTON_ASFES, 1, [-3.0]),
+                                                    (Variant.CLASSICAL_ES, 1, [-0.0])])
+    def test_opaque_field_steps_the_same_and_is_called_four_times_a_step(
+            self, monkeypatch, plant1, cfg1, plant2, cfg2, variant, n, theta0):
+        # a field without its template, as a tracer's wrapper gives, is
+        # called in each stage of every step, the table's periods included
+        plant, cfg = (plant1, cfg1) if n == 1 else (plant2, cfg2)
+        cfg = cfg.with_variant(variant)
+        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=10.0)
+        f = make_rhs(plant, cfg)
+        want, steps = _warmup_reference(f, plant, cfg, theta0, settings, 1e-4)
+        calls = []
+
+        def opaque(t, y):
+            calls.append(t)
+            return f(t, y)
+
+        monkeypatch.setattr(integrate_module, "make_rhs", lambda plant, cfg: opaque)
+        seen = _tables_seen(monkeypatch)
+        assert _warmup_outcome(plant, cfg, theta0, settings, 1e-4) == want
+        assert len(calls) == 4 * steps and len(seen) > 2 and seen[-1]
 
 
 def test_overflowing_inputs_fail_by_name_without_warnings(plant1, cfg1):
