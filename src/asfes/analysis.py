@@ -20,7 +20,7 @@ nu = delta / (2 (c h0 + sqrt(c^2 h0^2 + d delta))).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -45,7 +45,9 @@ REAL_SPECTRUM_TOL = 1e-10
 @dataclass(frozen=True)
 class Equilibrium(PackedBlocks):
     """Equilibrium of the averaged dynamics plus the scalars d and c1
-    (G_J at equilibrium equals c1 * h1) reused by the linearization."""
+    (G_J at equilibrium equals c1 * h1) reused by the linearization, and
+    the residual ||f_avg(eq)|| that :func:`average_equilibrium` checked it
+    with (nan for one made otherwise)."""
 
     theta_tilde_ae: np.ndarray
     g_j_ae: np.ndarray
@@ -55,6 +57,7 @@ class Equilibrium(PackedBlocks):
     gamma_ae: float
     d: float
     c1: float
+    residual: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
     value there (always strictly positive, whatever the sign of h0: the
     softened max biases the equilibrium into the safe interior), eta_j the
     objective value plus the probing bias, gamma = 1/||h1||^2.  The result
-    is residual-checked by substitution into the averaged field.
+    is residual-checked by substitution into the averaged field (``residual``).
     """
     h1 = plant.h1
     h0 = plant.h0
@@ -127,7 +130,7 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
         raise ResidualTooLarge(
             f"equilibrium residual {residual:.3e} exceeds tolerance"
         )
-    return eq
+    return replace(eq, residual=residual)
 
 
 def equilibrium_alpha(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> float:

@@ -9,6 +9,7 @@ divergence, 3 property failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -40,7 +41,6 @@ from .integrate import (
     full_state_channels,
     integrate,
     numeric_average,
-    reduced_channels,
     warmup,
 )
 from .problem import (
@@ -342,11 +342,22 @@ def write_csv(path: Path, cols: Sequence[str], table: np.ndarray) -> None:
     comma delimiter and the header uncommented, written a block of
     :data:`CSV_BLOCK_ROWS` rows at a time."""
     row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with open(path, "w") as out:
+    with _output_file(path) as out:
         out.write(",".join(cols) + "\n")
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
             out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
+@contextlib.contextmanager
+def _output_file(path: Path):
+    """``path`` open for writing; one that cannot be written (a directory in
+    its place, no permission, a full disk) is :class:`UnusableOutput`."""
+    try:
+        with open(path, "w") as out:
+            yield out
+    except OSError as exc:
+        raise UnusableOutput(f"{path} cannot be written: {exc.strerror or exc}") from exc
 
 
 def _output_dir(output_dir) -> Path:
@@ -436,9 +447,10 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
                     average_channels(plant), average_layout)
             if scenario.include_reduced:
                 run(f"reduced_c{c:g}_x{xi}", reduced, theta0 - plant.theta_star, slow,
-                    "theta_tilde", c, reduced_channels(plant))
+                    "theta_tilde", c, average_channels(plant))
 
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
+    with _output_file(out / "summary.txt") as fh:
+        fh.write("\n".join(summary_lines) + "\n")
     return 2 if diverged else 0
 
 
@@ -503,9 +515,7 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit(sec, "d", eq.d)
         emit(sec, "c1", eq.c1)
         emit(sec, "alpha", analysis.equilibrium_alpha(plant, cfg, eq))
-        residual = float(np.linalg.norm(
-            make_average_rhs(plant, cfg)(eq.as_vector())))
-        emit(sec, "residual_norm", residual)
+        emit(sec, "residual_norm", eq.residual)
 
         report = analysis.spectral_check(plant, cfg, eq)
         emit(sec, "hurwitz", report.hurwitz)
@@ -538,8 +548,9 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit("delta_sweep", f"eta_h_ae_delta_{dl:g}", eq_d.eta_h_ae)
     lines.append("")
 
-    (out / "analysis.txt").write_text("\n".join(lines) + "\n")
-    with (out / "analysis.csv").open("w", newline="") as fh:
+    with _output_file(out / "analysis.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with _output_file(out / "analysis.csv") as fh:
         fh.write("section,key,value\n")
         for section, key, value in rows:
             fh.write(f"{section},{key},{value}\n")
@@ -595,8 +606,7 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         plant = random_plant(rng, nn)
         cfg = random_config(rng, nn)
         eq = analysis.average_equilibrium(plant, cfg)
-        res = float(np.linalg.norm(make_average_rhs(plant, cfg)(eq.as_vector())))
-        worst_res = max(worst_res, res)
+        worst_res = max(worst_res, eq.residual)
         min_eta = min(min_eta, eq.eta_h_ae)
         worst_gam = max(worst_gam, abs(eq.gamma_ae - 1.0 / float(plant.h1 @ plant.h1)))
     report("equilibrium-residual", worst_res <= 1e-10,
@@ -640,7 +650,7 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         for start_scale in (1.0, -1.0):
             x0 = plant.h1 / float(np.linalg.norm(plant.h1)) * start_scale * 2.0
             traj = integrate(make_reduced_rhs(plant, cfg), x0, settings,
-                             channels=reduced_channels(plant))
+                             channels=average_channels(plant))
             gap = traj.h_values - traj.h_values[0] * np.exp(-cfg.c * traj.times)
             worst_gap = min(worst_gap, float(np.min(gap)))
     report("reduced-exact-safety", worst_gap >= -1e-6,

@@ -81,7 +81,7 @@ class EmptyTrajectory(ValidationError):
 
 
 class UnusableOutput(ValidationError):
-    """An output directory that cannot be made or written into."""
+    """An output directory that cannot be made, or a file in it that cannot be written."""
 
 
 class ParseError(ValidationError):

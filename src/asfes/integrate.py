@@ -16,11 +16,11 @@ of the array arithmetic.  One RK4 step of a dithered field costs about
 same field is called once per stage (medians on a shared 2-core VM,
 Python 3.11; ``BENCH_generated_loop.json``).
 
-Warmup steps one signal period after another with the parameter held, so
-the loop it steps with keeps what depends only on the time and the held
-parameter in a table in the first period and reads it back in the rest,
-which makes each warmup take about half as long
-(``BENCH_tabulated_warmup.json``).
+Warmup steps the filter rows alone, one signal period after another, in
+a loop that holds the parameter as a constant.  That loop keeps what
+depends only on the time and the parameter in a table in the first period
+and reads it back in the rest, which makes each warmup take about half as
+long (``BENCH_tabulated_warmup.json``).
 """
 
 from __future__ import annotations
@@ -165,16 +165,14 @@ def full_state_channels(plant: PlantModel, cfg: AlgorithmConfig) -> ChannelFn:
 
 
 def average_channels(plant: PlantModel) -> ChannelFn:
-    """Channels of averaged-coordinate states: theta = theta_tilde + theta*."""
+    """Channels of averaged-coordinate states, the averaged and the reduced
+    model's: theta = theta_tilde + theta*."""
 
     def channels(times, states):
         theta = states[:plant.dimension] + plant.theta_star[:, None]
         return theta, eval_objective(plant, theta), eval_barrier(plant, theta)
 
     return channels
-
-
-reduced_channels = average_channels  # the reduced model uses the same coordinate
 
 
 def integrate(
@@ -214,12 +212,9 @@ def integrate(
     return run
 
 
-def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
-         held: int = 0) -> Trajectory:
-    """The stepper behind :func:`integrate` and :func:`warmup`: the
-    trajectory of one state, which stops with ``diverged_at`` set where
-    the state leaves the reals.  The first ``held`` rows are held where
-    they are: their derivative is taken as zero, whatever ``rhs`` gives."""
+def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> Trajectory:
+    """The stepper behind :func:`integrate`: one state's trajectory, which
+    stops with ``diverged_at`` set where the state leaves the reals."""
     y = np.array(x0, dtype=float)
     if y.ndim != 1:
         raise DimensionMismatch(f"x0 has shape {y.shape}; it must be one state vector")
@@ -228,7 +223,7 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
     times = [0.0]
     states = array("d")                # every record, flat, in step order
     size = y.shape[0]
-    loop = _one_state_loop(rhs, size, held, gamma_index)
+    loop = _one_state_loop(rhs, size, (), gamma_index)
     # an opaque rhs may compute on numpy; its inf/nan warnings on the way
     # to a divergence are noise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -247,9 +242,7 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
 # of two forms:
 #
 # * fused: the body of a field of asfes.dynamics (the ``template`` it carries),
-#   written into the loop once per stage with the stage's locals suffixed; the
-#   lines of the time alone are computed once for stages 2 and 3, which share
-#   t + h/2;
+#   written into the loop once per stage with the stage's locals suffixed;
 # * opaque: a call of ``rhs`` on the stage's state as a list, for any other
 #   right-hand side.  It may return a list or a 1-D array, of the state's
 #   length.
@@ -261,22 +254,23 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int],
 # state left the reals (None if it did not) and where gamma first crossed the
 # guard (None if it did not).
 #
+# A loop may hold its first rows as constants, bound in its namespace under
+# the names the stages read: it steps, records and checks only the other
+# rows, which are its ``y``.  A stage line is fixed when it reads only the
+# time, the constants and what other fixed lines computed: the times, in a
+# dithered field the dither, and with theta held the dithered point, J and
+# h there and the demodulation.  Fixed lines come first in a step, and
+# stage 3 reuses those of stage 2, which share t + h/2.
+#
 # Every loop takes a last argument, ``table``, which only a loop with held
-# rows reads.  Such a loop takes the table form, for warmup, which steps the
-# same period from t = 0 and the same held rows again and again.  A line of a
-# stage is fixed when it reads only the loop index, the held rows, the
-# constants and what other fixed lines computed: the times, and in a
-# dithered field the dither, the dithered point, J and h there and the
-# demodulation.  The fixed lines come first in a step and run while
+# rows reads, in the table form: warmup steps the same period from t = 0
+# with the same held rows again and again.  Its fixed lines run while
 # ``fill`` holds, that is when the loop is given no table (every line is
-# computed in place) or an empty one, to which each step appends the
-# values of its fixed lines that the other lines read.  Given a filled
-# table, a step unpacks them from ``table[i]`` instead.  The table serves
-# any later call with the same step, step count, constants and held rows,
-# if the rows it was filled from are as a step leaves them: a step holds a
-# row at v + 0.0, which turns -0.0 into 0.0.  The opaque loop's fixed lines
-# are the times and the held rows' stage points; its ``rhs`` is still
-# called four times a step.
+# computed in place) or an empty one, to which each step appends the values
+# of its fixed lines that the other lines read.  Given a filled table, a
+# step unpacks them from ``table[i]`` instead; the table serves any later
+# call with the same step, step count and constants.  The opaque loop's
+# only fixed lines are the times: its ``rhs`` is called four times a step.
 
 # each stage's time, and the step that leads from the state to its point
 _STAGES = (("t", None), ("t_half", "half"), ("t_half", "half"), ("t_step", "h"))
@@ -291,18 +285,19 @@ def _as_list(dy, size: int) -> list:
     return dy
 
 
+@functools.cache
 def _stage_parts(model: Optional[str], n: int) -> tuple:
     """``(state names, body lines, derivative expressions)`` of one stage:
     the field ``model`` at dimension n, or, for model None, a call of
     ``rhs`` on a state of n rows."""
     if model is None:
-        state = [f"y{r}" for r in range(n)]
-        rows = [f"dy{r}" for r in range(n)]
-        return state, [f"dy = rhs(t, [{', '.join(state)}])",
+        state = tuple(f"y{r}" for r in range(n))
+        rows = tuple(f"dy{r}" for r in range(n))
+        return state, (f"dy = rhs(t, [{', '.join(state)}])",
                        f"if type(dy) is not list or len(dy) != {n}: dy = as_list(dy, {n})",
-                       f"{', '.join(rows)}, = dy"], rows
+                       f"{', '.join(rows)}, = dy"), rows
     _, state, lines, rows = _field_parts(model, n)
-    return state, lines, rows
+    return tuple(state), tuple(lines), tuple(rows)
 
 
 def _names(code: str) -> tuple:
@@ -319,11 +314,11 @@ def _renamed(code: str, rename: dict) -> str:
 def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
     """The loop for the field ``model`` at dimension n, or the
     opaque loop (model None) for a state of n rows, with the first ``held``
-    rows held and gamma watched at row ``gamma_index`` (None: not at all).
-    A loop with held rows takes the table form (see the comment above
-    :data:`_STAGES`)."""
+    rows held and gamma watched at row ``gamma_index`` of the whole state
+    (None: not at all).  A loop with held rows takes the table form (see
+    the comment above :data:`_STAGES`)."""
     state, lines, rows = _stage_parts(model, n)
-    rows = ["0.0"] * held + rows[held:]
+    state, rows = state[held:], rows[held:]                # the rows the loop steps
     body = [(line, *_names(line)) for line in lines]       # (line, assigned, read)
     if model is not None:
         # a field's lines that only the held rows read are dropped
@@ -335,12 +330,12 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
                 needed |= read
         body = kept
     local = {"t", *state, *(name for _, assigned, _ in body for name in assigned)}
-    timed = {"t"}                   # the time and what is computed from it alone
+    timed = {"t"}     # the time and what is computed from it and the constants alone
     for _, assigned, read in body:
         if read & local <= timed:
             timed |= assigned
 
-    steps = ["t = (i * h)", "t_half = (t + half)", "t_step = (t + h)"]
+    fixed, varied = ["t = (i * h)", "t_half = (t + half)", "t_step = (t + h)"], []
     stages = []                     # each stage's derivative, row by row
     for s, (t, step) in enumerate(_STAGES, start=1):
         rename = {name: f"{name}_{s}" for name in local}
@@ -350,29 +345,37 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
             rename.update((name, f"{name}_2") for name in timed)
         rename["t"] = t
         if step is not None:
-            steps += [f"{rename[x]} = ({x} + ({step} * {k}))" for x, k in zip(state, stages[-1])]
-        steps += [_renamed(line, rename) for line, assigned, _ in body
-                  if not (s == 3 and assigned <= timed)]
+            varied += [f"{rename[x]} = ({x} + ({step} * {k}))" for x, k in zip(state, stages[-1])]
+        for line, assigned, _ in body:
+            if not assigned <= timed:
+                varied.append(_renamed(line, rename))
+            elif s != 3:
+                fixed.append(_renamed(line, rename))
         ks = []
         for r, row in enumerate(rows):
-            # a held row's 0.0, or a local the body assigned, serves as it is
-            if row == "0.0" or (row.isidentifier() and row not in state):
+            # a local the body assigned serves as it is
+            if row.isidentifier() and row not in state:
                 ks.append(_renamed(row, rename))
             else:
-                steps.append(f"k{s}_{r} = {_renamed(row, rename)}")
+                varied.append(f"k{s}_{r} = {_renamed(row, rename)}")
                 ks.append(f"k{s}_{r}")
         stages.append(ks)
-    preamble = []
+    preamble, steps = [], fixed + varied
     if held:
-        steps, preamble = _tabulated(steps, set(state[held:])), [
-            "fill = not table", "keep = None if table is None else table.append"]
+        read = set().union(*(_names(line)[1] for line in varied))
+        kept = [name for line in fixed for name in sorted(_names(line)[0]) if name in read]
+        entry = f"({', '.join(kept)},)"
+        preamble = ["fill = not table", "keep = None if table is None else table.append"]
+        steps = ["if fill:", *(f"    {line}" for line in fixed),
+                 "    if keep is not None:", f"        keep({entry})",
+                 "else:", f"    {entry} = table[i]", *varied]
     steps += [f"{x} = ({x} + (sixth * ((({k1} + (2.0 * {k2})) + (2.0 * {k3})) + {k4})))"
               for x, k1, k2, k3, k4 in zip(state, *stages)]
     # x - x is 0.0 for a finite x and nan otherwise
     steps += [f"if ({' + '.join(f'({x} - {x})' for x in state)}) != 0.0:",
               "    return (i + 1), crossed"]
     if gamma_index is not None:
-        steps += [f"if crossed is None and abs({state[gamma_index]}) > guard:",
+        steps += [f"if crossed is None and abs({state[gamma_index - held]}) > guard:",
                   "    crossed = (i + 1)"]
     steps += ["if ((i + 1) % stride) == 0 or (i + 1) == n_steps:",
               "    append(((i + 1) * h))",
@@ -388,27 +391,6 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
             "table):\n" + "".join(f"    {line}\n" for line in body_lines))
 
 
-def _tabulated(steps: list, varying: set) -> list:
-    """A step's stage lines in the table form: the fixed lines, which read
-    none of the ``varying`` rows or what is computed from them, run and
-    are kept while ``fill`` holds; otherwise the values of theirs that the
-    other lines read are unpacked from ``table[i]``."""
-    fixed, varied = [], []
-    for line in steps:
-        assigned, read = _names(line)
-        if read & varying:
-            varying |= assigned
-            varied.append(line)
-        else:
-            fixed.append((line, sorted(assigned)))
-    read = set().union(*(_names(line)[1] for line in varied))
-    kept = [name for _, assigned in fixed for name in assigned if name in read]
-    entry = f"({', '.join(kept)},)" if kept else "()"
-    return ["if fill:", *(f"    {line}" for line, _ in fixed),
-            "    if keep is not None:", f"        keep({entry})",
-            "else:", f"    {entry} = table[i]", *varied]
-
-
 @functools.cache
 def _loop_code(model: Optional[str], n: int, held: int,
                gamma_index: Optional[int]) -> types.CodeType:
@@ -416,20 +398,24 @@ def _loop_code(model: Optional[str], n: int, held: int,
                           f"<asfes rk4 loop, {model or 'opaque'}, n={n}>")
 
 
-def _one_state_loop(rhs, size: int, held: int, gamma_index: Optional[int]) -> Callable:
+def _one_state_loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
     """The generated loop that steps one state of ``size`` rows of ``rhs``:
     fused with the field's template where ``rhs`` carries one, opaque
-    otherwise.  A templated field given a state of another size is a
+    otherwise.  The first rows are held at the floats ``held`` (see the
+    comment above :data:`_STAGES`), and the loop's ``y`` is the other rows.
+    A templated field given a state of another size is a
     :class:`DimensionMismatch`."""
     template = getattr(rhs, "template", None)
     if template is None:
-        return types.FunctionType(_loop_code(None, size, held, gamma_index), {"as_list": _as_list})
-    model, n, field_size, constants = template
-    if size != field_size:
-        raise DimensionMismatch(
-            f"x0 has {size} rows; the {model} field at n={n} takes {field_size}")
-    return types.FunctionType(_loop_code(model, n, held, gamma_index),
-                              {**constants, **_SHAPES["floats"]})
+        model, n, namespace = None, size, {"as_list": _as_list}
+    else:
+        model, n, field_size, constants = template
+        if size != field_size:
+            raise DimensionMismatch(
+                f"x0 has {size} rows; the {model} field at n={n} takes {field_size}")
+        namespace = {**constants, **_SHAPES["floats"]}
+    namespace.update(zip(_stage_parts(model, n)[0], held))
+    return types.FunctionType(_loop_code(model, n, len(held), gamma_index), namespace)
 
 
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:
@@ -467,20 +453,21 @@ def warmup(
 ) -> FullState:
     """Settle the filters with the parameter frozen at theta0 ``(n,)``.
 
-    Steps the filter subsystem (parameter rows held) in the RK4 loop of
-    :func:`integrate`, one signal period at a time, and compares the filter
-    states one period apart: sampling at period boundaries removes the
-    dither ripple, which never converges pointwise.  The start is settled
-    once the relative change drops below ``rel_tol``, and the assembled
-    initial state is returned.  It fails with :class:`WarmupTimeout` when
-    ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
+    Steps the filter subsystem in the RK4 loop of :func:`integrate`, with
+    the parameter rows held at theta0 as constants of the loop, one signal
+    period at a time, and compares the filter states one period apart:
+    sampling at period boundaries removes the dither ripple, which never
+    converges pointwise.  The start is settled once the relative change
+    drops below ``rel_tol``, and the initial state made of theta0 and the
+    settled filters is returned.  It fails with :class:`WarmupTimeout`
+    when ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
 
-    Every period starts at t = 0 from the same held rows, so what the loop
-    computes from the time and those rows alone (the dither, J and h at the
-    dithered point, the demodulation) is the same in each: it is kept in a
-    table by the first period and read back by the others, unless a period
-    has more than :data:`WARMUP_TABLE_STEPS` steps.  The states are bit for
-    bit those of stepping every period afresh.
+    Every period starts at t = 0 with the same held parameter, so what the
+    loop computes from the time and the parameter alone (the dither, J and
+    h at the dithered point, the demodulation) is the same in each: it is
+    kept in a table by the first period and read back by the others,
+    unless a period has more than :data:`WARMUP_TABLE_STEPS` steps.  The
+    states are bit for bit those of stepping every period afresh.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
@@ -490,34 +477,28 @@ def warmup(
     if start.shape != (n,):
         raise DimensionMismatch(f"theta0 has shape {np.shape(theta0)}, expected ({n},)")
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
-    filters = layout.filters
     f = make_rhs(plant, cfg)
     period = signal_period(cfg.dither)
     IntegrationSettings(dt=settings.dt, t_end=period)    # a period of too many steps fails
     n_steps = step_count(period, settings.dt)
     h = period / n_steps
-    loop = _one_state_loop(f, layout.size, layout.theta.stop, None)
+    loop = _one_state_loop(f, layout.size, tuple(start.tolist()), None)
     periods = max(1, int(settings.t_end / period))
     table = [] if periods > 1 and n_steps <= WARMUP_TABLE_STEPS else None
-    # a step holds a row at v + 0.0, which is v but for -0.0: a start with
-    # a -0.0 steps its first period in place and fills the table in its second
-    held_as_after = (start + 0.0).tobytes() == start.tobytes()
 
-    # theta at the start, eta_J and eta_h at J and h there, G_J and G_h
-    # at zero, gamma (and Gamma) at one
+    # eta_J and eta_h at J and h at the start, G_J and G_h at zero, gamma
+    # (and Gamma) at one
     y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
-                     eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])
-    prev = y[filters]
+                     eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])[layout.filters]
     for p in range(periods):
         states = array("d")     # the start and the end of the period
         stopped, _ = loop(f, y.tolist(), n_steps, h, n_steps, settings.gamma_guard, [],
-                          states, table if p or held_as_after else None)
+                          states, table)
         if stopped is not None:
             raise NonFiniteState(p * period + stopped * h)
-        y = np.frombuffer(states)[layout.size:]
-        if _norm(y[filters] - prev) <= rel_tol * max(_norm(y[filters]), 1e-30):
-            return FullState.from_vector(y, n)
-        prev = y[filters]
+        prev, y = y, np.frombuffer(states)[y.shape[0]:]
+        if _norm(y - prev) <= rel_tol * max(_norm(y), 1e-30):
+            return FullState.from_vector(np.concatenate((start, y)), n)
     raise WarmupTimeout(
         f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}")
 

@@ -156,10 +156,10 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
 def component_sum(x):
     """Sum over the leading (component) axis, one row after the other.
 
-    Points and states are component-major: ``(n,)`` for one, ``(n, B)`` for
-    a batch of B.  A fixed left-to-right sum keeps each member's value
-    independent of the batch around it, which a BLAS or pairwise reduction
-    does not guarantee.
+    Points are component-major: ``(n,)`` for one, ``(n, R)`` for the R
+    records of a run.  A fixed left-to-right sum keeps each record's value
+    independent of the records around it, which a BLAS or pairwise
+    reduction does not guarantee.
     """
     if x.ndim == 1:
         # one point: Python floats, the same IEEE sums at a fraction of the
@@ -172,9 +172,9 @@ def component_sum(x):
 
 
 def hessian_product(hessian: np.ndarray, d):
-    """H d for one point ``(n,)`` or a component-major batch ``(n, B)``, as
-    an explicit sum over the Hessian's columns, for the same
-    batch-independence as :func:`component_sum`."""
+    """H d for one point ``(n,)`` or a run's records ``(n, R)``, as an
+    explicit sum over the Hessian's columns, so that, as in
+    :func:`component_sum`, no record's value depends on the others."""
     hd = np.multiply.outer(hessian[:, 0], d[0])
     for j in range(1, d.shape[0]):
         hd = hd + np.multiply.outer(hessian[:, j], d[j])
@@ -182,7 +182,7 @@ def hessian_product(hessian: np.ndarray, d):
 
 
 def _offset(plant: PlantModel, theta) -> np.ndarray:
-    """theta - theta* for one point ``(n,)`` or a batch ``(n, B)``."""
+    """theta - theta* for one point ``(n,)`` or a run's records ``(n, R)``."""
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     if t.ndim > 2 or t.shape[0] != plant.dimension:
         raise DimensionMismatch(
@@ -193,14 +193,14 @@ def _offset(plant: PlantModel, theta) -> np.ndarray:
 
 def eval_objective(plant: PlantModel, theta):
     """J(theta) = J* + (theta - theta*)' H (theta - theta*) / 2, for one point
-    (a float) or a component-major batch ``(n, B)`` (one value per member)."""
+    (a float) or a run's records ``(n, R)`` (one value per record)."""
     d = _offset(plant, theta)
     hd = hessian_product(plant.hessian, d)
     return plant.j_star + 0.5 * component_sum(d * hd)
 
 
 def eval_barrier(plant: PlantModel, theta):
-    """h(theta) = h0 + h1' (theta - theta*), for one point or a batch."""
+    """h(theta) = h0 + h1' (theta - theta*), for one point or a run's records."""
     d = _offset(plant, theta)
     h1 = plant.h1 if d.ndim == 1 else plant.h1[:, None]
     return plant.h0 + component_sum(h1 * d)

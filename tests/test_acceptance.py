@@ -35,12 +35,12 @@ from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs, make
 from asfes.errors import ComputationError
 from asfes.integrate import (
     IntegrationSettings,
+    average_channels,
     default_dt,
     exact_initial_state,
     full_state_channels,
     integrate,
     numeric_average,
-    reduced_channels,
     warmup,
 )
 from asfes.sampling import random_config, random_full_state, random_plant
@@ -223,7 +223,7 @@ def test_criterion_5_reduced_exact_safety(ex1):
     for start in (-3.0, 0.5):  # safe (h = 2) and unsafe (h = -1.5)
         traj = integrate(lambda t, y: reduced(y),
                          np.array([start - plant.theta_star[0]]), settings,
-                         channels=reduced_channels(plant))
+                         channels=average_channels(plant))
         rep = safety_report(traj, plant, cfg.c, constrained_minimum(plant))
         worst = min(worst, rep.worst_violation)
     ok = worst >= -1e-6

@@ -32,8 +32,8 @@ from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs
 from asfes.errors import EmptyTrajectory, NonFiniteEntry, NonPositiveTolerance
 from asfes.integrate import (
     IntegrationSettings,
+    average_channels,
     integrate,
-    reduced_channels,
 )
 from asfes.sampling import random_config, random_plant
 
@@ -52,6 +52,14 @@ class TestAverageEquilibrium:
         assert eq.gamma_ae == pytest.approx(1.0, abs=1e-15)
         assert eq.g_j_ae[0] == pytest.approx(-0.10773502691896258, abs=1e-12)
         assert eq.c1 == pytest.approx(0.10773502691896258, abs=1e-12)
+
+    def test_carries_the_residual_it_was_checked_with(self, rng):
+        # the residual is ||f_avg(eq)||, the same float as computed again
+        for n in (1, 2, 3):
+            plant, cfg = random_plant(rng, n), random_config(rng, n)
+            eq = average_equilibrium(plant, cfg)
+            f = make_average_rhs(plant, cfg)
+            assert eq.residual == float(np.linalg.norm(f(eq.as_vector())))
 
     def test_overflow_is_a_named_error(self):
         # (c h0)^2 overflows: example 1 with c = 1e100 and h0 = -1e100
@@ -291,7 +299,7 @@ class TestSafetyReport:
         settings = IntegrationSettings(dt=0.01, t_end=150.0, record_stride=1)
         reduced = make_reduced_rhs(plant1, cfg1)
         traj = integrate(lambda t, y: reduced(y), np.array([-3.0]), settings,
-                         channels=reduced_channels(plant1))
+                         channels=average_channels(plant1))
         report = safety_report(traj, plant1, cfg1.c, constrained_minimum(plant1))
         assert report.worst_violation >= -1e-6
         assert report.entered_safe_set_at is None
@@ -301,7 +309,7 @@ class TestSafetyReport:
         settings = IntegrationSettings(dt=0.01, t_end=150.0, record_stride=1)
         reduced = make_reduced_rhs(plant1, cfg1)
         traj = integrate(lambda t, y: reduced(y), np.array([0.5]), settings,
-                         channels=reduced_channels(plant1))
+                         channels=average_channels(plant1))
         report = safety_report(traj, plant1, cfg1.c, constrained_minimum(plant1))
         assert report.worst_violation >= -1e-6
         assert report.entered_safe_set_at is not None

@@ -32,7 +32,7 @@ from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_
 from asfes.errors import (ComputationError, NegativeSeed, NonFiniteValue, NonPositiveTrials,
                           ParseError, ResonantTriple, UnusableOutput, ValidationError)
 from asfes.integrate import (average_channels, exact_initial_state, full_state_channels,
-                             integrate, reduced_channels, warmup)
+                             integrate, warmup)
 
 EX1_SMALL = """
 [plant]
@@ -431,6 +431,20 @@ def test_out_that_cannot_be_a_directory_is_rejected(tmp_path, monkeypatch, capsy
     assert blocker.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("command, name", [
+    ("simulate", "asfes_c0.1_x0.csv"), ("simulate", "reduced_c0.1_x0.csv"),
+    ("simulate", "summary.txt"), ("analyze", "analysis.txt"), ("analyze", "analysis.csv")])
+def test_output_file_that_cannot_be_written_is_rejected(tmp_path, capsys, command, name):
+    # a directory in the place of an output file is a named validation
+    # error, which main prints and exits 1 on, not a bare traceback
+    path = write_scenario(tmp_path, EX1_SMALL)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err
+
+
 def summary_blocks(out) -> dict:
     """``{run name: its block of summary.txt}``."""
     return {block.split("]")[0]: block
@@ -612,7 +626,7 @@ class TestRunSimulate:
                 # the reduced model's product
                 field = make_reduced_rhs(plant, cfg)
                 reduced = integrate(lambda t, y: field(y), theta0 - plant.theta_star, slow,
-                                    channels=reduced_channels(plant))
+                                    channels=average_channels(plant))
                 write_trajectory_csv(alone, reduced, "theta_tilde", c)
                 assert (out / f"reduced_c{c:g}_x{xi}.csv").read_bytes() == alone.read_bytes()
 

@@ -34,25 +34,27 @@ from asfes import dynamics
 from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
 from asfes.dynamics import StateLayout, make_reduced_rhs
 from asfes.errors import DimensionMismatch, NotScalar, ValidationError
-from asfes.integrate import _loop_source, numeric_average
+from asfes.integrate import _loop_source, _stage_parts, numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
 from oracles import demod, newton_demod
 
 
 def generated_loop_keys():
     """Every kind of one-state RK4 loop: each dithered field at n = 1, 2, 3
-    (Newton at 1) and the opaque loop for states of 1 to 10 rows, with and
-    without held theta rows and a watched gamma row; the averaged field at
-    n = 1, 2, 3 with and without a watched gamma row, and the reduced field
-    (which has none) at n = 1, 2, 3.  The loops with held rows, warmup's,
-    are in the table form."""
+    (Newton at 1) with and without its theta rows held, and the opaque
+    loop for states of 1 to 10 rows with its first row held (from 2 rows,
+    so that one is left to step) and without, each with and without a
+    watched gamma row; the averaged field at n = 1, 2, 3 with and without a
+    watched gamma row, and the reduced field (which has none) at n = 1, 2,
+    3.  The loops with held rows, warmup's, hold them as constants and are
+    in the table form."""
     keys = []
     for model in [v.value for v in Variant] + [None]:
         for n in (1, 2, 3) if model else range(1, 11):
             if model == Variant.NEWTON_ASFES.value and n > 1:
                 continue
             layout = StateLayout.of(n, model == Variant.NEWTON_ASFES.value)
-            held_rows = (0, n) if model else (0, 1)
+            held_rows = (0, n) if model else (0, 1) if n > 1 else (0,)
             keys += [(model, n, held, gamma) for held in held_rows
                      for gamma in (None, layout.gamma if model else n - 1)]
     for n in (1, 2, 3):
@@ -576,25 +578,34 @@ class TestStateLayout:
                      if isinstance(node, (ast.For, ast.While))]
             assert [ast.unparse(node.iter) for node in loops] == ["range(n_steps)"]
 
-    def test_held_rows_take_the_table_form(self):
-        # a loop with held rows looks its table up once, in the branch that
-        # skips the fixed lines, and no fixed line reads a row that is not
-        # held; a loop without held rows never looks its table up
+    def test_held_rows_are_constants_of_the_loop(self):
+        # a loop never assigns a held row: it unpacks, steps and records the
+        # other rows alone.  A loop with held rows looks its table up once,
+        # in the branch that skips the fixed lines, and no fixed line reads
+        # a stepped row or anything the other lines compute from one; a
+        # loop without held rows never looks its table up
         for model, n, held, gamma in generated_loop_keys():
             fn = ast.parse(_loop_source(model, n, held, gamma)).body[0]
+            names = _stage_parts(model, n)[0]
+            assigned = {node.id for node in ast.walk(fn)
+                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+            assert assigned & set(names[:held]) == set(), (model, n, held)
             unpack = next(node for node in fn.body
                           if isinstance(node, ast.Assign) and ast.unparse(node.value) == "y")
-            unheld = {elt.id for elt in unpack.targets[0].elts[held:]}
+            assert [elt.id for elt in unpack.targets[0].elts] == list(names[held:])
             loop = next(node for node in fn.body if isinstance(node, ast.For))
             lookups = [ast.unparse(node) for node in ast.walk(loop)
                        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "table"]
             assert lookups == (["table[i]"] if held else []), (model, n, held)
             if held:
-                branch = loop.body[0]
+                branch, *varied = loop.body
                 assert ast.unparse(branch.test) == "fill"
                 read = {node.id for line in branch.body for node in ast.walk(line)
                         if isinstance(node, ast.Name)}
-                assert read & unheld == set(), (model, n, held)
+                stepped = set(names[held:]) | {
+                    node.id for line in varied for node in ast.walk(line)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+                assert read & stepped == set(), (model, n, held)
 
     @pytest.mark.parametrize("name", ["make_rhs", "_bind", "reduced_rhs", "make_reduced_rhs",
                                       "make_average_rhs", "_field_parts", "generated"])

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import warnings
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from asfes.errors import (
 )
 from asfes.integrate import (
     IntegrationSettings,
+    Trajectory,
     _one_state_loop,
     _rk4,
     average_channels,
@@ -304,16 +306,36 @@ def test_a_field_given_a_state_of_another_size_is_a_mismatch(plant2, cfg2):
                 integrate(make(plant2, cfg2), x0, settings)
 
 
+def _held_run(rhs, x0, settings, gamma_at, held):
+    """x0 stepped with its first ``held`` rows held, as warmup steps: the
+    loop bound to those rows steps and records the others.  With no rows
+    held, this is ``_rk4``."""
+    if not held:
+        return _rk4(rhs, x0, settings, gamma_at)
+    n_steps = step_count(settings.t_end, settings.dt)
+    h = settings.t_end / n_steps
+    times, states = [0.0], array("d")
+    loop = _one_state_loop(rhs, len(x0), tuple(x0[:held].tolist()), gamma_at)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stopped, crossed = loop(rhs, x0[held:].tolist(), n_steps, h, settings.record_stride,
+                                settings.gamma_guard, times, states, None)
+    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), -1),
+                      gamma_exceeded_at=None if crossed is None else crossed * h,
+                      diverged_at=None if stopped is None else stopped * h)
+
+
 def _fused_and_opaque(rhs, x0, settings, gamma_at, held=0):
     """One state of a field of asfes.dynamics stepped by the fused loop,
-    and by the opaque loop through a plain lambda around the same field."""
+    and by the opaque loop through a plain lambda around the same field,
+    with the first ``held`` rows held."""
     if rhs.template[0] in ("average", "reduced"):
         opaque = lambda t, y: rhs(y)  # noqa: E731
     else:
         opaque = lambda t, y: rhs(t, y)  # noqa: E731
-    loops = [_one_state_loop(f, len(x0), held, gamma_at).__code__.co_name for f in (rhs, opaque)]
+    loops = [_one_state_loop(f, len(x0), tuple(x0[:held].tolist()), gamma_at).__code__.co_name
+             for f in (rhs, opaque)]
     assert loops == [f"rk4_{rhs.template[0]}_{rhs.template[1]}", f"rk4_opaque_{len(x0)}"]
-    return [_rk4(f, x0, settings, gamma_at, held) for f in (rhs, opaque)]
+    return [_held_run(f, x0, settings, gamma_at, held) for f in (rhs, opaque)]
 
 
 def assert_same_records(got, want):
@@ -402,8 +424,14 @@ class TestGeneratedLoop:
         assert_same_run(exc.value.partial,
                         replace(fused, thetas=theta.T, j_values=j, h_values=h))
         fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma_newton, held=1)
-        assert fused.diverged_at is not None and np.all(fused.states[:, 0] == -3.0)
+        assert fused.diverged_at is not None
         assert_same_records(fused, opaque)
+        # the held loop steps the filters as the whole state steps with a
+        # derivative of 0.0 for theta
+        frozen = _rk4(lambda t, y: [0.0] + rhs(t, y)[1:], x0, settings, layout.gamma_newton)
+        assert fused.states.tobytes() == frozen.states[:, 1:].tobytes()
+        assert (fused.diverged_at, fused.gamma_exceeded_at) == (
+            frozen.diverged_at, frozen.gamma_exceeded_at)
 
 
 class TestWarmup:
@@ -465,10 +493,12 @@ class TestWarmup:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _warmup_reference(rhs, plant, cfg, theta0, settings, rel_tol):
-    """Warmup stepped as it was before its table: ``_rk4`` with the theta
-    rows held, every line computed in place, one period at a time.
-    Returns ``(outcome, steps)``: the outcome is ``("settled", state
-    bytes)``, ``("diverged", time)`` or ``("timeout", None)``."""
+    """Warmup stepped without a held loop: ``_rk4`` steps the whole state,
+    one period at a time, through a lambda that gives 0.0 for the theta
+    rows and ``rhs``'s derivative for the filters.  Returns ``(outcome,
+    steps)``: the outcome is ``("settled", state bytes)``, ``("diverged",
+    time)`` or ``("timeout", None)``.  A theta of -0.0 comes out as 0.0,
+    the sum its RK4 update takes."""
     n = plant.dimension
     start = np.atleast_1d(np.asarray(theta0, float))
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
@@ -479,11 +509,14 @@ def _warmup_reference(rhs, plant, cfg, theta0, settings, rel_tol):
                      eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])
     prev = y[layout.filters]
 
+    def frozen(t, y):
+        return [0.0] * n + list(rhs(t, y)[n:])
+
     def norm(x):
         return math.sqrt(component_sum(x * x))
 
     for p in range(max(1, int(settings.t_end / period))):
-        run = _rk4(rhs, y, one_period, None, held=n)
+        run = _rk4(frozen, y, one_period, None)
         if run.diverged_at is not None:
             stopped = round(run.diverged_at / (period / n_steps))
             return ("diverged", p * period + run.diverged_at), p * n_steps + stopped
@@ -501,6 +534,16 @@ def _warmup_outcome(plant, cfg, theta0, settings, rel_tol):
         return "diverged", exc.time
     except WarmupTimeout:
         return "timeout", None
+
+
+def _held_at(outcome, theta0):
+    """A reference outcome with a settled state's theta rows set to theta0,
+    byte for byte: warmup returns the start itself as theta_hat."""
+    if outcome[0] != "settled":
+        return outcome
+    start = np.atleast_1d(np.asarray(theta0, float))
+    filters = np.frombuffer(outcome[1])[start.shape[0]:]
+    return "settled", np.concatenate((start, filters)).tobytes()
 
 
 def _tables_seen(monkeypatch):
@@ -522,24 +565,27 @@ def _tables_seen(monkeypatch):
 
 
 class TestTabulatedWarmup:
-    """Warmup keeps the lines of its first period that read only the time
-    and the held rows in a table and reads them back in the later periods;
-    every outcome is bit for bit that of stepping each period afresh."""
+    """Warmup holds theta as a constant of its loop, keeps the lines of its
+    first period that read only the time and theta in a table and reads
+    them back in the later periods; every outcome is bit for bit that of
+    stepping the whole state each period afresh, theta_hat aside."""
 
     def check(self, monkeypatch, plant, cfg, theta0, settings, rel_tol, tables=None):
-        """Assert the outcome is the reference's, and return it.
-        ``tables(n_steps, periods)`` is the table length each period's
+        """Assert the outcome is the reference's, but for a settled
+        theta_hat, which is the start itself (-0.0 included), and return
+        it.  ``tables(n_steps, periods)`` is the table length each period's
         loop call gets; by default the table is filled in the first period
         and read in the rest."""
         want, steps = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings,
                                         rel_tol)
         seen = _tables_seen(monkeypatch)
-        assert _warmup_outcome(plant, cfg, theta0, settings, rel_tol) == want
+        got = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
+        assert got == _held_at(want, theta0)
         n_steps = step_count(signal_period(cfg.dither), settings.dt)
         periods = -(-steps // n_steps)
         tables = tables or (lambda n_steps, periods: [0] + [n_steps] * (periods - 1))
         assert seen == tables(n_steps, periods)
-        return want
+        return got
 
     @pytest.mark.parametrize("variant, n", [(Variant.ASFES, 1), (Variant.ASFES, 2),
                                             (Variant.ASFES, 3), (Variant.CLASSICAL_ES, 1),
@@ -554,16 +600,17 @@ class TestTabulatedWarmup:
         assert outcome[0] == "settled"
 
     @pytest.mark.parametrize("theta0", [[-0.0], [0.4, -0.0]])
-    def test_negative_zero_start_fills_the_table_in_its_second_period(self, monkeypatch,
-                                                                      theta0):
-        # a step holds -0.0 at 0.0, so the first period steps in place
+    def test_negative_zero_start_is_held_and_fills_the_table_at_once(self, monkeypatch,
+                                                                     theta0):
+        # theta is never stepped, so -0.0 comes back as -0.0 and the table
+        # is filled in the first period, as for any start
         rng = np.random.default_rng(len(theta0))
         n = len(theta0)
         plant, cfg = random_plant(rng, n), random_config(rng, n)
         settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=20.0)
-        outcome = self.check(monkeypatch, plant, cfg, theta0, settings, 1e-6,
-                             lambda n_steps, periods: [None, 0] + [n_steps] * (periods - 2))
+        outcome = self.check(monkeypatch, plant, cfg, theta0, settings, 1e-6)
         assert outcome[0] == "settled"
+        assert np.signbit(np.frombuffer(outcome[1])[n - 1])
 
     def test_overflowing_start_diverges_at_the_same_time(self, monkeypatch, plant1, cfg1):
         settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
@@ -616,7 +663,7 @@ class TestTabulatedWarmup:
 
         monkeypatch.setattr(integrate_module, "make_rhs", lambda plant, cfg: opaque)
         seen = _tables_seen(monkeypatch)
-        assert _warmup_outcome(plant, cfg, theta0, settings, 1e-4) == want
+        assert _warmup_outcome(plant, cfg, theta0, settings, 1e-4) == _held_at(want, theta0)
         assert len(calls) == 4 * steps and len(seen) > 2 and seen[-1]
 
 
