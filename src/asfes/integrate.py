@@ -21,6 +21,12 @@ a loop that holds the parameter as a constant.  That loop keeps what
 depends only on the time and the parameter in a table in the first period
 and reads it back in the rest, which makes each warmup take about half as
 long (``BENCH_tabulated_warmup.json``).
+
+The quadrature oracle, :func:`numeric_average`, is the only user of scipy
+in the package, and loads it when first called.  Importing :mod:`asfes`,
+parsing a scenario, simulating and analyzing never load scipy, which
+takes about three quarters of a fresh interpreter's start-up when loaded
+(``BENCH_lazy_scipy.json``).
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dynamics import (
     _SHAPES,
@@ -520,8 +525,13 @@ def numeric_average(
     parameter block is theta_tilde) and the original right-hand side is
     averaged by composite Simpson quadrature over the exact common period.
     This is the independent oracle for
-    :func:`asfes.dynamics.make_average_rhs`.
+    :func:`asfes.dynamics.make_average_rhs`, and the one place in the
+    package that loads scipy.
     """
+    # scipy is loaded here, not with the module: loading it is about three
+    # quarters of every command's start-up, and only verify's oracle needs it
+    from scipy.integrate import simpson
+
     layout = StateLayout.of(plant.dimension)
     tt, *filters = layout.unpack(x)
     y = layout.pack([tt + plant.theta_star, *filters])  # the dithered field works in theta_hat

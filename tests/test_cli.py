@@ -726,14 +726,61 @@ class TestRunVerify:
         assert out.count("PASS") >= 6
 
 
-def test_python_dash_m_help():
+def _fresh_interpreter_env() -> dict:
+    """The environment of a child interpreter that imports this asfes."""
     src = str(Path(__import__("asfes").__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "asfes", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_help():
+    done = subprocess.run([sys.executable, "-m", "asfes", "--help"],
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=60)
     assert done.returncode == 0
     assert "simulate" in done.stdout
+
+
+STARTUP_WITHOUT_SCIPY = """\
+import importlib.resources, io, sys
+from pathlib import Path
+
+def no_scipy(step):
+    assert "scipy" not in sys.modules, f"scipy loaded by {step}"
+
+import asfes.cli
+no_scipy("import asfes.cli")
+out = Path(sys.argv[1])
+bundled = importlib.resources.files("asfes") / "scenarios"
+text = (bundled / "example1.scenario").read_text()
+short = out / "short.scenario"
+short.write_text(text.replace("t_end = 150", "t_end = 1"))
+scenario = asfes.cli.parse_scenario(short)
+no_scipy("parse_scenario")
+assert scenario.settings.t_end == 1.0
+# 2: the Newton run diverges on example 1, as the strict xfails record
+assert asfes.cli.run_simulate(scenario, out / "sim") in (0, 2)
+no_scipy("run_simulate")
+for name in ("example1", "example2"):
+    assert asfes.cli.run_analyze(asfes.cli.parse_scenario(bundled / f"{name}.scenario"),
+                                 out / name) == 0
+    no_scipy(f"run_analyze on {name}")
+assert asfes.cli.run_verify(0, 1, io.StringIO()) == 0
+assert "scipy" in sys.modules, "verify's averaging oracle ran without scipy"
+"""
+
+
+def test_only_verify_loads_scipy(tmp_path):
+    # scipy is most of a fresh interpreter's start-up, and only the
+    # averaging oracle needs it: parsing, simulating and analyzing leave it
+    # unloaded, and verify loads it
+    done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_SCIPY, str(tmp_path)],
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == [
+        "asfes_c0.1_x0.csv", "average_c0.1_x0.csv", "classical_c0.1_x0.csv",
+        "newton_c0.1_x0.csv", "reduced_c0.1_x0.csv", "summary.txt"]
 
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
