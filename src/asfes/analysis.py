@@ -15,6 +15,11 @@ This pre-simplified form is regular at h0 = 0, so no special-casing of the
 grazing constraint is needed.  Where c h0 > 0 its numerator cancels, so
 the root is taken there in the rationalised form
 nu = delta / (2 (c h0 + sqrt(c^2 h0^2 + d delta))).
+
+The linearizations J11, Z and the reduced Jacobian read the equilibrium
+only through alpha, the slope of the softened max there
+(:func:`equilibrium_alpha`), so each takes that slope and nothing else
+from it.
 """
 
 from __future__ import annotations
@@ -62,6 +67,11 @@ class Equilibrium(PackedBlocks):
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """Evidence from a :func:`spectral_check` that passed: the sorted
+    spectra of J11, Z and the reduced Jacobian, and the residual of each
+    of the 2n quadratic pairings.  ``hurwitz`` and ``omega_f_eigen_found``
+    are therefore true."""
+
     j11_eigenvalues: np.ndarray
     z_eigenvalues: np.ndarray
     pairing_residuals: List[float]
@@ -152,8 +162,9 @@ def m_matrix(k: float, h1: np.ndarray, alpha: float) -> np.ndarray:
     return k * (np.eye(n) - alpha * np.outer(h1, h1) / float(h1 @ h1))
 
 
-def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> np.ndarray:
-    """Leading block of the linearized averaged error dynamics.
+def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarray:
+    """Leading block of the linearized averaged error dynamics at the
+    equilibrium whose softened-max slope is ``alpha``.
 
     Rows and columns are ordered (theta_tilde, G_J, eta_h); the remaining
     error coordinates decouple at the equilibrium, contributing only
@@ -162,7 +173,6 @@ def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> np
     h1 = plant.h1
     n = plant.dimension
     wf = cfg.omega_f
-    alpha = equilibrium_alpha(plant, cfg, eq)
     m = m_matrix(cfg.k, h1, alpha)
     layout = StateLayout.of(n)
     # the leading error coordinates (error_coordinate_indices): theta_tilde
@@ -178,23 +188,14 @@ def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> np
     return j11
 
 
-def z_matrix(
-    plant: PlantModel,
-    cfg: AlgorithmConfig,
-    eq: Optional[Equilibrium] = None,
-    alpha: Optional[float] = None,
-) -> np.ndarray:
-    """omega_f M H + omega_f (c alpha / ||h1||^2) h1 h1'.
+def z_matrix(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarray:
+    """omega_f M H + omega_f (c alpha / ||h1||^2) h1 h1' for the softened-max
+    slope ``alpha``.
 
-    Its spectrum is real and strictly positive, and generates the non-trivial
-    eigenvalues of the J11 block in quadratic pairs.  ``alpha`` may be
-    overridden (for boundary-case studies); by default it is evaluated at
-    the equilibrium.
+    For alpha in [0, 1) its spectrum is real and strictly positive, and at
+    the equilibrium's alpha it generates the non-trivial eigenvalues of the
+    J11 block in quadratic pairs.
     """
-    if alpha is None:
-        if eq is None:
-            raise ValueError("pass an equilibrium or an explicit alpha")
-        alpha = equilibrium_alpha(plant, cfg, eq)
     h1 = plant.h1
     m = m_matrix(cfg.k, h1, alpha)
     return cfg.omega_f * (m @ plant.hessian) + cfg.omega_f * (
@@ -202,11 +203,11 @@ def z_matrix(
     ) * np.outer(h1, h1)
 
 
-def reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> np.ndarray:
-    """Linearization of the reduced model at its equilibrium:
-    -M H - c alpha h1 h1' / ||h1||^2.  Real negative spectrum."""
+def reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarray:
+    """Linearization of the reduced model at the equilibrium whose
+    softened-max slope is ``alpha``: -M H - c alpha h1 h1' / ||h1||^2.
+    Real negative spectrum."""
     h1 = plant.h1
-    alpha = equilibrium_alpha(plant, cfg, eq)
     m = m_matrix(cfg.k, h1, alpha)
     return -(m @ plant.hessian) - cfg.c * alpha * np.outer(h1, h1) / float(h1 @ h1)
 
@@ -288,67 +289,51 @@ def _pair_eigenvalues(
     return residuals_out
 
 
+def _sorted_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``m`` by real part, then imaginary part."""
+    eigs = np.linalg.eigvals(m)
+    return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+
 def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> SpectralReport:
     """Verify the spectral structure of the linearized averaged dynamics.
 
-    Checks that (i) the J11 block is Hurwitz, (ii) -omega_f sits in its
-    spectrum, (iii) every eigenvalue of Z is real and strictly positive, and
-    (iv) the remaining 2n eigenvalues pair two-to-one with the eigenvalues
-    of Z through lambda^2 + omega_f lambda + z = 0.  Raises on violation;
-    the returned report carries the evidence.
+    Checks, in this order, that (i) the J11 block is Hurwitz, (ii) -omega_f
+    sits in its spectrum, (iii) every eigenvalue of Z is real and strictly
+    positive, and (iv) the remaining 2n eigenvalues pair two-to-one with the
+    eigenvalues of Z through lambda^2 + omega_f lambda + z = 0.  The first
+    violation raises :class:`HurwitzViolation` for (i) and
+    :class:`PairingFailure` for the others, so a returned report passed
+    every check; it carries the evidence.
     """
     wf = cfg.omega_f
-    j11 = jacobian_j11(plant, cfg, eq)
-    z = z_matrix(plant, cfg, eq)
-    j11_eigs = np.linalg.eigvals(j11)
-    z_eigs = np.linalg.eigvals(z)
-    j_r = reduced_jacobian(plant, cfg, eq)
-    reduced_eigs = np.linalg.eigvals(j_r)
-
-    order = np.lexsort((j11_eigs.imag, j11_eigs.real))
-    j11_eigs = j11_eigs[order]
-    z_eigs = z_eigs[np.lexsort((z_eigs.imag, z_eigs.real))]
-
-    hurwitz = bool(np.max(j11_eigs.real) < 0.0)
-
-    dist = np.abs(j11_eigs + wf)
-    i_wf = int(np.argmin(dist))
-    omega_f_found = bool(dist[i_wf] <= OMEGA_F_EIGEN_TOL * max(1.0, wf))
-
-    z_real_positive = all(
-        abs(zv.imag) <= REAL_SPECTRUM_TOL * max(abs(zv), 1e-300) and zv.real > 0.0
-        for zv in z_eigs
-    )
-
-    rest = np.delete(j11_eigs, i_wf)
-    residuals = None
-    pairing_error = None
-    try:
-        residuals = _pair_eigenvalues(rest, z_eigs.real, wf)
-    except PairingFailure as exc:
-        pairing_error = exc
-
-    report = SpectralReport(
-        j11_eigenvalues=j11_eigs,
-        z_eigenvalues=z_eigs,
-        pairing_residuals=residuals if residuals is not None else [],
-        hurwitz=hurwitz,
-        omega_f_eigen_found=omega_f_found,
-        reduced_eigenvalues=reduced_eigs[np.lexsort((reduced_eigs.imag, reduced_eigs.real))],
-    )
-    if not hurwitz:
+    alpha = equilibrium_alpha(plant, cfg, eq)
+    j11_eigs = _sorted_eigenvalues(jacobian_j11(plant, cfg, alpha))
+    z_eigs = _sorted_eigenvalues(z_matrix(plant, cfg, alpha))
+    if not np.max(j11_eigs.real) < 0.0:
         raise HurwitzViolation(
             f"J11 has an eigenvalue with real part {np.max(j11_eigs.real):.3e}"
         )
-    if not omega_f_found:
+    dist = np.abs(j11_eigs + wf)
+    i_wf = int(np.argmin(dist))
+    if not dist[i_wf] <= OMEGA_F_EIGEN_TOL * max(1.0, wf):
         raise PairingFailure(
             f"-omega_f not found in the J11 spectrum (closest miss {dist[i_wf]:.3e})"
         )
-    if not z_real_positive:
+    if not all(
+        abs(zv.imag) <= REAL_SPECTRUM_TOL * max(abs(zv), 1e-300) and zv.real > 0.0
+        for zv in z_eigs
+    ):
         raise PairingFailure("Z has a complex or non-positive eigenvalue")
-    if pairing_error is not None:
-        raise pairing_error
-    return report
+    residuals = _pair_eigenvalues(np.delete(j11_eigs, i_wf), z_eigs.real, wf)
+    return SpectralReport(
+        j11_eigenvalues=j11_eigs,
+        z_eigenvalues=z_eigs,
+        pairing_residuals=residuals,
+        hurwitz=True,
+        omega_f_eigen_found=True,
+        reduced_eigenvalues=_sorted_eigenvalues(reduced_jacobian(plant, cfg, alpha)),
+    )
 
 
 def safety_report(

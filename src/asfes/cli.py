@@ -514,26 +514,26 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit(sec, "gamma_ae", eq.gamma_ae)
         emit(sec, "d", eq.d)
         emit(sec, "c1", eq.c1)
-        emit(sec, "alpha", analysis.equilibrium_alpha(plant, cfg, eq))
+        alpha = analysis.equilibrium_alpha(plant, cfg, eq)
+        emit(sec, "alpha", alpha)
         emit(sec, "residual_norm", eq.residual)
 
         report = analysis.spectral_check(plant, cfg, eq)
         emit(sec, "hurwitz", report.hurwitz)
         emit(sec, "omega_f_eigen_found", report.omega_f_eigen_found)
-        emit(sec, "max_pairing_residual",
-             max(report.pairing_residuals) if report.pairing_residuals else 0.0)
+        emit(sec, "max_pairing_residual", max(report.pairing_residuals))
         emit(sec, "j11_eigenvalues_real", report.j11_eigenvalues.real)
         emit(sec, "j11_eigenvalues_imag", report.j11_eigenvalues.imag)
         emit(sec, "z_eigenvalues_real", report.z_eigenvalues.real)
         emit(sec, "reduced_eigenvalues_real", report.reduced_eigenvalues.real)
 
-        j11 = analysis.jacobian_j11(plant, cfg, eq)
+        j11 = analysis.jacobian_j11(plant, cfg, alpha)
         g = analysis.average_error_rhs(plant, cfg, eq)
         fd = analysis.finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
         lead = fd[:j11.shape[0], :j11.shape[1]]
         emit(sec, "j11_fd_rel_error",
              float(np.max(np.abs(lead - j11)) / max(1.0, np.max(np.abs(j11)))))
-        j_r = analysis.reduced_jacobian(plant, cfg, eq)
+        j_r = analysis.reduced_jacobian(plant, cfg, alpha)
         reduced = make_reduced_rhs(plant, cfg)
         fd_r = analysis.finite_diff_jacobian(
             lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
@@ -608,7 +608,9 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         eq = analysis.average_equilibrium(plant, cfg)
         worst_res = max(worst_res, eq.residual)
         min_eta = min(min_eta, eq.eta_h_ae)
-        worst_gam = max(worst_gam, abs(eq.gamma_ae - 1.0 / float(plant.h1 @ plant.h1)))
+        # gamma settles where gamma ||G_h||^2 = 1, with the equilibrium's own G_h
+        g_h_sq = sum(g * g for g in eq.g_h_ae.tolist())
+        worst_gam = max(worst_gam, abs(eq.gamma_ae * g_h_sq - 1.0))
     report("equilibrium-residual", worst_res <= 1e-10,
            f"trials={trials} max_residual={worst_res:.3e}")
     report("equilibrium-interior", min_eta > 0.0,
@@ -629,8 +631,7 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         try:
             eq = analysis.average_equilibrium(plant, cfg)
             rep = analysis.spectral_check(plant, cfg, eq)
-            if rep.pairing_residuals:
-                worst_pair = max(worst_pair, max(rep.pairing_residuals))
+            worst_pair = max(worst_pair, max(rep.pairing_residuals))
         except ComputationError as exc:
             ok = False
             detail = str(exc)
@@ -663,8 +664,18 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
     return 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints the usage, then raises a usage error as a
+    :class:`ValidationError`, which exits 1 like any other rejected input;
+    argparse itself would exit 2, the code of a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="asfes",
         description="Safe extremum seeking: simulate scenarios, analyze "
                     "equilibria and spectra, verify numeric invariants.",
@@ -683,8 +694,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--trials", type=int, default=100)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "simulate":
             return run_simulate(parse_scenario(args.scenario), args.out)
         if args.command == "analyze":

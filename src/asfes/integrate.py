@@ -73,6 +73,9 @@ MAX_STEPS = 10**9
 # a warmup period of more steps is computed in place, without a table: at
 # this bound a table holds about 1.6 MB at n = 1 and 2.4 MB at n = 3
 WARMUP_TABLE_STEPS = 4096
+# Simpson nodes of the averaging oracle per period of the fastest dither;
+# doubling them moves the average by under 1e-10
+ORACLE_NODES_PER_FASTEST_PERIOD = 200
 
 
 @dataclass(frozen=True)
@@ -513,18 +516,14 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(component_sum(x * x))
 
 
-def numeric_average(
-    plant: PlantModel,
-    cfg: AlgorithmConfig,
-    x,
-    nodes_per_fastest_period: int = 200,
-) -> np.ndarray:
+def numeric_average(plant: PlantModel, cfg: AlgorithmConfig, x) -> np.ndarray:
     """Quadrature average of the dithered field over one signal period.
 
     The state is held fixed (interpreted in averaged coordinates, so the
     parameter block is theta_tilde) and the original right-hand side is
-    averaged by composite Simpson quadrature over the exact common period.
-    This is the independent oracle for
+    averaged by composite Simpson quadrature over the exact common period,
+    with :data:`ORACLE_NODES_PER_FASTEST_PERIOD` nodes per period of the
+    fastest dither.  This is the independent oracle for
     :func:`asfes.dynamics.make_average_rhs`, and the one place in the
     package that loads scipy.
     """
@@ -538,7 +537,7 @@ def numeric_average(
 
     period = signal_period(cfg.dither)
     fastest = 2.0 * math.pi / cfg.dither.omega_max
-    intervals = math.ceil(nodes_per_fastest_period * period / fastest)
+    intervals = math.ceil(ORACLE_NODES_PER_FASTEST_PERIOD * period / fastest)
     intervals += intervals % 2  # composite Simpson wants an even count
     ts = np.linspace(0.0, period, intervals + 1)
     f = make_rhs(plant, cfg.with_variant(Variant.ASFES))

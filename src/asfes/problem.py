@@ -84,31 +84,17 @@ class LinearBarrier:
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Validated objective/barrier pair.  Build through :func:`validate_plant`."""
+    """Validated plant: the objective's minimum ``j_star``, Hessian and
+    minimizer ``theta_star``, the barrier's value ``h0`` at theta* and its
+    gradient ``h1``, and the common dimension.  Build through
+    :func:`validate_plant`, which checks every assumption."""
 
-    objective: QuadraticObjective
-    barrier: LinearBarrier
+    j_star: float
+    hessian: np.ndarray
+    theta_star: np.ndarray
+    h0: float
+    h1: np.ndarray
     dimension: int
-
-    @property
-    def hessian(self) -> np.ndarray:
-        return self.objective.hessian
-
-    @property
-    def theta_star(self) -> np.ndarray:
-        return self.objective.theta_star
-
-    @property
-    def j_star(self) -> float:
-        return self.objective.j_star
-
-    @property
-    def h0(self) -> float:
-        return self.barrier.h0
-
-    @property
-    def h1(self) -> np.ndarray:
-        return self.barrier.h1
 
 
 @dataclass(frozen=True)
@@ -150,7 +136,9 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
     if h1_squared == 0.0:
         raise ZeroBarrierGradient("h1 must have at least one nonzero component")
     require_finite(h1_squared, "||h1||^2")
-    return PlantModel(objective=objective, barrier=barrier, dimension=n)
+    return PlantModel(j_star=objective.j_star, hessian=h,
+                      theta_star=objective.theta_star, h0=barrier.h0,
+                      h1=barrier.h1, dimension=n)
 
 
 def component_sum(x):

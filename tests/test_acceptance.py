@@ -24,6 +24,7 @@ from asfes import (
 from asfes.analysis import (
     average_equilibrium,
     average_error_rhs,
+    equilibrium_alpha,
     finite_diff_jacobian,
     jacobian_j11,
     reduced_jacobian,
@@ -199,12 +200,13 @@ def test_criterion_4_jacobian_oracles(plant1, cfg1, plant2, cfg2):
     for plant, cfg in cases:
         n = plant.dimension
         eq = average_equilibrium(plant, cfg)
-        j11 = jacobian_j11(plant, cfg, eq)
+        alpha = equilibrium_alpha(plant, cfg, eq)
+        j11 = jacobian_j11(plant, cfg, alpha)
         fd = finite_diff_jacobian(average_error_rhs(plant, cfg, eq),
                                   np.zeros(StateLayout.of(n).size), 1e-6)
         rel11 = float(np.max(np.abs(fd[:j11.shape[0], :j11.shape[1]] - j11))
                       / max(1.0, np.max(np.abs(j11))))
-        j_r = reduced_jacobian(plant, cfg, eq)
+        j_r = reduced_jacobian(plant, cfg, alpha)
         reduced = make_reduced_rhs(plant, cfg)
         fd_r = finite_diff_jacobian(lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
         rel_r = float(np.max(np.abs(fd_r - j_r)) / max(1.0, np.max(np.abs(j_r))))

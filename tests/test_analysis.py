@@ -16,6 +16,7 @@ from asfes import (
     eval_barrier,
     validate_plant,
 )
+from asfes import analysis as analysis_module
 from asfes.analysis import (
     average_equilibrium,
     average_error_rhs,
@@ -29,7 +30,13 @@ from asfes.analysis import (
     z_matrix,
 )
 from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs
-from asfes.errors import EmptyTrajectory, NonFiniteEntry, NonPositiveTolerance
+from asfes.errors import (
+    EmptyTrajectory,
+    HurwitzViolation,
+    NonFiniteEntry,
+    NonPositiveTolerance,
+    PairingFailure,
+)
 from asfes.integrate import (
     IntegrationSettings,
     average_channels,
@@ -170,7 +177,7 @@ class TestJacobians:
 
     def test_example1_block_entries(self, plant1, cfg1):
         eq = average_equilibrium(plant1, cfg1)
-        j11 = jacobian_j11(plant1, cfg1, eq)
+        j11 = jacobian_j11(plant1, cfg1, equilibrium_alpha(plant1, cfg1, eq))
         assert j11.shape == (3, 3)
         assert j11[1, 0] == pytest.approx(3.0 * 0.1)   # omega_f H
         assert j11[2, 0] == pytest.approx(-3.0)        # omega_f h1
@@ -211,7 +218,7 @@ class TestJacobians:
         for plant, cfg in cases:
             n = plant.dimension
             eq = average_equilibrium(plant, cfg)
-            j11 = jacobian_j11(plant, cfg, eq)
+            j11 = jacobian_j11(plant, cfg, equilibrium_alpha(plant, cfg, eq))
             g = average_error_rhs(plant, cfg, eq)
             fd = finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
             lead = fd[:j11.shape[0], :j11.shape[1]]
@@ -225,7 +232,7 @@ class TestJacobians:
         eq = average_equilibrium(plant2, cfg2)
         g = average_error_rhs(plant2, cfg2, eq)
         fd = finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
-        lead = jacobian_j11(plant2, cfg2, eq).shape[0]
+        lead = jacobian_j11(plant2, cfg2, equilibrium_alpha(plant2, cfg2, eq)).shape[0]
         np.testing.assert_allclose(fd[n:lead, lead:], 0.0, atol=1e-9)
 
     def test_reduced_jacobian_matches_finite_differences(self, plant1, cfg1,
@@ -236,7 +243,7 @@ class TestJacobians:
             cases.append((random_plant(rng, n), random_config(rng, n)))
         for plant, cfg in cases:
             eq = average_equilibrium(plant, cfg)
-            j_r = reduced_jacobian(plant, cfg, eq)
+            j_r = reduced_jacobian(plant, cfg, equilibrium_alpha(plant, cfg, eq))
             reduced = make_reduced_rhs(plant, cfg)
             fd = finite_diff_jacobian(
                 lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(plant.dimension), 1e-6)
@@ -248,7 +255,8 @@ class TestJacobians:
             plant = random_plant(rng, n)
             cfg = random_config(rng, n)
             eq = average_equilibrium(plant, cfg)
-            eigs = np.linalg.eigvals(reduced_jacobian(plant, cfg, eq))
+            alpha = equilibrium_alpha(plant, cfg, eq)
+            eigs = np.linalg.eigvals(reduced_jacobian(plant, cfg, alpha))
             assert np.max(np.abs(eigs.imag)) <= 1e-10 * np.max(np.abs(eigs))
             assert np.max(eigs.real) < 0.0
 
@@ -274,6 +282,37 @@ class TestSpectralCheck:
             assert len(report.pairing_residuals) == 2 * n
             assert np.max(report.z_eigenvalues.real) > 0.0
 
+    @pytest.mark.parametrize("alpha", [-1.0, -100.0])
+    @pytest.mark.parametrize("broken", [(), ("OMEGA_F_EIGEN_TOL", "REAL_SPECTRUM_TOL",
+                                             "PAIRING_TOL")])
+    def test_negative_alpha_is_a_hurwitz_violation(self, monkeypatch, plant2, cfg2,
+                                                   alpha, broken):
+        # a slope below zero pushes the parameter away from the boundary:
+        # J11 gets an unstable eigenvalue and Z a negative one, and the
+        # Hurwitz check, the first, is the one named, whatever else fails
+        eq = average_equilibrium(plant2, cfg2)
+        assert np.min(np.linalg.eigvals(z_matrix(plant2, cfg2, alpha=alpha)).real) < 0.0
+        monkeypatch.setattr(analysis_module, "equilibrium_alpha", lambda *args: alpha)
+        for name in broken:
+            monkeypatch.setattr(analysis_module, name, -1.0)
+        with pytest.raises(HurwitzViolation, match="real part"):
+            spectral_check(plant2, cfg2, eq)
+
+    @pytest.mark.parametrize("broken, message", [
+        (("PAIRING_TOL",), "pairing residual"),
+        (("REAL_SPECTRUM_TOL", "PAIRING_TOL"), "Z has a complex"),
+        (("OMEGA_F_EIGEN_TOL", "REAL_SPECTRUM_TOL", "PAIRING_TOL"), "-omega_f not found"),
+    ])
+    def test_first_failed_check_is_named(self, monkeypatch, plant1, cfg1, plant2, cfg2,
+                                         broken, message):
+        # a negative tolerance fails its check on any spectrum; of several
+        # failing checks the first in the order -omega_f, Z, pairing is named
+        for name in broken:
+            monkeypatch.setattr(analysis_module, name, -1.0)
+        for plant, cfg in ((plant1, cfg1), (plant2, cfg2)):
+            with pytest.raises(PairingFailure, match=message):
+                spectral_check(plant, cfg, average_equilibrium(plant, cfg))
+
     def test_alpha_zero_override_gives_gradient_spectrum(self, plant2, cfg2):
         z = z_matrix(plant2, cfg2, alpha=0.0)
         want = np.sort(np.linalg.eigvals(cfg2.omega_f * cfg2.k * plant2.hessian).real)
@@ -283,7 +322,7 @@ class TestSpectralCheck:
     def test_example1_scalar_chain(self, plant1, cfg1):
         eq = average_equilibrium(plant1, cfg1)
         alpha = equilibrium_alpha(plant1, cfg1, eq)
-        z = z_matrix(plant1, cfg1, eq)
+        z = z_matrix(plant1, cfg1, alpha)
         expected = cfg1.omega_f * (cfg1.k * (1 - alpha) * 0.1 + cfg1.c * alpha)
         assert z[0, 0] == pytest.approx(expected, rel=1e-12)
         report = spectral_check(plant1, cfg1, eq)

@@ -719,6 +719,25 @@ class TestRunVerify:
         assert captured.out == ""
         assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
+    def test_gamma_off_its_root_fails(self, monkeypatch):
+        # the gamma line checks gamma ||G_h||^2 = 1 on the equilibrium
+        # itself, so a gamma moved by 1e-9 off its root is caught
+        analysis = importlib.import_module("asfes.analysis")
+        solve = analysis.average_equilibrium
+
+        def off_root(plant, cfg):
+            eq = solve(plant, cfg)
+            return replace(eq, gamma_ae=eq.gamma_ae * (1.0 + 1e-9))
+
+        monkeypatch.setattr(analysis, "average_equilibrium", off_root)
+        buf = io.StringIO()
+        assert run_verify(0, 5, stream=buf) == 3
+        lines = buf.getvalue().splitlines()
+        gamma = next(line for line in lines if "gamma-riccati-root" in line)
+        assert gamma.startswith("FAIL  gamma-riccati-root")
+        assert float(gamma.rsplit("max_error=", 1)[1]) > 1e-12
+        assert lines[-1] == "1 PROPERTY FAILURES (seed=0, trials=5)"
+
     def test_main_verify(self, capsys):
         rc = main(["verify", "--seed", "3", "--trials", "10"])
         assert rc == 0
@@ -739,6 +758,23 @@ def test_python_dash_m_help():
                           timeout=60)
     assert done.returncode == 0
     assert "simulate" in done.stdout
+
+
+@pytest.mark.parametrize("args, message", [
+    ([], "error: the following arguments are required: command"),
+    (["verify", "--trials", "x"], "error: argument --trials: invalid int value: 'x'"),
+    (["verify", "--frobnicate"], "error: unrecognized arguments: --frobnicate"),
+], ids=["no-command", "bad-int", "unknown-option"])
+def test_usage_error_exits_1(args, message):
+    # a usage error is a rejected input: the usage, then the named error,
+    # and exit 1; 2 is left to numerical failures
+    done = subprocess.run([sys.executable, "-m", "asfes", *args],
+                          env=_fresh_interpreter_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: asfes")
+    assert done.stderr.endswith(f"\n{message}\n")
 
 
 STARTUP_WITHOUT_SCIPY = """\

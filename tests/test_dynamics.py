@@ -441,7 +441,8 @@ class TestReducedRhs:
         monkeypatch.setattr(dynamics, "_last_reduced", (None, None, None))
         x = np.array([0.5, -0.25])
         cfg2_fast = replace(cfg2, c=2.0 * cfg2.c)
-        plant2_shifted = validate_plant(plant2.objective,
+        plant2_shifted = validate_plant(QuadraticObjective(plant2.j_star, plant2.hessian,
+                                                           plant2.theta_star),
                                         LinearBarrier(h0=plant2.h0 - 0.5, h1=plant2.h1))
         # the second and third keys each change one of rate and plant
         keys = [(plant2, cfg2), (plant2, cfg2_fast), (plant2_shifted, cfg2_fast),

@@ -697,10 +697,11 @@ class TestNumericAverage:
         avg = numeric_average(plant, cfg2, x)
         np.testing.assert_allclose(avg[2:4], -cfg2.omega_f * x[2:4], atol=1e-10)
 
-    def test_node_doubling_converges(self, plant2, cfg2, rng):
+    def test_node_doubling_converges(self, monkeypatch, plant2, cfg2, rng):
         x = random_full_state(rng, 2)
-        coarse = numeric_average(plant2, cfg2, x, nodes_per_fastest_period=200)
-        fine = numeric_average(plant2, cfg2, x, nodes_per_fastest_period=400)
+        coarse = numeric_average(plant2, cfg2, x)
+        monkeypatch.setattr(integrate_module, "ORACLE_NODES_PER_FASTEST_PERIOD", 400)
+        fine = numeric_average(plant2, cfg2, x)
         assert np.max(np.abs(fine - coarse)) < 1e-10
 
 
