@@ -336,13 +336,23 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
     )
 
 
+def envelope(h0: float, c: float, times: np.ndarray) -> np.ndarray:
+    """The assigned-rate envelope h(0) exp(-c t) at ``times`` ``(R,)``, with
+    the C library's exp, as the trajectory CSVs have always written it:
+    numpy's SIMD exp differs from it in the last bit on some inputs.  The
+    CSVs, :func:`safety_report` and verify all take it from here, so they
+    agree to the bit."""
+    decay = np.fromiter(map(math.exp, (-c * times).tolist()), float, times.shape[0])
+    return h0 * decay
+
+
 def safety_report(
     traj: Trajectory, plant: PlantModel, c: float, constrained: ConstrainedOptimum
 ) -> SafetyReport:
     """Compare a trajectory's h channel against its assigned-rate envelope.
 
     ``worst_violation`` is the minimum over recorded times of
-    h(t) - h(0) exp(-c t); zero at t=0 by construction, and staying near
+    h(t) - h(0) exp(-c t) (see :func:`envelope`); zero at t=0 by construction, and staying near
     zero (or above) means the envelope held.  For unsafe starts the first
     recorded entry into {h >= 0} is noted.  The final objective gap is
     measured against the constrained minimum.
@@ -352,8 +362,7 @@ def safety_report(
     if traj.h_values is None or traj.j_values is None:
         raise EmptyTrajectory("trajectory carries no plant channels")
     h = traj.h_values
-    envelope = h[0] * np.exp(-c * traj.times)
-    gap = h - envelope
+    gap = h - envelope(h[0], c, traj.times)
     i_min = int(np.argmin(gap))
     entered = None
     if h[0] < 0.0:

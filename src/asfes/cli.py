@@ -324,11 +324,9 @@ def write_trajectory_csv(
     n = traj.thetas.shape[1]
     state_cols = [f"{theta_hat_label}_{i + 1}" for i in range(n)] + list(extra_state_names)
     cols = ["t", *(f"theta_{i + 1}" for i in range(n)), *state_cols, "j", "h", "envelope"]
-    # the C library's exp, as the envelope has always been written: numpy's
-    # SIMD exp differs from it in the last bit on some inputs
-    decay = np.fromiter(map(math.exp, (-c * traj.times).tolist()), float, len(traj))
     table = np.column_stack([traj.times, traj.thetas, traj.states[:, :len(state_cols)],
-                             traj.j_values, traj.h_values, traj.h_values[0] * decay])
+                             traj.j_values, traj.h_values,
+                             analysis.envelope(traj.h_values[0], c, traj.times)])
     write_csv(path, cols, table)
 
 
@@ -652,7 +650,7 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
             x0 = plant.h1 / float(np.linalg.norm(plant.h1)) * start_scale * 2.0
             traj = integrate(make_reduced_rhs(plant, cfg), x0, settings,
                              channels=average_channels(plant))
-            gap = traj.h_values - traj.h_values[0] * np.exp(-cfg.c * traj.times)
+            gap = traj.h_values - analysis.envelope(traj.h_values[0], cfg.c, traj.times)
             worst_gap = min(worst_gap, float(np.min(gap)))
     report("reduced-exact-safety", worst_gap >= -1e-6,
            f"trials={n_red} min_envelope_gap={worst_gap:.3e}")

@@ -11,16 +11,23 @@ loop, stage by stage, from the template it carries, its size included;
 any other right-hand side is called once per stage with the state as a
 list, and may return a list or a 1-D array.  Each stage is the array
 expression written per component, so the records are bit for bit those
-of the array arithmetic.  One RK4 step of a dithered field costs about
-6 us at n = 1 and 8 us at n = 2 that way, against 9 and 12 us when the
-same field is called once per stage (medians on a shared 2-core VM,
-Python 3.11; ``BENCH_generated_loop.json``).
+of the array arithmetic.
+
+The loop of a field is also rendered as C from the same statements
+(:mod:`asfes._ckernel`), compiled once per kind with the system C
+compiler, and steps every run of the field where it can be built, bit for
+bit as the Python loop, which remains for any other right-hand side and
+wherever no kernel can be had.  One RK4 step of a dithered field costs
+about 0.14 us at n = 1, 0.23 us at n = 2 and 0.31 us at n = 3 in the
+kernel, against 6, 10 and 13 us in the Python loop (medians on a shared
+2-core Xeon VM, Python 3.11, gcc 12.2; ``BENCH_c_kernel.json``).
 
 Warmup steps the filter rows alone, one signal period after another, in
-a loop that holds the parameter as a constant.  That loop keeps what
-depends only on the time and the parameter in a table in the first period
-and reads it back in the rest, which makes each warmup take about half as
-long (``BENCH_tabulated_warmup.json``).
+a loop that holds the parameter as a constant.  The Python loop keeps
+what depends only on the time and the parameter in a table in the first
+period and reads it back in the rest, which makes each warmup take about
+half as long there (``BENCH_tabulated_warmup.json``); the kernel computes
+it afresh.
 
 The quadrature oracle, :func:`numeric_average`, is the only user of scipy
 in the package, and loads it when first called.  Importing :mod:`asfes`,
@@ -38,7 +45,7 @@ import re
 import types
 from array import array
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -68,7 +75,8 @@ from .signals import dither, signal_period
 # settings validator only insists on 20
 DEFAULT_SAMPLES_PER_PERIOD = 40
 MIN_SAMPLES_PER_PERIOD = 20
-# a run of more steps is a mistaken scenario: hours at about 6 us per step
+# a run of more steps is a mistaken scenario: minutes at about 0.14 us per
+# step in the C kernel, hours at 6 us in the Python loop
 MAX_STEPS = 10**9
 # a warmup period of more steps is computed in place, without a table: at
 # this bound a table holds about 1.6 MB at n = 1 and 2.4 MB at n = 3
@@ -228,16 +236,10 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
         raise DimensionMismatch(f"x0 has shape {y.shape}; it must be one state vector")
     n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
-    times = [0.0]
-    states = array("d")                # every record, flat, in step order
-    size = y.shape[0]
-    loop = _one_state_loop(rhs, size, (), gamma_index)
-    # an opaque rhs may compute on numpy; its inf/nan warnings on the way
-    # to a divergence are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        stopped, crossed = loop(rhs, y.tolist(), n_steps, h, settings.record_stride,
-                                settings.gamma_guard, times, states, None)
-    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), size),
+    step = _stepper(rhs, y.shape[0], (), gamma_index)
+    times, states, stopped, crossed = step(y.tolist(), n_steps, h, settings.record_stride,
+                                           settings.gamma_guard)
+    return Trajectory(times, states,
                       gamma_exceeded_at=None if crossed is None else crossed * h,
                       diverged_at=None if stopped is None else stopped * h)
 
@@ -279,6 +281,10 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
 # step unpacks them from ``table[i]`` instead; the table serves any later
 # call with the same step, step count and constants.  The opaque loop's
 # only fixed lines are the times: its ``rhs`` is called four times a step.
+#
+# A loop's statements (:func:`_loop_parts`) have two renderers: the Python
+# source of :func:`_loop_source`, and the C kernel of :mod:`asfes._ckernel`,
+# which computes every fixed line in place and needs no table.
 
 # each stage's time, and the step that leads from the state to its point
 _STAGES = (("t", None), ("t_half", "half"), ("t_half", "half"), ("t_step", "h"))
@@ -319,12 +325,26 @@ def _renamed(code: str, rename: dict) -> str:
     return re.sub(r"\b\w+\b", lambda m: rename.get(m.group(), m.group()), code)
 
 
-def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
-    """The loop for the field ``model`` at dimension n, or the
-    opaque loop (model None) for a state of n rows, with the first ``held``
-    rows held and gamma watched at row ``gamma_index`` of the whole state
-    (None: not at all).  A loop with held rows takes the table form (see
-    the comment above :data:`_STAGES`)."""
+class _LoopParts(NamedTuple):
+    """The statements of one loop, shared by its two renderers: the Python
+    source of :func:`_loop_source` and the C kernel of
+    :mod:`asfes._ckernel`.  Each line is ``name = expression``, the
+    expression fully parenthesised float arithmetic on names, with
+    ``sin`` and ``sqrt``."""
+
+    state: tuple        # the names of the rows the loop steps
+    fixed: list         # the lines that read only the time and the constants
+    varied: list        # the other stage lines, in order
+    update: list        # the RK4 update of each stepped row
+    diverged: str       # true once a stepped row has left the reals
+    watched: Optional[str]      # the stepped row gamma is, or None
+
+
+@functools.cache
+def _loop_parts(model: Optional[str], n: int, held: int,
+                gamma_index: Optional[int]) -> _LoopParts:
+    """The statements of the loop of :func:`_loop_source`, for the same
+    arguments."""
     state, lines, rows = _stage_parts(model, n)
     state, rows = state[held:], rows[held:]                # the rows the loop steps
     body = [(line, *_names(line)) for line in lines]       # (line, assigned, read)
@@ -368,6 +388,21 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
                 varied.append(f"k{s}_{r} = {_renamed(row, rename)}")
                 ks.append(f"k{s}_{r}")
         stages.append(ks)
+    update = [f"{x} = ({x} + (sixth * ((({k1} + (2.0 * {k2})) + (2.0 * {k3})) + {k4})))"
+              for x, k1, k2, k3, k4 in zip(state, *stages)]
+    # x - x is 0.0 for a finite x and nan otherwise
+    diverged = f"({' + '.join(f'({x} - {x})' for x in state)}) != 0.0"
+    watched = None if gamma_index is None else state[gamma_index - held]
+    return _LoopParts(state, fixed, varied, update, diverged, watched)
+
+
+def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
+    """The loop for the field ``model`` at dimension n, or the
+    opaque loop (model None) for a state of n rows, with the first ``held``
+    rows held and gamma watched at row ``gamma_index`` of the whole state
+    (None: not at all).  A loop with held rows takes the table form (see
+    the comment above :data:`_STAGES`)."""
+    state, fixed, varied, update, diverged, watched = _loop_parts(model, n, held, gamma_index)
     preamble, steps = [], fixed + varied
     if held:
         read = set().union(*(_names(line)[1] for line in varied))
@@ -377,14 +412,10 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
         steps = ["if fill:", *(f"    {line}" for line in fixed),
                  "    if keep is not None:", f"        keep({entry})",
                  "else:", f"    {entry} = table[i]", *varied]
-    steps += [f"{x} = ({x} + (sixth * ((({k1} + (2.0 * {k2})) + (2.0 * {k3})) + {k4})))"
-              for x, k1, k2, k3, k4 in zip(state, *stages)]
-    # x - x is 0.0 for a finite x and nan otherwise
-    steps += [f"if ({' + '.join(f'({x} - {x})' for x in state)}) != 0.0:",
-              "    return (i + 1), crossed"]
-    if gamma_index is not None:
-        steps += [f"if crossed is None and abs({state[gamma_index - held]}) > guard:",
-                  "    crossed = (i + 1)"]
+    steps += update
+    steps += [f"if {diverged}:", "    return (i + 1), crossed"]
+    if watched is not None:
+        steps += [f"if crossed is None and abs({watched}) > guard:", "    crossed = (i + 1)"]
     steps += ["if ((i + 1) % stride) == 0 or (i + 1) == n_steps:",
               "    append(((i + 1) * h))",
               f"    record(({', '.join(state)},))"]
@@ -406,6 +437,25 @@ def _loop_code(model: Optional[str], n: int, held: int,
                           f"<asfes rk4 loop, {model or 'opaque'}, n={n}>")
 
 
+def _binding(rhs, size: int, held: tuple) -> tuple:
+    """``(model, n, values)`` of the loop that steps ``rhs``: the model and
+    n of the template it carries (None and the state's size for any other
+    right-hand side), and the values the loop reads by name, the field's
+    constants and the held rows.  A templated field given a state of
+    another size is a :class:`DimensionMismatch`."""
+    template = getattr(rhs, "template", None)
+    if template is None:
+        model, n, values = None, size, {}
+    else:
+        model, n, field_size, constants = template
+        if size != field_size:
+            raise DimensionMismatch(
+                f"x0 has {size} rows; the {model} field at n={n} takes {field_size}")
+        values = dict(constants)
+    values.update(zip(_stage_parts(model, n)[0], held))
+    return model, n, values
+
+
 def _one_state_loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
     """The generated loop that steps one state of ``size`` rows of ``rhs``:
     fused with the field's template where ``rhs`` carries one, opaque
@@ -413,17 +463,42 @@ def _one_state_loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> 
     comment above :data:`_STAGES`), and the loop's ``y`` is the other rows.
     A templated field given a state of another size is a
     :class:`DimensionMismatch`."""
-    template = getattr(rhs, "template", None)
-    if template is None:
-        model, n, namespace = None, size, {"as_list": _as_list}
-    else:
-        model, n, field_size, constants = template
-        if size != field_size:
-            raise DimensionMismatch(
-                f"x0 has {size} rows; the {model} field at n={n} takes {field_size}")
-        namespace = {**constants, **_SHAPES["floats"]}
-    namespace.update(zip(_stage_parts(model, n)[0], held))
-    return types.FunctionType(_loop_code(model, n, len(held), gamma_index), namespace)
+    model, n, values = _binding(rhs, size, held)
+    names = _SHAPES["floats"] if model else {"as_list": _as_list}
+    return types.FunctionType(_loop_code(model, n, len(held), gamma_index), {**values, **names})
+
+
+def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int],
+             table: Optional[list] = None) -> Callable:
+    """``step(y, n_steps, h, stride, guard) -> (times, states, stopped,
+    crossed)``: the loop of :func:`_one_state_loop` run once on the list
+    of floats ``y`` (the rows after the ``held`` ones), its records as
+    arrays ``(R,)`` and ``(R, rows)``.
+
+    A templated field steps in its C kernel (see :mod:`asfes._ckernel`)
+    where one can be built, and in the generated Python loop otherwise,
+    bit for bit alike; only the Python loop reads ``table``."""
+    model, n, values = _binding(rhs, size, held)
+    if model is not None:
+        from . import _ckernel
+
+        key = (model, n, len(held), gamma_index)
+        kernel = _ckernel.kernel(key, _loop_parts(*key))
+        step = None if kernel is None else kernel.bind(values)
+        if step is not None:
+            return step
+    loop = _one_state_loop(rhs, size, held, gamma_index)
+
+    def step(y, n_steps, h, stride, guard):
+        times, states = [0.0], array("d")
+        # an opaque rhs may compute on numpy; its inf/nan warnings on the way
+        # to a divergence are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            stopped, crossed = loop(rhs, y, n_steps, h, stride, guard, times, states, table)
+        return (np.array(times), np.frombuffer(states).reshape(len(times), -1), stopped,
+                crossed)
+
+    return step
 
 
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:
@@ -490,21 +565,20 @@ def warmup(
     IntegrationSettings(dt=settings.dt, t_end=period)    # a period of too many steps fails
     n_steps = step_count(period, settings.dt)
     h = period / n_steps
-    loop = _one_state_loop(f, layout.size, tuple(start.tolist()), None)
     periods = max(1, int(settings.t_end / period))
     table = [] if periods > 1 and n_steps <= WARMUP_TABLE_STEPS else None
+    step = _stepper(f, layout.size, tuple(start.tolist()), None, table)
 
     # eta_J and eta_h at J and h at the start, G_J and G_h at zero, gamma
     # (and Gamma) at one
     y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
                      eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])[layout.filters]
     for p in range(periods):
-        states = array("d")     # the start and the end of the period
-        stopped, _ = loop(f, y.tolist(), n_steps, h, n_steps, settings.gamma_guard, [],
-                          states, table)
+        # records the start and the end of the period
+        _, states, stopped, _ = step(y.tolist(), n_steps, h, n_steps, settings.gamma_guard)
         if stopped is not None:
             raise NonFiniteState(p * period + stopped * h)
-        prev, y = y, np.frombuffer(states)[y.shape[0]:]
+        prev, y = y, states[-1]
         if _norm(y - prev) <= rel_tol * max(_norm(y), 1e-30):
             return FullState.from_vector(np.concatenate((start, y)), n)
     raise WarmupTimeout(

@@ -1,0 +1,213 @@
+"""The C kernel of a templated field against the generated Python loop:
+the same records, stop step and crossed step, bit for bit, for every loop
+kind; and every run still succeeds, with the same bytes, where no kernel
+can be built or loaded."""
+
+import shutil
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from asfes import _ckernel
+from asfes.cli import parse_scenario, run_simulate
+from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
+from asfes.errors import NonFiniteState, WarmupTimeout
+from asfes.integrate import (IntegrationSettings, _stepper, default_dt, exact_initial_state,
+                             full_state_channels, integrate, warmup)
+from asfes.sampling import random_config, random_plant
+from backends import use_python_loop
+from test_cli import EX1_SMALL
+from test_dynamics import generated_loop_keys
+
+FUSED_KEYS = [key for key in generated_loop_keys() if key[0] is not None]
+compiler = pytest.mark.skipif(_ckernel._compiler() is None,
+                              reason="no C compiler: every run steps in the Python loop")
+
+
+def _field(model: str, n: int, rng):
+    variant = Variant(model) if model not in ("average", "reduced") else Variant.ASFES
+    plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+    make = {"average": make_average_rhs, "reduced": make_reduced_rhs}.get(model, make_rhs)
+    return make(plant, cfg), cfg
+
+
+def _outcome(step, y, *args) -> tuple:
+    times, states, stopped, crossed = step(y, *args)
+    return times.tobytes(), states.shape, states.tobytes(), stopped, crossed
+
+
+def _starts(rhs, rng) -> list:
+    """Random finite states, one with -0.0 entries and one that leaves
+    the reals in its first steps."""
+    size = rhs.template[2]
+    x = rng.uniform(-2.0, 2.0, size)
+    zeros = x.copy()
+    zeros[::2] = -0.0
+    return [x, rng.uniform(-0.5, 0.5, size), zeros, 1e200 * x]
+
+
+@compiler
+@pytest.mark.parametrize("key", FUSED_KEYS, ids=str)
+def test_kernel_steps_as_the_python_loop(monkeypatch, key):
+    model, n, held, gamma = key
+    rng = np.random.default_rng(FUSED_KEYS.index(key))
+    rhs, cfg = _field(model, n, rng)
+    dt = 0.01 if model in ("average", "reduced") else default_dt(cfg.dither)
+    n_steps = 100
+    for x0 in _starts(rhs, rng):
+        held_rows, y = tuple(x0[:held].tolist()), x0[held:].tolist()
+        # the default, a guard crossed at once and one crossed later on
+        guards = [1e6] if gamma is None else [1e6, 1e-3, 1.3 * abs(x0[gamma]) + 1e-9]
+        for stride in (1, 7, n_steps + 5):      # 7 does not divide 100
+            for guard in guards:
+                args = (n_steps, dt, stride, guard)
+                compiled = _outcome(_stepper(rhs, len(x0), held_rows, gamma), y, *args)
+                assert _ckernel._loaded[key] is not None, "the kernel did not build"
+                with monkeypatch.context() as patch:
+                    use_python_loop(patch)
+                    reference = _outcome(_stepper(rhs, len(x0), held_rows, gamma), y, *args)
+                assert compiled == reference, (x0, stride, guard)
+
+
+def test_starts_reach_divergence_and_the_guard():
+    # the inputs above reach both step numbers the loops return
+    rng = np.random.default_rng(7)
+    rhs, cfg = _field("asfes", 2, rng)
+    gamma = StateLayout.of(2).gamma
+    step = _stepper(rhs, 9, (), gamma)
+    outcomes = [_outcome(step, x0.tolist(), 100, default_dt(cfg.dither), 7, 1e-3)
+                for x0 in _starts(rhs, rng)]
+    finite, *_, diverging = outcomes
+    assert finite[3] is None and finite[4] is not None
+    assert diverging[3] is not None and diverging[3] < 100
+
+
+def _warmup_outcome(plant, cfg, theta0, settings, rel_tol):
+    try:
+        return "settled", warmup(plant, cfg, theta0, settings, rel_tol).as_vector().tobytes()
+    except NonFiniteState as exc:
+        return "diverged", exc.time
+    except WarmupTimeout:
+        return "timeout", None
+
+
+@compiler
+@pytest.mark.parametrize("variant, n, theta0, t_end, rel_tol", [
+    (Variant.ASFES, 1, None, 20.0, 1e-6),
+    (Variant.ASFES, 2, None, 20.0, 1e-6),
+    (Variant.ASFES, 3, None, 20.0, 1e-6),
+    (Variant.CLASSICAL_ES, 2, None, 20.0, 1e-6),
+    (Variant.NEWTON_ASFES, 1, None, 20.0, 1e-6),
+    (Variant.ASFES, 2, [-0.0, 0.5], 20.0, 1e-6),
+    (Variant.ASFES, 1, [1e308], 5.0, 1e-4),         # overflows at once
+    (Variant.NEWTON_ASFES, 1, [30.0], 20.0, 1e-6),  # Gamma escapes
+    (Variant.ASFES, 2, None, 1.0, 1e-12),           # times out
+])
+def test_warmup_is_the_same_on_both_back_ends(monkeypatch, variant, n, theta0, t_end,
+                                              rel_tol):
+    rng = np.random.default_rng(300 + n)
+    plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
+    if theta0 is None:
+        theta0 = plant.theta_star + rng.uniform(-0.3, 0.3, n)
+    settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=t_end)
+    compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
+    use_python_loop(monkeypatch)
+    assert compiled == _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
+
+
+# ---- where no kernel can be had ----------------------------------------------
+
+def _runs(plant1, cfg1, out: Path) -> list:
+    """Bytes of an integrate run, a warmup and a run_simulate, through
+    whatever back end the process has."""
+    out.mkdir(parents=True, exist_ok=True)
+    settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0, record_stride=3)
+    x0 = exact_initial_state(plant1, cfg1, [-3.0]).as_vector()
+    traj = integrate(make_rhs(plant1, cfg1), x0, settings, gamma_index=5,
+                     channels=full_state_channels(plant1, cfg1))
+    warm = warmup(plant1, cfg1, [-3.0], replace(settings, t_end=20.0), 1e-4)
+    scenario = out / "small.scenario"
+    scenario.write_text(EX1_SMALL)
+    code = run_simulate(parse_scenario(scenario), out / "sim")
+    files = sorted((p.name, p.read_bytes()) for p in (out / "sim").iterdir())
+    return [traj.times.tobytes(), traj.states.tobytes(), traj.h_values.tobytes(),
+            warm.as_vector().tobytes(), code, files]
+
+
+@pytest.fixture()
+def compiled_runs(plant1, cfg1, tmp_path):
+    return _runs(plant1, cfg1, tmp_path / "compiled")
+
+
+def _check_python_loop(plant1, cfg1, out: Path, compiled_runs) -> None:
+    assert _runs(plant1, cfg1, out) == compiled_runs
+    assert _ckernel._loaded and all(k is None for k in _ckernel._loaded.values())
+
+
+def test_no_compiler_found(monkeypatch, plant1, cfg1, tmp_path, compiled_runs):
+    use_python_loop(monkeypatch)
+    _check_python_loop(plant1, cfg1, tmp_path, compiled_runs)
+
+
+def test_compiler_fails(monkeypatch, plant1, cfg1, tmp_path, compiled_runs):
+    false = shutil.which("false")
+    if false is None:
+        pytest.skip("no false command")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_ckernel, "_compiler", lambda: false)
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    _check_python_loop(plant1, cfg1, tmp_path, compiled_runs)
+    assert list((tmp_path / "cache" / "asfes").iterdir()) == []
+
+
+@compiler
+def test_truncated_library_in_the_cache(monkeypatch, plant1, cfg1, tmp_path, compiled_runs):
+    # the loader would fault on a truncated library: it is checked first,
+    # and removed so that the next process builds it again
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    assert _runs(plant1, cfg1, tmp_path / "first") == compiled_runs
+    built = sorted((tmp_path / "cache" / "asfes").iterdir())
+    assert built and all(kernel is not None for kernel in _ckernel._loaded.values())
+    for library in built:
+        # a truncated copy replaces the file: truncating it in place would
+        # fault this process, which still maps the library, at exit
+        data = library.read_bytes()
+        damaged = library.with_suffix(".part")
+        damaged.write_bytes(data[:len(data) // 2])
+        damaged.replace(library)
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    _check_python_loop(plant1, cfg1, tmp_path, compiled_runs)
+    assert list((tmp_path / "cache" / "asfes").iterdir()) == []
+
+
+@compiler
+def test_unwritable_cache_takes_a_directory_of_the_process(monkeypatch, tmp_path):
+    # a cache path under a file cannot be made: the kernel goes to a
+    # directory of this process's own
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    monkeypatch.setattr(_ckernel, "_private_dir", None)
+    rng = np.random.default_rng(3)
+    rhs, cfg = _field("reduced", 2, rng)
+    integrate(rhs, [0.1, 0.2], IntegrationSettings(dt=0.01, t_end=0.1))
+    assert _ckernel._loaded[("reduced", 2, 0, None)] is not None
+    assert any(Path(_ckernel._private_dir).glob("rk4-*.so"))
+
+
+@compiler
+def test_one_kernel_per_kind(monkeypatch, tmp_path):
+    # the kernel reads a field's constants from its arguments: fields of
+    # other plants and rates share it, in the process and on disk
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    rng = np.random.default_rng(5)
+    settings = IntegrationSettings(dt=0.01, t_end=0.1)
+    runs = [integrate(_field("reduced", 2, rng)[0], [0.1, 0.2], settings) for _ in range(3)]
+    assert len({run.states.tobytes() for run in runs}) == 3
+    assert list(_ckernel._loaded) == [("reduced", 2, 0, None)]
+    assert len(list((tmp_path / "asfes").iterdir())) == 1

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asfes import analysis
 from asfes.cli import (
     _KNOWN_KEYS,
     Scenario,
@@ -31,8 +32,9 @@ from asfes.cli import (
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.errors import (ComputationError, NegativeSeed, NonFiniteValue, NonPositiveTrials,
                           ParseError, ResonantTriple, UnusableOutput, ValidationError)
-from asfes.integrate import (average_channels, exact_initial_state, full_state_channels,
-                             integrate, warmup)
+from asfes.integrate import (Trajectory, average_channels, exact_initial_state,
+                             full_state_channels, integrate, warmup)
+from asfes.problem import constrained_minimum
 
 EX1_SMALL = """
 [plant]
@@ -817,6 +819,57 @@ def test_only_verify_loads_scipy(tmp_path):
     assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == [
         "asfes_c0.1_x0.csv", "average_c0.1_x0.csv", "classical_c0.1_x0.csv",
         "newton_c0.1_x0.csv", "reduced_c0.1_x0.csv", "summary.txt"]
+
+
+STARTUP_WITHOUT_KERNEL = """\
+import importlib.resources, os, sys
+from pathlib import Path
+
+import asfes.cli
+
+cache, out = Path(os.environ["XDG_CACHE_HOME"]), Path(sys.argv[1])
+bundled = importlib.resources.files("asfes") / "scenarios"
+short = out / "short.scenario"
+short.write_text((bundled / "example1.scenario").read_text().replace("t_end = 150", "t_end = 1"))
+scenario = asfes.cli.parse_scenario(short)
+for name in ("subprocess", "hashlib"):
+    assert name not in sys.modules, f"{name} loaded before the first run"
+assert list(cache.iterdir()) == [], "the kernel cache was written before the first run"
+assert asfes.cli.run_simulate(scenario, out / "sim") in (0, 2)
+from asfes import _ckernel
+kernels = list(cache.glob("asfes/rk4-*.so"))
+assert (kernels != []) == (_ckernel._compiler() is not None), kernels
+"""
+
+
+def test_start_up_compiles_nothing(tmp_path):
+    # importing asfes and parsing a scenario compile no kernel and load
+    # neither subprocess nor hashlib, which only a kernel's first build
+    # needs; the first run leaves its kernels in the cache
+    (tmp_path / "cache").mkdir()
+    env = {**_fresh_interpreter_env(), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_KERNEL, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_summary_and_csv_share_one_envelope(tmp_path, plant1):
+    # h(0) exp(-c t) is computed with one exp for the CSV's envelope column
+    # and for the summary's worst violation: on a trajectory whose h is
+    # numpy's envelope, where numpy's exp and the C library's differ, the
+    # worst violation is the least h - envelope over the parsed CSV columns
+    c = 0.1
+    times = np.arange(400) * 0.003
+    h = 0.75 * np.exp(-c * times)
+    theta = (h - plant1.h0) / plant1.h1[0]
+    traj = Trajectory(times, np.column_stack([theta, np.zeros((400, 5))]),
+                      thetas=theta[:, None], j_values=0.05 * theta * theta, h_values=h)
+    write_trajectory_csv(tmp_path / "run.csv", traj, "theta_hat", c)
+    table = np.loadtxt(tmp_path / "run.csv", delimiter=",", skiprows=1)
+    gap = table[:, -2] - table[:, -1]
+    report = analysis.safety_report(traj, plant1, c, constrained_minimum(plant1))
+    assert report.worst_violation == gap.min()
+    assert report.violation_time == table[np.argmin(gap), 0]
 
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])

@@ -51,6 +51,7 @@ from asfes.integrate import (
 from asfes.problem import component_sum
 from asfes.sampling import random_config, random_full_state, random_plant
 from asfes.signals import signal_period
+from backends import use_python_loop
 
 # the module, which the package's integrate function shadows as an attribute
 integrate_module = importlib.import_module("asfes.integrate")
@@ -548,7 +549,9 @@ def _held_at(outcome, theta0):
 
 def _tables_seen(monkeypatch):
     """The length of the table each loop call gets (None: no table), as
-    the calls come."""
+    the calls come.  Only the Python loop takes a table, so every run
+    steps there from now on."""
+    use_python_loop(monkeypatch)
     seen = []
     one_state_loop = integrate_module._one_state_loop
 
@@ -575,12 +578,14 @@ class TestTabulatedWarmup:
         theta_hat, which is the start itself (-0.0 included), and return
         it.  ``tables(n_steps, periods)`` is the table length each period's
         loop call gets; by default the table is filled in the first period
-        and read in the rest."""
+        and read in the rest.  The outcome is checked in the C kernel too,
+        which takes no table."""
         want, steps = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings,
                                         rel_tol)
+        compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
         seen = _tables_seen(monkeypatch)
         got = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
-        assert got == _held_at(want, theta0)
+        assert got == compiled == _held_at(want, theta0)
         n_steps = step_count(signal_period(cfg.dither), settings.dt)
         periods = -(-steps // n_steps)
         tables = tables or (lambda n_steps, periods: [0] + [n_steps] * (periods - 1))
