@@ -1,4 +1,5 @@
-"""The RK4 loop of a templated field, rendered as one C function.
+"""Compiled C for the two hot loops: the RK4 loop of a templated field,
+and the ``%.17g`` text of the CSV rows.
 
 :mod:`asfes.integrate` writes a field's RK4 loop as Python from a list of
 statements (:func:`asfes.integrate._loop_parts`).  This module renders the
@@ -17,14 +18,25 @@ to 0.
 
 A kernel is compiled once per loop kind, not once per plant or start: it
 reads the field's constants and held rows from an array, in the order of
-its :attr:`Kernel.names`.  Compiled kernels are kept in the process and
-on disk, under ``$XDG_CACHE_HOME/asfes`` (by default ``~/.cache/asfes``),
-each file named by the sha256 of its source and the compiler command,
-or in a directory of the process's own where that one cannot be written.
+its :attr:`Kernel.names`.
+
+The CSV formatter (:func:`formatter`) is one fixed C function,
+:data:`FORMAT_SOURCE`.  It writes a block of rows as ``%.17g`` values with
+exact integer arithmetic, correctly rounded as Python's ``%`` is, so its
+bytes are Python's.  It is not C's ``printf``, which writes a nan with its
+sign bit set as ``-nan`` and follows the locale.  It takes finite values
+with magnitudes in about [1e-16, 2**127) and zeros; a block with any other
+value is left to Python.
+
+Compiled libraries are kept in the process and on disk, under
+``$XDG_CACHE_HOME/asfes`` (by default ``~/.cache/asfes``), as
+``rk4-<sha256>.so`` for a kernel and ``csv-<sha256>.so`` for the
+formatter, named by the sha256 of the source and the compiler command, or
+in a directory of the process's own where that one cannot be written.
 Where no compiler is found, a compile fails or a library does not load,
-:func:`kernel` gives None and the caller steps in Python.  Nothing is
-compiled or loaded before the first run, and :mod:`subprocess` and
-:mod:`hashlib` are imported only then.
+:func:`kernel` and :func:`formatter` give None, and the caller steps or
+formats in Python.  Nothing is compiled or loaded before the first run or
+CSV, and :mod:`subprocess` and :mod:`hashlib` are imported only then.
 """
 
 from __future__ import annotations
@@ -36,15 +48,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# a loop key (see asfes.integrate._loop_code) -> its Kernel, or None where it
-# could not be built
+# a loop key (see asfes.integrate._loop_code) -> its Kernel, and
+# "format_rows" -> the CSV formatter; None where it could not be built
 _loaded: dict = {}
-# the directory of kernels for this process alone, made where the cache
+# the directory of libraries for this process alone, made where the cache
 # cannot be written
 _private_dir: Optional[str] = None
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBRARIES = ("-lm",)
-# what a compiled library ends in, followed by the sha256 of what precedes it
+# what a compiled library, kernel or formatter, ends in, followed by the
+# sha256 of what precedes it
 SEAL = b"asfes-rk4-kernel"
 COMPILE_TIMEOUT_S = 120
 
@@ -161,29 +174,204 @@ def kernel(key: tuple, parts) -> Optional[Kernel]:
     """The kernel of the loop ``key``, whose statements are ``parts``,
     compiled and loaded on first use; None if that fails."""
     if key not in _loaded:
+        import ctypes
+
         model, n = key[:2]
         name = f"rk4_{model}_{n}"
         source, names = render(parts, name)
-        function = _load(source, name)
+        doubles = ctypes.POINTER(ctypes.c_double)
+        function = _load(source, name, "rk4", (
+            doubles, doubles, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_double,
+            doubles, doubles, ctypes.POINTER(ctypes.c_int64)))
         _loaded[key] = None if function is None else Kernel(function, names, len(parts.state))
     return _loaded[key]
 
 
-def _load(source: str, name: str):
-    """The function ``name`` of ``source``, compiled or taken from the
-    cache, or None where that fails."""
+# %.17g of a row-major block of doubles, exact in integer arithmetic for
+# finite x with |x| in about [1e-16, 2^127): x = m 2^e with m < 2^53, and
+# q = |x| 10^(16-k) for k = floor(log10 |x|), a 17-digit integer, is
+# m 5^p >> -(e + p) for p = 16 - k <= 32, or m 2^e / 10^-p for p < 0 and
+# e <= 74; both fit in 128 bits, and the remainder rounds q half to even.
+# k is first estimated from the binary exponent alone (log10 would take
+# half the time of a value), then moved until q has 17 digits.  Any other
+# value, or a full buffer, gives -1.
+FORMAT_SOURCE = r"""#include <stdint.h>
+#include <string.h>
+
+typedef unsigned __int128 u128;
+#define P16 10000000000000000ULL
+#define P17 100000000000000000ULL
+
+static int format_one(double x, char *s, const u128 *pow5, const u128 *pow10)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    const int biased = (int)((bits >> 52) & 0x7ff);
+    uint64_t m = bits & ((1ULL << 52) - 1);
+    char *at = s;
+    if (bits >> 63)
+        *at++ = '-';
+    if (biased == 0 && m == 0) {
+        *at++ = '0';
+        return (int)(at - s);
+    }
+    if (biased == 0 || biased == 0x7ff)     /* subnormal, inf or nan */
+        return 0;
+    m |= 1ULL << 52;
+    const int e = biased - 1075;
+    if (e > 74)
+        return 0;
+    int k = ((biased - 1022) * 78913) >> 18;  /* floor(log10 2^(e + 53)): k or k + 1 */
+    uint64_t q;
+    for (;;) {
+        const int p = 16 - k;
+        u128 n, rest = 0, half = 1;
+        if (p > 32 || p < -22)
+            return 0;
+        if (p >= 0) {
+            const u128 scaled = (u128)m * pow5[p];
+            const int shift = -(e + p);
+            if (shift <= 0) {
+                n = scaled << -shift;
+            } else {
+                n = scaled >> shift;
+                rest = scaled & (((u128)1 << shift) - 1);
+                half = (u128)1 << (shift - 1);
+            }
+        } else {                            /* |x| > 2^53 here, so e > 0 */
+            const u128 scaled = (u128)m << e, divisor = pow10[-p];
+            n = scaled / divisor;
+            rest = scaled % divisor;
+            half = divisor >> 1;
+        }
+        if (n >= P17) {
+            k += 1;
+        } else if (n < P16) {
+            k -= 1;
+        } else {
+            q = (uint64_t)n;
+            if (rest > half || (rest == half && (q & 1)))
+                q += 1;
+            if (q == P17) {
+                q = P16;
+                k += 1;
+            }
+            break;
+        }
+    }
+    char d[17];
+    for (int i = 16; i >= 0; i--) {
+        d[i] = (char)('0' + q % 10);
+        q /= 10;
+    }
+    int last = 16;
+    while (last > 0 && d[last] == '0')
+        last--;
+    if (k >= 17 || k < -4) {                /* |k| < 100 on this path */
+        *at++ = d[0];
+        if (last > 0) {
+            *at++ = '.';
+            memcpy(at, d + 1, last);
+            at += last;
+        }
+        *at++ = 'e';
+        *at++ = k < 0 ? '-' : '+';
+        k = k < 0 ? -k : k;
+        *at++ = (char)('0' + k / 10);
+        *at++ = (char)('0' + k % 10);
+    } else if (k >= 0) {
+        memcpy(at, d, k + 1);
+        at += k + 1;
+        if (last > k) {
+            *at++ = '.';
+            memcpy(at, d + k + 1, last - k);
+            at += last - k;
+        }
+    } else {
+        *at++ = '0';
+        *at++ = '.';
+        for (int i = -1; i > k; i--)
+            *at++ = '0';
+        memcpy(at, d, last + 1);
+        at += last + 1;
+    }
+    return (int)(at - s);
+}
+
+int64_t format_rows(const double *values, int64_t rows, int64_t cols, char *buf, int64_t cap)
+{
+    u128 pow5[33], pow10[23];
+    pow5[0] = pow10[0] = 1;
+    for (int i = 1; i < 33; i++)
+        pow5[i] = pow5[i - 1] * 5;
+    for (int i = 1; i < 23; i++)
+        pow10[i] = pow10[i - 1] * 10;
+    char *at = buf;
+    for (int64_t i = 0; i < rows * cols; i++) {
+        if (buf + cap - at < 32)
+            return -1;
+        const int written = format_one(values[i], at, pow5, pow10);
+        if (written == 0)
+            return -1;
+        at += written;
+        *at++ = (i % cols == cols - 1) ? '\n' : ',';
+    }
+    return at - buf;
+}
+"""
+# the most a value and its separator take: "-0.0000", 17 digits and ","
+FORMAT_WIDTH = 32
+
+
+def formatter() -> Optional[Callable]:
+    """``text(block)``: the rows of the float64 table ``block`` (R, C) as
+    ``%.17g`` values joined by commas, one line per row, the bytes of
+    Python's ``%``; None where a value is not on the exact path.  The
+    formatter is compiled and loaded on first use, and it writes into one
+    buffer it keeps; None where it cannot be built."""
+    if "format_rows" not in _loaded:
+        import ctypes
+
+        function = _load(FORMAT_SOURCE, "format_rows", "csv", (
+            ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p,
+            ctypes.c_int64))
+        _loaded["format_rows"] = None if function is None else _text(function)
+    return _loaded["format_rows"]
+
+
+def _text(function) -> Callable:
+    """The ``text`` of :func:`formatter`, through the loaded ``format_rows``."""
     import ctypes
 
-    path = _library(source)
+    doubles, buffer = ctypes.POINTER(ctypes.c_double), bytearray()
+
+    def text(block: np.ndarray) -> Optional[memoryview]:
+        nonlocal buffer
+        block = np.ascontiguousarray(block, dtype=np.float64)
+        rows, cols = block.shape
+        if len(buffer) < rows * cols * FORMAT_WIDTH:
+            buffer = bytearray(rows * cols * FORMAT_WIDTH)
+        size = function(block.ctypes.data_as(doubles), rows, cols,
+                        (ctypes.c_char * len(buffer)).from_buffer(buffer), len(buffer))
+        return None if size < 0 else memoryview(buffer)[:size]
+
+    return text
+
+
+def _load(source: str, name: str, kind: str, argtypes: tuple):
+    """The function ``name`` of ``source``, compiled or taken from the
+    cache as a library named ``kind-*.so``, with ``argtypes`` and an
+    ``int64_t`` result; None where that fails."""
+    import ctypes
+
+    path = _library(source, kind)
     if path is None or not _sealed(path):
         return None
     try:
         function = getattr(ctypes.CDLL(path), name)
     except (OSError, AttributeError):
         return None
-    doubles = ctypes.POINTER(ctypes.c_double)
-    function.argtypes = (doubles, doubles, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-                         ctypes.c_double, doubles, doubles, ctypes.POINTER(ctypes.c_int64))
+    function.argtypes = argtypes
     function.restype = ctypes.c_int64
     return function
 
@@ -214,9 +402,10 @@ def _sealed(path: str) -> bool:
     return False
 
 
-def _library(source: str) -> Optional[str]:
-    """The path of the shared library built from ``source``, compiled into
-    the cache unless it is there already; None where it cannot be."""
+def _library(source: str, kind: str) -> Optional[str]:
+    """The path of the shared library ``kind-<sha256>.so`` built from
+    ``source``, compiled into the cache unless it is there already; None
+    where it cannot be."""
     import hashlib
 
     compiler = _compiler()
@@ -227,7 +416,7 @@ def _library(source: str) -> Optional[str]:
     for where in (_cache_dir, _private):
         try:
             directory = where()
-            path = os.path.join(directory, f"rk4-{digest}.so")
+            path = os.path.join(directory, f"{kind}-{digest}.so")
             if os.path.exists(path) or _compile(compiler, source, directory, path):
                 return path
             return None
@@ -266,7 +455,7 @@ def _compile(compiler: str, source: str, directory: str, path: str) -> bool:
 
 
 def _private() -> str:
-    """A directory for this process's kernels, removed at exit."""
+    """A directory for this process's libraries, removed at exit."""
     global _private_dir
     if _private_dir is None:
         import atexit

@@ -330,7 +330,7 @@ def write_trajectory_csv(
     write_csv(path, cols, table)
 
 
-# rows formatted by one % at a time: about 0.3 MB of text at 11 columns
+# rows per formatted block: about 0.3 MB of text at 11 columns
 CSV_BLOCK_ROWS = 1024
 
 
@@ -338,21 +338,31 @@ def write_csv(path: Path, cols: Sequence[str], table: np.ndarray) -> None:
     """The header ``cols`` and the rows of ``table`` (R, len(cols)), each
     value as ``%.17g``: the bytes of ``np.savetxt`` with that format, a
     comma delimiter and the header uncommented, written a block of
-    :data:`CSV_BLOCK_ROWS` rows at a time."""
+    :data:`CSV_BLOCK_ROWS` rows at a time.  A block is formatted by the
+    compiled formatter of :mod:`asfes._ckernel`, or by Python's ``%``
+    where that is not built or a value is not on its exact path."""
+    from . import _ckernel
+
+    # loaded before the file opens, so that no error of the build is the
+    # output's
+    text = _ckernel.formatter()
     row = ",".join(["%.17g"] * len(cols)) + "\n"
-    with _output_file(path) as out:
-        out.write(",".join(cols) + "\n")
+    with _output_file(path, "wb") as out:
+        out.write((",".join(cols) + "\n").encode())
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
-            out.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            fast = None if text is None else text(block)
+            out.write(((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+                      if fast is None else fast)
 
 
 @contextlib.contextmanager
-def _output_file(path: Path):
-    """``path`` open for writing; one that cannot be written (a directory in
-    its place, no permission, a full disk) is :class:`UnusableOutput`."""
+def _output_file(path: Path, mode: str = "w"):
+    """``path`` open for writing in ``mode``, text by default; one that
+    cannot be written (a directory in its place, no permission, a full
+    disk) is :class:`UnusableOutput`."""
     try:
-        with open(path, "w") as out:
+        with open(path, mode) as out:
             yield out
     except OSError as exc:
         raise UnusableOutput(f"{path} cannot be written: {exc.strerror or exc}") from exc

@@ -1,12 +1,19 @@
-"""The two back ends that step a templated field: its C kernel, where one
-can be built, and the generated Python loop, which is the reference."""
+"""The two back ends that step a templated field and write CSV rows: the
+compiled kernels, where they can be built, and the generated Python loop
+and Python's ``%``, which are the reference."""
+
+import pytest
 
 from asfes import _ckernel
 
+compiler = pytest.mark.skipif(_ckernel._compiler() is None,
+                              reason="no C compiler: every run steps in the Python loop")
+
 
 def use_python_loop(monkeypatch) -> None:
-    """Step every run in the Python loop until the test ends, as where no
-    C compiler is found: compiler discovery finds nothing, and no kernel
-    loaded before is kept."""
+    """Step every run in the Python loop and format every CSV row with
+    Python's ``%`` until the test ends, as where no C compiler is found:
+    compiler discovery finds nothing, and no kernel loaded before is
+    kept."""
     monkeypatch.setattr(_ckernel, "_compiler", lambda: None)
     monkeypatch.setattr(_ckernel, "_loaded", {})

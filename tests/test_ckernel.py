@@ -1,7 +1,7 @@
 """The C kernel of a templated field against the generated Python loop:
 the same records, stop step and crossed step, bit for bit, for every loop
-kind; and every run still succeeds, with the same bytes, where no kernel
-can be built or loaded."""
+kind; and every run and CSV still succeeds, with the same bytes, where no
+kernel or formatter can be built or loaded."""
 
 import shutil
 from dataclasses import replace
@@ -11,19 +11,17 @@ import numpy as np
 import pytest
 
 from asfes import _ckernel
-from asfes.cli import parse_scenario, run_simulate
+from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, write_csv
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.errors import NonFiniteState, WarmupTimeout
 from asfes.integrate import (IntegrationSettings, _stepper, default_dt, exact_initial_state,
                              full_state_channels, integrate, warmup)
 from asfes.sampling import random_config, random_plant
-from backends import use_python_loop
+from backends import compiler, use_python_loop
 from test_cli import EX1_SMALL
 from test_dynamics import generated_loop_keys
 
 FUSED_KEYS = [key for key in generated_loop_keys() if key[0] is not None]
-compiler = pytest.mark.skipif(_ckernel._compiler() is None,
-                              reason="no C compiler: every run steps in the Python loop")
 
 
 def _field(model: str, n: int, rng):
@@ -180,6 +178,53 @@ def test_truncated_library_in_the_cache(monkeypatch, plant1, cfg1, tmp_path, com
         damaged.replace(library)
     monkeypatch.setattr(_ckernel, "_loaded", {})
     _check_python_loop(plant1, cfg1, tmp_path, compiled_runs)
+    assert list((tmp_path / "cache" / "asfes").iterdir()) == []
+
+
+def _check_csv(path: Path) -> None:
+    """write_csv gives the bytes of Python's % for three blocks, one of
+    which the formatter would leave to Python, through whatever back end
+    the process has."""
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((2 * CSV_BLOCK_ROWS + 5, 6)) * 10.0 ** rng.integers(-8, 8, 6)
+    table[CSV_BLOCK_ROWS + 3, 2] = np.nan
+    write_csv(path, [f"c{i}" for i in range(6)], table)
+    rows = "".join(",".join("%.17g" % x for x in row) + "\n" for row in table)
+    assert path.read_bytes() == ("c0,c1,c2,c3,c4,c5\n" + rows).encode()
+
+
+def test_csv_where_no_compiler_is_found(monkeypatch, tmp_path):
+    use_python_loop(monkeypatch)
+    _check_csv(tmp_path / "run.csv")
+    assert _ckernel._loaded == {"format_rows": None}
+
+
+def test_csv_where_the_compiler_fails(monkeypatch, tmp_path):
+    false = shutil.which("false")
+    if false is None:
+        pytest.skip("no false command")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_ckernel, "_compiler", lambda: false)
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    _check_csv(tmp_path / "run.csv")
+    assert _ckernel._loaded == {"format_rows": None}
+    assert list((tmp_path / "cache" / "asfes").iterdir()) == []
+
+
+@compiler
+def test_truncated_formatter_in_the_cache(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    _check_csv(tmp_path / "first.csv")
+    assert _ckernel._loaded["format_rows"] is not None
+    (library,) = (tmp_path / "cache" / "asfes").glob("csv-*.so")
+    data = library.read_bytes()
+    damaged = library.with_suffix(".part")
+    damaged.write_bytes(data[:len(data) // 2])
+    damaged.replace(library)
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    _check_csv(tmp_path / "second.csv")
+    assert _ckernel._loaded == {"format_rows": None}
     assert list((tmp_path / "cache" / "asfes").iterdir()) == []
 
 

@@ -4,6 +4,7 @@ import io
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asfes import analysis
+from asfes import _ckernel, analysis
 from asfes.cli import (
+    CSV_BLOCK_ROWS,
     _KNOWN_KEYS,
     Scenario,
     _slow_settings,
@@ -35,6 +37,7 @@ from asfes.errors import (ComputationError, NegativeSeed, NonFiniteValue, NonPos
 from asfes.integrate import (Trajectory, average_channels, exact_initial_state,
                              full_state_channels, integrate, warmup)
 from asfes.problem import constrained_minimum
+from backends import compiler, use_python_loop
 
 EX1_SMALL = """
 [plant]
@@ -832,20 +835,22 @@ bundled = importlib.resources.files("asfes") / "scenarios"
 short = out / "short.scenario"
 short.write_text((bundled / "example1.scenario").read_text().replace("t_end = 150", "t_end = 1"))
 scenario = asfes.cli.parse_scenario(short)
-for name in ("subprocess", "hashlib"):
+for name in ("subprocess", "hashlib", "asfes._ckernel"):
     assert name not in sys.modules, f"{name} loaded before the first run"
 assert list(cache.iterdir()) == [], "the kernel cache was written before the first run"
 assert asfes.cli.run_simulate(scenario, out / "sim") in (0, 2)
 from asfes import _ckernel
-kernels = list(cache.glob("asfes/rk4-*.so"))
-assert (kernels != []) == (_ckernel._compiler() is not None), kernels
+compiled = _ckernel._compiler() is not None
+for kind in ("rk4", "csv"):
+    libraries = list(cache.glob(f"asfes/{kind}-*.so"))
+    assert (libraries != []) == compiled, (kind, libraries)
 """
 
 
 def test_start_up_compiles_nothing(tmp_path):
-    # importing asfes and parsing a scenario compile no kernel and load
-    # neither subprocess nor hashlib, which only a kernel's first build
-    # needs; the first run leaves its kernels in the cache
+    # importing asfes and parsing a scenario compile nothing and load
+    # neither subprocess nor hashlib, which only a first build needs; the
+    # first run leaves its kernels and the CSV formatter in the cache
     (tmp_path / "cache").mkdir()
     env = {**_fresh_interpreter_env(), "XDG_CACHE_HOME": str(tmp_path / "cache")}
     done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_KERNEL, str(tmp_path)],
@@ -872,13 +877,62 @@ def test_summary_and_csv_share_one_envelope(tmp_path, plant1):
     assert report.violation_time == table[np.argmin(gap), 0]
 
 
+@pytest.fixture(params=["python", pytest.param("compiled", marks=compiler)])
+def csv_backend(request, monkeypatch):
+    """Each CSV back end in turn: Python's ``%`` alone, as where no C
+    compiler is found, or the compiled formatter, given by this fixture."""
+    if request.param == "python":
+        use_python_loop(monkeypatch)
+        return None
+    text = _ckernel.formatter()
+    assert text is not None, "the formatter did not build"
+    return text
+
+
+# nan with its sign bit set, which C's printf writes as -nan
+NEGATIVE_NAN = struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000000))[0]
+
+
+def _around(x: float) -> list:
+    """``x`` and its neighbours one ulp away."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _exact_path_values() -> list:
+    """Values the formatter writes itself: the edges of its range, the
+    neighbours of powers of ten, and values halfway between two 17-digit
+    decimals, which round to the even one.  The range starts one ulp above
+    the double 1e-16, which is below 10**-16, and ends one below 2**127."""
+    values = [0.0, -0.0, math.nextafter(1e-16, 1.0), math.nextafter(2.0 ** 127, 0.0)]
+    for k in range(-15, 39):
+        values += _around(10.0 ** k)
+    # n + 1/4 and n + 3/4 at 16 integer digits, n + 1/8 at 15: 18 digits,
+    # the last a 5
+    values += [1234567890123456.75, 1234567890123456.25, 1125899906842624.25,
+               562949953421312.125, 562949953421312.375]
+    return values + [-x for x in values]
+
+
+# values left to Python: not finite, subnormal, or out of the range
+OFF_PATH_VALUES = [math.nan, NEGATIVE_NAN, math.inf, -math.inf, 5e-324, -2.5e-310,
+                   2.2250738585072014e-308, 1e308, -1e-300, math.nextafter(1e-16, 0.0), 1e-16,
+                   2.0 ** 127, math.nextafter(2.0 ** 127, math.inf)]
+
+
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
-def test_block_csv_is_savetxt(tmp_path, rows):
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "in-range"])
+def test_block_csv_is_savetxt(tmp_path, csv_backend, rows, wide):
     # rows formatted a block at a time are the bytes of np.savetxt, across
-    # the block boundary, for nan, +-inf, -0.0 and subnormal values
+    # the block boundary: over all decades with nan, -nan, +-inf, -0.0 and
+    # subnormal values, where blocks fall back to Python, and over the
+    # formatter's range with its edge values, where none does
     rng = np.random.default_rng(rows)
-    table = rng.standard_normal((rows, 11)) * 10.0 ** rng.integers(-300, 300, (rows, 11))
-    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e308]
+    if wide:
+        table = rng.standard_normal((rows, 11)) * 10.0 ** rng.integers(-300, 300, (rows, 11))
+        special = OFF_PATH_VALUES
+    else:
+        table = rng.choice([-1.0, 1.0], (rows, 11)) * 10.0 ** rng.uniform(-15.9, 38.2, (rows, 11))
+        special = _exact_path_values()
     table.flat[rng.choice(table.size, min(table.size, 40), replace=False)] = \
         rng.choice(special, min(table.size, 40))
     cols = ["t", *(f"c{i}" for i in range(10))]
@@ -886,3 +940,43 @@ def test_block_csv_is_savetxt(tmp_path, rows):
     np.savetxt(tmp_path / "savetxt.csv", table, fmt="%.17g", delimiter=",",
                header=",".join(cols), comments="")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+    if csv_backend is not None and not wide:
+        assert all(csv_backend(table[start:start + CSV_BLOCK_ROWS]) is not None
+                   for start in range(0, rows, CSV_BLOCK_ROWS))
+
+
+def test_edge_values_csv(tmp_path, csv_backend):
+    # every edge value, one to a row, is Python's %.17g; -nan prints nan
+    values = _exact_path_values() + OFF_PATH_VALUES
+    write_csv(tmp_path / "edges.csv", ["x"], np.array(values)[:, None])
+    expected = "x\n" + "".join("%.17g\n" % x for x in values)
+    assert (tmp_path / "edges.csv").read_bytes() == expected.encode()
+    assert "%.17g" % NEGATIVE_NAN == "nan"
+    if csv_backend is not None:
+        # the exact-path values are written by the formatter, the others
+        # are left to Python
+        assert bytes(csv_backend(np.array(_exact_path_values())[:, None])) == \
+            "".join("%.17g\n" % x for x in _exact_path_values()).encode()
+        for x in OFF_PATH_VALUES:
+            assert csv_backend(np.array([[1.0, x]])) is None, x
+
+
+# any float, or one in the formatter's range, which st.floats() seldom draws
+CSV_FLOATS = st.floats() | st.floats(1e-15, 1e37) | st.floats(-1e37, -1e-15)
+
+
+@compiler
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(table=st.integers(1, 15).flatmap(lambda cols: st.lists(
+    st.lists(CSV_FLOATS, min_size=cols, max_size=cols), min_size=1, max_size=8)))
+def test_formatter_is_python_percent(tmp_path_factory, table):
+    # any table of floats gives the bytes of "%.17g" % x joined row by row:
+    # the formatter writes a row exactly or leaves it to Python
+    lines = [",".join("%.17g" % x for x in row) + "\n" for row in table]
+    text = _ckernel.formatter()
+    for row, line in zip(table, lines):
+        written = text(np.array([row]))
+        assert written is None or bytes(written) == line.encode(), row
+    path = tmp_path_factory.getbasetemp() / "floats.csv"
+    write_csv(path, [f"c{i}" for i in range(len(table[0]))], np.array(table))
+    assert path.read_bytes().split(b"\n", 1)[1] == "".join(lines).encode()
