@@ -102,7 +102,7 @@ def render(parts, name: str) -> tuple:
     guard, and returns the step where the state left the reals; 0 stands
     for None in both."""
     state = parts.state
-    lines = [*parts.fixed, *parts.varied, *parts.update]
+    lines = [*parts.lines, *parts.update]
     assigned = {line.split(" = ", 1)[0] for line in lines}
     loop_names = {"i", "h", "half", "sixth", "sin", "sqrt"}
     read = set()

@@ -23,11 +23,7 @@ kernel, against 6, 10 and 13 us in the Python loop (medians on a shared
 2-core Xeon VM, Python 3.11, gcc 12.2; ``BENCH_c_kernel.json``).
 
 Warmup steps the filter rows alone, one signal period after another, in
-a loop that holds the parameter as a constant.  The Python loop keeps
-what depends only on the time and the parameter in a table in the first
-period and reads it back in the rest, which makes each warmup take about
-half as long there (``BENCH_tabulated_warmup.json``); the kernel computes
-it afresh.
+a loop that holds the parameter as a constant.
 
 The quadrature oracle, :func:`numeric_average`, is the only user of scipy
 in the package, and loads it when first called.  Importing :mod:`asfes`,
@@ -78,9 +74,6 @@ MIN_SAMPLES_PER_PERIOD = 20
 # a run of more steps is a mistaken scenario: minutes at about 0.14 us per
 # step in the C kernel, hours at 6 us in the Python loop
 MAX_STEPS = 10**9
-# a warmup period of more steps is computed in place, without a table: at
-# this bound a table holds about 1.6 MB at n = 1 and 2.4 MB at n = 3
-WARMUP_TABLE_STEPS = 4096
 # Simpson nodes of the averaging oracle per period of the fastest dither;
 # doubling them moves the average by under 1e-10
 ORACLE_NODES_PER_FASTEST_PERIOD = 200
@@ -270,21 +263,11 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
 # time, the constants and what other fixed lines computed: the times, in a
 # dithered field the dither, and with theta held the dithered point, J and
 # h there and the demodulation.  Fixed lines come first in a step, and
-# stage 3 reuses those of stage 2, which share t + h/2.
-#
-# Every loop takes a last argument, ``table``, which only a loop with held
-# rows reads, in the table form: warmup steps the same period from t = 0
-# with the same held rows again and again.  Its fixed lines run while
-# ``fill`` holds, that is when the loop is given no table (every line is
-# computed in place) or an empty one, to which each step appends the values
-# of its fixed lines that the other lines read.  Given a filled table, a
-# step unpacks them from ``table[i]`` instead; the table serves any later
-# call with the same step, step count and constants.  The opaque loop's
+# stage 3 reuses those of stage 2, which share t + h/2.  The opaque loop's
 # only fixed lines are the times: its ``rhs`` is called four times a step.
 #
 # A loop's statements (:func:`_loop_parts`) have two renderers: the Python
-# source of :func:`_loop_source`, and the C kernel of :mod:`asfes._ckernel`,
-# which computes every fixed line in place and needs no table.
+# source of :func:`_loop_source`, and the C kernel of :mod:`asfes._ckernel`.
 
 # each stage's time, and the step that leads from the state to its point
 _STAGES = (("t", None), ("t_half", "half"), ("t_half", "half"), ("t_step", "h"))
@@ -333,8 +316,8 @@ class _LoopParts(NamedTuple):
     ``sin`` and ``sqrt``."""
 
     state: tuple        # the names of the rows the loop steps
-    fixed: list         # the lines that read only the time and the constants
-    varied: list        # the other stage lines, in order
+    lines: list         # the stage lines: those that read only the time and
+                        # the constants first, then the others in order
     update: list        # the RK4 update of each stepped row
     diverged: str       # true once a stepped row has left the reals
     watched: Optional[str]      # the stepped row gamma is, or None
@@ -393,26 +376,16 @@ def _loop_parts(model: Optional[str], n: int, held: int,
     # x - x is 0.0 for a finite x and nan otherwise
     diverged = f"({' + '.join(f'({x} - {x})' for x in state)}) != 0.0"
     watched = None if gamma_index is None else state[gamma_index - held]
-    return _LoopParts(state, fixed, varied, update, diverged, watched)
+    return _LoopParts(state, fixed + varied, update, diverged, watched)
 
 
 def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
     """The loop for the field ``model`` at dimension n, or the
     opaque loop (model None) for a state of n rows, with the first ``held``
     rows held and gamma watched at row ``gamma_index`` of the whole state
-    (None: not at all).  A loop with held rows takes the table form (see
-    the comment above :data:`_STAGES`)."""
-    state, fixed, varied, update, diverged, watched = _loop_parts(model, n, held, gamma_index)
-    preamble, steps = [], fixed + varied
-    if held:
-        read = set().union(*(_names(line)[1] for line in varied))
-        kept = [name for line in fixed for name in sorted(_names(line)[0]) if name in read]
-        entry = f"({', '.join(kept)},)"
-        preamble = ["fill = not table", "keep = None if table is None else table.append"]
-        steps = ["if fill:", *(f"    {line}" for line in fixed),
-                 "    if keep is not None:", f"        keep({entry})",
-                 "else:", f"    {entry} = table[i]", *varied]
-    steps += update
+    (None: not at all)."""
+    state, lines, update, diverged, watched = _loop_parts(model, n, held, gamma_index)
+    steps = lines + update
     steps += [f"if {diverged}:", "    return (i + 1), crossed"]
     if watched is not None:
         steps += [f"if crossed is None and abs({watched}) > guard:", "    crossed = (i + 1)"]
@@ -422,12 +395,12 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
     body_lines = [
         "half = (0.5 * h)", "sixth = (h / 6.0)", f"{', '.join(state)}, = y",
         "append, record = times.append, states.extend", f"record(({', '.join(state)},))",
-        "crossed = None", *preamble,
+        "crossed = None",
         "for i in range(n_steps):",
         *(f"    {line}" for line in steps),
         "return None, crossed"]
-    return (f"def rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states, "
-            "table):\n" + "".join(f"    {line}\n" for line in body_lines))
+    return (f"def rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states):\n"
+            + "".join(f"    {line}\n" for line in body_lines))
 
 
 @functools.cache
@@ -456,28 +429,18 @@ def _binding(rhs, size: int, held: tuple) -> tuple:
     return model, n, values
 
 
-def _one_state_loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
-    """The generated loop that steps one state of ``size`` rows of ``rhs``:
-    fused with the field's template where ``rhs`` carries one, opaque
-    otherwise.  The first rows are held at the floats ``held`` (see the
-    comment above :data:`_STAGES`), and the loop's ``y`` is the other rows.
-    A templated field given a state of another size is a
-    :class:`DimensionMismatch`."""
-    model, n, values = _binding(rhs, size, held)
-    names = _SHAPES["floats"] if model else {"as_list": _as_list}
-    return types.FunctionType(_loop_code(model, n, len(held), gamma_index), {**values, **names})
-
-
-def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int],
-             table: Optional[list] = None) -> Callable:
+def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
     """``step(y, n_steps, h, stride, guard) -> (times, states, stopped,
-    crossed)``: the loop of :func:`_one_state_loop` run once on the list
-    of floats ``y`` (the rows after the ``held`` ones), its records as
-    arrays ``(R,)`` and ``(R, rows)``.
+    crossed)``: one state of ``size`` rows of ``rhs`` stepped from the list
+    of floats ``y``, its records as arrays ``(R,)`` and ``(R, rows)``.  The
+    first rows are held at the floats ``held`` (see the comment above
+    :data:`_STAGES`), and ``y`` is the other rows.  A templated field given
+    a state of another size is a :class:`DimensionMismatch`.
 
     A templated field steps in its C kernel (see :mod:`asfes._ckernel`)
-    where one can be built, and in the generated Python loop otherwise,
-    bit for bit alike; only the Python loop reads ``table``."""
+    where one can be built; otherwise the state steps in the generated
+    Python loop, fused with the template ``rhs`` carries or opaque where it
+    carries none, bit for bit alike."""
     model, n, values = _binding(rhs, size, held)
     if model is not None:
         from . import _ckernel
@@ -487,14 +450,15 @@ def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int],
         step = None if kernel is None else kernel.bind(values)
         if step is not None:
             return step
-    loop = _one_state_loop(rhs, size, held, gamma_index)
+    names = _SHAPES["floats"] if model else {"as_list": _as_list}
+    loop = types.FunctionType(_loop_code(model, n, len(held), gamma_index), {**values, **names})
 
     def step(y, n_steps, h, stride, guard):
         times, states = [0.0], array("d")
         # an opaque rhs may compute on numpy; its inf/nan warnings on the way
         # to a divergence are noise
         with np.errstate(over="ignore", invalid="ignore"):
-            stopped, crossed = loop(rhs, y, n_steps, h, stride, guard, times, states, table)
+            stopped, crossed = loop(rhs, y, n_steps, h, stride, guard, times, states)
         return (np.array(times), np.frombuffer(states).reshape(len(times), -1), stopped,
                 crossed)
 
@@ -544,13 +508,6 @@ def warmup(
     drops below ``rel_tol``, and the initial state made of theta0 and the
     settled filters is returned.  It fails with :class:`WarmupTimeout`
     when ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
-
-    Every period starts at t = 0 with the same held parameter, so what the
-    loop computes from the time and the parameter alone (the dither, J and
-    h at the dithered point, the demodulation) is the same in each: it is
-    kept in a table by the first period and read back by the others,
-    unless a period has more than :data:`WARMUP_TABLE_STEPS` steps.  The
-    states are bit for bit those of stepping every period afresh.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
@@ -565,15 +522,13 @@ def warmup(
     IntegrationSettings(dt=settings.dt, t_end=period)    # a period of too many steps fails
     n_steps = step_count(period, settings.dt)
     h = period / n_steps
-    periods = max(1, int(settings.t_end / period))
-    table = [] if periods > 1 and n_steps <= WARMUP_TABLE_STEPS else None
-    step = _stepper(f, layout.size, tuple(start.tolist()), None, table)
+    step = _stepper(f, layout.size, tuple(start.tolist()), None)
 
     # eta_J and eta_h at J and h at the start, G_J and G_h at zero, gamma
     # (and Gamma) at one
     y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
                      eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])[layout.filters]
-    for p in range(periods):
+    for p in range(max(1, int(settings.t_end / period))):
         # records the start and the end of the period
         _, states, stopped, _ = step(y.tolist(), n_steps, h, n_steps, settings.gamma_guard)
         if stopped is not None:

@@ -13,13 +13,13 @@ import pytest
 from asfes import _ckernel
 from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, write_csv
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
-from asfes.errors import NonFiniteState, WarmupTimeout
 from asfes.integrate import (IntegrationSettings, _stepper, default_dt, exact_initial_state,
                              full_state_channels, integrate, warmup)
 from asfes.sampling import random_config, random_plant
 from backends import compiler, use_python_loop
 from test_cli import EX1_SMALL
 from test_dynamics import generated_loop_keys
+from test_integrate import _warmup_outcome
 
 FUSED_KEYS = [key for key in generated_loop_keys() if key[0] is not None]
 
@@ -82,15 +82,6 @@ def test_starts_reach_divergence_and_the_guard():
     assert diverging[3] is not None and diverging[3] < 100
 
 
-def _warmup_outcome(plant, cfg, theta0, settings, rel_tol):
-    try:
-        return "settled", warmup(plant, cfg, theta0, settings, rel_tol).as_vector().tobytes()
-    except NonFiniteState as exc:
-        return "diverged", exc.time
-    except WarmupTimeout:
-        return "timeout", None
-
-
 @compiler
 @pytest.mark.parametrize("variant, n, theta0, t_end, rel_tol", [
     (Variant.ASFES, 1, None, 20.0, 1e-6),
@@ -98,9 +89,7 @@ def _warmup_outcome(plant, cfg, theta0, settings, rel_tol):
     (Variant.ASFES, 3, None, 20.0, 1e-6),
     (Variant.CLASSICAL_ES, 2, None, 20.0, 1e-6),
     (Variant.NEWTON_ASFES, 1, None, 20.0, 1e-6),
-    (Variant.ASFES, 2, [-0.0, 0.5], 20.0, 1e-6),
     (Variant.ASFES, 1, [1e308], 5.0, 1e-4),         # overflows at once
-    (Variant.NEWTON_ASFES, 1, [30.0], 20.0, 1e-6),  # Gamma escapes
     (Variant.ASFES, 2, None, 1.0, 1e-12),           # times out
 ])
 def test_warmup_is_the_same_on_both_back_ends(monkeypatch, variant, n, theta0, t_end,

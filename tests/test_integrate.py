@@ -2,7 +2,6 @@ import importlib
 import itertools
 import math
 import warnings
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +16,7 @@ from asfes import (
     LinearBarrier,
     QuadraticObjective,
     Variant,
+    _ckernel,
     eval_barrier,
     eval_objective,
     validate_plant,
@@ -36,8 +36,9 @@ from asfes.errors import (
 from asfes.integrate import (
     IntegrationSettings,
     Trajectory,
-    _one_state_loop,
+    _binding,
     _rk4,
+    _stepper,
     average_channels,
     check_resolves_dither,
     default_dt,
@@ -309,18 +310,18 @@ def test_a_field_given_a_state_of_another_size_is_a_mismatch(plant2, cfg2):
 
 def _held_run(rhs, x0, settings, gamma_at, held):
     """x0 stepped with its first ``held`` rows held, as warmup steps: the
-    loop bound to those rows steps and records the others.  With no rows
-    held, this is ``_rk4``."""
+    Python loop bound to those rows steps and records the others.  With no
+    rows held, this is ``_rk4``."""
     if not held:
         return _rk4(rhs, x0, settings, gamma_at)
     n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
-    times, states = [0.0], array("d")
-    loop = _one_state_loop(rhs, len(x0), tuple(x0[:held].tolist()), gamma_at)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stopped, crossed = loop(rhs, x0[held:].tolist(), n_steps, h, settings.record_stride,
-                                settings.gamma_guard, times, states, None)
-    return Trajectory(np.array(times), np.frombuffer(states).reshape(len(times), -1),
+    with pytest.MonkeyPatch.context() as patch:
+        use_python_loop(patch)
+        step = _stepper(rhs, len(x0), tuple(x0[:held].tolist()), gamma_at)
+        times, states, stopped, crossed = step(x0[held:].tolist(), n_steps, h,
+                                               settings.record_stride, settings.gamma_guard)
+    return Trajectory(times, states,
                       gamma_exceeded_at=None if crossed is None else crossed * h,
                       diverged_at=None if stopped is None else stopped * h)
 
@@ -333,9 +334,8 @@ def _fused_and_opaque(rhs, x0, settings, gamma_at, held=0):
         opaque = lambda t, y: rhs(y)  # noqa: E731
     else:
         opaque = lambda t, y: rhs(t, y)  # noqa: E731
-    loops = [_one_state_loop(f, len(x0), tuple(x0[:held].tolist()), gamma_at).__code__.co_name
-             for f in (rhs, opaque)]
-    assert loops == [f"rk4_{rhs.template[0]}_{rhs.template[1]}", f"rk4_opaque_{len(x0)}"]
+    loops = [_binding(f, len(x0), tuple(x0[:held].tolist()))[:2] for f in (rhs, opaque)]
+    assert loops == [rhs.template[:2], (None, len(x0))]
     return [_held_run(f, x0, settings, gamma_at, held) for f in (rhs, opaque)]
 
 
@@ -547,129 +547,86 @@ def _held_at(outcome, theta0):
     return "settled", np.concatenate((start, filters)).tobytes()
 
 
-def _tables_seen(monkeypatch):
-    """The length of the table each loop call gets (None: no table), as
-    the calls come.  Only the Python loop takes a table, so every run
-    steps there from now on."""
-    use_python_loop(monkeypatch)
-    seen = []
-    one_state_loop = integrate_module._one_state_loop
+# warmup cases: (plant, variant, theta0, t_end, rel_tol, outcome).  A plant
+# 1 or 2 is that example; (seed, n) is a random plant of dimension n, and a
+# theta0 of None a random start near its optimum.  A "diverged later"
+# outcome leaves the reals after the first period.
+WARMUP_CASES = {
+    **{f"random-{variant.value}-n{n}": ((100 + n, n), variant, None, 20.0, 1e-6, "settled")
+       for variant, n in [(Variant.ASFES, 1), (Variant.ASFES, 2), (Variant.ASFES, 3),
+                          (Variant.CLASSICAL_ES, 1), (Variant.CLASSICAL_ES, 2),
+                          (Variant.CLASSICAL_ES, 3), (Variant.NEWTON_ASFES, 1)]},
+    # theta is never stepped, so a -0.0 start comes back as -0.0
+    "negative-zero-n1": ((1, 1), Variant.ASFES, [-0.0], 20.0, 1e-6, "settled"),
+    "negative-zero-second-row": ((2, 2), Variant.ASFES, [0.4, -0.0], 20.0, 1e-6, "settled"),
+    "negative-zero-first-row": ((302, 2), Variant.ASFES, [-0.0, 0.5], 20.0, 1e-6, "settled"),
+    "overflowing-start": (1, Variant.ASFES, [1e308], 1.0, 1e-4, "diverged"),
+    # example 1's Newton warmup from theta0 = -3 escapes in a later period
+    "newton-escape": (1, Variant.NEWTON_ASFES, [-3.0], 30.0, 1e-4, "diverged later"),
+    "newton-gamma-escape": ((301, 1), Variant.NEWTON_ASFES, [30.0], 20.0, 1e-6, "diverged"),
+    "timeout": (1, Variant.ASFES, [-3.0], 0.2, 1e-12, "timeout"),
+    "one-period-timeout": (1, Variant.ASFES, [-3.0], 0.04, 1e-4, "timeout"),
+    "example2-settles": (2, Variant.ASFES, [1.5, -0.5], 30.0, 1e-4, "settled"),
+}
 
-    def spied(*args):
-        loop = one_state_loop(*args)
 
-        def call(*loop_args):
-            seen.append(None if loop_args[-1] is None else len(loop_args[-1]))
-            return loop(*loop_args)
-        return call
-
-    monkeypatch.setattr(integrate_module, "_one_state_loop", spied)
-    return seen
-
-
-class TestTabulatedWarmup:
-    """Warmup holds theta as a constant of its loop, keeps the lines of its
-    first period that read only the time and theta in a table and reads
-    them back in the later periods; every outcome is bit for bit that of
-    stepping the whole state each period afresh, theta_hat aside."""
-
-    def check(self, monkeypatch, plant, cfg, theta0, settings, rel_tol, tables=None):
-        """Assert the outcome is the reference's, but for a settled
-        theta_hat, which is the start itself (-0.0 included), and return
-        it.  ``tables(n_steps, periods)`` is the table length each period's
-        loop call gets; by default the table is filled in the first period
-        and read in the rest.  The outcome is checked in the C kernel too,
-        which takes no table."""
-        want, steps = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings,
-                                        rel_tol)
-        compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
-        seen = _tables_seen(monkeypatch)
-        got = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
-        assert got == compiled == _held_at(want, theta0)
-        n_steps = step_count(signal_period(cfg.dither), settings.dt)
-        periods = -(-steps // n_steps)
-        tables = tables or (lambda n_steps, periods: [0] + [n_steps] * (periods - 1))
-        assert seen == tables(n_steps, periods)
-        return got
-
-    @pytest.mark.parametrize("variant, n", [(Variant.ASFES, 1), (Variant.ASFES, 2),
-                                            (Variant.ASFES, 3), (Variant.CLASSICAL_ES, 1),
-                                            (Variant.CLASSICAL_ES, 2), (Variant.CLASSICAL_ES, 3),
-                                            (Variant.NEWTON_ASFES, 1)])
-    def test_random_plants(self, monkeypatch, variant, n):
-        rng = np.random.default_rng(100 + n)
+@pytest.mark.parametrize("plant, variant, theta0, t_end, rel_tol, outcome",
+                         list(WARMUP_CASES.values()), ids=list(WARMUP_CASES))
+def test_warmup_outcomes(monkeypatch, request, plant, variant, theta0, t_end, rel_tol,
+                         outcome):
+    # warmup holds theta as a constant of its loop; every outcome is bit for
+    # bit that of stepping the whole state each period afresh, theta_hat
+    # aside, in the C kernel where it builds and in the Python loop
+    if isinstance(plant, int):
+        cfg = request.getfixturevalue(f"cfg{plant}").with_variant(variant)
+        plant = request.getfixturevalue(f"plant{plant}")
+    else:
+        seed, n = plant
+        rng = np.random.default_rng(seed)
         plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
-        theta0 = plant.theta_star + rng.uniform(-0.3, 0.3, n)
-        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=20.0)
-        outcome = self.check(monkeypatch, plant, cfg, theta0, settings, 1e-6)
-        assert outcome[0] == "settled"
+        if theta0 is None:
+            theta0 = plant.theta_star + rng.uniform(-0.3, 0.3, n)
+    n = plant.dimension
+    settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=t_end)
+    want, _ = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings, rel_tol)
+    want = _held_at(want, theta0)
+    kind, *later = outcome.split()
+    assert want[0] == kind
+    if later:
+        assert want[1] > signal_period(cfg.dither)
+    compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
+    if _ckernel._compiler() is not None:
+        assert _ckernel._loaded[(variant.value, n, n, None)] is not None
+    use_python_loop(monkeypatch)
+    assert _warmup_outcome(plant, cfg, theta0, settings, rel_tol) == compiled == want
+    if kind == "settled":
+        state = np.frombuffer(compiled[1])
+        assert list(np.signbit(state[:n])) == list(np.signbit(theta0))
 
-    @pytest.mark.parametrize("theta0", [[-0.0], [0.4, -0.0]])
-    def test_negative_zero_start_is_held_and_fills_the_table_at_once(self, monkeypatch,
-                                                                     theta0):
-        # theta is never stepped, so -0.0 comes back as -0.0 and the table
-        # is filled in the first period, as for any start
-        rng = np.random.default_rng(len(theta0))
-        n = len(theta0)
-        plant, cfg = random_plant(rng, n), random_config(rng, n)
-        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=20.0)
-        outcome = self.check(monkeypatch, plant, cfg, theta0, settings, 1e-6)
-        assert outcome[0] == "settled"
-        assert np.signbit(np.frombuffer(outcome[1])[n - 1])
 
-    def test_overflowing_start_diverges_at_the_same_time(self, monkeypatch, plant1, cfg1):
-        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0)
-        outcome = self.check(monkeypatch, plant1, cfg1, [1e308], settings, 1e-4)
-        assert outcome[0] == "diverged"
+@pytest.mark.parametrize("variant, n, theta0", [(Variant.ASFES, 2, [1.5, -0.5]),
+                                                (Variant.NEWTON_ASFES, 1, [-3.0]),
+                                                (Variant.CLASSICAL_ES, 1, [-0.0])])
+def test_warmup_of_an_opaque_field_calls_it_four_times_a_step(
+        monkeypatch, plant1, cfg1, plant2, cfg2, variant, n, theta0):
+    # a field without its template, as a tracer's wrapper gives, steps in
+    # the opaque loop as the field does and is called in each stage of
+    # every step of every period
+    plant, cfg = (plant1, cfg1) if n == 1 else (plant2, cfg2)
+    cfg = cfg.with_variant(variant)
+    settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=10.0)
+    f = make_rhs(plant, cfg)
+    want, steps = _warmup_reference(f, plant, cfg, theta0, settings, 1e-4)
+    calls = []
 
-    def test_newton_escape_at_the_same_time(self, monkeypatch, plant1, cfg1):
-        # example 1's Newton warmup from theta0 = -3 escapes in a later period
-        cfg = cfg1.with_variant(Variant.NEWTON_ASFES)
-        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=30.0)
-        outcome = self.check(monkeypatch, plant1, cfg, [-3.0], settings, 1e-4)
-        assert outcome[0] == "diverged" and outcome[1] > signal_period(cfg.dither)
+    def opaque(t, y):
+        calls.append(t)
+        return f(t, y)
 
-    def test_timeout(self, monkeypatch, plant1, cfg1):
-        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.2)
-        outcome = self.check(monkeypatch, plant1, cfg1, [-3.0], settings, 1e-12)
-        assert outcome[0] == "timeout"
-
-    def test_one_period_takes_no_table(self, monkeypatch, plant1, cfg1):
-        settings = IntegrationSettings(dt=default_dt(cfg1.dither), t_end=0.04)
-        outcome = self.check(monkeypatch, plant1, cfg1, [-3.0], settings, 1e-4,
-                             lambda n_steps, periods: [None])
-        assert outcome[0] == "timeout"
-
-    def test_period_over_the_cap_takes_no_table(self, monkeypatch, plant2, cfg2):
-        settings = IntegrationSettings(dt=default_dt(cfg2.dither), t_end=30.0)
-        n_steps = step_count(signal_period(cfg2.dither), settings.dt)
-        monkeypatch.setattr(integrate_module, "WARMUP_TABLE_STEPS", n_steps - 1)
-        outcome = self.check(monkeypatch, plant2, cfg2, [1.5, -0.5], settings, 1e-4,
-                             lambda n_steps, periods: [None] * periods)
-        assert outcome[0] == "settled"
-
-    @pytest.mark.parametrize("variant, n, theta0", [(Variant.ASFES, 2, [1.5, -0.5]),
-                                                    (Variant.NEWTON_ASFES, 1, [-3.0]),
-                                                    (Variant.CLASSICAL_ES, 1, [-0.0])])
-    def test_opaque_field_steps_the_same_and_is_called_four_times_a_step(
-            self, monkeypatch, plant1, cfg1, plant2, cfg2, variant, n, theta0):
-        # a field without its template, as a tracer's wrapper gives, is
-        # called in each stage of every step, the table's periods included
-        plant, cfg = (plant1, cfg1) if n == 1 else (plant2, cfg2)
-        cfg = cfg.with_variant(variant)
-        settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=10.0)
-        f = make_rhs(plant, cfg)
-        want, steps = _warmup_reference(f, plant, cfg, theta0, settings, 1e-4)
-        calls = []
-
-        def opaque(t, y):
-            calls.append(t)
-            return f(t, y)
-
-        monkeypatch.setattr(integrate_module, "make_rhs", lambda plant, cfg: opaque)
-        seen = _tables_seen(monkeypatch)
-        assert _warmup_outcome(plant, cfg, theta0, settings, 1e-4) == _held_at(want, theta0)
-        assert len(calls) == 4 * steps and len(seen) > 2 and seen[-1]
+    monkeypatch.setattr(integrate_module, "make_rhs", lambda plant, cfg: opaque)
+    assert _warmup_outcome(plant, cfg, theta0, settings, 1e-4) == _held_at(want, theta0)
+    assert len(calls) == 4 * steps
+    assert steps > 2 * step_count(signal_period(cfg.dither), settings.dt)
 
 
 def test_overflowing_inputs_fail_by_name_without_warnings(plant1, cfg1):
