@@ -1,5 +1,6 @@
-"""Compiled C for the two hot loops: the RK4 loop of a templated field,
-and the ``%.17g`` text of the CSV rows.
+"""Compiled C for the hot loops: the RK4 loop of a templated field, and
+the output of a run, the ``%.17g`` text of the CSV rows and the
+assigned-rate envelope.
 
 :mod:`asfes.integrate` writes a field's RK4 loop as Python from a list of
 statements (:func:`asfes.integrate._loop_parts`).  This module renders the
@@ -20,23 +21,25 @@ A kernel is compiled once per loop kind, not once per plant or start: it
 reads the field's constants and held rows from an array, in the order of
 its :attr:`Kernel.names`.
 
-The CSV formatter (:func:`formatter`) is one fixed C function,
-:data:`FORMAT_SOURCE`.  It writes a block of rows as ``%.17g`` values with
-exact integer arithmetic, correctly rounded as Python's ``%`` is, so its
-bytes are Python's.  It is not C's ``printf``, which writes a nan with its
-sign bit set as ``-nan`` and follows the locale.  It takes finite values
-with magnitudes in about [1e-16, 2**127) and zeros; a block with any other
-value is left to Python.
+The output library, :data:`CSV_SOURCE`, is fixed C.  Its CSV formatter
+(:func:`formatter`) writes a block of rows as ``%.17g`` values with exact
+integer arithmetic, correctly rounded as Python's ``%`` is, so its bytes
+are Python's.  It is not C's ``printf``, which writes a nan with its sign
+bit set as ``-nan`` and follows the locale.  It takes finite values with
+magnitudes in [2**-129, 2**127) and zeros; each other value is written by
+Python's ``%``.  Its :func:`envelope` takes the C library's exp, the one
+:func:`math.exp` calls, so its values are Python's bit for bit too.
 
 Compiled libraries are kept in the process and on disk, under
 ``$XDG_CACHE_HOME/asfes`` (by default ``~/.cache/asfes``), as
-``rk4-<sha256>.so`` for a kernel and ``csv-<sha256>.so`` for the
-formatter, named by the sha256 of the source and the compiler command, or
+``rk4-<sha256>.so`` for a kernel and ``csv-<sha256>.so`` for the output
+library, named by the sha256 of the source and the compiler command, or
 in a directory of the process's own where that one cannot be written.
 Where no compiler is found, a compile fails or a library does not load,
-:func:`kernel` and :func:`formatter` give None, and the caller steps or
-formats in Python.  Nothing is compiled or loaded before the first run or
-CSV, and :mod:`subprocess` and :mod:`hashlib` are imported only then.
+:func:`kernel`, :func:`formatter` and :func:`envelope` give None, and the
+caller steps, formats or takes exp in Python.  Nothing is compiled or
+loaded before the first run or CSV, and :mod:`subprocess` is imported only
+for a build.
 """
 
 from __future__ import annotations
@@ -48,15 +51,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# a loop key (see asfes.integrate._loop_code) -> its Kernel, and
-# "format_rows" -> the CSV formatter; None where it could not be built
+# a loop key (see asfes.integrate._loop_code) -> its Kernel, and "csv" ->
+# (text, envelope) of the output library; None where it could not be built
 _loaded: dict = {}
 # the directory of libraries for this process alone, made where the cache
 # cannot be written
 _private_dir: Optional[str] = None
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBRARIES = ("-lm",)
-# what a compiled library, kernel or formatter, ends in, followed by the
+# what a compiled library, kernel or output library, ends in, followed by the
 # sha256 of what precedes it
 SEAL = b"asfes-rk4-kernel"
 COMPILE_TIMEOUT_S = 120
@@ -180,206 +183,340 @@ def kernel(key: tuple, parts) -> Optional[Kernel]:
         name = f"rk4_{model}_{n}"
         source, names = render(parts, name)
         doubles = ctypes.POINTER(ctypes.c_double)
-        function = _load(source, name, "rk4", (
+        functions = _load(source, "rk4", {name: (
             doubles, doubles, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_double,
-            doubles, doubles, ctypes.POINTER(ctypes.c_int64)))
-        _loaded[key] = None if function is None else Kernel(function, names, len(parts.state))
+            doubles, doubles, ctypes.POINTER(ctypes.c_int64))})
+        _loaded[key] = None if functions is None else Kernel(functions[name], names,
+                                                             len(parts.state))
     return _loaded[key]
 
 
-# %.17g of a row-major block of doubles, exact in integer arithmetic for
-# finite x with |x| in about [1e-16, 2^127): x = m 2^e with m < 2^53, and
-# q = |x| 10^(16-k) for k = floor(log10 |x|), a 17-digit integer, is
-# m 5^p >> -(e + p) for p = 16 - k <= 32, or m 2^e / 10^-p for p < 0 and
-# e <= 74; both fit in 128 bits, and the remainder rounds q half to even.
-# k is first estimated from the binary exponent alone (log10 would take
-# half the time of a value), then moved until q has 17 digits.  Any other
-# value, or a full buffer, gives -1.
-FORMAT_SOURCE = r"""#include <stdint.h>
+# The output library: the %.17g text of CSV values and the assigned-rate
+# envelope, one csv-*.so.
+#
+# format_values writes %.17g exactly, in integer arithmetic, for finite x
+# with |x| in [2^-129, 2^127), and for zeros.  x = m 2^e with m < 2^53 lies
+# in [2^E, 2^(E + 1)) for E = e + 52, so k0 = floor(E log10 2), one
+# multiply, is k = floor(log10 |x|) or k - 1.  n = floor(|x| 10^p) for
+# p = 16 - k0 is m 5^p >> -(e + p) for 0 <= p <= 55, in 128 bits up to
+# p = 32 and in 192 beyond, or m 2^e / 10^-p for p < 0 and e <= 74.  n has
+# 17 digits, or 18 where k0 is k - 1, and then its last digit joins the
+# remainder, which rounds q, its first 17 digits, half to even.  q is
+# written as a 9-digit and an 8-digit half, two digits at a time from a
+# table.  Any other value stops the run.
+CSV_SOURCE = r"""#include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 typedef unsigned __int128 u128;
+#define P8 100000000U
 #define P16 10000000000000000ULL
 #define P17 100000000000000000ULL
 
-static int format_one(double x, char *s, const u128 *pow5, const u128 *pow10)
+static const char PAIRS[200] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+static u128 pow5[56], pow10[22];
+
+__attribute__((constructor)) static void powers(void)
+{
+    pow5[0] = pow10[0] = 1;
+    for (int i = 1; i < 56; i++)
+        pow5[i] = pow5[i - 1] * 5;
+    for (int i = 1; i < 22; i++)
+        pow10[i] = pow10[i - 1] * 10;
+}
+
+static inline void pair(char *s, uint32_t v)       /* v < 100 */
+{
+    memcpy(s, PAIRS + 2 * v, 2);
+}
+
+static inline void eight(char *s, uint32_t v)      /* the 8 digits of v < 10^8 */
+{
+    const uint32_t high = v / 10000, low = v % 10000;
+    pair(s, high / 100);
+    pair(s + 2, high % 100);
+    pair(s + 4, low / 100);
+    pair(s + 6, low % 100);
+}
+
+static inline void seventeen(char *s, uint64_t q)  /* the 17 digits of q < 10^17 */
+{
+    const uint32_t high = (uint32_t)(q / P8), low = (uint32_t)(q % P8);
+    s[0] = (char)('0' + high / P8);
+    eight(s + 1, high % P8);
+    eight(s + 9, low);
+}
+
+/* %.17g of x at s: the end of its text, or NULL where x is off the exact
+   path.  The text takes at most 23 bytes, and writing it touches the 35
+   from s on. */
+static char *format_one(double x, char *s)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
     const int biased = (int)((bits >> 52) & 0x7ff);
-    uint64_t m = bits & ((1ULL << 52) - 1);
-    char *at = s;
+    const uint64_t fraction = bits & ((1ULL << 52) - 1);
     if (bits >> 63)
-        *at++ = '-';
-    if (biased == 0 && m == 0) {
-        *at++ = '0';
-        return (int)(at - s);
+        *s++ = '-';
+    if (biased == 0 && fraction == 0) {
+        *s++ = '0';
+        return s;
     }
-    if (biased == 0 || biased == 0x7ff)     /* subnormal, inf or nan */
-        return 0;
-    m |= 1ULL << 52;
+    if (biased < 1023 - 129 || biased > 1023 + 126)     /* under 2^-129, over 2^127, inf or nan */
+        return NULL;
+    const uint64_t m = fraction | (1ULL << 52);
     const int e = biased - 1075;
-    if (e > 74)
-        return 0;
-    int k = ((biased - 1022) * 78913) >> 18;  /* floor(log10 2^(e + 53)): k or k + 1 */
-    uint64_t q;
-    for (;;) {
-        const int p = 16 - k;
-        u128 n, rest = 0, half = 1;
-        if (p > 32 || p < -22)
-            return 0;
-        if (p >= 0) {
-            const u128 scaled = (u128)m * pow5[p];
-            const int shift = -(e + p);
-            if (shift <= 0) {
-                n = scaled << -shift;
-            } else {
-                n = scaled >> shift;
-                rest = scaled & (((u128)1 << shift) - 1);
-                half = (u128)1 << (shift - 1);
-            }
-        } else {                            /* |x| > 2^53 here, so e > 0 */
-            const u128 scaled = (u128)m << e, divisor = pow10[-p];
-            n = scaled / divisor;
-            rest = scaled % divisor;
-            half = divisor >> 1;
-        }
-        if (n >= P17) {
-            k += 1;
-        } else if (n < P16) {
-            k -= 1;
+    int k = ((biased - 1023) * 78913) >> 18;    /* floor(E log10 2) */
+    const int p = 16 - k;
+    u128 n, rest = 0, half = 1;
+    if (p > 32) {
+        /* m 5^p = top 2^64 + (low mod 2^64) takes up to 181 bits, and it is
+           shifted by 64 + 9 to 64 + 62: of its last 64 bits, all shifted
+           out, it only counts whether one is set */
+        const u128 low = (u128)m * (uint64_t)pow5[p];
+        const u128 top = (u128)m * (uint64_t)(pow5[p] >> 64) + (low >> 64);
+        const int shift = -(e + p) - 64;
+        n = top >> shift;
+        rest = ((top & (((u128)1 << shift) - 1)) << 1) | ((uint64_t)low != 0);
+        half = (u128)1 << shift;
+    } else if (p >= 0) {
+        const u128 scaled = (u128)m * pow5[p];
+        const int shift = -(e + p);
+        if (shift <= 0) {
+            n = scaled << -shift;
         } else {
-            q = (uint64_t)n;
-            if (rest > half || (rest == half && (q & 1)))
-                q += 1;
-            if (q == P17) {
-                q = P16;
-                k += 1;
-            }
-            break;
+            n = scaled >> shift;
+            rest = scaled & (((u128)1 << shift) - 1);
+            half = (u128)1 << (shift - 1);
         }
+    } else {                    /* |x| > 10^17, so e > 0 */
+        const u128 scaled = (u128)m << e, divisor = pow10[-p];
+        n = scaled / divisor;
+        rest = scaled % divisor;
+        half = divisor >> 1;
     }
-    char d[17];
-    for (int i = 16; i >= 0; i--) {
-        d[i] = (char)('0' + q % 10);
+    /* whether q rounds up, without a branch: rest > half is a coin toss */
+    uint64_t q = (uint64_t)n, up;   /* 10^16 <= n < 10^18 */
+    if (q >= P17) {             /* 18 digits: the last joins the remainder */
+        const uint64_t last = q % 10;
         q /= 10;
-    }
-    int last = 16;
-    while (last > 0 && d[last] == '0')
-        last--;
-    if (k >= 17 || k < -4) {                /* |k| < 100 on this path */
-        *at++ = d[0];
-        if (last > 0) {
-            *at++ = '.';
-            memcpy(at, d + 1, last);
-            at += last;
-        }
-        *at++ = 'e';
-        *at++ = k < 0 ? '-' : '+';
-        k = k < 0 ? -k : k;
-        *at++ = (char)('0' + k / 10);
-        *at++ = (char)('0' + k % 10);
-    } else if (k >= 0) {
-        memcpy(at, d, k + 1);
-        at += k + 1;
-        if (last > k) {
-            *at++ = '.';
-            memcpy(at, d + k + 1, last - k);
-            at += last - k;
-        }
+        k += 1;
+        up = (last > 5) | ((last == 5) & ((rest != 0) | (q & 1)));
     } else {
-        *at++ = '0';
-        *at++ = '.';
-        for (int i = -1; i > k; i--)
-            *at++ = '0';
-        memcpy(at, d, last + 1);
-        at += last + 1;
+        up = (rest > half) | ((rest == half) & (q & 1));
     }
-    return (int)(at - s);
+    q += up;
+    if (q == P17) {
+        q = P16;
+        k += 1;
+    }
+    char *end;
+    if (k >= 17 || k < -4) {    /* d.ddde+kk, |k| < 100 here */
+        seventeen(s + 1, q);
+        s[0] = s[1];
+        s[1] = '.';
+        end = s + 18;
+        while (end[-1] == '0')
+            end--;
+        if (end[-1] == '.')
+            end--;
+        end[0] = 'e';
+        end[1] = k < 0 ? '-' : '+';
+        pair(end + 2, (uint32_t)(k < 0 ? -k : k));
+        return end + 4;
+    }
+    if (k >= 0) {               /* ddd.ddd: the digits after the point move on by one */
+        seventeen(s, q);
+        memmove(s + k + 2, s + k + 1, 16);
+        s[k + 1] = '.';
+        end = s + 18;
+    } else {                    /* 0.000ddd */
+        memcpy(s, "0.000", 5);
+        seventeen(s + 1 - k, q);
+        end = s + 18 - k;
+    }
+    while (end[-1] == '0')
+        end--;
+    if (end[-1] == '.')
+        end--;
+    return end;
 }
 
-int64_t format_rows(const double *values, int64_t rows, int64_t cols, char *buf, int64_t cap)
+/* %.17g of values[start], ..., values[count - 1], each followed by ',' or,
+   where it ends a row of cols values, '\n', written at buf + *size; *size
+   moves past them.  Gives the index of the first value not written: count,
+   or that of a value off the exact path. */
+int64_t format_values(const double *values, int64_t start, int64_t count, int64_t cols,
+                      char *buf, int64_t *size)
 {
-    u128 pow5[33], pow10[23];
-    pow5[0] = pow10[0] = 1;
-    for (int i = 1; i < 33; i++)
-        pow5[i] = pow5[i - 1] * 5;
-    for (int i = 1; i < 23; i++)
-        pow10[i] = pow10[i - 1] * 10;
-    char *at = buf;
-    for (int64_t i = 0; i < rows * cols; i++) {
-        if (buf + cap - at < 32)
-            return -1;
-        const int written = format_one(values[i], at, pow5, pow10);
-        if (written == 0)
-            return -1;
-        at += written;
-        *at++ = (i % cols == cols - 1) ? '\n' : ',';
+    if (start >= count)
+        return count;
+    char *at = buf + *size;
+    int64_t i = start, col = start % cols;
+    for (; i < count; i++) {
+        char *end = format_one(values[i], at);
+        if (end == NULL)
+            break;
+        if (++col == cols) {
+            *end++ = '\n';
+            col = 0;
+        } else {
+            *end++ = ',';
+        }
+        at = end;
     }
-    return at - buf;
+    *size = at - buf;
+    return i;
+}
+
+/* out[i] = h0 exp(-c times[i]) for i < n, with the C library's exp; 1, and
+   out unfinished, where an exp overflows, which math.exp raises on; else 0 */
+int64_t envelope(double h0, double c, const double *times, int64_t n, double *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double a = -c * times[i], d = exp(a);
+        if (isinf(d) && isfinite(a))
+            return 1;
+        out[i] = h0 * d;
+    }
+    return 0;
 }
 """
-# the most a value and its separator take: "-0.0000", 17 digits and ","
+# room per value in the text buffer: a value's text and separator take at
+# most 25 bytes, whether the formatter or Python's % writes them; 2 values'
+# more make room for the 35 bytes that writing the last one touches
 FORMAT_WIDTH = 32
 
 
 def formatter() -> Optional[Callable]:
     """``text(block)``: the rows of the float64 table ``block`` (R, C) as
     ``%.17g`` values joined by commas, one line per row, the bytes of
-    Python's ``%``; None where a value is not on the exact path.  The
-    formatter is compiled and loaded on first use, and it writes into one
-    buffer it keeps; None where it cannot be built."""
-    if "format_rows" not in _loaded:
+    Python's ``%``.  A value off the exact path is written by Python's
+    ``%``, alone, and the formatter goes on after it.  The text is a view
+    of one buffer the formatter keeps, good until its next call; None
+    where the output library cannot be built."""
+    library = _output()
+    return None if library is None else library[0]
+
+
+def envelope() -> Optional[Callable]:
+    """``envelope(h0, c, times)``: h0 exp(-c t) at the float64 ``times``
+    (R,), with the C library's exp, the one :func:`math.exp` calls, so
+    bit for bit :func:`asfes.analysis.envelope`'s Python form; None where
+    an exp overflows, as :func:`math.exp` raises, or where the output
+    library cannot be built."""
+    library = _output()
+    return None if library is None else library[1]
+
+
+def _output() -> Optional[tuple]:
+    """``(text, envelope)`` of the output library, compiled and loaded on
+    first use; None where it cannot be built."""
+    if "csv" not in _loaded:
         import ctypes
 
-        function = _load(FORMAT_SOURCE, "format_rows", "csv", (
-            ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_int64, ctypes.c_char_p,
-            ctypes.c_int64))
-        _loaded["format_rows"] = None if function is None else _text(function)
-    return _loaded["format_rows"]
+        doubles, int64 = ctypes.POINTER(ctypes.c_double), ctypes.c_int64
+        functions = _load(CSV_SOURCE, "csv", {
+            "format_values": (doubles, int64, int64, int64, ctypes.c_char_p,
+                              ctypes.POINTER(int64)),
+            "envelope": (ctypes.c_double, ctypes.c_double, doubles, int64, doubles)})
+        _loaded["csv"] = None if functions is None else (
+            _text(functions["format_values"]), _envelope(functions["envelope"]))
+    return _loaded["csv"]
+
+
+def _percent(x: float) -> bytes:
+    """``%.17g`` of a value off the formatter's exact path."""
+    return b"%.17g" % x
 
 
 def _text(function) -> Callable:
-    """The ``text`` of :func:`formatter`, through the loaded ``format_rows``."""
+    """The ``text`` of :func:`formatter`, through the loaded
+    ``format_values``."""
     import ctypes
 
-    doubles, buffer = ctypes.POINTER(ctypes.c_double), bytearray()
+    doubles, size = ctypes.POINTER(ctypes.c_double), ctypes.c_int64()
+    buffer, chars = bytearray(), None
 
-    def text(block: np.ndarray) -> Optional[memoryview]:
-        nonlocal buffer
+    def text(block: np.ndarray) -> memoryview:
+        nonlocal buffer, chars
         block = np.ascontiguousarray(block, dtype=np.float64)
-        rows, cols = block.shape
-        if len(buffer) < rows * cols * FORMAT_WIDTH:
-            buffer = bytearray(rows * cols * FORMAT_WIDTH)
-        size = function(block.ctypes.data_as(doubles), rows, cols,
-                        (ctypes.c_char * len(buffer)).from_buffer(buffer), len(buffer))
-        return None if size < 0 else memoryview(buffer)[:size]
+        count, cols = block.size, block.shape[1]
+        if len(buffer) < (count + 2) * FORMAT_WIDTH:
+            buffer = bytearray((count + 2) * FORMAT_WIDTH)
+            chars = (ctypes.c_char * len(buffer)).from_buffer(buffer)
+        values = block.ctypes.data_as(doubles)
+        size.value = 0
+        done = function(values, 0, count, cols, chars, size)
+        while done < count:
+            value = _percent(block.item(done)) + (b"\n" if done % cols == cols - 1 else b",")
+            buffer[size.value:size.value + len(value)] = value
+            size.value += len(value)
+            done = function(values, done + 1, count, cols, chars, size)
+        return memoryview(buffer)[:size.value]
 
     return text
 
 
-def _load(source: str, name: str, kind: str, argtypes: tuple):
-    """The function ``name`` of ``source``, compiled or taken from the
-    cache as a library named ``kind-*.so``, with ``argtypes`` and an
-    ``int64_t`` result; None where that fails."""
+def _envelope(function) -> Callable:
+    """The ``envelope`` of :func:`envelope`, through the loaded C
+    ``envelope``."""
+    import ctypes
+
+    doubles = ctypes.POINTER(ctypes.c_double)
+
+    def envelope(h0: float, c: float, times: np.ndarray) -> Optional[np.ndarray]:
+        times = np.ascontiguousarray(times, dtype=np.float64)
+        out = np.empty(times.shape[0])
+        overflow = function(h0, c, times.ctypes.data_as(doubles), times.shape[0],
+                            out.ctypes.data_as(doubles))
+        return None if overflow else out
+
+    return envelope
+
+
+def _load(source: str, kind: str, functions: dict) -> Optional[dict]:
+    """``{name: function}`` for each name of ``functions`` in ``source``,
+    compiled or taken from the cache as a library named ``kind-*.so``, with
+    the argtypes ``functions[name]`` and an ``int64_t`` result; None where
+    that fails."""
     import ctypes
 
     path = _library(source, kind)
     if path is None or not _sealed(path):
         return None
     try:
-        function = getattr(ctypes.CDLL(path), name)
+        library = ctypes.CDLL(path)
+        loaded = {name: getattr(library, name) for name in functions}
     except (OSError, AttributeError):
         return None
-    function.argtypes = argtypes
-    function.restype = ctypes.c_int64
-    return function
+    for name, function in loaded.items():
+        function.argtypes = functions[name]
+        function.restype = ctypes.c_int64
+    return loaded
+
+
+def _sha256(data: bytes):
+    """The sha256 of ``data``, by the interpreter's own module where it
+    has one: :mod:`hashlib` would load OpenSSL's libcrypto for the same
+    digest."""
+    try:
+        from _sha256 import sha256      # Python 3.10 and 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256    # 3.12 on
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data)
 
 
 def _seal(data: bytes) -> bytes:
-    import hashlib
-
-    return SEAL + hashlib.sha256(data).digest()
+    return SEAL + _sha256(data).digest()
 
 
 def _sealed(path: str) -> bool:
@@ -406,13 +543,11 @@ def _library(source: str, kind: str) -> Optional[str]:
     """The path of the shared library ``kind-<sha256>.so`` built from
     ``source``, compiled into the cache unless it is there already; None
     where it cannot be."""
-    import hashlib
-
     compiler = _compiler()
     if compiler is None:
         return None
     command = [compiler, *FLAGS, *LIBRARIES]
-    digest = hashlib.sha256("\0".join([source, *command]).encode()).hexdigest()
+    digest = _sha256("\0".join([source, *command]).encode()).hexdigest()
     for where in (_cache_dir, _private):
         try:
             directory = where()

@@ -341,7 +341,15 @@ def envelope(h0: float, c: float, times: np.ndarray) -> np.ndarray:
     the C library's exp, as the trajectory CSVs have always written it:
     numpy's SIMD exp differs from it in the last bit on some inputs.  The
     CSVs, :func:`safety_report` and verify all take it from here, so they
-    agree to the bit."""
+    agree to the bit.  It is computed in the compiled output library of
+    :mod:`asfes._ckernel`, or through :func:`math.exp` where that is not
+    built or an exp overflows."""
+    from . import _ckernel
+
+    compiled = _ckernel.envelope()
+    values = None if compiled is None else compiled(h0, c, times)
+    if values is not None:
+        return values
     decay = np.fromiter(map(math.exp, (-c * times).tolist()), float, times.shape[0])
     return h0 * decay
 

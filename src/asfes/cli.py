@@ -339,8 +339,9 @@ def write_csv(path: Path, cols: Sequence[str], table: np.ndarray) -> None:
     value as ``%.17g``: the bytes of ``np.savetxt`` with that format, a
     comma delimiter and the header uncommented, written a block of
     :data:`CSV_BLOCK_ROWS` rows at a time.  A block is formatted by the
-    compiled formatter of :mod:`asfes._ckernel`, or by Python's ``%``
-    where that is not built or a value is not on its exact path."""
+    compiled formatter of :mod:`asfes._ckernel`, which leaves each value
+    off its exact path to Python's ``%``, or by Python's ``%`` alone where
+    the formatter is not built."""
     from . import _ckernel
 
     # loaded before the file opens, so that no error of the build is the
@@ -351,9 +352,8 @@ def write_csv(path: Path, cols: Sequence[str], table: np.ndarray) -> None:
         out.write((",".join(cols) + "\n").encode())
         for start in range(0, table.shape[0], CSV_BLOCK_ROWS):
             block = table[start:start + CSV_BLOCK_ROWS]
-            fast = None if text is None else text(block)
             out.write(((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
-                      if fast is None else fast)
+                      if text is None else text(block))
 
 
 @contextlib.contextmanager

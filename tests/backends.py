@@ -1,6 +1,7 @@
-"""The two back ends that step a templated field and write CSV rows: the
-compiled kernels, where they can be built, and the generated Python loop
-and Python's ``%``, which are the reference."""
+"""The two back ends that step a templated field, write CSV rows and take
+the envelope's exp: the compiled kernels and output library, where they
+can be built, and the generated Python loop, Python's ``%`` and
+:func:`math.exp`, which are the reference."""
 
 import pytest
 
@@ -11,9 +12,10 @@ compiler = pytest.mark.skipif(_ckernel._compiler() is None,
 
 
 def use_python_loop(monkeypatch) -> None:
-    """Step every run in the Python loop and format every CSV row with
-    Python's ``%`` until the test ends, as where no C compiler is found:
-    compiler discovery finds nothing, and no kernel loaded before is
+    """Step every run in the Python loop, format every CSV row with
+    Python's ``%`` and take every envelope through :func:`math.exp` until
+    the test ends, as where no C compiler is found: compiler discovery
+    finds nothing, and no kernel or output library loaded before is
     kept."""
     monkeypatch.setattr(_ckernel, "_compiler", lambda: None)
     monkeypatch.setattr(_ckernel, "_loaded", {})

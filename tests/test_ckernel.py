@@ -1,16 +1,19 @@
 """The C kernel of a templated field against the generated Python loop:
 the same records, stop step and crossed step, bit for bit, for every loop
-kind; and every run and CSV still succeeds, with the same bytes, where no
-kernel or formatter can be built or loaded."""
+kind; the compiled envelope against math.exp; and every run and CSV still
+succeeds, with the same bytes, where no kernel or output library can be
+built or loaded."""
 
+import math
 import shutil
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asfes import _ckernel
+from asfes import _ckernel, analysis
 from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, write_csv
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.integrate import (IntegrationSettings, _stepper, default_dt, exact_initial_state,
@@ -172,8 +175,8 @@ def test_truncated_library_in_the_cache(monkeypatch, plant1, cfg1, tmp_path, com
 
 def _check_csv(path: Path) -> None:
     """write_csv gives the bytes of Python's % for three blocks, one of
-    which the formatter would leave to Python, through whatever back end
-    the process has."""
+    which holds a value the formatter leaves to Python, through whatever
+    back end the process has."""
     rng = np.random.default_rng(11)
     table = rng.standard_normal((2 * CSV_BLOCK_ROWS + 5, 6)) * 10.0 ** rng.integers(-8, 8, 6)
     table[CSV_BLOCK_ROWS + 3, 2] = np.nan
@@ -185,7 +188,7 @@ def _check_csv(path: Path) -> None:
 def test_csv_where_no_compiler_is_found(monkeypatch, tmp_path):
     use_python_loop(monkeypatch)
     _check_csv(tmp_path / "run.csv")
-    assert _ckernel._loaded == {"format_rows": None}
+    assert _ckernel._loaded == {"csv": None}
 
 
 def test_csv_where_the_compiler_fails(monkeypatch, tmp_path):
@@ -196,7 +199,7 @@ def test_csv_where_the_compiler_fails(monkeypatch, tmp_path):
     monkeypatch.setattr(_ckernel, "_compiler", lambda: false)
     monkeypatch.setattr(_ckernel, "_loaded", {})
     _check_csv(tmp_path / "run.csv")
-    assert _ckernel._loaded == {"format_rows": None}
+    assert _ckernel._loaded == {"csv": None}
     assert list((tmp_path / "cache" / "asfes").iterdir()) == []
 
 
@@ -205,7 +208,7 @@ def test_truncated_formatter_in_the_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(_ckernel, "_loaded", {})
     _check_csv(tmp_path / "first.csv")
-    assert _ckernel._loaded["format_rows"] is not None
+    assert _ckernel._loaded["csv"] is not None
     (library,) = (tmp_path / "cache" / "asfes").glob("csv-*.so")
     data = library.read_bytes()
     damaged = library.with_suffix(".part")
@@ -213,8 +216,40 @@ def test_truncated_formatter_in_the_cache(monkeypatch, tmp_path):
     damaged.replace(library)
     monkeypatch.setattr(_ckernel, "_loaded", {})
     _check_csv(tmp_path / "second.csv")
-    assert _ckernel._loaded == {"format_rows": None}
+    assert _ckernel._loaded == {"csv": None}
     assert list((tmp_path / "cache" / "asfes").iterdir()) == []
+
+
+# ---- the envelope ------------------------------------------------------------
+
+def _envelope_cases() -> list:
+    """``(h0, c, times)``: random h0, +-0.0 among them, and random c > 0
+    over horizons where exp(-c t) falls to subnormals, from c t = 708.4,
+    and to 0, from c t = 745.2."""
+    rng = np.random.default_rng(29)
+    h0s = [0.0, -0.0, *(rng.standard_normal(8) * 10.0 ** rng.integers(-5, 5, 8))]
+    return [(h0, c, np.concatenate([[0.0], np.sort(rng.uniform(0.0, 800.0 / c, 999))]))
+            for h0, c in zip(h0s, 10.0 ** rng.uniform(-3.0, 1.0, len(h0s)))]
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("compiled", marks=compiler)])
+def test_envelope_is_math_exp(monkeypatch, backend):
+    # h0 exp(-c t) is the bits of math.exp, taken one time at a time, on
+    # both back ends; an exp that overflows raises as math.exp does
+    if backend == "python":
+        use_python_loop(monkeypatch)
+    else:
+        assert _ckernel.envelope() is not None, "the output library did not build"
+    decays = []
+    for h0, c, times in _envelope_cases():
+        decays += map(math.exp, (-c * times).tolist())
+        expected = h0 * np.array(decays[-len(times):])
+        assert analysis.envelope(h0, c, times).tobytes() == expected.tobytes(), (h0, c)
+    assert 0.0 in decays and any(0.0 < x < sys.float_info.min for x in decays)
+    with pytest.raises(OverflowError):
+        analysis.envelope(1.0, -1.0, np.array([0.0, 1000.0]))
+    if backend == "python":
+        assert _ckernel._loaded == {"csv": None}
 
 
 @compiler

@@ -10,6 +10,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -825,7 +826,7 @@ def test_only_verify_loads_scipy(tmp_path):
 
 
 STARTUP_WITHOUT_KERNEL = """\
-import importlib.resources, os, sys
+import importlib.resources, importlib.util, os, sys
 from pathlib import Path
 
 import asfes.cli
@@ -844,13 +845,17 @@ compiled = _ckernel._compiler() is not None
 for kind in ("rk4", "csv"):
     libraries = list(cache.glob(f"asfes/{kind}-*.so"))
     assert (libraries != []) == compiled, (kind, libraries)
+# the libraries are named and sealed by the interpreter's own sha256, where
+# it has one, not by hashlib, which loads OpenSSL's libcrypto
+if any(importlib.util.find_spec(name) for name in ("_sha256", "_sha2")):
+    assert "hashlib" not in sys.modules, "hashlib loaded by a run"
 """
 
 
 def test_start_up_compiles_nothing(tmp_path):
     # importing asfes and parsing a scenario compile nothing and load
-    # neither subprocess nor hashlib, which only a first build needs; the
-    # first run leaves its kernels and the CSV formatter in the cache
+    # neither subprocess, which only a first build needs, nor hashlib; the
+    # first run leaves its kernels and the output library in the cache
     (tmp_path / "cache").mkdir()
     env = {**_fresh_interpreter_env(), "XDG_CACHE_HOME": str(tmp_path / "cache")}
     done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_KERNEL, str(tmp_path)],
@@ -900,23 +905,60 @@ def _around(x: float) -> list:
 
 def _exact_path_values() -> list:
     """Values the formatter writes itself: the edges of its range, the
-    neighbours of powers of ten, and values halfway between two 17-digit
-    decimals, which round to the even one.  The range starts one ulp above
-    the double 1e-16, which is below 10**-16, and ends one below 2**127."""
-    values = [0.0, -0.0, math.nextafter(1e-16, 1.0), math.nextafter(2.0 ** 127, 0.0)]
-    for k in range(-15, 39):
+    neighbours of powers of ten and of two, values halfway between two
+    17-digit decimals, which round to the even one, and values just above
+    halfway.  The range is [2**-129, 2**127)."""
+    values = [0.0, -0.0, 2.0 ** -129, math.nextafter(2.0 ** -129, 1.0),
+              math.nextafter(2.0 ** 127, 0.0)]
+    # the range was (1e-16, 2**127): the double 1e-16 is below 10**-16
+    values += _around(1e-16)
+    for k in range(-38, 39):
         values += _around(10.0 ** k)
+    # [2**E, 2**(E + 1)) holds values of two decades where it spans a power
+    # of ten, and the formatter's first estimate of the decade is then low
+    for e in range(-128, 127):
+        values += _around(2.0 ** e)
     # n + 1/4 and n + 3/4 at 16 integer digits, n + 1/8 at 15: 18 digits,
     # the last a 5
     values += [1234567890123456.75, 1234567890123456.25, 1125899906842624.25,
                562949953421312.125, 562949953421312.375]
+    # the same in a binade where the estimate is low, so that the tie lies
+    # in an 18th digit, which is folded into the remainder: 10**15 + 1/4
+    # rounds down to the even digit, 10**15 + 3/4 up, and so on
+    values += [1000000000000000.25, 1000000000000000.75, 100000000000000.125,
+               100000000000000.375, 26215 / 2 ** 18, 26217 / 2 ** 18]
+    # below 1.1e-16 x 10**p is a 181-bit product, whose last 64 bits count
+    # only as nonzero: these round up, to an odd last digit, only by them
+    # (7.70033726190872465007e-17 and 1.02755991283929745002e-16, the
+    # second with an 18th digit)
+    values += [7.7003372619087247e-17, 1.0275599128392975e-16]
     return values + [-x for x in values]
 
 
 # values left to Python: not finite, subnormal, or out of the range
 OFF_PATH_VALUES = [math.nan, NEGATIVE_NAN, math.inf, -math.inf, 5e-324, -2.5e-310,
-                   2.2250738585072014e-308, 1e308, -1e-300, math.nextafter(1e-16, 0.0), 1e-16,
-                   2.0 ** 127, math.nextafter(2.0 ** 127, math.inf)]
+                   2.2250738585072014e-308, 1e308, -1e-300, -1e-39,
+                   math.nextafter(2.0 ** -129, 0.0), 2.0 ** 127,
+                   math.nextafter(2.0 ** 127, math.inf)]
+
+
+def _off_path(x: float) -> bool:
+    """Whether the formatter leaves ``x`` to Python's ``%``."""
+    return not (x == 0.0 or (math.isfinite(x) and 2.0 ** -129 <= abs(x) < 2.0 ** 127))
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def _left_to_python():
+    """A mock of the formatter's ``%``: its calls are the values that
+    went through Python's ``%``."""
+    return mock.patch.object(_ckernel, "_percent", wraps=_ckernel._percent)
+
+
+def _arguments(percent) -> list:
+    return [call.args[0] for call in percent.call_args_list]
 
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 1025])
@@ -924,25 +966,26 @@ OFF_PATH_VALUES = [math.nan, NEGATIVE_NAN, math.inf, -math.inf, 5e-324, -2.5e-31
 def test_block_csv_is_savetxt(tmp_path, csv_backend, rows, wide):
     # rows formatted a block at a time are the bytes of np.savetxt, across
     # the block boundary: over all decades with nan, -nan, +-inf, -0.0 and
-    # subnormal values, where blocks fall back to Python, and over the
+    # subnormal values, which go to Python's % one at a time, and over the
     # formatter's range with its edge values, where none does
     rng = np.random.default_rng(rows)
     if wide:
         table = rng.standard_normal((rows, 11)) * 10.0 ** rng.integers(-300, 300, (rows, 11))
         special = OFF_PATH_VALUES
     else:
-        table = rng.choice([-1.0, 1.0], (rows, 11)) * 10.0 ** rng.uniform(-15.9, 38.2, (rows, 11))
+        table = rng.choice([-1.0, 1.0], (rows, 11)) * 10.0 ** rng.uniform(-38.8, 38.2, (rows, 11))
         special = _exact_path_values()
     table.flat[rng.choice(table.size, min(table.size, 40), replace=False)] = \
         rng.choice(special, min(table.size, 40))
     cols = ["t", *(f"c{i}" for i in range(10))]
-    write_csv(tmp_path / "block.csv", cols, table)
+    with _left_to_python() as percent:
+        write_csv(tmp_path / "block.csv", cols, table)
     np.savetxt(tmp_path / "savetxt.csv", table, fmt="%.17g", delimiter=",",
                header=",".join(cols), comments="")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
-    if csv_backend is not None and not wide:
-        assert all(csv_backend(table[start:start + CSV_BLOCK_ROWS]) is not None
-                   for start in range(0, rows, CSV_BLOCK_ROWS))
+    if csv_backend is not None:
+        assert _bits(_arguments(percent)) == _bits([x for x in table.flat if _off_path(x)])
+        assert wide or not percent.called
 
 
 def test_edge_values_csv(tmp_path, csv_backend):
@@ -953,16 +996,27 @@ def test_edge_values_csv(tmp_path, csv_backend):
     assert (tmp_path / "edges.csv").read_bytes() == expected.encode()
     assert "%.17g" % NEGATIVE_NAN == "nan"
     if csv_backend is not None:
-        # the exact-path values are written by the formatter, the others
-        # are left to Python
-        assert bytes(csv_backend(np.array(_exact_path_values())[:, None])) == \
-            "".join("%.17g\n" % x for x in _exact_path_values()).encode()
-        for x in OFF_PATH_VALUES:
-            assert csv_backend(np.array([[1.0, x]])) is None, x
+        # the exact-path values are written by the formatter; the others,
+        # mid-row, by Python's %, one at a time, and the formatter goes on
+        # after each in the same row
+        exact = _exact_path_values()
+        with _left_to_python() as percent:
+            assert bytes(csv_backend(np.array(exact)[:, None])) == \
+                "".join("%.17g\n" % x for x in exact).encode()
+        assert not percent.called
+        block = np.array([[exact[i], x, exact[-i]] for i, x in enumerate(OFF_PATH_VALUES)])
+        with _left_to_python() as percent:
+            text = bytes(csv_backend(block))
+        assert text == "".join(",".join("%.17g" % x for x in row) + "\n"
+                               for row in block.tolist()).encode()
+        assert _bits(_arguments(percent)) == _bits(OFF_PATH_VALUES)
 
 
-# any float, or one in the formatter's range, which st.floats() seldom draws
-CSV_FLOATS = st.floats() | st.floats(1e-15, 1e37) | st.floats(-1e37, -1e-15)
+# any float, or one in the formatter's range, at its low edge or among its
+# edge values, which st.floats() seldom draws
+CSV_FLOATS = (st.floats() | st.floats(1e-15, 1e37) | st.floats(-1e37, -1e-15)
+              | st.floats(1e-40, 1e-36) | st.floats(5e-17, 2e-16)
+              | st.sampled_from(_exact_path_values() + OFF_PATH_VALUES))
 
 
 @compiler
@@ -970,13 +1024,14 @@ CSV_FLOATS = st.floats() | st.floats(1e-15, 1e37) | st.floats(-1e37, -1e-15)
 @given(table=st.integers(1, 15).flatmap(lambda cols: st.lists(
     st.lists(CSV_FLOATS, min_size=cols, max_size=cols), min_size=1, max_size=8)))
 def test_formatter_is_python_percent(tmp_path_factory, table):
-    # any table of floats gives the bytes of "%.17g" % x joined row by row:
-    # the formatter writes a row exactly or leaves it to Python
+    # any table of floats gives the bytes of "%.17g" % x joined row by row,
+    # and only values off the formatter's exact path go through Python's %
     lines = [",".join("%.17g" % x for x in row) + "\n" for row in table]
     text = _ckernel.formatter()
-    for row, line in zip(table, lines):
-        written = text(np.array([row]))
-        assert written is None or bytes(written) == line.encode(), row
+    with _left_to_python() as percent:
+        for row, line in zip(table, lines):
+            assert bytes(text(np.array([row]))) == line.encode(), row
+    assert _bits(_arguments(percent)) == _bits([x for row in table for x in row if _off_path(x)])
     path = tmp_path_factory.getbasetemp() / "floats.csv"
     write_csv(path, [f"c{i}" for i in range(len(table[0]))], np.array(table))
     assert path.read_bytes().split(b"\n", 1)[1] == "".join(lines).encode()
