@@ -142,9 +142,8 @@ class Kernel:
     def __init__(self, function, names: tuple, rows: int):
         self.function, self.names, self.rows = function, names, rows
 
-    def bind(self, values: dict) -> Optional[Callable]:
-        """The stepper of the field whose constants and held rows are
-        ``values``, by name; None if one of them is not a real number.
+    def bind(self, values: dict) -> Callable:
+        """The stepper of the field whose float constants and held rows are ``values``, by name.
 
         ``step(y, n_steps, h, stride, guard)`` steps the floats ``y`` and
         gives ``(times (R,), states (R, rows), stopped, crossed)``, the step
@@ -152,10 +151,7 @@ class Kernel:
         import ctypes
 
         double = ctypes.c_double
-        try:
-            p = (double * len(self.names))(*[float(values[name]) for name in self.names])
-        except (TypeError, ValueError, OverflowError):
-            return None
+        p = (double * len(self.names))(*[float(values[name]) for name in self.names])
         function, rows, count = self.function, self.rows, ctypes.c_int64 * 2
 
         def step(y, n_steps, h, stride, guard):
@@ -447,6 +443,8 @@ def _text(function) -> Callable:
         nonlocal buffer, chars
         block = np.ascontiguousarray(block, dtype=np.float64)
         count, cols = block.size, block.shape[1]
+        if cols == 0:       # each row an empty line, as Python's % and np.savetxt write it
+            return memoryview(b"\n" * block.shape[0])
         if len(buffer) < (count + 2) * FORMAT_WIDTH:
             buffer = bytearray((count + 2) * FORMAT_WIDTH)
             chars = (ctypes.c_char * len(buffer)).from_buffer(buffer)

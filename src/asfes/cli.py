@@ -201,7 +201,6 @@ def parse_scenario(path) -> Scenario:
             raise ParseError(lineno, f"duplicate key {key!r} in section [{section}]")
         else:
             sections[section][key] = (lineno, value)
-        continue
 
     def require(section_name: str, key: str):
         try:
@@ -286,9 +285,9 @@ def parse_scenario(path) -> Scenario:
     optimum = constrained_minimum(plant)
     require_finite(np.append(optimum.theta_smin, optimum.j_s_star),
                    "constrained minimum of [plant] hessian_row, theta_star, j_star, h0 and h1")
-    # per-variant configs are validated here so a bad combination fails fast
+    # every rate and per-variant config is validated here, before any run
     for c in c_values:
-        for variant in opts["variants"]:
+        for variant in (config.variant, *opts["variants"]):
             replace(config, c=c, variant=variant)
     return Scenario(
         plant=plant, config=config, c_values=c_values,
@@ -450,9 +449,8 @@ def run_simulate(scenario: Scenario, output_dir) -> int:
             if scenario.include_average:
                 x0 = exact_initial_state(plant, cfg, theta0).as_vector()
                 x0[average_layout.theta] = theta0 - plant.theta_star
-                f = make_average_rhs(plant, cfg)
-                run(f"average_c{c:g}_x{xi}", lambda t, y: f(y), x0, slow, "theta_tilde", c,
-                    average_channels(plant), average_layout)
+                run(f"average_c{c:g}_x{xi}", make_average_rhs(plant, cfg), x0, slow,
+                    "theta_tilde", c, average_channels(plant), average_layout)
             if scenario.include_reduced:
                 run(f"reduced_c{c:g}_x{xi}", reduced, theta0 - plant.theta_star, slow,
                     "theta_tilde", c, average_channels(plant))

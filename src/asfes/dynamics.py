@@ -51,8 +51,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
-from .problem import PlantModel
+from .errors import DimensionMismatch, NotScalar, ValidationError
+from .problem import PlantModel, component_sum, finite_float
 from .signals import DitherConfig
 
 
@@ -78,11 +78,10 @@ class AlgorithmConfig:
         for name in ("k", "c", "delta", "omega_f"):
             if np.ndim(getattr(self, name)) != 0:
                 raise ValidationError(f"{name} must be one number, got {getattr(self, name)!r}")
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"{name} must be finite, got {value!r}")
+            value = finite_float(getattr(self, name), name)
             if value <= 0.0:
                 raise ValidationError(f"{name} must be strictly positive")
+            object.__setattr__(self, name, value)
         if self.variant is Variant.NEWTON_ASFES and self.dither.dimension != 1:
             raise NotScalar(
                 "the Newton-based variant is only defined for one parameter"
@@ -344,24 +343,28 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
     """The field ``model`` (see :func:`_field_parts`) of ``plant`` and
     ``cfg``, its template bound to their constants and to ``constants``.
 
-    The last argument is the state; a list of ``size`` floats gives a list,
-    any other ``(size,)`` state (a number at size 1) an array, a dithered
-    field's ``(size, B)`` array its columns, and anything else is
-    :class:`DimensionMismatch`.  The field carries its template,
-    ``(model, n, size, constants)``, for the integrator's RK4 loop."""
+    The field takes ``(t, y)``, an autonomous one also ``(y)``, ``t`` unread.
+    A list of ``size`` floats ``y`` gives a list, any other ``(size,)`` state
+    (a number at size 1) an array, a dithered field's ``(size, B)`` array
+    its columns, and anything else is :class:`DimensionMismatch`.  The field
+    carries its template, ``(model, n, size, constants)``, for the RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
         raise DimensionMismatch(f"dither has {cfg.dimension} frequencies, plant dimension is {n}")
     values = [plant.j_star, plant.h0, *plant.h1.tolist(), *plant.theta_star.tolist(),
-              *plant.hessian.ravel().tolist(), cfg.k, -cfg.k, float(cfg.c), cfg.delta,
-              cfg.omega_f]
+              *plant.hessian.ravel().tolist(), cfg.k, -cfg.k, cfg.c, cfg.delta, cfg.omega_f]
     constants = {**dict(zip(_constant_names(n), values, strict=True)), **constants}
     dithered = model not in ("average", "reduced")
+    nargs = 2 if dithered else 1        # the source's own (t, y) or (y)
     size = n if model == "reduced" else StateLayout.of(n, model == Variant.NEWTON_ASFES.value).size
     floats = _field(model, n, "floats", constants)
     rows = _field(model, n, "rows", constants) if dithered else None
 
     def field(*args):
+        if len(args) != nargs:
+            if dithered or len(args) != 2:
+                raise TypeError(f"the {model} field takes {2 if dithered else '1 or 2'} arguments")
+            args = args[1:]                 # the stepper's (t, y), t unread
         y = args[-1]
         if type(y) is list and len(y) == size and all(type(v) is float for v in y):
             return floats(*args)
@@ -415,10 +418,7 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     picks the shape.  It also carries ``template``, the
     ``(model, n, size, constants)`` it was built from, so that the
     integrator can write the field's body into its generated RK4 loop,
-    and into the C kernel rendered from it.  One state's RK4 step takes
-    about 0.14 us at n = 1, 0.23 at n = 2 and 0.31 at n = 3 in the kernel,
-    and 6, 10 and 13 us in the Python loop (medians on a shared 2-core
-    Xeon VM, Python 3.11, gcc 12.2; see ``BENCH_c_kernel.json``).
+    and into the C kernel rendered from it.
     """
     a = cfg.dither.amplitude
     omegas = zip(_names("w", plant.dimension), cfg.dither.omegas().tolist())
@@ -427,7 +427,7 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
 
 
 def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
-    """Build ``f(x) -> dx`` for the averaged dynamics (autonomous).
+    """Build ``f(x) -> dx``, or ``f(t, x)`` with ``t`` unread, for the averaged dynamics.
 
     The filter rows relax to H theta_tilde, J(theta_tilde + theta*) plus
     the probing bias (a^2/4) tr(H), h1, and h(theta_tilde + theta*); the
@@ -446,7 +446,7 @@ def make_average_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
 
 def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     """Build ``f(x) -> dx`` for the quasi-steady reduced model in the
-    theta_tilde coordinate.
+    theta_tilde coordinate; it also takes ``f(t, x)``, ``t`` unread.
 
     Obtained by pinning every filter at its instantaneous fixed point:
     -k H x + h1/||h1||^2 * smooth_max(k x'H h1 - c (h0 + h1'x), delta).
@@ -458,10 +458,7 @@ def make_reduced_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     computed on Python floats from the field's expression template, and the
     integrator fuses it as it does the dithered field.
     """
-    h1 = plant.h1.tolist()
-    q = h1[0] * h1[0]
-    for v in h1[1:]:
-        q = q + v * v
+    h1, q = plant.h1.tolist(), component_sum(plant.h1 * plant.h1)
     return _bind("reduced", plant, cfg, dict(zip(_names("p", len(h1)), [v / q for v in h1])))
 
 

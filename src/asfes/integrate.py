@@ -197,12 +197,12 @@ def integrate(
 
     The state is stepped on Python floats: ``rhs(t, y)`` gets a list of
     ``size`` floats and returns a list or a 1-D array of as many, which
-    the stepper turns into a list.  A field of :func:`~asfes.dynamics.make_rhs`,
-    :func:`~asfes.dynamics.make_average_rhs` or
-    :func:`~asfes.dynamics.make_reduced_rhs` is not called but written into
-    the stepping loop, and an ``x0`` that is not of its size is a
-    :class:`DimensionMismatch`.  ``channels`` is called once, on all the
-    records (see :data:`ChannelFn`).
+    the stepper turns into a list.  Every field of :mod:`asfes.dynamics`
+    takes that form (:func:`~asfes.dynamics.make_average_rhs` and
+    :func:`~asfes.dynamics.make_reduced_rhs` leave ``t`` unread), but is
+    not called: it is written into the stepping loop, and an ``x0`` that is
+    not of its size is a :class:`DimensionMismatch`.  ``channels`` is
+    called once, on all the records (see :data:`ChannelFn`).
 
     A state that leaves the reals raises :class:`NonFiniteState`, carrying
     the trajectory recorded up to the step before, channels included.
@@ -447,9 +447,8 @@ def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callabl
 
         key = (model, n, len(held), gamma_index)
         kernel = _ckernel.kernel(key, _loop_parts(*key))
-        step = None if kernel is None else kernel.bind(values)
-        if step is not None:
-            return step
+        if kernel is not None:
+            return kernel.bind(values)
     names = _SHAPES["floats"] if model else {"as_list": _as_list}
     loop = types.FunctionType(_loop_code(model, n, len(held), gamma_index), {**values, **names})
 

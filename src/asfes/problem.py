@@ -33,7 +33,20 @@ def _vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
+    require_finite(v, name)
     return v
+
+
+def finite_float(value, name: str) -> float:
+    """``value`` as a Python float, so that no numpy scalar's precision reaches
+    the fields, or :class:`NonFiniteValue` naming ``name`` where not finite."""
+    try:
+        value = float(value)
+    except OverflowError:       # an integer beyond the float range, as 1e400 is
+        value = np.inf if value > 0 else -np.inf
+    if not -np.inf < value < np.inf:
+        raise NonFiniteValue(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def require_finite(value, name: str) -> None:
@@ -49,6 +62,7 @@ def _matrix(x) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"hessian must be square, got shape {m.shape}")
+    require_finite(m, "hessian")
     return m
 
 
@@ -61,11 +75,9 @@ class QuadraticObjective:
     theta_star: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "j_star", float(self.j_star))
+        object.__setattr__(self, "j_star", finite_float(self.j_star, "j_star"))
         object.__setattr__(self, "hessian", _matrix(self.hessian))
         object.__setattr__(self, "theta_star", _vector(self.theta_star, "theta_star"))
-        for name in ("j_star", "hessian", "theta_star"):
-            require_finite(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -76,10 +88,8 @@ class LinearBarrier:
     h1: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "h0", float(self.h0))
+        object.__setattr__(self, "h0", finite_float(self.h0, "h0"))
         object.__setattr__(self, "h1", _vector(self.h1, "h1"))
-        require_finite(self.h0, "h0")
-        require_finite(self.h1, "h1")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .errors import (
     ResonantTriple,
     ValidationError,
 )
+from .problem import finite_float
 
 
 def _as_fraction(r) -> Fraction:
@@ -55,13 +56,10 @@ class DitherConfig:
     base_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "base_scale", float(self.base_scale))
+        for name in ("amplitude", "base_scale"):
+            object.__setattr__(self, name, finite_float(getattr(self, name), f"dither {name}"))
         ratios = tuple(_as_fraction(r) for r in self.ratios)
         object.__setattr__(self, "ratios", ratios)
-        for name in ("amplitude", "base_scale"):
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteValue(f"dither {name} must be finite, got {getattr(self, name)!r}")
         if self.amplitude <= 0.0:
             raise NonPositiveAmplitude("dither amplitude must be positive")
         # the averaged model scales by a^2, the Newton demodulator by 16/a^2

@@ -107,6 +107,34 @@ def test_warmup_is_the_same_on_both_back_ends(monkeypatch, variant, n, theta0, t
     assert compiled == _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
 
 
+@compiler
+def test_simulate_steps_the_averaged_run_in_its_kernel(monkeypatch, tmp_path):
+    # run_simulate passes the averaged field to the integrator as it is, so
+    # example 1's averaged run, gamma watched at row 5, loads its kernel
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    scenario = tmp_path / "small.scenario"
+    scenario.write_text(EX1_SMALL)
+    run_simulate(parse_scenario(scenario), tmp_path / "sim")
+    assert _ckernel._loaded[("average", 1, 0, 5)] is not None
+
+
+@compiler
+def test_numpy_scalar_constants_step_alike_on_both_back_ends(monkeypatch, plant1, cfg1):
+    # a float32 gain is stored as a Python float: the Python loop would
+    # otherwise compute in float32 where the kernel reads a double
+    cfg = replace(cfg1, k=np.float32(cfg1.k), c=np.float32(cfg1.c))
+    settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=0.5)
+    x0 = exact_initial_state(plant1, cfg, [-3.0]).as_vector()
+
+    def run():
+        traj = integrate(make_rhs(plant1, cfg), x0, settings, gamma_index=5)
+        return traj.times.tobytes(), traj.states.tobytes()
+
+    compiled = run()
+    use_python_loop(monkeypatch)
+    assert run() == compiled
+
+
 # ---- where no kernel can be had ----------------------------------------------
 
 def _runs(plant1, cfg1, out: Path) -> list:

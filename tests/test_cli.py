@@ -229,6 +229,25 @@ class TestParseScenario:
         assert f"error: line {line}: {key}: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rates, error", [("1, -1", "strictly positive"),
+                                              ("1, 0", "strictly positive"),
+                                              ("1, nan", "finite")])
+    def test_every_rate_is_checked_with_no_variant_to_run(self, tmp_path, capsys, scenario_dir,
+                                                          rates, error):
+        # a rate after the first is rejected at parse time even where no
+        # dithered variant runs, before any run writes its CSV
+        text = (scenario_dir / "example2.scenario").read_text()
+        text = re.sub(r"(?m)^c = .*$", f"c = {rates}", text)
+        text = re.sub(r"(?m)^variants = .*$", "variants =", text)
+        text = re.sub(r"(?m)^include_average = .*$", "include_average = true", text)
+        path = write_scenario(tmp_path, text)
+        with pytest.raises(ValidationError, match=f"^c must be {error}"):
+            parse_scenario(path)
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert f"error: c must be {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_start_whose_objective_overflows_rejected(self, tmp_path):
         path = write_scenario(tmp_path, EX1_SMALL.replace("theta0 = -3", "theta0 = 1e308"))
         with warnings.catch_warnings():
@@ -986,6 +1005,20 @@ def test_block_csv_is_savetxt(tmp_path, csv_backend, rows, wide):
     if csv_backend is not None:
         assert _bits(_arguments(percent)) == _bits([x for x in table.flat if _off_path(x)])
         assert wide or not percent.called
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_table_of_no_columns_is_savetxt(tmp_path, csv_backend, rows):
+    # each row of no values is an empty line on both back ends, as np.savetxt
+    # writes it; the header of no columns is an empty line too, which
+    # np.savetxt leaves out
+    table = np.zeros((rows, 0))
+    write_csv(tmp_path / "block.csv", [], table)
+    np.savetxt(tmp_path / "savetxt.csv", table, fmt="%.17g", delimiter=",", comments="")
+    assert (tmp_path / "block.csv").read_bytes() == b"\n" + (tmp_path / "savetxt.csv").read_bytes()
+    assert (tmp_path / "block.csv").read_bytes() == b"\n" * (rows + 1)
+    if csv_backend is not None:
+        assert bytes(csv_backend(table)) == b"\n" * rows
 
 
 def test_edge_values_csv(tmp_path, csv_backend):

@@ -696,6 +696,55 @@ def test_fields_return_a_list_for_a_list(case, rng):
             field(bad)
 
 
+@pytest.mark.parametrize("case", ["average1", "average2", "average3", "reduced1", "reduced2",
+                                  "reduced3", "asfes1", "newton1", "classical2", "asfes3"])
+def test_fields_take_the_steppers_call_form(case, rng):
+    # the stepper calls every field as f(t, y): an autonomous field, averaged
+    # or reduced, takes that form as well as f(y), leaves t unread and gives
+    # the same bits either way, for a list and for an array.  A dithered
+    # field needs its t, and any other count of arguments is a TypeError
+    model, n = case[:-1], int(case[-1])
+    plant = random_plant(rng, n)
+    if model in ("average", "reduced"):
+        make = make_average_rhs if model == "average" else make_reduced_rhs
+        field = make(plant, random_config(rng, n))
+        y = rng.uniform(-1.0, 1.0, n) if model == "reduced" else random_full_state(rng, n)
+        for state in (y.tolist(), y):
+            alone = field(state)
+            for t in (0.0, 0.37, -5.0, np.array([0.1, 0.2])):
+                timed = field(t, state)
+                assert type(timed) is type(alone)
+                assert np.asarray(timed).tobytes() == np.asarray(alone).tobytes()
+        wrong = [(), (0.0, 0.0, y)]
+    else:
+        field = make_rhs(plant, random_config(rng, n, Variant(model)))
+        y = random_full_state(rng, n)
+        if model == "newton":
+            y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
+        assert np.asarray(field(0.37, y.tolist())).tobytes() == field(0.37, y).tobytes()
+        wrong = [(), (y,), (y.tolist(),), (np.stack([y, y], axis=1),), (0.0, 0.0, y)]
+    for args in wrong:
+        with pytest.raises(TypeError, match=f"the {model} field takes"):
+            field(*args)
+
+
+def test_config_constants_are_python_floats():
+    # numpy scalars and integers are stored as Python floats, so that a
+    # field computes in float64 on every back end (see test_ckernel.py)
+    dith = DitherConfig(np.float32(0.25), (1,), np.int64(200))
+    cfg = AlgorithmConfig(k=np.float32(0.3), c=np.float64(0.1), delta=np.float32(1e-3),
+                          omega_f=3, dither=dith)
+    for value in (cfg.k, cfg.c, cfg.delta, cfg.omega_f, dith.amplitude, dith.base_scale):
+        assert type(value) is float
+    assert (cfg.k, cfg.omega_f, dith.amplitude) == (float(np.float32(0.3)), 3.0, 0.25)
+    assert type(replace(cfg, c=np.float32(2.0)).c) is float
+    plant = validate_plant(QuadraticObjective(np.float32(0.5), 0.1, 0.0),
+                           LinearBarrier(np.int64(-1), -1.0))
+    assert type(plant.j_star) is float and type(plant.h0) is float
+    y = warmed_state_example1().as_vector().tolist()
+    assert all(type(v) is float for v in make_rhs(plant, cfg)(0.1, y))
+
+
 class TestStateContainers:
     @pytest.mark.parametrize("cls, n, newton", [
         (FullState, 3, False), (FullState, 1, True), (Equilibrium, 2, False),

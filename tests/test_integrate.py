@@ -643,6 +643,20 @@ def test_overflowing_inputs_fail_by_name_without_warnings(plant1, cfg1):
             validate_plant(QuadraticObjective(0.0, 0.1, 0.0), LinearBarrier(-1.0, -1e308))
         with pytest.raises(NonFiniteValue, match="ratios"):
             DitherConfig(0.25, ("1e308",), 200.0)
+        # an integer beyond the float range is not finite either, and is named
+        huge = 10**400
+        for make, name in [
+            (lambda: DitherConfig(huge, (1,), 200.0), "dither amplitude"),
+            (lambda: DitherConfig(0.25, (1,), -huge), "dither base_scale"),
+            (lambda: replace(cfg1, k=huge), "k"),
+            (lambda: replace(cfg1, c=huge), "c"),
+            (lambda: replace(cfg1, delta=-huge), "delta"),
+            (lambda: replace(cfg1, omega_f=huge), "omega_f"),
+            (lambda: QuadraticObjective(huge, 0.1, 0.0), "j_star"),
+            (lambda: LinearBarrier(-huge, -1.0), "h0"),
+        ]:
+            with pytest.raises(NonFiniteValue, match=f"^{name} must be finite"):
+                make()
 
 
 class TestNumericAverage:
