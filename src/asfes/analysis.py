@@ -40,7 +40,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .integrate import Trajectory
-from .problem import ConstrainedOptimum, PlantModel
+from .problem import ConstrainedOptimum, PlantModel, finite_float
 
 PAIRING_TOL = 1e-8
 OMEGA_F_EIGEN_TOL = 1e-8
@@ -216,7 +216,7 @@ def finite_diff_jacobian(
     rhs: Callable[[np.ndarray], np.ndarray], x0, step: float
 ) -> np.ndarray:
     """Central-difference Jacobian, column j from (f(x+s e_j) - f(x-s e_j)) / 2s."""
-    if step <= 0.0:
+    if not finite_float(step, "step") > 0.0:
         raise NonPositiveTolerance("step must be positive")
     x0 = np.asarray(x0, float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -13,28 +13,20 @@ Five systems share one state, whose blocks and their positions
   rows alone.
 
 States are component-major.  One run is one ``(size,)`` vector, with one
-attractivity rate, its config's ``c``.  The dithered field also evaluates
-a ``(size, B)`` array, one state per column, each at its own time: the
-averaging oracle (:func:`asfes.integrate.numeric_average`) takes all its
-quadrature nodes in one such call.  The layout's slices and indices
-address both shapes the same way.
+attractivity rate, its config's ``c``.  Every field takes one state, and the
+layout's slices and indices address it.
 
 The dithered, averaged and reduced fields are each written once, as an
 expression template: a generator emits the source of the field with every
 component unrolled for the dimension n (and, for the dithered field, the
-variant), and the source is compiled once per model, n and shape.  One
-binder makes the field of every model, with one set of input rules: one
-state is computed on Python floats, a list in and a list out, and any
-other one state goes through the float shape and comes back as an array;
-the dithered field's columns are computed on their ``(B,)`` rows with
-numpy.  Every field carries its template, size included, and the
-integrator writes its body straight into its generated RK4 loop (see
-:mod:`asfes.integrate`).  On a few components numpy's per-call cost, not
-the arithmetic, sets the price of a call: one n = 2 call of the dithered
-field on one state costs about 2 us as a list and 70 us as the rows of a
-``(size, 1)`` array (``timeit`` minimum on a shared 2-core VM, Python
-3.11).  Every sum runs left to right and no matrix product is taken, so
-each column is bit for bit the state computed alone.
+variant), and the source is compiled once per model and n.  One binder
+makes the field of every model, with one set of input rules: one state is
+computed on Python floats, a list in and a list out, and any other one
+state goes through the same floats and comes back as an array.  Every
+field carries its template, size included, and the integrator writes its
+body straight into its generated RK4 loop (see :mod:`asfes.integrate`).
+Every sum runs left to right and no matrix product is taken, so a
+state's value is bit for bit the same in every caller.
 
 theta = theta_hat + S(t) is the point actually fed to the plant maps; it is
 derived, never stored.
@@ -76,8 +68,6 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         for name in ("k", "c", "delta", "omega_f"):
-            if np.ndim(getattr(self, name)) != 0:
-                raise ValidationError(f"{name} must be one number, got {getattr(self, name)!r}")
             value = finite_float(getattr(self, name), name)
             if value <= 0.0:
                 raise ValidationError(f"{name} must be strictly positive")
@@ -100,13 +90,12 @@ class StateLayout:
     """Positions of the blocks of the algorithm state, in the order
     ``[theta, G_J, eta_J, G_h, eta_h, gamma(, Gamma)]``.
 
-    Vector blocks are slices and scalar blocks ints, so they index a state
-    ``(size,)`` and a ``(size, B)`` array of states alike; ``gamma_newton``
-    is None without the Newton block, and ``blocks`` holds the positions in
-    order.
-    ``filters`` is every row after theta, which is also the boundary-layer
-    state, and ``filter_names`` names those rows as CSV columns.  Build one
-    with :meth:`of`, which makes each layout once.
+    Vector blocks are slices and scalar blocks ints, which index a state
+    ``(size,)``; ``gamma_newton`` is None without the Newton block, and
+    ``blocks`` holds the positions in order.  ``filters`` is every row after
+    theta, which is also the boundary-layer state, and ``filter_names``
+    names those rows as CSV columns.  Build one with :meth:`of`, which makes
+    each layout once.
     """
 
     n: int
@@ -195,24 +184,13 @@ class FullState(PackedBlocks):
 #
 # Each field is written once, below, as the source of one function with every
 # component unrolled for the dimension n.  Every sum runs left to right and is
-# fully parenthesised, so one column's value never depends on the columns
-# around it.  One source serves two shapes, which differ only in the names
-# the function finds in its namespace and in how the result is assembled:
-#
-# * floats: one state as a list of Python floats, with math's sin and sqrt;
-#   the function returns a list;
-# * rows: a component-major ``(size, B)`` array of states, each component a
-#   ``(B,)`` row, with numpy's sin and sqrt; the function returns a
-#   ``(size, B)`` array.  Only the dithered field is built in this shape,
-#   for the averaging oracle.
-#
-# math.sin and math.sqrt round as numpy's do, so a column is bit for bit the
-# state computed alone.  Plant and design constants are bound through the
-# namespace as well, never written into the source, so each source is
-# compiled once per (model, n, shape).
+# fully parenthesised.  The function takes one state as a list of Python
+# floats, computes with math's sin and sqrt, which round as numpy's do, and
+# returns a list.  Plant and design constants are bound through the
+# function's namespace, never written into the source, so each source is
+# compiled once per (model, n).
 
-_SHAPES = {"floats": {"sin": math.sin, "sqrt": math.sqrt},
-           "rows": {"sin": np.sin, "sqrt": np.sqrt, "array": np.array}}
+_MATH = {"sin": math.sin, "sqrt": math.sqrt}
 # smooth_max(arg, delta), as the fields write it
 _SOFT_MAX = "(0.5 * (arg + sqrt(((arg * arg) + delta))))"
 
@@ -298,16 +276,13 @@ def _field_parts(model: str, n: int) -> tuple:
     return (["y"] if model == "average" else ["t", "y"]), state, lines, rows
 
 
-def _field_source(model: str, n: int, shape: str) -> str:
-    """The source of one shape of a field (see the comment above
-    :func:`_sum`)."""
+def _field_source(model: str, n: int) -> str:
+    """The source of a field (see the comment above :data:`_MATH`)."""
     params, state, lines, rows = _field_parts(model, n)
     result = "[" + ",\n            ".join(rows) + "]"
-    if shape == "rows":
-        result = f"array({result})"
     unpack = f"{', '.join(state)}, = {params[-1]}"
     body = "\n".join(f"    {line}" for line in [unpack, *lines, f"return {result}"])
-    return f"def {model}_{shape}({', '.join(params)}):\n{body}\n"
+    return f"def {model}({', '.join(params)}):\n{body}\n"
 
 
 def _function_code(source: str, filename: str) -> types.CodeType:
@@ -317,13 +292,13 @@ def _function_code(source: str, filename: str) -> types.CodeType:
 
 
 @functools.cache
-def _field_code(model: str, n: int, shape: str) -> types.CodeType:
-    return _function_code(_field_source(model, n, shape), f"<asfes {model} field, n={n}>")
+def _field_code(model: str, n: int) -> types.CodeType:
+    return _function_code(_field_source(model, n), f"<asfes {model} field, n={n}>")
 
 
-def _field(model: str, n: int, shape: str, constants: dict) -> Callable:
-    """One shape of a field, bound to ``constants``."""
-    return types.FunctionType(_field_code(model, n, shape), {**constants, **_SHAPES[shape]})
+def _field(model: str, n: int, constants: dict) -> Callable:
+    """A field, bound to ``constants``."""
+    return types.FunctionType(_field_code(model, n), {**constants, **_MATH})
 
 
 @functools.cache
@@ -344,10 +319,10 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
     ``cfg``, its template bound to their constants and to ``constants``.
 
     The field takes ``(t, y)``, an autonomous one also ``(y)``, ``t`` unread.
-    A list of ``size`` floats ``y`` gives a list, any other ``(size,)`` state
-    (a number at size 1) an array, a dithered field's ``(size, B)`` array
-    its columns, and anything else is :class:`DimensionMismatch`.  The field
-    carries its template, ``(model, n, size, constants)``, for the RK4 loop."""
+    ``y`` is one state: a list of ``size`` floats gives a list, any other
+    ``(size,)`` state (a number at size 1) an array, and anything else is
+    :class:`DimensionMismatch`.  The field carries its template,
+    ``(model, n, size, constants)``, for the RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
         raise DimensionMismatch(f"dither has {cfg.dimension} frequencies, plant dimension is {n}")
@@ -357,8 +332,7 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
     dithered = model not in ("average", "reduced")
     nargs = 2 if dithered else 1        # the source's own (t, y) or (y)
     size = n if model == "reduced" else StateLayout.of(n, model == Variant.NEWTON_ASFES.value).size
-    floats = _field(model, n, "floats", constants)
-    rows = _field(model, n, "rows", constants) if dithered else None
+    floats = _field(model, n, constants)
 
     def field(*args):
         if len(args) != nargs:
@@ -375,10 +349,7 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
                 f"a state must be {size} numbers, got a {type(y).__name__}") from None
         if y.shape == (size,) or (y.ndim == 0 and size == 1):
             return np.array(floats(*args[:-1], y.reshape(size).tolist()))
-        if dithered and y.ndim == 2 and y.shape[0] == size:
-            return rows(*args[:-1], y)
-        raise DimensionMismatch(f"state of shape {y.shape}, expected ({size},)"
-                                + (f" or ({size}, B)" if dithered else ""))
+        raise DimensionMismatch(f"state of shape {y.shape}, expected ({size},)")
 
     field.template = (model, n, size, constants)
     return field
@@ -405,20 +376,16 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     measurements, and gamma tracks 1/||G_h||^2 through its scalar Riccati
     equation.
 
-    ``y`` is one state ``(size,)``: a list of floats gives a list, any
-    other state an array.  A component-major ``(size, B)`` array of states
-    gives ``(size, B)``; ``t`` may then be a vector of B times, one per
-    column, as the averaging oracle passes its quadrature nodes.  Any other
-    shape is :class:`DimensionMismatch`.
+    ``y`` is one state ``(size,)`` and ``t`` one time: a list of floats
+    gives a list, any other state an array.  Any other shape is
+    :class:`DimensionMismatch`.
 
     The arithmetic is the field's expression template, unrolled for n and
-    the variant and built in two shapes: one state on Python floats and the
-    columns of a 2-D array on their ``(B,)`` rows.  The closure returned,
-    made by the binder that serves every model, only checks the state and
-    picks the shape.  It also carries ``template``, the
-    ``(model, n, size, constants)`` it was built from, so that the
-    integrator can write the field's body into its generated RK4 loop,
-    and into the C kernel rendered from it.
+    the variant and computed on Python floats.  The closure returned, made
+    by the binder that serves every model, only checks the state.  It also
+    carries ``template``, the ``(model, n, size, constants)`` it was built
+    from, so that the integrator can write the field's body into its
+    generated RK4 loop, and into the C kernel rendered from it.
     """
     a = cfg.dither.amplitude
     omegas = zip(_names("w", plant.dimension), cfg.dither.omegas().tolist())

@@ -25,11 +25,9 @@ kernel, against 6, 10 and 13 us in the Python loop (medians on a shared
 Warmup steps the filter rows alone, one signal period after another, in
 a loop that holds the parameter as a constant.
 
-The quadrature oracle, :func:`numeric_average`, is the only user of scipy
-in the package, and loads it when first called.  Importing :mod:`asfes`,
-parsing a scenario, simulating and analyzing never load scipy, which
-takes about three quarters of a fresh interpreter's start-up when loaded
-(``BENCH_lazy_scipy.json``).
+The averaging oracle, :func:`numeric_average`, takes the mean of the
+dithered field at equally spaced times over the dither's common period,
+which is its exact period average: no quadrature library is needed.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .dynamics import (
-    _SHAPES,
+    _MATH,
     AlgorithmConfig,
     FullState,
     StateLayout,
@@ -64,8 +62,8 @@ from .errors import (
     ValidationError,
     WarmupTimeout,
 )
-from .problem import PlantModel, component_sum, eval_barrier, eval_objective, require_finite
-from .signals import dither, signal_period
+from .problem import PlantModel, component_sum, eval_barrier, eval_objective, finite_float
+from .signals import dither, fundamental_ratio, signal_period
 
 # default step resolves the fastest dither oscillation with 40 samples; the
 # settings validator only insists on 20
@@ -74,9 +72,9 @@ MIN_SAMPLES_PER_PERIOD = 20
 # a run of more steps is a mistaken scenario: minutes at about 0.14 us per
 # step in the C kernel, hours at 6 us in the Python loop
 MAX_STEPS = 10**9
-# Simpson nodes of the averaging oracle per period of the fastest dither;
-# doubling them moves the average by under 1e-10
-ORACLE_NODES_PER_FASTEST_PERIOD = 200
+# nodes of the averaging oracle per period of the fastest dither: 4 is the
+# least that is exact (see numeric_average), 8 leaves a margin
+ORACLE_NODES_PER_FASTEST_PERIOD = 8
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,7 @@ class IntegrationSettings:
 
     def __post_init__(self):
         for name in ("dt", "t_end"):
-            require_finite(getattr(self, name), name)
+            object.__setattr__(self, name, finite_float(getattr(self, name), name))
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
         if self.t_end <= 0.0:
@@ -96,14 +94,16 @@ class IntegrationSettings:
         if not self.t_end / self.dt <= MAX_STEPS:
             raise TooManySteps(
                 f"t_end={self.t_end:g} over dt={self.dt:g} is over {MAX_STEPS:.0e} steps")
-        stride = self.record_stride
+        stride = finite_float(self.record_stride, "record_stride")
         # past 2**53 every float is an integer, so none states a stride
         if not (1 <= stride <= 2**53 and stride == int(stride)):
-            raise ValidationError(
-                f"record_stride must be a positive integer up to 2**53, got {stride!r}")
-        if not self.gamma_guard > 0.0:
+            raise ValidationError(f"record_stride must be a positive integer up to 2**53, "
+                                  f"got {self.record_stride!r}")
+        guard = finite_float(self.gamma_guard, "gamma_guard", finite=False)
+        if not guard > 0.0:         # inf is a guard that never flags
             raise ValidationError(f"gamma_guard must be positive, got {self.gamma_guard!r}")
         object.__setattr__(self, "record_stride", int(stride))
+        object.__setattr__(self, "gamma_guard", guard)
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -449,7 +449,7 @@ def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callabl
         kernel = _ckernel.kernel(key, _loop_parts(*key))
         if kernel is not None:
             return kernel.bind(values)
-    names = _SHAPES["floats"] if model else {"as_list": _as_list}
+    names = _MATH if model else {"as_list": _as_list}
     loop = types.FunctionType(_loop_code(model, n, len(held), gamma_index), {**values, **names})
 
     def step(y, n_steps, h, stride, guard):
@@ -545,32 +545,27 @@ def _norm(x: np.ndarray) -> float:
 
 
 def numeric_average(plant: PlantModel, cfg: AlgorithmConfig, x) -> np.ndarray:
-    """Quadrature average of the dithered field over one signal period.
+    """Period average of the gradient variant's dithered field at the fixed
+    state ``x``, read in averaged coordinates (theta_tilde in the parameter
+    block): the independent oracle for :func:`asfes.dynamics.make_average_rhs`.
 
-    The state is held fixed (interpreted in averaged coordinates, so the
-    parameter block is theta_tilde) and the original right-hand side is
-    averaged by composite Simpson quadrature over the exact common period,
-    with :data:`ORACLE_NODES_PER_FASTEST_PERIOD` nodes per period of the
-    fastest dither.  This is the independent oracle for
-    :func:`asfes.dynamics.make_average_rhs`, and the one place in the
-    package that loads scipy.
-    """
-    # scipy is loaded here, not with the module: loading it is about three
-    # quarters of every command's start-up, and only verify's oracle needs it
-    from scipy.integrate import simpson
-
+    The ratios are exact rationals, so omega_max is an integer K times the
+    common frequency omega_0 = 2 pi / T.  With the state frozen each row is
+    a trigonometric polynomial in omega_0 t of degree at most 3 K: J holds
+    products of two dithers, and the G_J rows multiply it by a third.  Its
+    mean at N equally spaced times ``T * i / N``, i < N, is its exact
+    average for any N > 3 K, as every harmonic below N sums to zero over
+    the nodes.  N is :data:`ORACLE_NODES_PER_FASTEST_PERIOD` times K, each
+    node one call of the field on one state."""
     layout = StateLayout.of(plant.dimension)
     tt, *filters = layout.unpack(x)
-    y = layout.pack([tt + plant.theta_star, *filters])  # the dithered field works in theta_hat
-
-    period = signal_period(cfg.dither)
-    fastest = 2.0 * math.pi / cfg.dither.omega_max
-    intervals = math.ceil(ORACLE_NODES_PER_FASTEST_PERIOD * period / fastest)
-    intervals += intervals % 2  # composite Simpson wants an even count
-    ts = np.linspace(0.0, period, intervals + 1)
+    y = layout.pack([tt + plant.theta_star, *filters]).tolist()   # the field's theta_hat
+    period, base = signal_period(cfg.dither), fundamental_ratio(cfg.dither)
+    nodes = ORACLE_NODES_PER_FASTEST_PERIOD * int(max(cfg.dither.ratios) / base)
     f = make_rhs(plant, cfg.with_variant(Variant.ASFES))
-    # every node in one call: the state broadcast over the nodes, one time each
-    samples = f(ts, np.broadcast_to(y[:, None], (y.shape[0], ts.shape[0])))
-    if not np.all(np.isfinite(samples)):
+    samples = np.array([f(period * i / nodes, y) for i in range(nodes)])
+    with np.errstate(over="ignore", invalid="ignore"):     # an inf or nan is named below
+        mean = samples.sum(axis=0) / nodes
+    if not np.all(np.isfinite(mean)):
         raise QuadratureFailure("non-finite integrand while averaging")
-    return simpson(samples, x=ts, axis=1) / period
+    return mean

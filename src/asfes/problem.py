@@ -20,6 +20,7 @@ from .errors import (
     NonPositiveDefiniteHessian,
     NonPositiveTolerance,
     NonSymmetricHessian,
+    ValidationError,
     ZeroBarrierGradient,
 )
 
@@ -29,22 +30,35 @@ SYMMETRY_TOL = 1e-12
 DEFINITENESS_RTOL = 1e-10
 
 
-def _vector(x, name: str) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1:
-        raise DimensionMismatch(f"{name} must be a vector, got shape {v.shape}")
-    require_finite(v, name)
-    return v
-
-
-def finite_float(value, name: str) -> float:
-    """``value`` as a Python float, so that no numpy scalar's precision reaches
-    the fields, or :class:`NonFiniteValue` naming ``name`` where not finite."""
+def _array(x, name: str, ndim: int) -> np.ndarray:
+    """``x`` as a finite float array of ``ndim`` axes, a square one at 2; a
+    number is one entry."""
     try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be numbers, got {x!r}") from None
+    a = a.reshape((1,) * ndim) if a.ndim == 0 else a
+    if a.ndim != ndim or a.shape != a.shape[:1] * ndim:
+        raise DimensionMismatch(
+            f"{name} must be {'a vector' if ndim == 1 else 'square'}, got shape {a.shape}")
+    require_finite(a, name)
+    return a
+
+
+def finite_float(value, name: str, finite: bool = True) -> float:
+    """``value`` as a Python float, so that no numpy scalar's precision reaches
+    the fields.  Anything but one number is a :class:`ValidationError` naming
+    ``name`` (a one-element array too: numpy before 2.0 only warns on its
+    ``float``), and, if ``finite``, a NaN or infinity :class:`NonFiniteValue`."""
+    try:
+        if np.ndim(value) != 0:
+            raise TypeError
         value = float(value)
     except OverflowError:       # an integer beyond the float range, as 1e400 is
         value = np.inf if value > 0 else -np.inf
-    if not -np.inf < value < np.inf:
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be one number, got {value!r}") from None
+    if finite and not -np.inf < value < np.inf:
         raise NonFiniteValue(f"{name} must be finite, got {value!r}")
     return value
 
@@ -54,16 +68,6 @@ def require_finite(value, name: str) -> None:
     ``value`` is finite."""
     if not np.all(np.isfinite(value)):
         raise NonFiniteValue(f"{name} must be finite, got {value!r}")
-
-
-def _matrix(x) -> np.ndarray:
-    m = np.asarray(x, dtype=float)
-    if m.ndim == 0:
-        m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"hessian must be square, got shape {m.shape}")
-    require_finite(m, "hessian")
-    return m
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,8 @@ class QuadraticObjective:
 
     def __post_init__(self):
         object.__setattr__(self, "j_star", finite_float(self.j_star, "j_star"))
-        object.__setattr__(self, "hessian", _matrix(self.hessian))
-        object.__setattr__(self, "theta_star", _vector(self.theta_star, "theta_star"))
+        object.__setattr__(self, "hessian", _array(self.hessian, "hessian", 2))
+        object.__setattr__(self, "theta_star", _array(self.theta_star, "theta_star", 1))
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,7 @@ class LinearBarrier:
 
     def __post_init__(self):
         object.__setattr__(self, "h0", finite_float(self.h0, "h0"))
-        object.__setattr__(self, "h1", _vector(self.h1, "h1"))
+        object.__setattr__(self, "h1", _array(self.h1, "h1", 1))
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,8 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
     """
     h = objective.hessian
     n = h.shape[0]
+    if n == 0:
+        raise DimensionMismatch("the plant needs at least one parameter")
     if objective.theta_star.shape != (n,):
         raise DimensionMismatch(
             f"theta_star has dimension {objective.theta_star.shape[0]}, hessian is {n}x{n}"
@@ -133,7 +139,7 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
         raise DimensionMismatch(
             f"h1 has dimension {barrier.h1.shape[0]}, hessian is {n}x{n}"
         )
-    asym = float(np.max(np.abs(h - h.T))) if n else 0.0
+    asym = float(np.max(np.abs(h - h.T)))
     if asym > SYMMETRY_TOL:
         raise NonSymmetricHessian(f"max absolute asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     eigs = np.linalg.eigvalsh(0.5 * h + 0.5 * h.T)     # halved first: no overflow
@@ -233,7 +239,7 @@ def nb_eigenvector_condition(plant: PlantModel, tol: float) -> bool:
     that the residual of H^{-1} h1 against its projection onto h1 stays
     within ``tol`` relative to the norm of H^{-1} h1.
     """
-    if tol <= 0.0:
+    if not finite_float(tol, "tol") > 0.0:
         raise NonPositiveTolerance("tol must be positive")
     r = np.linalg.solve(plant.hessian, plant.h1)
     proj = (float(plant.h1 @ r) / float(plant.h1 @ plant.h1)) * plant.h1

@@ -31,19 +31,16 @@ from .problem import finite_float
 
 
 def _as_fraction(r) -> Fraction:
-    if isinstance(r, Fraction):
-        return r
-    if isinstance(r, int):
-        return Fraction(r)
-    if isinstance(r, str):
-        return Fraction(r)
     if isinstance(r, float):
         if not r.is_integer():
-            raise ValidationError(
-                f"frequency ratio {r!r} is a non-integer float; pass a string "
-                "or Fraction so the rational value is exact"
-            )
-        return Fraction(int(r))
+            raise ValidationError(f"frequency ratio {r!r} is a non-integer float; pass a "
+                                  "string or Fraction so the rational value is exact")
+        r = int(r)
+    if isinstance(r, (Fraction, int, str)):
+        try:
+            return Fraction(r)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"frequency ratio {r!r} is not a rational number") from None
     raise ValidationError(f"cannot interpret frequency ratio {r!r}")
 
 
@@ -129,7 +126,7 @@ def smooth_max(x, delta: float):
     ``smooth_max(-1e9, 1e-3)`` is 0.0.  The form is kept as it is because
     every recorded trajectory is computed with it.
     """
-    if delta <= 0.0:
+    if not finite_float(delta, "delta") > 0.0:
         raise NonPositiveDelta("delta must be positive")
     x = np.asarray(x, dtype=float)
     out = 0.5 * (x + np.sqrt(x * x + delta))
@@ -142,6 +139,12 @@ def dither(cfg: DitherConfig, t) -> np.ndarray:
     return cfg.amplitude * np.sin(np.multiply.outer(cfg.omegas(), t))
 
 
+def fundamental_ratio(cfg: DitherConfig) -> Fraction:
+    """omega_0 / base_scale: gcd(p_i)/lcm(q_i) for ratios p_i/q_i in lowest terms."""
+    return Fraction(math.gcd(*(r.numerator for r in cfg.ratios)),
+                    math.lcm(*(r.denominator for r in cfg.ratios)))
+
+
 def common_period(cfg: DitherConfig) -> float:
     """Common period of sin(ratio_i * tau) in the normalized phase tau.
 
@@ -149,9 +152,8 @@ def common_period(cfg: DitherConfig) -> float:
     terms.  Divide by ``base_scale`` for the period in plant time; see
     :func:`signal_period`.
     """
-    num = math.gcd(*(r.numerator for r in cfg.ratios))
-    den = math.lcm(*(r.denominator for r in cfg.ratios))
-    return 2.0 * math.pi * den / num
+    base = fundamental_ratio(cfg)
+    return 2.0 * math.pi * base.denominator / base.numerator
 
 
 def signal_period(cfg: DitherConfig) -> float:

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from asfes.errors import (
     NonFiniteEntry,
     NonPositiveTolerance,
     PairingFailure,
+    ValidationError,
 )
 from asfes.integrate import (
     IntegrationSettings,
@@ -207,6 +210,11 @@ class TestJacobians:
     def test_finite_difference_guards(self):
         with pytest.raises(NonPositiveTolerance):
             finite_diff_jacobian(lambda x: x, np.zeros(2), 0.0)
+        # a step that is not a finite number is an input error (exit 1),
+        # not a failed computation
+        for step in (math.nan, math.inf, -math.inf, None):
+            with pytest.raises(ValidationError, match="^step must be"):
+                finite_diff_jacobian(lambda x: x, np.zeros(2), step)
         with pytest.raises(NonFiniteEntry):
             finite_diff_jacobian(lambda x: 1.0 / (x - 1e-6), np.zeros(1), 1e-6)
 

@@ -802,40 +802,33 @@ def test_usage_error_exits_1(args, message):
     assert done.stderr.endswith(f"\n{message}\n")
 
 
-STARTUP_WITHOUT_SCIPY = """\
+WITHOUT_SCIPY = """\
 import importlib.resources, io, sys
 from pathlib import Path
 
-def no_scipy(step):
-    assert "scipy" not in sys.modules, f"scipy loaded by {step}"
-
+sys.modules["scipy"] = None     # any import of scipy now fails
 import asfes.cli
-no_scipy("import asfes.cli")
 out = Path(sys.argv[1])
 bundled = importlib.resources.files("asfes") / "scenarios"
 text = (bundled / "example1.scenario").read_text()
 short = out / "short.scenario"
 short.write_text(text.replace("t_end = 150", "t_end = 1"))
 scenario = asfes.cli.parse_scenario(short)
-no_scipy("parse_scenario")
 assert scenario.settings.t_end == 1.0
 # 2: the Newton run diverges on example 1, as the strict xfails record
 assert asfes.cli.run_simulate(scenario, out / "sim") in (0, 2)
-no_scipy("run_simulate")
 for name in ("example1", "example2"):
     assert asfes.cli.run_analyze(asfes.cli.parse_scenario(bundled / f"{name}.scenario"),
                                  out / name) == 0
-    no_scipy(f"run_analyze on {name}")
 assert asfes.cli.run_verify(0, 1, io.StringIO()) == 0
-assert "scipy" in sys.modules, "verify's averaging oracle ran without scipy"
 """
 
 
-def test_only_verify_loads_scipy(tmp_path):
-    # scipy is most of a fresh interpreter's start-up, and only the
-    # averaging oracle needs it: parsing, simulating and analyzing leave it
-    # unloaded, and verify loads it
-    done = subprocess.run([sys.executable, "-c", STARTUP_WITHOUT_SCIPY, str(tmp_path)],
+def test_no_command_needs_scipy(tmp_path):
+    # numpy is the package's one dependency: with scipy made unimportable,
+    # parsing, simulating, analyzing and verifying all run, the averaging
+    # oracle included
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)],
                           env=_fresh_interpreter_env(), capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr

@@ -141,8 +141,8 @@ class TestAsfesRhs:
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_batched_closure_matches_generic(self, n, rng):
-        # one closure for one state (size,) and a batch (size, B), at n = 1
+    def test_list_and_array_states_match_generic(self, n, rng):
+        # one closure for one state as a list and as an array, at n = 1
         # (each block a row) and n >= 2 alike
         plant, cfg = random_plant(rng, n), random_config(rng, n)
         layout = StateLayout.of(n)
@@ -150,10 +150,9 @@ class TestAsfesRhs:
         ys[layout.gamma] = rng.uniform(0.1, 2.0, size=4)
         t = float(rng.uniform(0.0, 1.0))
         rhs = make_rhs(plant, cfg)
-        got = rhs(t, ys)
         for b in range(4):
             want = _generic_rhs_reference(plant, cfg, t, ys[:, b])
-            np.testing.assert_allclose(got[:, b], want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(rhs(t, ys[:, b].tolist()), want, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(rhs(t, ys[:, b].copy()), want, rtol=1e-12, atol=1e-12)
 
 
@@ -201,20 +200,18 @@ def _random_states(rng, n, newton, members):
            st.tuples(st.integers(1, 5), st.sampled_from([Variant.ASFES, Variant.CLASSICAL_ES])),
            st.tuples(st.just(1), st.just(Variant.NEWTON_ASFES))),
        members=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_float_field_is_each_rows_member(case, members, seed):
-    # the template's two shapes: one state on floats is bit for bit its
-    # column of a 2-D call on rows (each column at its own time, as the
-    # averaging oracle calls it), and both are the field
+def test_float_field_matches_generic(case, members, seed):
+    # one state, each at its own time: as a list of floats it is bit for
+    # bit the same state as an array, and both are the field
     n, variant = case
     rng = np.random.default_rng(seed)
     plant, cfg = random_plant(rng, n), random_config(rng, n, variant)
     ys = _random_states(rng, n, variant is Variant.NEWTON_ASFES, members)
     ts = rng.uniform(0.0, 2.0, size=members)
     rhs = make_rhs(plant, cfg)
-    columns = rhs(ts, ys)
     for b in range(members):
         one = rhs(float(ts[b]), ys[:, b].tolist())
-        assert np.array(one).tobytes() == columns[:, b].tobytes()
+        assert np.array(one).tobytes() == rhs(float(ts[b]), ys[:, b]).tobytes()
         want = _generic_rhs_reference(plant, cfg, ts[b], ys[:, b])
         np.testing.assert_allclose(one, want, rtol=1e-12, atol=1e-12)
 
@@ -598,13 +595,12 @@ class TestStateLayout:
         # may depend on the columns around a state; the fields sum left to
         # right, so that nothing sums across columns and each column is
         # bit for bit its own state.  "generated" is every source the
-        # template emits (the dithered fields in both shapes, the averaged
-        # and reduced fields on floats), and every RK4 loop generated from it.
+        # template emits (one per model and n), and every RK4 loop
+        # generated from it.
         if name == "generated":
-            shapes = {v.value: ("floats", "rows") for v in Variant}
-            shapes.update(average=("floats",), reduced=("floats",))
-            trees = [ast.parse(dynamics._field_source(model, n, shape))
-                     for model, kinds in shapes.items() for n in (1, 2, 3) for shape in kinds
+            models = [v.value for v in Variant] + ["average", "reduced"]
+            trees = [ast.parse(dynamics._field_source(model, n))
+                     for model in models for n in (1, 2, 3)
                      if model != Variant.NEWTON_ASFES.value or n == 1]
             trees += [ast.parse(_loop_source(model, n, held, gamma))
                       for model, n, held, gamma in generated_loop_keys()]
@@ -659,8 +655,8 @@ def test_fields_return_a_list_for_a_list(case, rng):
     # the integrator passes one state as a list of floats: the dithered,
     # averaged and reduced fields answer with a list, any other sequence
     # with an array, and the two hold the same bits.  Anything but one
-    # state (or the dithered field's (size, B) columns) is a
-    # DimensionMismatch, never a bare TypeError or AttributeError
+    # state, a (size, B) array of states included, is a DimensionMismatch,
+    # never a bare TypeError or AttributeError
     if isinstance(case, str):
         n = int(case[-1])
         plant, cfg = random_plant(rng, n), random_config(rng, n)
@@ -683,14 +679,13 @@ def test_fields_return_a_list_for_a_list(case, rng):
     from_tuple = field(tuple(y.tolist()))
     assert type(from_tuple) is np.ndarray and from_tuple.tobytes() == from_array.tobytes()
     wrong = [y.tolist()[:-1], y.tolist() + [0.0], tuple(y.tolist()[:-1]),
-             y.reshape(-1, 1, 1), ["x"] * len(y), [[0.5, 0.5]] * len(y) + [[0.5]]]
+             y.reshape(-1, 1, 1), ["x"] * len(y), [[0.5, 0.5]] * len(y) + [[0.5]],
+             np.stack([y, y], axis=1)]
     if len(y) > 1:          # a number is the one point of the reduced field at n = 1
         wrong += [0.5, np.array(0.5)]
     else:
         assert field(float(y[0])).tobytes() == field(np.array(y[0])).tobytes() == \
             from_array.tobytes()
-    if not isinstance(case, tuple):     # only the dithered field takes columns
-        wrong.append(np.stack([y, y], axis=1))
     for bad in wrong:
         with pytest.raises(DimensionMismatch):
             field(bad)
@@ -726,6 +721,14 @@ def test_fields_take_the_steppers_call_form(case, rng):
     for args in wrong:
         with pytest.raises(TypeError, match=f"the {model} field takes"):
             field(*args)
+
+
+@pytest.mark.parametrize("name, value", [("k", None), ("k", "abc"), ("c", [0.1]),
+                                         ("delta", {}), ("omega_f", np.array([3.0]))])
+def test_config_non_numbers_are_named(name, value, cfg1):
+    values = {"k": 0.3, "c": 0.1, "delta": 1e-3, "omega_f": 3.0, name: value}
+    with pytest.raises(ValidationError, match=f"^{name} must be one number"):
+        AlgorithmConfig(dither=cfg1.dither, **values)
 
 
 def test_config_constants_are_python_floats():

@@ -74,6 +74,22 @@ class TestSettings:
             IntegrationSettings(dt=0.1, t_end=1.0, gamma_guard=-1.0)
         with pytest.raises(TooManySteps):
             IntegrationSettings(dt=1e-320, t_end=1.0)
+        with pytest.raises(ValidationError, match="^gamma_guard must be positive"):
+            IntegrationSettings(dt=0.1, t_end=1.0, gamma_guard=math.nan)
+        # inf is a guard that never flags
+        assert IntegrationSettings(dt=0.1, t_end=1.0, gamma_guard=math.inf).gamma_guard == math.inf
+
+    @pytest.mark.parametrize("field, value", [
+        ("dt", None), ("dt", "a"), ("t_end", None), ("t_end", [1.0, 2.0]),
+        ("record_stride", "a"), ("record_stride", None), ("record_stride", np.array([1, 2])),
+        ("gamma_guard", None), ("gamma_guard", "a"), ("gamma_guard", np.array([1.0])),
+    ])
+    def test_non_numbers_are_named(self, field, value):
+        # a value that is not one number is a ValidationError naming its
+        # field, never a bare TypeError from a comparison or np.isfinite
+        values = {"dt": 0.1, "t_end": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"^{field} must be one number"):
+            IntegrationSettings(**values)
 
     def test_dither_resolution_check(self, cfg1):
         check_resolves_dither(IntegrationSettings(dt=default_dt(cfg1.dither), t_end=1.0),
@@ -672,6 +688,24 @@ class TestNumericAverage:
         x[:2] = 0.0
         avg = numeric_average(plant, cfg2, x)
         np.testing.assert_allclose(avg[2:4], -cfg2.omega_f * x[2:4], atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mean_is_exact_from_four_nodes_per_fastest_period(self, monkeypatch, n, rng):
+        # with the state frozen every row is a trigonometric polynomial of
+        # degree at most 3 omega_max / omega_0, so the mean at 4 nodes per
+        # fastest period is already its exact average: 8 gives the same
+        # numbers, and both are the analytic averaged field, to rounding
+        for _ in range(4):
+            plant, cfg = random_plant(rng, n), random_config(rng, n)
+            x = random_full_state(rng, n)
+            ana = np.asarray(make_average_rhs(plant, cfg)(x))
+            means = {}
+            for nodes in (4, 8):
+                monkeypatch.setattr(integrate_module, "ORACLE_NODES_PER_FASTEST_PERIOD", nodes)
+                means[nodes] = numeric_average(plant, cfg, x)
+            scale = np.maximum(1.0, np.abs(ana))
+            assert np.max(np.abs(means[4] - means[8]) / scale) < 1e-12
+            assert np.max(np.abs(means[8] - ana) / scale) < 1e-12
 
     def test_node_doubling_converges(self, monkeypatch, plant2, cfg2, rng):
         x = random_full_state(rng, 2)

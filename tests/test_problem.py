@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from asfes.errors import (
     NonPositiveDefiniteHessian,
     NonPositiveTolerance,
     NonSymmetricHessian,
+    ValidationError,
     ZeroBarrierGradient,
 )
 
@@ -79,6 +82,10 @@ class TestValidatePlant:
                 QuadraticObjective(0.0, [[1.0, 0.0], [0.0, 1.0]], [0.0]),
                 LinearBarrier(-1.0, [1.0, 1.0]),
             )
+        # a plant with no parameters is a mismatch too, not an IndexError
+        with pytest.raises(DimensionMismatch, match="at least one parameter"):
+            validate_plant(QuadraticObjective(0.0, np.zeros((0, 0)), np.zeros(0)),
+                           LinearBarrier(0.0, np.zeros(0)))
 
 
 class TestEvaluation:
@@ -209,3 +216,24 @@ class TestNbEigenvectorCondition:
     def test_rejects_bad_tolerance(self, plant1):
         with pytest.raises(NonPositiveTolerance):
             nb_eigenvector_condition(plant1, 0.0)
+        for tol in (math.nan, math.inf, "x"):
+            with pytest.raises(ValidationError, match="^tol must be"):
+                nb_eigenvector_condition(plant1, tol)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: QuadraticObjective(None, 0.1, 0.0), "j_star"),
+    (lambda: QuadraticObjective(np.array([0.5]), 0.1, 0.0), "j_star"),
+    (lambda: QuadraticObjective(0.0, "x", 0.0), "hessian"),
+    (lambda: QuadraticObjective(0.0, [[1.0, 0.0], [0.0]], [0.0, 0.0]), "hessian"),
+    (lambda: QuadraticObjective(0.0, 0.1, "x"), "theta_star"),
+    (lambda: LinearBarrier("abc", 1.0), "h0"),
+    (lambda: LinearBarrier(-1.0, {"a": 1.0}), "h1"),
+])
+def test_non_numbers_are_named(make, name):
+    # a plant value that is not a number (or, for a scalar, not one number)
+    # is a ValidationError naming its field, never a bare TypeError or
+    # ValueError from a converter
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        make()
+

@@ -17,6 +17,7 @@ from asfes.errors import (
     NonPositiveAmplitude,
     NonPositiveDelta,
     ResonantTriple,
+    ValidationError,
 )
 from oracles import demod, newton_demod
 
@@ -49,6 +50,23 @@ class TestSmoothMax:
     def test_rejects_bad_delta(self):
         with pytest.raises(NonPositiveDelta):
             smooth_max(1.0, 0.0)
+        for delta in (math.nan, math.inf, None):
+            with pytest.raises(ValidationError, match="^delta must be"):
+                smooth_max(1.0, delta)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((None, (1,), 200.0), "dither amplitude must be one number"),
+    ((0.25, (1,), "x"), "dither base_scale must be one number"),
+    ((np.array([0.25]), (1,), 1.0), "dither amplitude must be one number"),
+    ((0.25, ("1/0",), 1.0), "frequency ratio '1/0' is not a rational number"),
+    ((0.25, ("abc",), 1.0), "frequency ratio 'abc' is not a rational number"),
+])
+def test_dither_non_numbers_are_named(args, name):
+    # a library caller's non-number is a ValidationError that names it,
+    # never the converter's bare TypeError, ValueError or ZeroDivisionError
+    with pytest.raises(ValidationError, match=f"^{name}"):
+        DitherConfig(*args)
 
 
 class TestDitherSignals:
