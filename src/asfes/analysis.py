@@ -25,7 +25,7 @@ from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -119,18 +119,12 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
         nu = delta / (2.0 * (ch0 + root)) if ch0 > 0.0 else (-ch0 + root) / (2.0 * d)
         c1 = nu / (k * h1_sq)
         theta_tilde_ae = c1 * hinv_h1
-        eq = Equilibrium(
-            theta_tilde_ae=theta_tilde_ae,
-            g_j_ae=c1 * h1,
-            eta_j_ae=float(plant.j_star + 0.5 * c1 * c1 * q
-                           + 0.25 * a * a * float(np.trace(plant.hessian))),
-            g_h_ae=h1.copy(),
-            eta_h_ae=float(h0 + h1 @ theta_tilde_ae),
-            gamma_ae=float(1.0 / h1_sq),
-            d=float(d),
-            c1=float(c1),
-        )
-        vec = eq.as_vector()
+        # theta_tilde, G_J, eta_J, G_h, eta_h, gamma
+        blocks = [theta_tilde_ae, c1 * h1,
+                  float(plant.j_star + 0.5 * c1 * c1 * q
+                        + 0.25 * a * a * float(np.trace(plant.hessian))),
+                  h1.copy(), float(h0 + h1 @ theta_tilde_ae), float(1.0 / h1_sq)]
+        vec = StateLayout.of(plant.dimension).pack(blocks)
         norm = np.linalg.norm(vec)
         if not np.all(np.isfinite((norm, d, c1))):   # a finite norm has finite entries
             raise NonFiniteEntry(f"the averaged equilibrium for c={c:g} is not finite")
@@ -140,7 +134,7 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
         raise ResidualTooLarge(
             f"equilibrium residual {residual:.3e} exceeds tolerance"
         )
-    return replace(eq, residual=residual)
+    return Equilibrium(*blocks, d=float(d), c1=float(c1), residual=residual)
 
 
 def equilibrium_alpha(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> float:
@@ -255,15 +249,14 @@ def average_error_rhs(
     return g
 
 
-def _pair_eigenvalues(
-    lambdas: np.ndarray, z_eigs: np.ndarray, omega_f: float
-) -> List[float]:
+def _pair_eigenvalues(lambdas: list, z_eigs: list, omega_f: float) -> List[float]:
     """Match each J11 eigenvalue (minus the -omega_f one) to a Z eigenvalue
-    through lambda^2 + omega_f lambda + z = 0; every z takes exactly two."""
-    capacity = {i: 2 for i in range(z_eigs.shape[0])}
+    through lambda^2 + omega_f lambda + z = 0; every z takes exactly two.
+    The eigenvalues are Python numbers, which compute as numpy's do."""
+    capacity = {i: 2 for i in range(len(z_eigs))}
     residuals_out = []
     order = sorted(
-        range(lambdas.shape[0]),
+        range(len(lambdas)),
         key=lambda i: min(
             abs(lambdas[i] ** 2 + omega_f * lambdas[i] + z) for z in z_eigs
         ),
@@ -322,10 +315,10 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
         )
     if not all(
         abs(zv.imag) <= REAL_SPECTRUM_TOL * max(abs(zv), 1e-300) and zv.real > 0.0
-        for zv in z_eigs
+        for zv in z_eigs.tolist()
     ):
         raise PairingFailure("Z has a complex or non-positive eigenvalue")
-    residuals = _pair_eigenvalues(np.delete(j11_eigs, i_wf), z_eigs.real, wf)
+    residuals = _pair_eigenvalues(np.delete(j11_eigs, i_wf).tolist(), z_eigs.real.tolist(), wf)
     return SpectralReport(
         j11_eigenvalues=j11_eigs,
         z_eigenvalues=z_eigs,

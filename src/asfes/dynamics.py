@@ -37,8 +37,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 import types
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,6 +73,8 @@ class AlgorithmConfig:
             if value <= 0.0:
                 raise ValidationError(f"{name} must be strictly positive")
             object.__setattr__(self, name, value)
+        if not isinstance(self.variant, Variant):
+            raise ValidationError(f"variant must be a Variant, got {self.variant!r}")
         if self.variant is Variant.NEWTON_ASFES and self.dither.dimension != 1:
             raise NotScalar(
                 "the Newton-based variant is only defined for one parameter"
@@ -82,7 +85,7 @@ class AlgorithmConfig:
         return self.dither.dimension
 
     def with_variant(self, variant: Variant) -> "AlgorithmConfig":
-        return replace(self, variant=variant)
+        return self if variant is self.variant else replace(self, variant=variant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,12 +144,12 @@ class StateLayout:
 
 
 class PackedBlocks:
-    """Base of the state containers: a dataclass whose leading fields are
-    the blocks of a :class:`StateLayout`, in order.  A ``gamma_newton``
-    field left at None is an absent Newton block."""
+    """Base of the state containers: a dataclass whose leading fields, in
+    ``__dataclass_fields__`` order (no ``fields()`` walk), are the blocks of a
+    :class:`StateLayout`.  A ``gamma_newton`` left at None is an absent Newton block."""
 
     def __post_init__(self):
-        vectors = [f.name for f, where in zip(fields(self), StateLayout.of(1).blocks)
+        vectors = [name for name, where in zip(self.__dataclass_fields__, StateLayout.of(1).blocks)
                    if isinstance(where, slice)]
         for name in vectors:
             object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), float)))
@@ -155,11 +158,12 @@ class PackedBlocks:
 
     @property
     def dimension(self) -> int:
-        return getattr(self, fields(self)[0].name).shape[0]
+        return getattr(self, next(iter(self.__dataclass_fields__))).shape[0]
 
     def as_vector(self) -> np.ndarray:
         layout = StateLayout.of(self.dimension, getattr(self, "gamma_newton", None) is not None)
-        return layout.pack([getattr(self, f.name) for f in fields(self)][:len(layout.blocks)])
+        names = list(self.__dataclass_fields__)[:len(layout.blocks)]
+        return layout.pack([getattr(self, name) for name in names])
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,8 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
     The field takes ``(t, y)``, an autonomous one also ``(y)``, ``t`` unread.
     ``y`` is one state: a list of ``size`` floats gives a list, any other
     ``(size,)`` state (a number at size 1) an array, and anything else is
-    :class:`DimensionMismatch`.  The field carries its template,
+    :class:`DimensionMismatch`, as a vector ``t`` is; any other ``t`` that is not one real
+    number is a :class:`ValidationError`.  The field carries its template,
     ``(model, n, size, constants)``, for the RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
@@ -340,15 +345,21 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
                 raise TypeError(f"the {model} field takes {2 if dithered else '1 or 2'} arguments")
             args = args[1:]                 # the stepper's (t, y), t unread
         y = args[-1]
-        if type(y) is list and len(y) == size and all(type(v) is float for v in y):
-            return floats(*args)
         try:
-            y = np.asarray(y, float)
-        except (TypeError, ValueError):
-            raise DimensionMismatch(
-                f"a state must be {size} numbers, got a {type(y).__name__}") from None
-        if y.shape == (size,) or (y.ndim == 0 and size == 1):
-            return np.array(floats(*args[:-1], y.reshape(size).tolist()))
+            if type(y) is list and len(y) == size and set(map(type, y)) == {float}:
+                return floats(*args)
+            try:
+                y = np.asarray(y, float)
+            except (TypeError, ValueError):
+                raise DimensionMismatch(
+                    f"a state must be {size} numbers, got a {type(y).__name__}") from None
+            if y.shape == (size,) or (y.ndim == 0 and size == 1):
+                return np.array(floats(*args[:-1], y.reshape(size).tolist()))
+        except TypeError:       # from sin(w * t): t is not one real number
+            if not dithered or isinstance(args[0], numbers.Real):
+                raise
+            raise (DimensionMismatch if np.ndim(args[0]) else ValidationError)(
+                f"t must be one real number, got {args[0]!r}") from None
         raise DimensionMismatch(f"state of shape {y.shape}, expected ({size},)")
 
     field.template = (model, n, size, constants)

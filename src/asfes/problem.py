@@ -46,18 +46,20 @@ def _array(x, name: str, ndim: int) -> np.ndarray:
 
 
 def finite_float(value, name: str, finite: bool = True) -> float:
-    """``value`` as a Python float, so that no numpy scalar's precision reaches
-    the fields.  Anything but one number is a :class:`ValidationError` naming
-    ``name`` (a one-element array too: numpy before 2.0 only warns on its
-    ``float``), and, if ``finite``, a NaN or infinity :class:`NonFiniteValue`."""
-    try:
-        if np.ndim(value) != 0:
-            raise TypeError
-        value = float(value)
-    except OverflowError:       # an integer beyond the float range, as 1e400 is
-        value = np.inf if value > 0 else -np.inf
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be one number, got {value!r}") from None
+    """``value`` as a Python float, so that no numpy scalar's precision reaches the fields;
+    a Python float, the common case, goes straight to the finiteness check.  Anything but
+    one number is a :class:`ValidationError` naming ``name`` (a one-element array too: numpy
+    before 2.0 only warns on its ``float``), and, if ``finite``, a NaN or infinity
+    :class:`NonFiniteValue`."""
+    if type(value) is not float:
+        try:
+            if np.ndim(value) != 0:
+                raise TypeError
+            value = float(value)
+        except OverflowError:       # an integer beyond the float range, as 1e400 is
+            value = np.inf if value > 0 else -np.inf
+        except (TypeError, ValueError):
+            raise ValidationError(f"{name} must be one number, got {value!r}") from None
     if finite and not -np.inf < value < np.inf:
         raise NonFiniteValue(f"{name} must be finite, got {value!r}")
     return value
@@ -66,7 +68,7 @@ def finite_float(value, name: str, finite: bool = True) -> float:
 def require_finite(value, name: str) -> None:
     """Raise :class:`NonFiniteValue` naming ``name`` unless every entry of
     ``value`` is finite."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NonFiniteValue(f"{name} must be finite, got {value!r}")
 
 

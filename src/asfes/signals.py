@@ -11,6 +11,7 @@ common period are decided in integer arithmetic rather than floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,8 @@ def _as_fraction(r) -> Fraction:
 
 @dataclass(frozen=True)
 class DitherConfig:
-    """Probing amplitude plus frequencies ``base_scale * ratio_i``."""
+    """Probing amplitude plus frequencies ``base_scale * ratio_i``.  The ratios are checked
+    once per exact ratio tuple, by :func:`_frequency_facts`, which keeps no failed verdict."""
 
     amplitude: float
     ratios: tuple
@@ -55,8 +57,6 @@ class DitherConfig:
     def __post_init__(self):
         for name in ("amplitude", "base_scale"):
             object.__setattr__(self, name, finite_float(getattr(self, name), f"dither {name}"))
-        ratios = tuple(_as_fraction(r) for r in self.ratios)
-        object.__setattr__(self, "ratios", ratios)
         if self.amplitude <= 0.0:
             raise NonPositiveAmplitude("dither amplitude must be positive")
         # the averaged model scales by a^2, the Newton demodulator by 16/a^2
@@ -66,11 +66,14 @@ class DitherConfig:
                                  f"and nonzero, got amplitude={self.amplitude!r}")
         if self.base_scale <= 0.0:
             raise ValidationError("base_scale must be positive")
-        if not ratios:
-            raise ValidationError("at least one dither frequency is required")
-        if any(r <= 0 for r in ratios):
-            raise ValidationError("frequency ratios must be positive")
-        validate_frequencies(ratios)
+        try:
+            ratios = tuple(self.ratios)
+            # keyed on the types too: 2.5 == Fraction(5, 2), but a float must not pass
+            ratios, fundamental = _frequency_facts((tuple(map(type, ratios)), ratios))
+        except TypeError:       # not a sequence, or an unhashable member: not numbers
+            raise ValidationError(f"cannot interpret frequency ratios {self.ratios!r}") from None
+        object.__setattr__(self, "ratios", ratios)
+        object.__setattr__(self, "_fundamental", fundamental)
         # read by every dither call and every field build, so built once; Python
         # floats overflow to inf without a warning, huge rationals raise
         try:
@@ -78,7 +81,7 @@ class DitherConfig:
             period = signal_period(self)
         except OverflowError:
             omegas, period = np.array([math.inf]), math.inf
-        if not (np.all(np.isfinite(omegas)) and math.isfinite(period)):
+        if not (np.isfinite(omegas).all() and math.isfinite(period)):
             raise NonFiniteValue("dither frequencies base_scale * ratios and their "
                                  "common period must be finite floats")
         omegas.flags.writeable = False
@@ -97,22 +100,35 @@ class DitherConfig:
         return self.base_scale * float(max(self.ratios))
 
 
+@functools.lru_cache(maxsize=256)
+def _frequency_facts(key: tuple) -> tuple:
+    """``(Fraction ratios, fundamental ratio)`` of ``key``, ``(types, ratios)``."""
+    ratios = tuple(_as_fraction(r) for r in key[1])
+    if not ratios:
+        raise ValidationError("at least one dither frequency is required")
+    if any(r <= 0 for r in ratios):
+        raise ValidationError("frequency ratios must be positive")
+    validate_frequencies(ratios)
+    return ratios, Fraction(math.gcd(*(r.numerator for r in ratios)),
+                            math.lcm(*(r.denominator for r in ratios)))
+
+
 def validate_frequencies(ratios: Sequence) -> None:
     """Reject duplicate ratios and any pair summing to a third ratio.
 
-    The checks use exact rational comparison.
+    The checks use exact rational comparison, each pair's sum looked up in a
+    map from value to index; the error names the first pair in
+    :func:`itertools.combinations` order.  DitherConfig caches the verdict.
     """
     ratios = tuple(_as_fraction(r) for r in ratios)
-    n = len(ratios)
-    for i, j in combinations(range(n), 2):
-        if ratios[i] == ratios[j]:
-            raise DuplicateFrequency(i, j)
-    for i, j in combinations(range(n), 2):
-        for k in range(n):
-            if k == i or k == j:
-                continue
-            if ratios[i] + ratios[j] == ratios[k]:
-                raise ResonantTriple(i, j, k)
+    index = {}      # value -> its first index; the least repeat is the first equal pair
+    repeats = sorted((i, j) for j, r in enumerate(ratios) if (i := index.setdefault(r, j)) != j)
+    if repeats:
+        raise DuplicateFrequency(*repeats[0])
+    for i, j in combinations(range(len(ratios)), 2):
+        k = index.get(ratios[i] + ratios[j])
+        if k is not None and k != i and k != j:
+            raise ResonantTriple(i, j, k)
 
 
 def smooth_max(x, delta: float):
@@ -141,8 +157,7 @@ def dither(cfg: DitherConfig, t) -> np.ndarray:
 
 def fundamental_ratio(cfg: DitherConfig) -> Fraction:
     """omega_0 / base_scale: gcd(p_i)/lcm(q_i) for ratios p_i/q_i in lowest terms."""
-    return Fraction(math.gcd(*(r.numerator for r in cfg.ratios)),
-                    math.lcm(*(r.denominator for r in cfg.ratios)))
+    return cfg._fundamental
 
 
 def common_period(cfg: DitherConfig) -> float:

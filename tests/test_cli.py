@@ -710,7 +710,37 @@ class TestRunAnalyze:
         assert "nb_eigenvector_condition,False" in content
 
 
+# run_verify's output for two seeds, as the suites have printed it since the
+# closed-form oracle: every draw and every check in its order, to the byte
+VERIFY_GOLDEN = {
+    (0, 20): """\
+PASS  averaging-oracle         trials=20 max_rel_err=4.441e-15
+PASS  equilibrium-residual     trials=20 max_residual=1.994e-15
+PASS  equilibrium-interior     trials=20 min_eta_h=9.524e-06
+PASS  gamma-riccati-root       trials=20 max_error=2.220e-16
+PASS  spectral-structure       trials=20 max_pairing_residual=3.015e-14
+PASS  reduced-exact-safety     trials=5 min_envelope_gap=0.000e+00
+ALL PROPERTIES PASS (seed=0, trials=20)
+""",
+    (1, 25): """\
+PASS  averaging-oracle         trials=25 max_rel_err=4.663e-15
+PASS  equilibrium-residual     trials=25 max_residual=3.282e-15
+PASS  equilibrium-interior     trials=25 min_eta_h=1.033e-05
+PASS  gamma-riccati-root       trials=25 max_error=2.220e-16
+PASS  spectral-structure       trials=25 max_pairing_residual=4.707e-14
+PASS  reduced-exact-safety     trials=5 min_envelope_gap=0.000e+00
+ALL PROPERTIES PASS (seed=1, trials=25)
+""",
+}
+
+
 class TestRunVerify:
+    @pytest.mark.parametrize("seed, trials", sorted(VERIFY_GOLDEN))
+    def test_output_is_pinned(self, seed, trials):
+        buf = io.StringIO()
+        assert run_verify(seed, trials, stream=buf) == 0
+        assert buf.getvalue() == VERIFY_GOLDEN[seed, trials]
+
     def test_deterministic_and_passing(self):
         bufs = []
         for _ in range(2):

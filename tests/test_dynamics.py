@@ -723,6 +723,49 @@ def test_fields_take_the_steppers_call_form(case, rng):
             field(*args)
 
 
+@pytest.mark.parametrize("case", ["asfes1", "newton1", "classical2", "asfes3"])
+def test_dithered_field_names_a_bad_time(case, rng):
+    # a t that is not one real number is named by the field, for a list and
+    # an array state: a vector as a DimensionMismatch, anything else as a
+    # ValidationError, never as the bare TypeError of sin
+    model, n = case[:-1], int(case[-1])
+    field = make_rhs(random_plant(rng, n), random_config(rng, n, Variant(model)))
+    y = random_full_state(rng, n)
+    if model == "newton":
+        y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
+    for state in (y.tolist(), y):
+        for t in (np.array([0.1, 0.2]), np.array([0.1]), [0.1]):
+            with pytest.raises(DimensionMismatch, match="^t must be one real number"):
+                field(t, state)
+        for t in (None, "0.1", 1j):
+            with pytest.raises(ValidationError, match="^t must be one real number") as exc:
+                field(t, state)
+            assert type(exc.value) is ValidationError
+        for t in (0, np.float64(0.37), np.array(0.37), True):
+            assert np.asarray(field(t, state)).tobytes() == np.asarray(
+                field(float(t), state)).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["asfes", "newton", None, Variant])
+def test_config_variant_must_be_a_variant(variant, cfg1, cfg2):
+    # a string is not a Variant: it is named where the config is built, not
+    # met later by make_rhs as a bare AttributeError, and "newton" at n = 2
+    # no longer slips past the one-parameter check
+    for cfg in (cfg1, cfg2):
+        with pytest.raises(ValidationError, match="^variant must be a Variant"):
+            replace(cfg, variant=variant)
+        with pytest.raises(ValidationError, match="^variant must be a Variant"):
+            cfg.with_variant(variant)
+
+
+def test_with_variant_keeps_the_config_it_already_is(cfg1):
+    assert cfg1.with_variant(Variant.ASFES) is cfg1
+    newton = cfg1.with_variant(Variant.NEWTON_ASFES)
+    assert newton.variant is Variant.NEWTON_ASFES and newton != cfg1
+    assert newton.with_variant(Variant.NEWTON_ASFES) is newton
+    assert newton.with_variant(Variant.ASFES) == cfg1
+
+
 @pytest.mark.parametrize("name, value", [("k", None), ("k", "abc"), ("c", [0.1]),
                                          ("delta", {}), ("omega_f", np.array([3.0]))])
 def test_config_non_numbers_are_named(name, value, cfg1):

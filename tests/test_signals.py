@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -61,6 +62,8 @@ class TestSmoothMax:
     ((np.array([0.25]), (1,), 1.0), "dither amplitude must be one number"),
     ((0.25, ("1/0",), 1.0), "frequency ratio '1/0' is not a rational number"),
     ((0.25, ("abc",), 1.0), "frequency ratio 'abc' is not a rational number"),
+    ((0.25, None, 1.0), "cannot interpret frequency ratios None"),
+    ((0.25, ([1], 2), 1.0), r"cannot interpret frequency ratios \(\[1\], 2\)"),
 ])
 def test_dither_non_numbers_are_named(args, name):
     # a library caller's non-number is a ValidationError that names it,
@@ -138,8 +141,6 @@ class TestValidateFrequencies:
             DitherConfig(amplitude=0.1, ratios=(3, 3))
 
     def test_permutation_invariant_verdicts(self, rng):
-        import itertools
-
         for ratios in [(1, 2, 3), (2, 3, 9), (5, 7, 12), (2, 5, 9, 14)]:
             verdicts = set()
             for perm in itertools.permutations(ratios):
@@ -149,6 +150,57 @@ class TestValidateFrequencies:
                 except (ResonantTriple, DuplicateFrequency):
                     verdicts.add("rejected")
             assert len(verdicts) == 1
+
+
+def _reference_verdict(ratios):
+    """The checks as first written: all pairs for a duplicate, then every
+    (pair, k) for a resonant triple, O(n^3)."""
+    ratios = [Fraction(r) for r in ratios]
+    n = len(ratios)
+    for i, j in itertools.combinations(range(n), 2):
+        if ratios[i] == ratios[j]:
+            return DuplicateFrequency, (i, j)
+    for i, j in itertools.combinations(range(n), 2):
+        for k in range(n):
+            if k not in (i, j) and ratios[i] + ratios[j] == ratios[k]:
+                return ResonantTriple, (i, j, k)
+    return None, None
+
+
+def _verdict(check, ratios):
+    try:
+        check(ratios)
+    except (DuplicateFrequency, ResonantTriple) as exc:
+        return type(exc), exc.indices
+    return None, None
+
+
+@pytest.mark.parametrize("ratios", [
+    (1, 2, 3), (1, 2, 2, 1), (1, 1, 2), (2, 3, 5, 7, 8), (1, 3, 4, 5, 9),
+    (3, "3/2", "3/2", 6), (2, 3, 9, 14, 25), (0, 1, 2), (-1, 1, 0, 2),
+])
+def test_verdicts_match_the_reference_loops(ratios):
+    # the one pass over the pairwise sums names the same error and indices
+    # as the O(n^3) loops, for every order; DitherConfig, whose verdicts are
+    # cached per ratio tuple, names them too, on a second build as well
+    for perm in set(itertools.permutations(ratios)):
+        want = _reference_verdict(perm)
+        assert _verdict(validate_frequencies, perm) == want, perm
+        if min(Fraction(r) for r in perm) > 0:
+            for _ in range(2):
+                assert _verdict(lambda r: DitherConfig(0.25, r), perm) == want, perm
+
+
+def test_ratio_cache_keeps_types_apart():
+    # 2.5 == Fraction(5, 2), and they hash alike: a config built from the
+    # Fraction first does not let the float through
+    assert DitherConfig(0.25, (Fraction(5, 2),)).ratios == (Fraction(5, 2),)
+    with pytest.raises(ValidationError, match="^frequency ratio 2.5 is a non-integer float"):
+        DitherConfig(0.25, (2.5,))
+    # an integer-valued float, a string and a Fraction of one value agree
+    for ratios in [(2.0, 3), ("2", 3), (Fraction(2), 3), [2, 3], iter((2, 3))]:
+        cfg = DitherConfig(0.25, ratios)
+        assert cfg.ratios == (2, 3) and all(type(r) is Fraction for r in cfg.ratios)
 
 
 class TestCommonPeriod:
