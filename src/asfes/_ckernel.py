@@ -19,7 +19,9 @@ to 0.
 
 A kernel is compiled once per loop kind, not once per plant or start: it
 reads the field's constants and held rows from an array, in the order of
-its :attr:`Kernel.names`.
+its :attr:`Kernel.names`.  The kernel of a loop that holds rows, warmup's,
+also carries warmup's period loop and stop rule, so that a warmup is one
+call (:meth:`Kernel.settler`).
 
 The output library, :data:`CSV_SOURCE`, is fixed C.  Its CSV formatter
 (:func:`formatter`) writes a block of rows as ``%.17g`` values with exact
@@ -93,7 +95,7 @@ def _c_line(line: str, declared: set) -> str:
     return f"{name} = {expression};" if name in declared else f"const double {name} = {expression};"
 
 
-def render(parts, name: str) -> tuple:
+def render(parts, name: str, settle: Optional[str] = None) -> tuple:
     """``(source, names)``: the C function ``name`` that runs the loop of
     ``parts`` (a :class:`asfes.integrate._LoopParts`), and the names of the
     constants and held rows it reads from ``p``, in order.
@@ -103,7 +105,10 @@ def render(parts, name: str) -> tuple:
     stepped rows to ``times`` and ``states``, sets ``out[0]`` to the
     records written and ``out[1]`` to the step where gamma crossed the
     guard, and returns the step where the state left the reals; 0 stands
-    for None in both."""
+    for None in both.
+
+    Given a ``settle`` name, the source also holds that function, warmup's
+    period loop (see :func:`_settle_source`)."""
     state = parts.state
     lines = [*parts.lines, *parts.update]
     assigned = {line.split(" = ", 1)[0] for line in lines}
@@ -133,14 +138,63 @@ def render(parts, name: str) -> tuple:
               f"int64_t {name}(const double *p, const double *y, int64_t n_steps, double h,\n"
               "    int64_t stride, double guard, double *times, double *states, int64_t *out)\n"
               "{\n" + "".join(f"    {line}\n" for line in body) + "}\n")
+    if settle is not None:
+        source += _settle_source(settle, name, rows)
     return source, names
 
 
-class Kernel:
-    """A loaded kernel: :meth:`bind` gives the stepper of one field."""
+def _settle_source(name: str, loop: str, rows: int) -> str:
+    """The C function ``name``, the period loop of :func:`asfes.integrate._settle`
+    over the kernel ``loop`` of ``rows`` stepped rows.
 
-    def __init__(self, function, names: tuple, rows: int):
-        self.function, self.names, self.rows = function, names, rows
+    ``int64_t name(p, y, periods, n_steps, h, guard, rel_tol, out)`` steps
+    ``y`` one period of ``n_steps`` steps at a time, for at most
+    ``periods`` periods, and leaves in ``y`` the state at the end of the
+    last period it completed.  It stops once a period's change is within
+    ``rel_tol`` of the state, each norm the square root of the squares
+    summed left to right, as the Python loop takes them, with Python's
+    ``max`` of the state's norm and 1e-30.  It returns the periods it
+    stepped, the last one cut short where the state left the reals, and
+    sets ``out[0]`` to that step (0 for none) and ``out[1]`` to 1 if the
+    state settled, 0 if not."""
+    def norm(terms: list) -> str:
+        total = terms[0]
+        for term in terms[1:]:
+            total = f"({total} + {term})"
+        return f"sqrt({total})"
+
+    end = [f"states[{rows + r}]" for r in range(rows)]
+    body = [f"const double d{r} = ({x} - y[{r}]);" for r, x in enumerate(end)]
+    body += [f"const double change = {norm([f'(d{r} * d{r})' for r in range(rows)])};",
+             f"const double size = {norm([f'({x} * {x})' for x in end])};",
+             *(f"y[{r}] = {x};" for r, x in enumerate(end)),
+             "if (change <= (rel_tol * ((1e-30 > size) ? 1e-30 : size))) {",
+             "    out[0] = 0; out[1] = 1;", "    return period;", "}"]
+    lines = [f"double times[2], states[{2 * rows}];", "int64_t records[2];",
+             "for (int64_t period = 1; period <= periods; period++) {",
+             f"    const int64_t stopped = {loop}(p, y, n_steps, h, n_steps, guard, times, "
+             "states, records);",
+             "    if (stopped != 0) {", "        out[0] = stopped; out[1] = 0;",
+             "        return period;", "    }",
+             *(f"    {line}" for line in body), "}",
+             "out[0] = 0; out[1] = 0;", "return periods;"]
+    return (f"\nint64_t {name}(const double *p, double *y, int64_t periods, int64_t n_steps,\n"
+            "    double h, double guard, double rel_tol, int64_t *out)\n"
+            "{\n" + "".join(f"    {line}\n" for line in lines) + "}\n")
+
+
+class Kernel:
+    """A loaded kernel: :meth:`bind` gives the stepper of one field, and
+    :meth:`settler` its warmup's period loop where the kernel holds rows
+    (``settle`` is None where it does not)."""
+
+    def __init__(self, function, names: tuple, rows: int, settle=None):
+        self.function, self.names, self.rows, self.settle = function, names, rows, settle
+
+    def _constants(self, values: dict):
+        import ctypes
+
+        return (ctypes.c_double * len(self.names))(*[float(values[name]) for name in self.names])
 
     def bind(self, values: dict) -> Callable:
         """The stepper of the field whose float constants and held rows are ``values``, by name.
@@ -151,7 +205,7 @@ class Kernel:
         import ctypes
 
         double = ctypes.c_double
-        p = (double * len(self.names))(*[float(values[name]) for name in self.names])
+        p = self._constants(values)
         function, rows, count = self.function, self.rows, ctypes.c_int64 * 2
 
         def step(y, n_steps, h, stride, guard):
@@ -168,22 +222,48 @@ class Kernel:
 
         return step
 
+    def settler(self, values: dict) -> Callable:
+        """Warmup's period loop, in one call of the compiled ``settle``, for
+        the field whose float constants and held rows are ``values``, by name.
+
+        ``settle(y, periods, n_steps, h, guard, rel_tol)`` gives
+        ``(periods, stopped, state)`` as :func:`asfes.integrate._settle`
+        does, bit for bit."""
+        import ctypes
+
+        p = self._constants(values)
+        function, rows = self.settle, self.rows
+
+        def settle(y, periods, n_steps, h, guard, rel_tol):
+            state, out = (ctypes.c_double * rows)(*y), (ctypes.c_int64 * 2)()
+            ran = function(p, state, periods, n_steps, h, guard, rel_tol, out)
+            stopped, settled = out
+            return ran, stopped or None, list(state) if settled else None
+
+        return settle
+
 
 def kernel(key: tuple, parts) -> Optional[Kernel]:
     """The kernel of the loop ``key``, whose statements are ``parts``,
-    compiled and loaded on first use; None if that fails."""
+    compiled and loaded on first use; None if that fails.  A loop that
+    holds rows, warmup's, comes with its ``settle``."""
     if key not in _loaded:
         import ctypes
 
-        model, n = key[:2]
+        model, n, held = key[:3]
         name = f"rk4_{model}_{n}"
-        source, names = render(parts, name)
-        doubles = ctypes.POINTER(ctypes.c_double)
-        functions = _load(source, "rk4", {name: (
-            doubles, doubles, ctypes.c_int64, ctypes.c_double, ctypes.c_int64, ctypes.c_double,
-            doubles, doubles, ctypes.POINTER(ctypes.c_int64))})
-        _loaded[key] = None if functions is None else Kernel(functions[name], names,
-                                                             len(parts.state))
+        settle = f"settle_{model}_{n}" if held else None
+        source, names = render(parts, name, settle)
+        doubles, int64 = ctypes.POINTER(ctypes.c_double), ctypes.c_int64
+        counts = ctypes.POINTER(int64)
+        signatures = {name: (doubles, doubles, int64, ctypes.c_double, int64, ctypes.c_double,
+                             doubles, doubles, counts)}
+        if settle is not None:
+            signatures[settle] = (doubles, doubles, int64, int64, ctypes.c_double,
+                                  ctypes.c_double, ctypes.c_double, counts)
+        functions = _load(source, "rk4", signatures)
+        _loaded[key] = None if functions is None else Kernel(
+            functions[name], names, len(parts.state), functions.get(settle))
     return _loaded[key]
 
 

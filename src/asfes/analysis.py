@@ -164,10 +164,15 @@ def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.nd
     error coordinates decouple at the equilibrium, contributing only
     -omega_f eigenvalues.
     """
+    return _jacobian_j11(plant, cfg, alpha, m_matrix(cfg.k, plant.h1, alpha))
+
+
+def _jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
+                  m: np.ndarray) -> np.ndarray:
+    """:func:`jacobian_j11` given its :func:`m_matrix` ``m``."""
     h1 = plant.h1
     n = plant.dimension
     wf = cfg.omega_f
-    m = m_matrix(cfg.k, h1, alpha)
     layout = StateLayout.of(n)
     # the leading error coordinates (error_coordinate_indices): theta_tilde
     # and G_J in their layout rows, then eta_h in the row eta_J has there
@@ -190,8 +195,13 @@ def z_matrix(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarra
     the equilibrium's alpha it generates the non-trivial eigenvalues of the
     J11 block in quadratic pairs.
     """
+    return _z_matrix(plant, cfg, alpha, m_matrix(cfg.k, plant.h1, alpha))
+
+
+def _z_matrix(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
+              m: np.ndarray) -> np.ndarray:
+    """:func:`z_matrix` given its :func:`m_matrix` ``m``."""
     h1 = plant.h1
-    m = m_matrix(cfg.k, h1, alpha)
     return cfg.omega_f * (m @ plant.hessian) + cfg.omega_f * (
         cfg.c * alpha / float(h1 @ h1)
     ) * np.outer(h1, h1)
@@ -201,8 +211,13 @@ def reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> n
     """Linearization of the reduced model at the equilibrium whose
     softened-max slope is ``alpha``: -M H - c alpha h1 h1' / ||h1||^2.
     Real negative spectrum."""
+    return _reduced_jacobian(plant, cfg, alpha, m_matrix(cfg.k, plant.h1, alpha))
+
+
+def _reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
+                      m: np.ndarray) -> np.ndarray:
+    """:func:`reduced_jacobian` given its :func:`m_matrix` ``m``."""
     h1 = plant.h1
-    m = m_matrix(cfg.k, h1, alpha)
     return -(m @ plant.hessian) - cfg.c * alpha * np.outer(h1, h1) / float(h1 @ h1)
 
 
@@ -301,8 +316,9 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
     """
     wf = cfg.omega_f
     alpha = equilibrium_alpha(plant, cfg, eq)
-    j11_eigs = _sorted_eigenvalues(jacobian_j11(plant, cfg, alpha))
-    z_eigs = _sorted_eigenvalues(z_matrix(plant, cfg, alpha))
+    m = m_matrix(cfg.k, plant.h1, alpha)        # J11, Z and the reduced Jacobian share it
+    j11_eigs = _sorted_eigenvalues(_jacobian_j11(plant, cfg, alpha, m))
+    z_eigs = _sorted_eigenvalues(_z_matrix(plant, cfg, alpha, m))
     if not np.max(j11_eigs.real) < 0.0:
         raise HurwitzViolation(
             f"J11 has an eigenvalue with real part {np.max(j11_eigs.real):.3e}"
@@ -325,7 +341,7 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
         pairing_residuals=residuals,
         hurwitz=True,
         omega_f_eigen_found=True,
-        reduced_eigenvalues=_sorted_eigenvalues(reduced_jacobian(plant, cfg, alpha)),
+        reduced_eigenvalues=_sorted_eigenvalues(_reduced_jacobian(plant, cfg, alpha, m)),
     )
 
 

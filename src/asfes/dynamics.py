@@ -326,7 +326,8 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
     ``y`` is one state: a list of ``size`` floats gives a list, any other
     ``(size,)`` state (a number at size 1) an array, and anything else is
     :class:`DimensionMismatch`, as a vector ``t`` is; any other ``t`` that is not one real
-    number is a :class:`ValidationError`.  The field carries its template,
+    number is a :class:`ValidationError`, and a real one that is not a
+    float is taken as its float.  The field carries its template,
     ``(model, n, size, constants)``, for the RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
@@ -344,6 +345,9 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
             if dithered or len(args) != 2:
                 raise TypeError(f"the {model} field takes {2 if dithered else '1 or 2'} arguments")
             args = args[1:]                 # the stepper's (t, y), t unread
+        if dithered and type(args[0]) is not float and isinstance(args[0], numbers.Real):
+            # a numpy float32 t would compute sin(w t) in float32
+            args = (float(args[0]), args[1])
         y = args[-1]
         try:
             if type(y) is list and len(y) == size and set(map(type, y)) == {float}:

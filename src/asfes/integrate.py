@@ -23,7 +23,8 @@ kernel, against 6, 10 and 13 us in the Python loop (medians on a shared
 2-core Xeon VM, Python 3.11, gcc 12.2; ``BENCH_c_kernel.json``).
 
 Warmup steps the filter rows alone, one signal period after another, in
-a loop that holds the parameter as a constant.
+a loop that holds the parameter as a constant; with a kernel, the period
+loop and its stop rule run in C too, so a warmup is one kernel call.
 
 The averaging oracle, :func:`numeric_average`, takes the mean of the
 dithered field at equally spaced times over the dither's common period,
@@ -62,7 +63,7 @@ from .errors import (
     ValidationError,
     WarmupTimeout,
 )
-from .problem import PlantModel, component_sum, eval_barrier, eval_objective, finite_float
+from .problem import PlantModel, eval_barrier, eval_objective, finite_float
 from .signals import dither, fundamental_ratio, signal_period
 
 # default step resolves the fastest dither oscillation with 40 samples; the
@@ -265,6 +266,9 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
 # h there and the demodulation.  Fixed lines come first in a step, and
 # stage 3 reuses those of stage 2, which share t + h/2.  The opaque loop's
 # only fixed lines are the times: its ``rhs`` is called four times a step.
+# Warmup's loops are the ones that hold rows, and their C kernels carry
+# warmup's period loop and stop rule as well (:func:`_settle`), so that a
+# warmup is one call of the kernel and not one per period.
 #
 # A loop's statements (:func:`_loop_parts`) have two renderers: the Python
 # source of :func:`_loop_source`, and the C kernel of :mod:`asfes._ckernel`.
@@ -429,6 +433,18 @@ def _binding(rhs, size: int, held: tuple) -> tuple:
     return model, n, values
 
 
+def _kernel(model: Optional[str], n: int, held: int, gamma_index: Optional[int]):
+    """The C kernel (:class:`asfes._ckernel.Kernel`) of the loop of a
+    field, built on first use; None for the opaque loop (model None) or
+    where none can be built."""
+    if model is None:
+        return None
+    from . import _ckernel
+
+    key = (model, n, held, gamma_index)
+    return _ckernel.kernel(key, _loop_parts(*key))
+
+
 def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
     """``step(y, n_steps, h, stride, guard) -> (times, states, stopped,
     crossed)``: one state of ``size`` rows of ``rhs`` stepped from the list
@@ -442,15 +458,59 @@ def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callabl
     Python loop, fused with the template ``rhs`` carries or opaque where it
     carries none, bit for bit alike."""
     model, n, values = _binding(rhs, size, held)
-    if model is not None:
-        from . import _ckernel
+    kernel = _kernel(model, n, len(held), gamma_index)
+    if kernel is not None:
+        return kernel.bind(values)
+    return _python_stepper(rhs, model, n, values, len(held), gamma_index)
 
-        key = (model, n, len(held), gamma_index)
-        kernel = _ckernel.kernel(key, _loop_parts(*key))
-        if kernel is not None:
-            return kernel.bind(values)
+
+def _settler(rhs, size: int, held: tuple) -> Callable:
+    """``settle(y, periods, n_steps, h, guard, rel_tol) -> (periods,
+    stopped, state)``: warmup's period loop (see :func:`_settle`) for
+    ``rhs``, its first rows held at the floats ``held``, in one call of
+    the C kernel where one can be built, and otherwise over the Python
+    loop of :func:`_stepper`, bit for bit alike."""
+    model, n, values = _binding(rhs, size, held)
+    kernel = _kernel(model, n, len(held), None)
+    if kernel is not None:
+        return kernel.settler(values)
+    return functools.partial(_settle, _python_stepper(rhs, model, n, values, len(held), None))
+
+
+def _settle(step: Callable, y: list, periods: int, n_steps: int, h: float, guard: float,
+            rel_tol: float) -> tuple:
+    """Step the floats ``y`` one period of ``n_steps`` steps at a time with
+    ``step`` (see :func:`_stepper`), for at most ``periods`` periods, until
+    the change over a period is within ``rel_tol`` of the state.
+
+    Gives ``(periods, stopped, state)``: the periods stepped, the last one
+    cut short where the state left the reals; the step of that period
+    where it did, or None; and the settled state, a list of floats, or
+    None where it left the reals or did not settle in time."""
+    for p in range(1, periods + 1):
+        # records the start and the end of the period
+        _, states, stopped, _ = step(y, n_steps, h, n_steps, guard)
+        if stopped is not None:
+            return p, stopped, None
+        prev, y = y, states[-1].tolist()
+        if _norm([a - b for a, b in zip(y, prev)]) <= rel_tol * max(_norm(y), 1e-30):
+            return p, None, y
+    return periods, None, None
+
+
+def _norm(x: list) -> float:
+    """Euclidean norm of a list of floats, its squares summed left to right."""
+    total = x[0] * x[0]
+    for value in x[1:]:
+        total = total + value * value
+    return math.sqrt(total)
+
+
+def _python_stepper(rhs, model: Optional[str], n: int, values: dict, held: int,
+                    gamma_index: Optional[int]) -> Callable:
+    """The ``step`` of :func:`_stepper` in the generated Python loop."""
     names = _MATH if model else {"as_list": _as_list}
-    loop = types.FunctionType(_loop_code(model, n, len(held), gamma_index), {**values, **names})
+    loop = types.FunctionType(_loop_code(model, n, held, gamma_index), {**values, **names})
 
     def step(y, n_steps, h, stride, guard):
         times, states = [0.0], array("d")
@@ -507,6 +567,10 @@ def warmup(
     drops below ``rel_tol``, and the initial state made of theta0 and the
     settled filters is returned.  It fails with :class:`WarmupTimeout`
     when ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
+
+    The period loop and its stop rule (:func:`_settle`) run in one call of
+    the field's C kernel where one can be built, and in Python over the
+    generated loop otherwise, with the same outcome bit for bit.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
@@ -521,27 +585,20 @@ def warmup(
     IntegrationSettings(dt=settings.dt, t_end=period)    # a period of too many steps fails
     n_steps = step_count(period, settings.dt)
     h = period / n_steps
-    step = _stepper(f, layout.size, tuple(start.tolist()), None)
+    settle = _settler(f, layout.size, tuple(start.tolist()))
 
     # eta_J and eta_h at J and h at the start, G_J and G_h at zero, gamma
     # (and Gamma) at one
     y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
                      eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])[layout.filters]
-    for p in range(max(1, int(settings.t_end / period))):
-        # records the start and the end of the period
-        _, states, stopped, _ = step(y.tolist(), n_steps, h, n_steps, settings.gamma_guard)
-        if stopped is not None:
-            raise NonFiniteState(p * period + stopped * h)
-        prev, y = y, states[-1]
-        if _norm(y - prev) <= rel_tol * max(_norm(y), 1e-30):
-            return FullState.from_vector(np.concatenate((start, y)), n)
-    raise WarmupTimeout(
-        f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}")
-
-
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a vector, its squares summed left to right."""
-    return math.sqrt(component_sum(x * x))
+    periods, stopped, state = settle(y.tolist(), max(1, int(settings.t_end / period)), n_steps,
+                                     h, settings.gamma_guard, float(rel_tol))
+    if stopped is not None:
+        raise NonFiniteState((periods - 1) * period + stopped * h)
+    if state is None:
+        raise WarmupTimeout(
+            f"filters did not settle to rel_tol={rel_tol:g} within t_end={settings.t_end:g}")
+    return FullState.from_vector(np.concatenate((start, state)), n)
 
 
 def numeric_average(plant: PlantModel, cfg: AlgorithmConfig, x) -> np.ndarray:

@@ -321,6 +321,25 @@ class TestSpectralCheck:
             with pytest.raises(PairingFailure, match=message):
                 spectral_check(plant, cfg, average_equilibrium(plant, cfg))
 
+    def test_one_m_matrix_per_check(self, monkeypatch, plant2, cfg2):
+        # J11, Z and the reduced Jacobian share one M, and their spectra are
+        # those of the public builders, each of which builds its own
+        eq = average_equilibrium(plant2, cfg2)
+        alpha = equilibrium_alpha(plant2, cfg2, eq)
+        want = [analysis_module._sorted_eigenvalues(build(plant2, cfg2, alpha)).tobytes()
+                for build in (jacobian_j11, z_matrix, reduced_jacobian)]
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return m_matrix(*args)
+
+        monkeypatch.setattr(analysis_module, "m_matrix", counted)
+        report = spectral_check(plant2, cfg2, eq)
+        assert len(builds) == 1
+        assert [report.j11_eigenvalues.tobytes(), report.z_eigenvalues.tobytes(),
+                report.reduced_eigenvalues.tobytes()] == want
+
     def test_alpha_zero_override_gives_gradient_spectrum(self, plant2, cfg2):
         z = z_matrix(plant2, cfg2, alpha=0.0)
         want = np.sort(np.linalg.eigvals(cfg2.omega_f * cfg2.k * plant2.hessian).real)

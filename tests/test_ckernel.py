@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from asfes import _ckernel, analysis
-from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, write_csv
+from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, warmup_settings, write_csv
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
-from asfes.integrate import (IntegrationSettings, _stepper, default_dt, exact_initial_state,
-                             full_state_channels, integrate, warmup)
+from asfes.integrate import (IntegrationSettings, _loop_parts, _stepper, default_dt,
+                             exact_initial_state, full_state_channels, integrate, warmup)
 from asfes.sampling import random_config, random_plant
 from backends import compiler, use_python_loop
 from test_cli import EX1_SMALL
 from test_dynamics import generated_loop_keys
-from test_integrate import _warmup_outcome
+from test_integrate import _warmup_outcome, settle_outcomes
 
 FUSED_KEYS = [key for key in generated_loop_keys() if key[0] is not None]
 
@@ -105,6 +105,33 @@ def test_warmup_is_the_same_on_both_back_ends(monkeypatch, variant, n, theta0, t
     compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
     use_python_loop(monkeypatch)
     assert compiled == _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
+
+
+@compiler
+def test_example1_warmup_is_one_kernel_call(monkeypatch, scenario_dir):
+    # the 92 periods of example 1's warmup step inside the compiled settle:
+    # the stepping kernel is never called from Python
+    scenario = parse_scenario(scenario_dir / "example1.scenario")
+    key = ("asfes", 1, 1, None)
+    kernel = _ckernel.kernel(key, _loop_parts(*key))
+    assert kernel is not None and kernel.settle is not None, "the kernel did not build"
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        return call
+
+    monkeypatch.setattr(kernel, "function", counted("rk4", kernel.function))
+    monkeypatch.setattr(kernel, "settle", counted("settle", kernel.settle))
+    outcomes = settle_outcomes(monkeypatch)
+    warmup(scenario.plant, scenario.config_for(scenario.c_values[0], Variant.ASFES),
+           scenario.initial_thetas[0],
+           warmup_settings(scenario.settings, scenario.config.omega_f), scenario.warmup_rel_tol)
+    assert calls == ["settle"]
+    assert [outcome[:2] for outcome in outcomes] == [(92, None)]
 
 
 @compiler

@@ -746,6 +746,20 @@ def test_dithered_field_names_a_bad_time(case, rng):
                 field(float(t), state)).tobytes()
 
 
+@pytest.mark.parametrize("case", ["asfes1", "newton1", "classical2", "asfes3"])
+def test_float32_time_is_taken_as_its_float(case, rng):
+    # numpy would compute sin(w t) in float32 for a float32 t
+    model, n = case[:-1], int(case[-1])
+    field = make_rhs(random_plant(rng, n), random_config(rng, n, Variant(model)))
+    y = random_full_state(rng, n)
+    if model == "newton":
+        y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
+    t = np.float32(0.37)
+    for state in (y.tolist(), y):
+        assert np.asarray(field(t, state)).tobytes() == np.asarray(
+            field(float(t), state)).tobytes()
+
+
 @pytest.mark.parametrize("variant", ["asfes", "newton", None, Variant])
 def test_config_variant_must_be_a_variant(variant, cfg1, cfg2):
     # a string is not a Variant: it is named where the config is built, not

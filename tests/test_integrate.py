@@ -544,6 +544,24 @@ def _warmup_reference(rhs, plant, cfg, theta0, settings, rel_tol):
     return ("timeout", None), (p + 1) * n_steps
 
 
+def settle_outcomes(monkeypatch) -> list:
+    """The ``(periods, stopped, state)`` of every settle that warmups
+    make, in order, until the test ends."""
+    outcomes, settler = [], integrate_module._settler
+
+    def spy(*args):
+        settle = settler(*args)
+
+        def recorded(*call):
+            outcomes.append(settle(*call))
+            return outcomes[-1]
+
+        return recorded
+
+    monkeypatch.setattr(integrate_module, "_settler", spy)
+    return outcomes
+
+
 def _warmup_outcome(plant, cfg, theta0, settings, rel_tol):
     try:
         return "settled", warmup(plant, cfg, theta0, settings, rel_tol).as_vector().tobytes()
@@ -604,17 +622,23 @@ def test_warmup_outcomes(monkeypatch, request, plant, variant, theta0, t_end, re
             theta0 = plant.theta_star + rng.uniform(-0.3, 0.3, n)
     n = plant.dimension
     settings = IntegrationSettings(dt=default_dt(cfg.dither), t_end=t_end)
-    want, _ = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings, rel_tol)
+    want, steps = _warmup_reference(make_rhs(plant, cfg), plant, cfg, theta0, settings, rel_tol)
     want = _held_at(want, theta0)
     kind, *later = outcome.split()
     assert want[0] == kind
     if later:
         assert want[1] > signal_period(cfg.dither)
+    settles = settle_outcomes(monkeypatch)
     compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
     if _ckernel._compiler() is not None:
-        assert _ckernel._loaded[(variant.value, n, n, None)] is not None
+        assert _ckernel._loaded[(variant.value, n, n, None)].settle is not None
     use_python_loop(monkeypatch)
     assert _warmup_outcome(plant, cfg, theta0, settings, rel_tol) == compiled == want
+    # both back ends stop in the period, and at the step, where the reference does
+    n_steps = step_count(signal_period(cfg.dither), settings.dt)
+    assert len(settles) == 2
+    for periods, stopped, _ in settles:
+        assert (periods - 1) * n_steps + (stopped or n_steps) == steps
     if kind == "settled":
         state = np.frombuffer(compiled[1])
         assert list(np.signbit(state[:n])) == list(np.signbit(theta0))
