@@ -7,21 +7,22 @@ statements (:func:`asfes.integrate._loop_parts`).  This module renders the
 same statements as C, compiles them with the system C compiler into a
 shared library, and calls it through :mod:`ctypes`.  A statement is
 fully parenthesised float arithmetic on names with ``sin`` and ``sqrt``,
-which reads the same in C; only ``abs`` becomes ``fabs``.  IEEE doubles
-evaluated in the written order round as Python's floats do, ``sin`` is
-the C library's, the one :func:`math.sin` calls, and ``sqrt`` is
-correctly rounded in both: so a kernel's records, stop step and crossed
-step are bit for bit those of the Python loop.  Two compiler flags keep
-them so: ``-ffp-contract=off``, since a fused multiply-add rounds once
-where the Python loop rounds twice, and no ``-ffast-math`` (nor
+which reads the same in C; only ``abs`` becomes ``fabs``, and Python's
+``max`` a conditional.  IEEE doubles evaluated in the written order round
+as Python's floats do, ``sin`` is the C library's, the one
+:func:`math.sin` calls, and ``sqrt`` is correctly rounded in both: so a
+kernel's records, stop step, crossed step and settled state are bit for
+bit those of the Python loop.  Two compiler flags keep them so:
+``-ffp-contract=off``, since a fused multiply-add rounds once where the
+Python loop rounds twice, and no ``-ffast-math`` (nor
 ``-ffinite-math-only``), which would fold the divergence check ``x - x``
 to 0.
 
 A kernel is compiled once per loop kind, not once per plant or start: it
 reads the field's constants and held rows from an array, in the order of
-its :attr:`Kernel.names`.  The kernel of a loop that holds rows, warmup's,
-also carries warmup's period loop and stop rule, so that a warmup is one
-call (:meth:`Kernel.settler`).
+its :attr:`Kernel.names`.  It is one C function: a run's RK4 loop, or,
+for a loop that holds rows, warmup's whole period loop with its stop rule,
+so that a warmup is one call.
 
 The output library, :data:`CSV_SOURCE`, is fixed C.  Its CSV formatter
 (:func:`formatter`) writes a block of rows as ``%.17g`` values with exact
@@ -87,30 +88,40 @@ def _cache_dir() -> str:
     return os.path.join(base, "asfes")
 
 
+def _c_expression(code: str) -> str:
+    """An expression or condition of the loop statements in C: C's abs is
+    the integer one, and Python's ``max(a, b)`` is ``a`` unless ``b > a``."""
+    code = re.sub(r"\babs\(", "fabs(", code)
+    return re.sub(r"\bmax\(([^(),]+), ([^(),]+)\)", r"((\2 > \1) ? \2 : \1)", code)
+
+
 def _c_line(line: str, declared: set) -> str:
     """One ``name = expression`` line as a C statement, which declares
-    ``name`` unless it is in ``declared``.  C's abs is the integer one."""
+    ``name`` unless it is in ``declared``."""
     name, expression = line.split(" = ", 1)
-    expression = re.sub(r"\babs\(", "fabs(", expression)
-    return f"{name} = {expression};" if name in declared else f"const double {name} = {expression};"
+    return f"{name} = {_c_expression(expression)};" if name in declared else (
+        f"const double {name} = {_c_expression(expression)};")
 
 
-def render(parts, name: str, settle: Optional[str] = None) -> tuple:
+def render(parts, name: str) -> tuple:
     """``(source, names)``: the C function ``name`` that runs the loop of
     ``parts`` (a :class:`asfes.integrate._LoopParts`), and the names of the
     constants and held rows it reads from ``p``, in order.
 
-    ``int64_t name(p, y, n_steps, h, stride, guard, times, states, out)``
-    steps ``y`` as the Python loop does, writes each record's time and
-    stepped rows to ``times`` and ``states``, sets ``out[0]`` to the
+    A run's ``int64_t name(p, y, n_steps, h, stride, guard, times, states,
+    out)`` steps ``y`` as the Python loop does, writes each record's time
+    and stepped rows to ``times`` and ``states``, sets ``out[0]`` to the
     records written and ``out[1]`` to the step where gamma crossed the
     guard, and returns the step where the state left the reals; 0 stands
     for None in both.
 
-    Given a ``settle`` name, the source also holds that function, warmup's
-    period loop (see :func:`_settle_source`)."""
+    A warmup's ``int64_t name(p, y, periods, n_steps, h, rel_tol, out)``
+    steps ``y`` period by period as the Python loop does, and returns the
+    periods it stepped.  It sets ``out[0]`` to the step where the state
+    left the reals (0 for none) and ``out[1]`` to 1 where it settled, and
+    then leaves the settled state in ``y``."""
     state = parts.state
-    lines = [*parts.lines, *parts.update]
+    lines = [*parts.lines, *parts.update, *parts.start, *parts.norms]
     assigned = {line.split(" = ", 1)[0] for line in lines}
     loop_names = {"i", "h", "half", "sixth", "sin", "sqrt"}
     read = set()
@@ -121,96 +132,67 @@ def render(parts, name: str, settle: Optional[str] = None) -> tuple:
     body = [f"const double {x} = p[{j}];" for j, x in enumerate(names)]
     body += ["const double half = (0.5 * h);", "const double sixth = (h / 6.0);"]
     body += [f"double {x} = y[{r}];" for r, x in enumerate(state)]
-    body += ["int64_t records = 1, crossed = 0;", "times[0] = 0.0;"]
-    body += [f"states[{r}] = {x};" for r, x in enumerate(state)]
-    steps = [_c_line(line, set(state)) for line in lines]
-    steps += [f"if ({parts.diverged}) {{",
-              "    out[0] = records; out[1] = crossed;", "    return (i + 1);", "}"]
-    if parts.watched is not None:
-        steps += [f"if (crossed == 0 && fabs({parts.watched}) > guard) crossed = (i + 1);"]
-    steps += ["if (((i + 1) % stride) == 0 || (i + 1) == n_steps) {",
-              "    times[records] = ((i + 1) * h);",
-              *(f"    states[records * {rows} + {r}] = {x};" for r, x in enumerate(state)),
-              "    records += 1;", "}"]
-    body += ["for (int64_t i = 0; i < n_steps; i++) {", *(f"    {s}" for s in steps), "}",
-             "out[0] = records; out[1] = crossed;", "return 0;"]
-    source = ("#include <math.h>\n#include <stdint.h>\n\n"
-              f"int64_t {name}(const double *p, const double *y, int64_t n_steps, double h,\n"
-              "    int64_t stride, double guard, double *times, double *states, int64_t *out)\n"
-              "{\n" + "".join(f"    {line}\n" for line in body) + "}\n")
-    if settle is not None:
-        source += _settle_source(settle, name, rows)
-    return source, names
-
-
-def _settle_source(name: str, loop: str, rows: int) -> str:
-    """The C function ``name``, the period loop of :func:`asfes.integrate._settle`
-    over the kernel ``loop`` of ``rows`` stepped rows.
-
-    ``int64_t name(p, y, periods, n_steps, h, guard, rel_tol, out)`` steps
-    ``y`` one period of ``n_steps`` steps at a time, for at most
-    ``periods`` periods, and leaves in ``y`` the state at the end of the
-    last period it completed.  It stops once a period's change is within
-    ``rel_tol`` of the state, each norm the square root of the squares
-    summed left to right, as the Python loop takes them, with Python's
-    ``max`` of the state's norm and 1e-30.  It returns the periods it
-    stepped, the last one cut short where the state left the reals, and
-    sets ``out[0]`` to that step (0 for none) and ``out[1]`` to 1 if the
-    state settled, 0 if not."""
-    def norm(terms: list) -> str:
-        total = terms[0]
-        for term in terms[1:]:
-            total = f"({total} + {term})"
-        return f"sqrt({total})"
-
-    end = [f"states[{rows + r}]" for r in range(rows)]
-    body = [f"const double d{r} = ({x} - y[{r}]);" for r, x in enumerate(end)]
-    body += [f"const double change = {norm([f'(d{r} * d{r})' for r in range(rows)])};",
-             f"const double size = {norm([f'({x} * {x})' for x in end])};",
-             *(f"y[{r}] = {x};" for r, x in enumerate(end)),
-             "if (change <= (rel_tol * ((1e-30 > size) ? 1e-30 : size))) {",
-             "    out[0] = 0; out[1] = 1;", "    return period;", "}"]
-    lines = [f"double times[2], states[{2 * rows}];", "int64_t records[2];",
-             "for (int64_t period = 1; period <= periods; period++) {",
-             f"    const int64_t stopped = {loop}(p, y, n_steps, h, n_steps, guard, times, "
-             "states, records);",
-             "    if (stopped != 0) {", "        out[0] = stopped; out[1] = 0;",
-             "        return period;", "    }",
-             *(f"    {line}" for line in body), "}",
-             "out[0] = 0; out[1] = 0;", "return periods;"]
-    return (f"\nint64_t {name}(const double *p, double *y, int64_t periods, int64_t n_steps,\n"
-            "    double h, double guard, double rel_tol, int64_t *out)\n"
-            "{\n" + "".join(f"    {line}\n" for line in lines) + "}\n")
+    steps = [_c_line(line, set(state)) for line in [*parts.lines, *parts.update]]
+    if parts.settled is not None:
+        steps += [f"if ({parts.diverged}) {{",
+                  "    out[0] = (i + 1); out[1] = 0;", "    return period;", "}"]
+        period = [*(_c_line(line, set()) for line in parts.start),
+                  "for (int64_t i = 0; i < n_steps; i++) {", *(f"    {s}" for s in steps), "}",
+                  *(_c_line(line, set()) for line in parts.norms),
+                  f"if ({_c_expression(parts.settled)}) {{",
+                  *(f"    y[{r}] = {x};" for r, x in enumerate(state)),
+                  "    out[0] = 0; out[1] = 1;", "    return period;", "}"]
+        body += ["for (int64_t period = 1; period <= periods; period++) {",
+                 *(f"    {line}" for line in period), "}",
+                 "out[0] = 0; out[1] = 0;", "return periods;"]
+        head = (f"int64_t {name}(const double *p, double *y, int64_t periods, int64_t n_steps,\n"
+                "    double h, double rel_tol, int64_t *out)\n")
+    else:
+        body += ["int64_t records = 1, crossed = 0;", "times[0] = 0.0;"]
+        body += [f"states[{r}] = {x};" for r, x in enumerate(state)]
+        steps += [f"if ({parts.diverged}) {{",
+                  "    out[0] = records; out[1] = crossed;", "    return (i + 1);", "}"]
+        if parts.watched is not None:
+            steps += [f"if (crossed == 0 && fabs({parts.watched}) > guard) crossed = (i + 1);"]
+        steps += ["if (((i + 1) % stride) == 0 || (i + 1) == n_steps) {",
+                  "    times[records] = ((i + 1) * h);",
+                  *(f"    states[records * {rows} + {r}] = {x};" for r, x in enumerate(state)),
+                  "    records += 1;", "}"]
+        body += ["for (int64_t i = 0; i < n_steps; i++) {", *(f"    {s}" for s in steps), "}",
+                 "out[0] = records; out[1] = crossed;", "return 0;"]
+        head = (f"int64_t {name}(const double *p, const double *y, int64_t n_steps, double h,\n"
+                "    int64_t stride, double guard, double *times, double *states, int64_t *out)\n")
+    return ("#include <math.h>\n#include <stdint.h>\n\n" + head
+            + "{\n" + "".join(f"    {line}\n" for line in body) + "}\n"), names
 
 
 class Kernel:
-    """A loaded kernel: :meth:`bind` gives the stepper of one field, and
-    :meth:`settler` its warmup's period loop where the kernel holds rows
-    (``settle`` is None where it does not)."""
+    """A loaded kernel: :meth:`bind` gives the loop of one field, a run's
+    ``step`` or, where the kernel holds rows, a warmup's ``settle``."""
 
-    def __init__(self, function, names: tuple, rows: int, settle=None):
-        self.function, self.names, self.rows, self.settle = function, names, rows, settle
-
-    def _constants(self, values: dict):
-        import ctypes
-
-        return (ctypes.c_double * len(self.names))(*[float(values[name]) for name in self.names])
+    def __init__(self, function, names: tuple, rows: int, held: bool):
+        self.function, self.names, self.rows, self.held = function, names, rows, held
 
     def bind(self, values: dict) -> Callable:
-        """The stepper of the field whose float constants and held rows are ``values``, by name.
-
-        ``step(y, n_steps, h, stride, guard)`` steps the floats ``y`` and
-        gives ``(times (R,), states (R, rows), stopped, crossed)``, the step
-        numbers None where the Python loop gives None."""
+        """The loop of the field whose float constants and held rows are
+        ``values``, by name, called as :func:`asfes.integrate._loop`'s
+        ``step`` or ``settle`` is, with the same outcome bit for bit: the
+        step numbers None where the Python loop gives None."""
         import ctypes
 
-        double = ctypes.c_double
-        p = self._constants(values)
-        function, rows, count = self.function, self.rows, ctypes.c_int64 * 2
+        double, count = ctypes.c_double, ctypes.c_int64 * 2
+        p = (double * len(self.names))(*[float(values[name]) for name in self.names])
+        function, rows = self.function, self.rows
+
+        def settle(y, periods, n_steps, h, rel_tol):
+            state, out = (double * rows)(*y), count()
+            ran = function(p, state, periods, n_steps, h, rel_tol, out)
+            stopped, settled = out
+            return ran, stopped or None, list(state) if settled else None
 
         def step(y, n_steps, h, stride, guard):
             # ctypes arrays pass as pointers at a fraction of numpy's cost,
-            # which is most of a short warmup period's
+            # which is most of a short run's
             records = 1 + n_steps // stride + (n_steps % stride != 0)
             times, states, out = (double * records)(), (double * (records * rows))(), count()
             stopped = function(p, (double * rows)(*y), n_steps, h, stride, guard, times, states,
@@ -220,50 +202,27 @@ class Kernel:
                     np.frombuffer(states, count=written * rows).reshape(written, rows),
                     stopped or None, crossed or None)
 
-        return step
-
-    def settler(self, values: dict) -> Callable:
-        """Warmup's period loop, in one call of the compiled ``settle``, for
-        the field whose float constants and held rows are ``values``, by name.
-
-        ``settle(y, periods, n_steps, h, guard, rel_tol)`` gives
-        ``(periods, stopped, state)`` as :func:`asfes.integrate._settle`
-        does, bit for bit."""
-        import ctypes
-
-        p = self._constants(values)
-        function, rows = self.settle, self.rows
-
-        def settle(y, periods, n_steps, h, guard, rel_tol):
-            state, out = (ctypes.c_double * rows)(*y), (ctypes.c_int64 * 2)()
-            ran = function(p, state, periods, n_steps, h, guard, rel_tol, out)
-            stopped, settled = out
-            return ran, stopped or None, list(state) if settled else None
-
-        return settle
+        return settle if self.held else step
 
 
 def kernel(key: tuple, parts) -> Optional[Kernel]:
     """The kernel of the loop ``key``, whose statements are ``parts``,
     compiled and loaded on first use; None if that fails.  A loop that
-    holds rows, warmup's, comes with its ``settle``."""
+    holds rows is warmup's ``settle_<model>_<n>``, any other a run's
+    ``rk4_<model>_<n>``."""
     if key not in _loaded:
         import ctypes
 
         model, n, held = key[:3]
-        name = f"rk4_{model}_{n}"
-        settle = f"settle_{model}_{n}" if held else None
-        source, names = render(parts, name, settle)
-        doubles, int64 = ctypes.POINTER(ctypes.c_double), ctypes.c_int64
+        name = f"{'settle' if held else 'rk4'}_{model}_{n}"
+        source, names = render(parts, name)
+        doubles, int64, double = ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_double
         counts = ctypes.POINTER(int64)
-        signatures = {name: (doubles, doubles, int64, ctypes.c_double, int64, ctypes.c_double,
-                             doubles, doubles, counts)}
-        if settle is not None:
-            signatures[settle] = (doubles, doubles, int64, int64, ctypes.c_double,
-                                  ctypes.c_double, ctypes.c_double, counts)
-        functions = _load(source, "rk4", signatures)
+        signature = ((doubles, doubles, int64, int64, double, double, counts) if held else
+                     (doubles, doubles, int64, double, int64, double, doubles, doubles, counts))
+        functions = _load(source, "rk4", {name: signature})
         _loaded[key] = None if functions is None else Kernel(
-            functions[name], names, len(parts.state), functions.get(settle))
+            functions[name], names, len(parts.state), bool(held))
     return _loaded[key]
 
 

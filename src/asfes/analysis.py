@@ -32,6 +32,7 @@ import numpy as np
 
 from .dynamics import AlgorithmConfig, PackedBlocks, StateLayout, make_average_rhs
 from .errors import (
+    DimensionMismatch,
     EmptyTrajectory,
     HurwitzViolation,
     NonFiniteEntry,
@@ -228,6 +229,8 @@ def finite_diff_jacobian(
     if not finite_float(step, "step") > 0.0:
         raise NonPositiveTolerance("step must be positive")
     x0 = np.asarray(x0, float)
+    if x0.ndim != 1:
+        raise DimensionMismatch(f"x0 has shape {x0.shape}; it must be one state vector")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f0 = np.asarray(rhs(x0), float)
         jac = np.empty((f0.shape[0], x0.shape[0]))

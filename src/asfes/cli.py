@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -566,9 +567,14 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
 def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
     """Run the seeded randomized invariant suites and print one line per
     property.  Returns 0 when every property holds, 3 otherwise; a
-    ``trials`` below one is :class:`NonPositiveTrials`, a negative ``seed``
-    :class:`NegativeSeed`."""
+    ``trials`` or ``seed`` that is not an integer is a
+    :class:`ValidationError`, a ``trials`` below one
+    :class:`NonPositiveTrials` and a negative ``seed`` :class:`NegativeSeed`."""
     stream = stream or sys.stdout
+    if not isinstance(trials, numbers.Integral):
+        raise ValidationError(f"--trials must be a positive integer, got {trials!r}")
+    if not isinstance(seed, numbers.Integral):
+        raise ValidationError(f"--seed must be a non-negative integer, got {seed!r}")
     if trials <= 0:
         raise NonPositiveTrials(f"--trials must be a positive integer, got {trials}")
     if seed < 0:

@@ -23,8 +23,9 @@ kernel, against 6, 10 and 13 us in the Python loop (medians on a shared
 2-core Xeon VM, Python 3.11, gcc 12.2; ``BENCH_c_kernel.json``).
 
 Warmup steps the filter rows alone, one signal period after another, in
-a loop that holds the parameter as a constant; with a kernel, the period
-loop and its stop rule run in C too, so a warmup is one kernel call.
+a loop that holds the parameter as a constant.  That loop is generated
+whole, its periods and its stop rule included, as one function per kind
+in both renderings, so a warmup is one call of it.
 
 The averaging oracle, :func:`numeric_average`, takes the mean of the
 dithered field at equally spaced times over the dither's common period,
@@ -52,6 +53,7 @@ from .dynamics import (
     Variant,
     _field_parts,
     _function_code,
+    _sum,
     make_rhs,
 )
 from .errors import (
@@ -230,7 +232,7 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
         raise DimensionMismatch(f"x0 has shape {y.shape}; it must be one state vector")
     n_steps = step_count(settings.t_end, settings.dt)
     h = settings.t_end / n_steps
-    step = _stepper(rhs, y.shape[0], (), gamma_index)
+    step = _loop(rhs, y.shape[0], (), gamma_index)
     times, states, stopped, crossed = step(y.tolist(), n_steps, h, settings.record_stride,
                                            settings.gamma_guard)
     return Trajectory(times, states,
@@ -253,22 +255,25 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
 #
 # The stage points and the update are the array expressions y + (h/2) k and
 # y + (h/6) (((k1 + 2 k2) + 2 k3) + k4) written per component, so the records
-# are bit for bit those of the array arithmetic.  The loop records into
+# are bit for bit those of the array arithmetic.  A run's loop records into
 # ``times`` and the flat ``states`` and returns two step numbers: where the
 # state left the reals (None if it did not) and where gamma first crossed the
 # guard (None if it did not).
 #
 # A loop may hold its first rows as constants, bound in its namespace under
-# the names the stages read: it steps, records and checks only the other
-# rows, which are its ``y``.  A stage line is fixed when it reads only the
-# time, the constants and what other fixed lines computed: the times, in a
-# dithered field the dither, and with theta held the dithered point, J and
-# h there and the demodulation.  Fixed lines come first in a step, and
-# stage 3 reuses those of stage 2, which share t + h/2.  The opaque loop's
-# only fixed lines are the times: its ``rhs`` is called four times a step.
-# Warmup's loops are the ones that hold rows, and their C kernels carry
-# warmup's period loop and stop rule as well (:func:`_settle`), so that a
-# warmup is one call of the kernel and not one per period.
+# the names the stages read: it steps only the other rows, which are its
+# ``y``.  A stage line is fixed when it reads only the time, the constants
+# and what other fixed lines computed: the times, in a dithered field the
+# dither, and with theta held the dithered point, J and h there and the
+# demodulation.  Fixed lines come first in a step, and stage 3 reuses those
+# of stage 2, which share t + h/2.  The opaque loop's only fixed lines are
+# the times: its ``rhs`` is called four times a step.
+#
+# A loop that holds rows is warmup's, and it is warmup's whole period loop:
+# it steps one signal period after another, records nothing and watches no
+# row, and stops where the state leaves the reals or where the change over
+# a period is within ``rel_tol`` of the state, each norm the square root of
+# its squares summed left to right.  So a warmup is one call of its loop.
 #
 # A loop's statements (:func:`_loop_parts`) have two renderers: the Python
 # source of :func:`_loop_source`, and the C kernel of :mod:`asfes._ckernel`.
@@ -317,14 +322,21 @@ class _LoopParts(NamedTuple):
     source of :func:`_loop_source` and the C kernel of
     :mod:`asfes._ckernel`.  Each line is ``name = expression``, the
     expression fully parenthesised float arithmetic on names, with
-    ``sin`` and ``sqrt``."""
+    ``sin`` and ``sqrt``; a condition is such an expression, with
+    comparisons and ``max``."""
 
     state: tuple        # the names of the rows the loop steps
     lines: list         # the stage lines: those that read only the time and
                         # the constants first, then the others in order
     update: list        # the RK4 update of each stepped row
     diverged: str       # true once a stepped row has left the reals
-    watched: Optional[str]      # the stepped row gamma is, or None
+    watched: Optional[str]      # the stepped row gamma is in a run, or None
+    # a warmup's period (a run's loop has none): the copies of the rows as
+    # it starts, the norms of the change over it and of the state as it
+    # ends, and the stop rule on them
+    start: list
+    norms: list
+    settled: Optional[str]
 
 
 @functools.cache
@@ -379,32 +391,45 @@ def _loop_parts(model: Optional[str], n: int, held: int,
               for x, k1, k2, k3, k4 in zip(state, *stages)]
     # x - x is 0.0 for a finite x and nan otherwise
     diverged = f"({' + '.join(f'({x} - {x})' for x in state)}) != 0.0"
-    watched = None if gamma_index is None else state[gamma_index - held]
-    return _LoopParts(state, fixed + varied, update, diverged, watched)
+    if not held:
+        watched = None if gamma_index is None else state[gamma_index]
+        return _LoopParts(state, fixed + varied, update, diverged, watched, [], [], None)
+    start = [f"{x}_0 = {x}" for x in state]
+    norms = [f"change = sqrt({_sum([f'(({x} - {x}_0) * ({x} - {x}_0))' for x in state])})",
+             f"size = sqrt({_sum([f'({x} * {x})' for x in state])})"]
+    settled = "change <= (rel_tol * max(size, 1e-30))"
+    return _LoopParts(state, fixed + varied, update, diverged, None, start, norms, settled)
 
 
 def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[int]) -> str:
-    """The loop for the field ``model`` at dimension n, or the
-    opaque loop (model None) for a state of n rows, with the first ``held``
-    rows held and gamma watched at row ``gamma_index`` of the whole state
-    (None: not at all)."""
-    state, lines, update, diverged, watched = _loop_parts(model, n, held, gamma_index)
-    steps = lines + update
-    steps += [f"if {diverged}:", "    return (i + 1), crossed"]
-    if watched is not None:
-        steps += [f"if crossed is None and abs({watched}) > guard:", "    crossed = (i + 1)"]
-    steps += ["if ((i + 1) % stride) == 0 or (i + 1) == n_steps:",
-              "    append(((i + 1) * h))",
-              f"    record(({', '.join(state)},))"]
-    body_lines = [
-        "half = (0.5 * h)", "sixth = (h / 6.0)", f"{', '.join(state)}, = y",
-        "append, record = times.append, states.extend", f"record(({', '.join(state)},))",
-        "crossed = None",
-        "for i in range(n_steps):",
-        *(f"    {line}" for line in steps),
-        "return None, crossed"]
-    return (f"def rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states):\n"
-            + "".join(f"    {line}\n" for line in body_lines))
+    """The loop for the field ``model`` at dimension n, or the opaque loop
+    (model None) for a state of n rows: with no rows held, a run's
+    ``rk4_<model>_<n>``, gamma watched at row ``gamma_index`` (None: not at
+    all); with the first ``held`` rows held, warmup's
+    ``settle_<model>_<n>``."""
+    parts = _loop_parts(model, n, held, gamma_index)
+    state, diverged = ", ".join(parts.state), parts.diverged
+    steps = parts.lines + parts.update
+    body_lines = ["half = (0.5 * h)", "sixth = (h / 6.0)", f"{state}, = y"]
+    if parts.settled is not None:
+        steps += [f"if {diverged}:", "    return period, (i + 1), None"]
+        period = [*parts.start, "for i in range(n_steps):", *(f"    {line}" for line in steps),
+                  *parts.norms, f"if {parts.settled}:", f"    return period, None, [{state}]"]
+        body_lines += ["for period in range(1, periods + 1):",
+                       *(f"    {line}" for line in period), "return periods, None, None"]
+        head = f"settle_{model or 'opaque'}_{n}(rhs, y, periods, n_steps, h, rel_tol)"
+    else:
+        steps += [f"if {diverged}:", "    return (i + 1), crossed"]
+        if parts.watched is not None:
+            steps += [f"if crossed is None and abs({parts.watched}) > guard:",
+                      "    crossed = (i + 1)"]
+        steps += ["if ((i + 1) % stride) == 0 or (i + 1) == n_steps:",
+                  "    append(((i + 1) * h))", f"    record(({state},))"]
+        body_lines += ["append, record = times.append, states.extend", f"record(({state},))",
+                       "crossed = None", "for i in range(n_steps):",
+                       *(f"    {line}" for line in steps), "return None, crossed"]
+        head = f"rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states)"
+    return f"def {head}:\n" + "".join(f"    {line}\n" for line in body_lines)
 
 
 @functools.cache
@@ -445,13 +470,25 @@ def _kernel(model: Optional[str], n: int, held: int, gamma_index: Optional[int])
     return _ckernel.kernel(key, _loop_parts(*key))
 
 
-def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
-    """``step(y, n_steps, h, stride, guard) -> (times, states, stopped,
-    crossed)``: one state of ``size`` rows of ``rhs`` stepped from the list
-    of floats ``y``, its records as arrays ``(R,)`` and ``(R, rows)``.  The
-    first rows are held at the floats ``held`` (see the comment above
-    :data:`_STAGES`), and ``y`` is the other rows.  A templated field given
-    a state of another size is a :class:`DimensionMismatch`.
+def _loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
+    """The loop of one state of ``size`` rows of ``rhs``, its first rows
+    held at the floats ``held`` (see the comment above :data:`_STAGES`).
+    A templated field given a state of another size is a
+    :class:`DimensionMismatch`.
+
+    With no rows held, a run's ``step(y, n_steps, h, stride, guard) ->
+    (times, states, stopped, crossed)`` steps the list of floats ``y`` and
+    gives its records as arrays ``(R,)`` and ``(R, rows)``, the step where
+    it left the reals and the step where gamma, at row ``gamma_index``,
+    first crossed the guard in magnitude, each None where it did not.
+
+    With rows held, a warmup's ``settle(y, periods, n_steps, h, rel_tol)
+    -> (periods, stopped, state)`` steps ``y`` one period of ``n_steps``
+    steps at a time, for at most ``periods`` periods, until the change
+    over a period is within ``rel_tol`` of the state.  It gives the periods
+    stepped, the last one cut short where the state left the reals; the
+    step of that period where it did, or None; and the settled state, a
+    list of floats, or None where it left the reals or did not settle.
 
     A templated field steps in its C kernel (see :mod:`asfes._ckernel`)
     where one can be built; otherwise the state steps in the generated
@@ -461,63 +498,17 @@ def _stepper(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callabl
     kernel = _kernel(model, n, len(held), gamma_index)
     if kernel is not None:
         return kernel.bind(values)
-    return _python_stepper(rhs, model, n, values, len(held), gamma_index)
-
-
-def _settler(rhs, size: int, held: tuple) -> Callable:
-    """``settle(y, periods, n_steps, h, guard, rel_tol) -> (periods,
-    stopped, state)``: warmup's period loop (see :func:`_settle`) for
-    ``rhs``, its first rows held at the floats ``held``, in one call of
-    the C kernel where one can be built, and otherwise over the Python
-    loop of :func:`_stepper`, bit for bit alike."""
-    model, n, values = _binding(rhs, size, held)
-    kernel = _kernel(model, n, len(held), None)
-    if kernel is not None:
-        return kernel.settler(values)
-    return functools.partial(_settle, _python_stepper(rhs, model, n, values, len(held), None))
-
-
-def _settle(step: Callable, y: list, periods: int, n_steps: int, h: float, guard: float,
-            rel_tol: float) -> tuple:
-    """Step the floats ``y`` one period of ``n_steps`` steps at a time with
-    ``step`` (see :func:`_stepper`), for at most ``periods`` periods, until
-    the change over a period is within ``rel_tol`` of the state.
-
-    Gives ``(periods, stopped, state)``: the periods stepped, the last one
-    cut short where the state left the reals; the step of that period
-    where it did, or None; and the settled state, a list of floats, or
-    None where it left the reals or did not settle in time."""
-    for p in range(1, periods + 1):
-        # records the start and the end of the period
-        _, states, stopped, _ = step(y, n_steps, h, n_steps, guard)
-        if stopped is not None:
-            return p, stopped, None
-        prev, y = y, states[-1].tolist()
-        if _norm([a - b for a, b in zip(y, prev)]) <= rel_tol * max(_norm(y), 1e-30):
-            return p, None, y
-    return periods, None, None
-
-
-def _norm(x: list) -> float:
-    """Euclidean norm of a list of floats, its squares summed left to right."""
-    total = x[0] * x[0]
-    for value in x[1:]:
-        total = total + value * value
-    return math.sqrt(total)
-
-
-def _python_stepper(rhs, model: Optional[str], n: int, values: dict, held: int,
-                    gamma_index: Optional[int]) -> Callable:
-    """The ``step`` of :func:`_stepper` in the generated Python loop."""
-    names = _MATH if model else {"as_list": _as_list}
-    loop = types.FunctionType(_loop_code(model, n, held, gamma_index), {**values, **names})
+    code = _loop_code(model, n, len(held), gamma_index)
+    loop = types.FunctionType(code, {**values, **_MATH, "as_list": _as_list})
+    # an opaque rhs may compute on numpy; its inf/nan warnings on the way to a
+    # divergence are noise
+    loop = np.errstate(over="ignore", invalid="ignore")(functools.partial(loop, rhs))
+    if held:
+        return loop
 
     def step(y, n_steps, h, stride, guard):
         times, states = [0.0], array("d")
-        # an opaque rhs may compute on numpy; its inf/nan warnings on the way
-        # to a divergence are noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            stopped, crossed = loop(rhs, y, n_steps, h, stride, guard, times, states)
+        stopped, crossed = loop(y, n_steps, h, stride, guard, times, states)
         return (np.array(times), np.frombuffer(states).reshape(len(times), -1), stopped,
                 crossed)
 
@@ -561,16 +552,17 @@ def warmup(
 
     Steps the filter subsystem in the RK4 loop of :func:`integrate`, with
     the parameter rows held at theta0 as constants of the loop, one signal
-    period at a time, and compares the filter states one period apart:
+    period after another, and compares the filter states one period apart:
     sampling at period boundaries removes the dither ripple, which never
     converges pointwise.  The start is settled once the relative change
     drops below ``rel_tol``, and the initial state made of theta0 and the
     settled filters is returned.  It fails with :class:`WarmupTimeout`
     when ``t_end`` is exhausted first, or with :class:`NonFiniteState`.
 
-    The period loop and its stop rule (:func:`_settle`) run in one call of
-    the field's C kernel where one can be built, and in Python over the
-    generated loop otherwise, with the same outcome bit for bit.
+    The period loop and its stop rule are one generated function, the
+    ``settle`` of :func:`_loop`, run in one call of the field's C kernel
+    where one can be built and in Python otherwise, with the same outcome
+    bit for bit.
     """
     if not rel_tol > 0.0:
         raise NonPositiveTolerance("rel_tol must be positive")
@@ -585,14 +577,14 @@ def warmup(
     IntegrationSettings(dt=settings.dt, t_end=period)    # a period of too many steps fails
     n_steps = step_count(period, settings.dt)
     h = period / n_steps
-    settle = _settler(f, layout.size, tuple(start.tolist()))
+    settle = _loop(f, layout.size, tuple(start.tolist()), None)
 
     # eta_J and eta_h at J and h at the start, G_J and G_h at zero, gamma
     # (and Gamma) at one
     y = layout.pack([start, 0.0, eval_objective(plant, start), 0.0,
                      eval_barrier(plant, start), 1.0, 1.0][:len(layout.blocks)])[layout.filters]
     periods, stopped, state = settle(y.tolist(), max(1, int(settings.t_end / period)), n_steps,
-                                     h, settings.gamma_guard, float(rel_tol))
+                                     h, float(rel_tol))
     if stopped is not None:
         raise NonFiniteState((periods - 1) * period + stopped * h)
     if state is None:

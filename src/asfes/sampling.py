@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import AlgorithmConfig, StateLayout, Variant
+from .errors import DimensionMismatch
 from .problem import LinearBarrier, PlantModel, QuadraticObjective, validate_plant
 from .signals import DitherConfig
 
@@ -41,18 +42,16 @@ def random_plant(rng: np.random.Generator, n: int, h0_sign: int | None = None) -
 
 
 def random_config(
-    rng: np.random.Generator,
-    n: int,
-    variant: Variant = Variant.ASFES,
-    base_scale: float | None = None,
+    rng: np.random.Generator, n: int, variant: Variant = Variant.ASFES
 ) -> AlgorithmConfig:
     """Random positive gains with an admissible frequency set."""
-    if n > len(FREQUENCY_POOL):
-        raise ValueError(f"frequency pool supports n <= {len(FREQUENCY_POOL)}")
+    if not 1 <= n <= len(FREQUENCY_POOL):
+        raise DimensionMismatch(f"the frequency pool supports n from 1 to {len(FREQUENCY_POOL)}, "
+                                f"got {n}")
     dither = DitherConfig(
         amplitude=rng.uniform(0.05, 0.3),
         ratios=FREQUENCY_POOL[:n],
-        base_scale=rng.uniform(20.0, 50.0) if base_scale is None else base_scale,
+        base_scale=rng.uniform(20.0, 50.0),
     )
     return AlgorithmConfig(
         k=rng.uniform(0.1, 1.0),

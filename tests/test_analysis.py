@@ -33,6 +33,7 @@ from asfes.analysis import (
 )
 from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs
 from asfes.errors import (
+    DimensionMismatch,
     EmptyTrajectory,
     HurwitzViolation,
     NonFiniteEntry,
@@ -45,7 +46,7 @@ from asfes.integrate import (
     average_channels,
     integrate,
 )
-from asfes.sampling import random_config, random_plant
+from asfes.sampling import FREQUENCY_POOL, random_config, random_plant
 
 
 def replace_delta(cfg, delta):
@@ -217,6 +218,13 @@ class TestJacobians:
                 finite_diff_jacobian(lambda x: x, np.zeros(2), step)
         with pytest.raises(NonFiniteEntry):
             finite_diff_jacobian(lambda x: 1.0 / (x - 1e-6), np.zeros(1), 1e-6)
+
+    def test_finite_difference_takes_one_vector(self):
+        # a scalar or a matrix x0 is named, not an IndexError or a bare
+        # broadcast error
+        for x0 in (0.0, np.zeros((2, 2))):
+            with pytest.raises(DimensionMismatch, match="one state vector"):
+                finite_diff_jacobian(lambda x: x, x0, 1e-6)
 
     def test_j11_matches_finite_differences(self, plant1, cfg1, plant2, cfg2, rng):
         cases = [(plant1, cfg1), (plant2, cfg2)]
@@ -401,3 +409,16 @@ class TestSafetyReport:
                           h_values=np.zeros(0))
         with pytest.raises(EmptyTrajectory):
             safety_report(traj, plant1, 0.1, constrained_minimum(plant1))
+
+
+def test_random_config_takes_n_up_to_the_pool(rng):
+    # each n the frequency pool supports draws its own ratios and a base
+    # scale in [20, 50]; any other n is a named mismatch, a negative one too,
+    # which would slice the pool from its end
+    for n in range(1, len(FREQUENCY_POOL) + 1):
+        cfg = random_config(rng, n)
+        assert tuple(cfg.dither.ratios) == FREQUENCY_POOL[:n]
+        assert 20.0 <= cfg.dither.base_scale <= 50.0
+    for n in (len(FREQUENCY_POOL) + 1, 0, -1):
+        with pytest.raises(DimensionMismatch, match="frequency pool"):
+            random_config(rng, n)

@@ -1,12 +1,15 @@
 """The C kernel of a templated field against the generated Python loop:
-the same records, stop step and crossed step, bit for bit, for every loop
-kind; the compiled envelope against math.exp; and every run and CSV still
+the same records, stop step and crossed step of a run, and the same
+periods, stop step and settled state of a warmup, bit for bit, for every
+loop kind; the compiled envelope against math.exp; and every run and CSV still
 succeeds, with the same bytes, where no kernel or output library can be
 built or loaded."""
 
 import math
+import re
 import shutil
 import sys
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pytest
 from asfes import _ckernel, analysis
 from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, warmup_settings, write_csv
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
-from asfes.integrate import (IntegrationSettings, _loop_parts, _stepper, default_dt,
+from asfes.integrate import (IntegrationSettings, _loop, _loop_parts, default_dt,
                              exact_initial_state, full_state_channels, integrate, warmup)
 from asfes.sampling import random_config, random_plant
 from backends import compiler, use_python_loop
@@ -49,6 +52,16 @@ def _starts(rhs, rng) -> list:
     return [x, rng.uniform(-0.5, 0.5, size), zeros, 1e200 * x]
 
 
+# warmup's stop rules: an infinite rel_tol stops after the first period,
+# 0.5 and 0.2 after one of the first periods, and 1e-300 never
+REL_TOLS = (math.inf, 0.5, 0.2, 1e-300)
+
+
+def _settle_outcome(settle, y, *args) -> tuple:
+    periods, stopped, state = settle(y, *args)
+    return periods, stopped, None if state is None else array("d", state).tobytes()
+
+
 @compiler
 @pytest.mark.parametrize("key", FUSED_KEYS, ids=str)
 def test_kernel_steps_as_the_python_loop(monkeypatch, key):
@@ -59,17 +72,24 @@ def test_kernel_steps_as_the_python_loop(monkeypatch, key):
     n_steps = 100
     for x0 in _starts(rhs, rng):
         held_rows, y = tuple(x0[:held].tolist()), x0[held:].tolist()
-        # the default, a guard crossed at once and one crossed later on
-        guards = [1e6] if gamma is None else [1e6, 1e-3, 1.3 * abs(x0[gamma]) + 1e-9]
-        for stride in (1, 7, n_steps + 5):      # 7 does not divide 100
-            for guard in guards:
-                args = (n_steps, dt, stride, guard)
-                compiled = _outcome(_stepper(rhs, len(x0), held_rows, gamma), y, *args)
-                assert _ckernel._loaded[key] is not None, "the kernel did not build"
-                with monkeypatch.context() as patch:
-                    use_python_loop(patch)
-                    reference = _outcome(_stepper(rhs, len(x0), held_rows, gamma), y, *args)
-                assert compiled == reference, (x0, stride, guard)
+        if held:
+            # warmup's settle, of at most 4 periods
+            outcome = _settle_outcome
+            cases = [(4, n_steps, dt, rel_tol) for rel_tol in REL_TOLS]
+        else:
+            # the default, a guard crossed at once and one crossed later on
+            guards = [1e6] if gamma is None else [1e6, 1e-3, 1.3 * abs(x0[gamma]) + 1e-9]
+            outcome = _outcome
+            # 7 does not divide 100
+            cases = [(n_steps, dt, stride, guard) for stride in (1, 7, n_steps + 5)
+                     for guard in guards]
+        for args in cases:
+            compiled = outcome(_loop(rhs, len(x0), held_rows, gamma), y, *args)
+            assert _ckernel._loaded[key] is not None, "the kernel did not build"
+            with monkeypatch.context() as patch:
+                use_python_loop(patch)
+                reference = outcome(_loop(rhs, len(x0), held_rows, gamma), y, *args)
+            assert compiled == reference, (x0, args)
 
 
 def test_starts_reach_divergence_and_the_guard():
@@ -77,12 +97,25 @@ def test_starts_reach_divergence_and_the_guard():
     rng = np.random.default_rng(7)
     rhs, cfg = _field("asfes", 2, rng)
     gamma = StateLayout.of(2).gamma
-    step = _stepper(rhs, 9, (), gamma)
+    step = _loop(rhs, 9, (), gamma)
     outcomes = [_outcome(step, x0.tolist(), 100, default_dt(cfg.dither), 7, 1e-3)
                 for x0 in _starts(rhs, rng)]
     finite, *_, diverging = outcomes
     assert finite[3] is None and finite[4] is not None
     assert diverging[3] is not None and diverging[3] < 100
+    # and warmup's settle, example 1's kind, reaches each of its outcomes
+    key = ("asfes", 1, 1, None)
+    rng = np.random.default_rng(FUSED_KEYS.index(key))
+    rhs, cfg = _field("asfes", 1, rng)
+    kinds = set()
+    for x0 in _starts(rhs, rng):
+        settle = _loop(rhs, 6, (x0[0],), None)
+        for rel_tol in REL_TOLS:
+            periods, stopped, state = settle(x0[1:].tolist(), 4, 100, default_dt(cfg.dither),
+                                             rel_tol)
+            kinds.add("diverged" if stopped else "timed out" if state is None
+                      else "settled later" if periods > 1 else "settled")
+    assert kinds == {"settled", "settled later", "diverged", "timed out"}
 
 
 @compiler
@@ -109,29 +142,45 @@ def test_warmup_is_the_same_on_both_back_ends(monkeypatch, variant, n, theta0, t
 
 @compiler
 def test_example1_warmup_is_one_kernel_call(monkeypatch, scenario_dir):
-    # the 92 periods of example 1's warmup step inside the compiled settle:
-    # the stepping kernel is never called from Python
+    # the 92 periods of example 1's warmup step inside one call of its
+    # compiled settle, the one function of its kernel
     scenario = parse_scenario(scenario_dir / "example1.scenario")
     key = ("asfes", 1, 1, None)
     kernel = _ckernel.kernel(key, _loop_parts(*key))
-    assert kernel is not None and kernel.settle is not None, "the kernel did not build"
-    calls = []
+    assert kernel is not None, "the kernel did not build"
+    calls, function = [], kernel.function
 
-    def counted(name, function):
-        def call(*args):
-            calls.append(name)
-            return function(*args)
+    def counted(*args):
+        calls.append(function.__name__)
+        return function(*args)
 
-        return call
-
-    monkeypatch.setattr(kernel, "function", counted("rk4", kernel.function))
-    monkeypatch.setattr(kernel, "settle", counted("settle", kernel.settle))
+    monkeypatch.setattr(kernel, "function", counted)
     outcomes = settle_outcomes(monkeypatch)
     warmup(scenario.plant, scenario.config_for(scenario.c_values[0], Variant.ASFES),
            scenario.initial_thetas[0],
            warmup_settings(scenario.settings, scenario.config.omega_f), scenario.warmup_rel_tol)
-    assert calls == ["settle"]
+    assert calls == ["settle_asfes_1"]
     assert [outcome[:2] for outcome in outcomes] == [(92, None)]
+
+
+@compiler
+@pytest.mark.parametrize("key, name", [(("asfes", 1, 0, 5), "rk4_asfes_1"),
+                                       (("reduced", 2, 0, None), "rk4_reduced_2"),
+                                       (("newton", 1, 1, None), "settle_newton_1")])
+def test_a_kernel_is_one_function(monkeypatch, key, name):
+    # a run's kernel is its RK4 loop, and a warmup's its whole period loop:
+    # each renders, compiles and loads one function
+    loads, load = [], _ckernel._load
+
+    def spy(source, kind, functions):
+        loads.append((re.findall(r"^int64_t (\w+)\(", source, re.MULTILINE), list(functions)))
+        return load(source, kind, functions)
+
+    monkeypatch.setattr(_ckernel, "_loaded", {})
+    monkeypatch.setattr(_ckernel, "_load", spy)
+    kernel = _ckernel.kernel(key, _loop_parts(*key))
+    assert loads == [([name], [name])]
+    assert kernel is not None and kernel.function.__name__ == name
 
 
 @compiler

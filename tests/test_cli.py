@@ -774,6 +774,16 @@ class TestRunVerify:
         assert captured.out == ""
         assert captured.err == "error: --seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("seed, trials, option", [(0, 2.5, "--trials"), (1.5, 2, "--seed"),
+                                                      (0, "3", "--trials")])
+    def test_non_integer_usage_error(self, seed, trials, option):
+        # named before any suite runs, not a TypeError from range, numpy's
+        # SeedSequence or a comparison
+        buf = io.StringIO()
+        with pytest.raises(ValidationError, match=f"^{option} must be"):
+            run_verify(seed, trials, stream=buf)
+        assert buf.getvalue() == ""
+
     def test_gamma_off_its_root_fails(self, monkeypatch):
         # the gamma line checks gamma ||G_h||^2 = 1 on the equilibrium
         # itself, so a gamma moved by 1e-9 off its root is caught

@@ -41,21 +41,22 @@ from oracles import demod, newton_demod
 
 def generated_loop_keys():
     """Every kind of one-state RK4 loop: each dithered field at n = 1, 2, 3
-    (Newton at 1) with and without its theta rows held, and the opaque
-    loop for states of 1 to 10 rows with its first row held (from 2 rows,
-    so that one is left to step) and without, each with and without a
-    watched gamma row; the averaged field at n = 1, 2, 3 with and without a
-    watched gamma row, and the reduced field (which has none) at n = 1, 2,
-    3.  The loops with held rows, warmup's, hold them as constants."""
+    (Newton at 1), and the opaque loop for states of 1 to 10 rows, each
+    with and without a watched gamma row, and with its theta rows held
+    (the opaque loop's first row, from 2 rows, so that one is left to
+    step); the averaged field at n = 1, 2, 3 with and without a watched
+    gamma row, and the reduced field (which has none) at n = 1, 2, 3.  The
+    loops with held rows are warmup's settle: they hold them as constants
+    and watch no row."""
     keys = []
     for model in [v.value for v in Variant] + [None]:
         for n in (1, 2, 3) if model else range(1, 11):
             if model == Variant.NEWTON_ASFES.value and n > 1:
                 continue
             layout = StateLayout.of(n, model == Variant.NEWTON_ASFES.value)
-            held_rows = (0, n) if model else (0, 1) if n > 1 else (0,)
-            keys += [(model, n, held, gamma) for held in held_rows
-                     for gamma in (None, layout.gamma if model else n - 1)]
+            keys += [(model, n, 0, None), (model, n, 0, layout.gamma if model else n - 1)]
+            if model or n > 1:
+                keys.append((model, n, n if model else 1, None))
     for n in (1, 2, 3):
         keys += [("average", n, 0, None), ("average", n, 0, StateLayout.of(n).gamma),
                  ("reduced", n, 0, None)]
@@ -564,7 +565,9 @@ class TestStateLayout:
 
     def test_rk4_holds_one_stepping_loop(self):
         # every state steps in a loop that one generator writes for every
-        # right-hand side, holding one loop; _rk4 has no loop of its own
+        # right-hand side, holding one loop of steps, within a loop of
+        # periods where rows are held (warmup's settle); _rk4 has no loop of
+        # its own
         src = Path(asfes.__file__).parent / "integrate.py"
         tree = ast.parse(src.read_text())
         rk4 = next(node for node in tree.body
@@ -573,7 +576,8 @@ class TestStateLayout:
         for key in generated_loop_keys():
             loops = [node for node in ast.walk(ast.parse(_loop_source(*key)))
                      if isinstance(node, (ast.For, ast.While))]
-            assert [ast.unparse(node.iter) for node in loops] == ["range(n_steps)"]
+            periods = ["range(1, periods + 1)"] if key[2] else []
+            assert [ast.unparse(node.iter) for node in loops] == [*periods, "range(n_steps)"]
 
     def test_held_rows_are_constants_of_the_loop(self):
         # a loop never assigns a held row: it unpacks, steps and records the

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import warnings
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -35,10 +36,9 @@ from asfes.errors import (
 )
 from asfes.integrate import (
     IntegrationSettings,
-    Trajectory,
     _binding,
+    _loop,
     _rk4,
-    _stepper,
     average_channels,
     check_resolves_dither,
     default_dt,
@@ -324,35 +324,52 @@ def test_a_field_given_a_state_of_another_size_is_a_mismatch(plant2, cfg2):
                 integrate(make(plant2, cfg2), x0, settings)
 
 
-def _held_run(rhs, x0, settings, gamma_at, held):
-    """x0 stepped with its first ``held`` rows held, as warmup steps: the
-    Python loop bound to those rows steps and records the others.  With no
-    rows held, this is ``_rk4``."""
-    if not held:
-        return _rk4(rhs, x0, settings, gamma_at)
-    n_steps = step_count(settings.t_end, settings.dt)
-    h = settings.t_end / n_steps
-    with pytest.MonkeyPatch.context() as patch:
-        use_python_loop(patch)
-        step = _stepper(rhs, len(x0), tuple(x0[:held].tolist()), gamma_at)
-        times, states, stopped, crossed = step(x0[held:].tolist(), n_steps, h,
-                                               settings.record_stride, settings.gamma_guard)
-    return Trajectory(times, states,
-                      gamma_exceeded_at=None if crossed is None else crossed * h,
-                      diverged_at=None if stopped is None else stopped * h)
+@pytest.mark.parametrize("slope, rel_tol, outcome", [
+    (1.0, 1.0, (1, None, True)),        # a change of exactly rel_tol times the state
+    (1.0, 0.6, (2, None, True)),        # a change of about half the state
+    (1.0, 0.3, (3, None, False)),       # a third of it in the last period
+    (1e-40, 1e-4, (1, None, True)),     # a state under 1e-30 is taken as 1e-30
+])
+def test_settle_stop_rule(slope, rel_tol, outcome):
+    # rows 1 and 2 grow at a constant rate from 0, row 0 held, one period
+    # of 10 steps at a time for at most 3 periods: the change over the
+    # first period is the state itself, and over the p-th about 1/p of it
+    settle = _loop(lambda t, y: [0.0, slope, slope], 3, (0.0,), None)
+    periods, stopped, state = settle([0.0, 0.0], 3, 10, 0.1, rel_tol)
+    assert (periods, stopped, state is not None) == outcome
 
 
-def _fused_and_opaque(rhs, x0, settings, gamma_at, held=0):
-    """One state of a field of asfes.dynamics stepped by the fused loop,
-    and by the opaque loop through a plain lambda around the same field,
-    with the first ``held`` rows held."""
+def _opaque(rhs, size: int):
+    """A plain lambda around a field of asfes.dynamics: the fused loop
+    steps the field, and the opaque loop the lambda."""
     if rhs.template[0] in ("average", "reduced"):
         opaque = lambda t, y: rhs(y)  # noqa: E731
     else:
         opaque = lambda t, y: rhs(t, y)  # noqa: E731
-    loops = [_binding(f, len(x0), tuple(x0[:held].tolist()))[:2] for f in (rhs, opaque)]
-    assert loops == [rhs.template[:2], (None, len(x0))]
-    return [_held_run(f, x0, settings, gamma_at, held) for f in (rhs, opaque)]
+    loops = [_binding(f, size, ())[:2] for f in (rhs, opaque)]
+    assert loops == [rhs.template[:2], (None, size)]
+    return opaque
+
+
+def _fused_and_opaque(rhs, x0, settings, gamma_at):
+    """One state of a field of asfes.dynamics stepped by the fused loop,
+    and by the opaque loop through a plain lambda around the same field."""
+    return [_rk4(f, x0, settings, gamma_at) for f in (rhs, _opaque(rhs, len(x0)))]
+
+
+def _held_settles(rhs, x0, held, *args) -> list:
+    """The outcomes ``(periods, stopped, state bytes)`` of warmup's settle
+    of x0, its first ``held`` rows held, called with ``args`` in the fused
+    and in the opaque Python loop."""
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        use_python_loop(patch)
+        for f in (rhs, _opaque(rhs, len(x0))):
+            settle = _loop(f, len(x0), tuple(x0[:held].tolist()), None)
+            periods, stopped, state = settle(x0[held:].tolist(), *args)
+            outcomes.append((periods, stopped,
+                             None if state is None else array("d", state).tobytes()))
+    return outcomes
 
 
 def assert_same_records(got, want):
@@ -371,10 +388,10 @@ class TestGeneratedLoop:
            seed=st.integers(0, 2**32 - 1))
     def test_fused_loop_is_the_opaque_loop(self, case, held, stride, steps, seed):
         # a field written into the loop steps bit for bit as the loop that
-        # calls it: the dithered field with its theta rows held (as in
-        # warmup) or not, across the gamma guard and into divergence (a
-        # negative Gamma escapes), the averaged field across the guard,
-        # and the reduced field
+        # calls it: the dithered field across the gamma guard and into
+        # divergence (a negative Gamma escapes), or with its theta rows held
+        # in warmup's settle, to the same period and step; the averaged
+        # field across the guard, and the reduced field
         n, model = case
         rng = np.random.default_rng(seed)
         dithered = isinstance(model, Variant)
@@ -395,9 +412,15 @@ class TestGeneratedLoop:
         settings = IntegrationSettings(
             dt=dt, t_end=steps * dt * rng.uniform(0.5, 1.0), record_stride=stride,
             gamma_guard=guard)
-        fused, opaque = _fused_and_opaque(rhs, x0, settings, gamma_at,
-                                          layout.theta.stop if held and dithered else 0)
-        assert_same_records(fused, opaque)
+        if held and dithered:
+            # up to 3 periods of the run's steps, to a rel_tol that some
+            # starts reach and some do not
+            n_steps = step_count(settings.t_end, dt)
+            fused, opaque = _held_settles(rhs, x0, layout.theta.stop, 3, n_steps,
+                                          settings.t_end / n_steps, 10.0 ** rng.uniform(-4.0, 0.0))
+            assert fused == opaque
+        else:
+            assert_same_records(*_fused_and_opaque(rhs, x0, settings, gamma_at))
 
     @pytest.mark.parametrize("model", ["average", "reduced"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -440,15 +463,19 @@ class TestGeneratedLoop:
         theta, j, h = channels(fused.times, fused.states.T)
         assert_same_run(exc.value.partial,
                         replace(fused, thetas=theta.T, j_values=j, h_values=h))
-        fused, opaque = _fused_and_opaque(rhs, x0, settings, layout.gamma_newton, held=1)
-        assert fused.diverged_at is not None
-        assert_same_records(fused, opaque)
-        # the held loop steps the filters as the whole state steps with a
-        # derivative of 0.0 for theta
-        frozen = _rk4(lambda t, y: [0.0] + rhs(t, y)[1:], x0, settings, layout.gamma_newton)
-        assert fused.states.tobytes() == frozen.states[:, 1:].tobytes()
-        assert (fused.diverged_at, fused.gamma_exceeded_at) == (
-            frozen.diverged_at, frozen.gamma_exceeded_at)
+        # warmup's settle, theta held, steps the filters as the whole state
+        # steps with a derivative of 0.0 for theta, in the fused and the
+        # opaque loop: it escapes at the same step, and a period that ends
+        # before then (rel_tol inf stops after it) ends at the same state
+        frozen = _rk4(lambda t, y: [0.0] + rhs(t, y)[1:], x0, settings, None)
+        n_steps = step_count(settings.t_end, settings.dt)
+        h = settings.t_end / n_steps
+        stopped = len(frozen.times)
+        assert frozen.diverged_at == stopped * h
+        assert _held_settles(rhs, x0, 1, 1, n_steps, h, math.inf) == [(1, stopped, None)] * 2
+        for steps in range(1, stopped):
+            settled = (1, None, frozen.states[steps, 1:].tobytes())
+            assert _held_settles(rhs, x0, 1, 1, steps, h, math.inf) == [settled] * 2
 
 
 class TestWarmup:
@@ -547,18 +574,20 @@ def _warmup_reference(rhs, plant, cfg, theta0, settings, rel_tol):
 def settle_outcomes(monkeypatch) -> list:
     """The ``(periods, stopped, state)`` of every settle that warmups
     make, in order, until the test ends."""
-    outcomes, settler = [], integrate_module._settler
+    outcomes, loop = [], integrate_module._loop
 
-    def spy(*args):
-        settle = settler(*args)
+    def spy(rhs, size, held, gamma_index):
+        run = loop(rhs, size, held, gamma_index)
+        if not held:
+            return run
 
         def recorded(*call):
-            outcomes.append(settle(*call))
+            outcomes.append(run(*call))
             return outcomes[-1]
 
         return recorded
 
-    monkeypatch.setattr(integrate_module, "_settler", spy)
+    monkeypatch.setattr(integrate_module, "_loop", spy)
     return outcomes
 
 
@@ -631,7 +660,8 @@ def test_warmup_outcomes(monkeypatch, request, plant, variant, theta0, t_end, re
     settles = settle_outcomes(monkeypatch)
     compiled = _warmup_outcome(plant, cfg, theta0, settings, rel_tol)
     if _ckernel._compiler() is not None:
-        assert _ckernel._loaded[(variant.value, n, n, None)].settle is not None
+        kernel = _ckernel._loaded[(variant.value, n, n, None)]
+        assert kernel.function.__name__ == f"settle_{variant.value}_{n}"
     use_python_loop(monkeypatch)
     assert _warmup_outcome(plant, cfg, theta0, settings, rel_tol) == compiled == want
     # both back ends stop in the period, and at the step, where the reference does
