@@ -1,18 +1,20 @@
-"""Compiled C for the hot loops: the RK4 loop of a templated field, and
-the output of a run, the ``%.17g`` text of the CSV rows and the
+"""Compiled C for the hot loops: the generated functions of a templated
+field (a run's RK4 loop, warmup's period loop and the averaging oracle's
+mean), and the output of a run, the ``%.17g`` text of the CSV rows and the
 assigned-rate envelope.
 
-:mod:`asfes.integrate` writes a field's RK4 loop as Python from a list of
-statements (:func:`asfes.integrate._loop_parts`).  This module renders the
-same statements as C, compiles them with the system C compiler into a
-shared library, and calls it through :mod:`ctypes`.  A statement is
+:mod:`asfes.integrate` writes each generated function of a field as
+Python from a list of statements (:func:`asfes.integrate._loop_parts`).
+This module renders the same statements as C, compiles them with the
+system C compiler into a shared library, and calls it through
+:mod:`ctypes`.  A statement is
 fully parenthesised float arithmetic on names with ``sin`` and ``sqrt``,
 which reads the same in C; only ``abs`` becomes ``fabs``, and Python's
 ``max`` a conditional.  IEEE doubles evaluated in the written order round
 as Python's floats do, ``sin`` is the C library's, the one
 :func:`math.sin` calls, and ``sqrt`` is correctly rounded in both: so a
-kernel's records, stop step, crossed step and settled state are bit for
-bit those of the Python loop.  Two compiler flags keep them so:
+kernel's records, stop step, crossed step, settled state and mean are bit
+for bit those of the Python function.  Two compiler flags keep them so:
 ``-ffp-contract=off``, since a fused multiply-add rounds once where the
 Python loop rounds twice, and no ``-ffast-math`` (nor
 ``-ffinite-math-only``), which would fold the divergence check ``x - x``
@@ -20,9 +22,11 @@ to 0.
 
 A kernel is compiled once per loop kind, not once per plant or start: it
 reads the field's constants and held rows from an array, in the order of
-its :attr:`Kernel.names`.  It is one C function: a run's RK4 loop, or,
-for a loop that holds rows, warmup's whole period loop with its stop rule,
-so that a warmup is one call.
+its :attr:`Kernel.names`.  It is one C function: a run's RK4 loop; for a
+loop that holds rows, warmup's whole period loop with its stop rule, so
+that a warmup is one call; or, for one that holds every row, the
+oracle's mean of the field over its nodes, so that an oracle is one
+call.
 
 The output library, :data:`CSV_SOURCE`, is fixed C.  Its CSV formatter
 (:func:`formatter`) writes a block of rows as ``%.17g`` values with exact
@@ -104,9 +108,10 @@ def _c_line(line: str, declared: set) -> str:
 
 
 def render(parts, name: str) -> tuple:
-    """``(source, names)``: the C function ``name`` that runs the loop of
-    ``parts`` (a :class:`asfes.integrate._LoopParts`), and the names of the
-    constants and held rows it reads from ``p``, in order.
+    """``(source, names)``: the C function ``name`` of the statements
+    ``parts`` (a :class:`asfes.integrate._LoopParts`), a run's, a warmup's
+    or the oracle's as ``parts.kind`` is, and the names of the constants
+    and held rows it reads from ``p``, in order.
 
     A run's ``int64_t name(p, y, n_steps, h, stride, guard, times, states,
     out)`` steps ``y`` as the Python loop does, writes each record's time
@@ -119,21 +124,33 @@ def render(parts, name: str) -> tuple:
     steps ``y`` period by period as the Python loop does, and returns the
     periods it stepped.  It sets ``out[0]`` to the step where the state
     left the reals (0 for none) and ``out[1]`` to 1 where it settled, and
-    then leaves the settled state in ``y``."""
+    then leaves the settled state in ``y``.
+
+    The oracle's ``int64_t name(p, period, nodes, out)`` writes the mean of
+    the field over the nodes to ``out``, one value per row, as the Python
+    loop does, and returns 0."""
     state = parts.state
     lines = [*parts.lines, *parts.update, *parts.start, *parts.norms]
     assigned = {line.split(" = ", 1)[0] for line in lines}
-    loop_names = {"i", "h", "half", "sixth", "sin", "sqrt"}
+    loop_names = {"i", "h", "half", "sixth", "period", "nodes", "sin", "sqrt"}
     read = set()
     for line in lines:
         read.update(re.findall(r"\b[A-Za-z_]\w*\b", line.split(" = ", 1)[1]))
     names = tuple(sorted(read - assigned - loop_names))
     rows = len(state)
     body = [f"const double {x} = p[{j}];" for j, x in enumerate(names)]
-    body += ["const double half = (0.5 * h);", "const double sixth = (h / 6.0);"]
-    body += [f"double {x} = y[{r}];" for r, x in enumerate(state)]
-    steps = [_c_line(line, set(state)) for line in [*parts.lines, *parts.update]]
-    if parts.settled is not None:
+    steps = [_c_line(line, {*state, *parts.totals}) for line in [*parts.lines, *parts.update]]
+    # a loop that steps rows reads them, and the step's constants, first
+    stepping = ["const double half = (0.5 * h);", "const double sixth = (h / 6.0);",
+                *(f"double {x} = y[{r}];" for r, x in enumerate(state))]
+    if parts.totals:
+        body += [f"double {total} = 0.0;" for total in parts.totals]
+        body += ["for (int64_t i = 0; i < nodes; i++) {", *(f"    {s}" for s in steps), "}"]
+        body += [f"out[{r}] = ({total} / nodes);" for r, total in enumerate(parts.totals)]
+        body += ["return 0;"]
+        head = f"int64_t {name}(const double *p, double period, int64_t nodes, double *out)\n"
+    elif parts.settled is not None:
+        body += stepping
         steps += [f"if ({parts.diverged}) {{",
                   "    out[0] = (i + 1); out[1] = 0;", "    return period;", "}"]
         period = [*(_c_line(line, set()) for line in parts.start),
@@ -148,7 +165,7 @@ def render(parts, name: str) -> tuple:
         head = (f"int64_t {name}(const double *p, double *y, int64_t periods, int64_t n_steps,\n"
                 "    double h, double rel_tol, int64_t *out)\n")
     else:
-        body += ["int64_t records = 1, crossed = 0;", "times[0] = 0.0;"]
+        body += [*stepping, "int64_t records = 1, crossed = 0;", "times[0] = 0.0;"]
         body += [f"states[{r}] = {x};" for r, x in enumerate(state)]
         steps += [f"if ({parts.diverged}) {{",
                   "    out[0] = records; out[1] = crossed;", "    return (i + 1);", "}"]
@@ -168,27 +185,39 @@ def render(parts, name: str) -> tuple:
 
 class Kernel:
     """A loaded kernel: :meth:`bind` gives the loop of one field, a run's
-    ``step`` or, where the kernel holds rows, a warmup's ``settle``."""
+    ``step``, a warmup's ``settle`` or the oracle's ``mean``, as its
+    ``kind`` (:attr:`asfes.integrate._LoopParts.kind`) is."""
 
-    def __init__(self, function, names: tuple, rows: int, held: bool):
-        self.function, self.names, self.rows, self.held = function, names, rows, held
+    def __init__(self, function, names: tuple, rows: int, kind: str):
+        self.function, self.names, self.rows, self.kind = function, names, rows, kind
 
     def bind(self, values: dict) -> Callable:
         """The loop of the field whose float constants and held rows are
         ``values``, by name, called as :func:`asfes.integrate._loop`'s
-        ``step`` or ``settle`` is, with the same outcome bit for bit: the
-        step numbers None where the Python loop gives None."""
+        ``step``, ``settle`` or ``mean`` is, with the same outcome bit for
+        bit: the step numbers None where the Python loop gives None."""
         import ctypes
 
         double, count = ctypes.c_double, ctypes.c_int64 * 2
         p = (double * len(self.names))(*[float(values[name]) for name in self.names])
         function, rows = self.function, self.rows
 
-        def settle(y, periods, n_steps, h, rel_tol):
-            state, out = (double * rows)(*y), count()
-            ran = function(p, state, periods, n_steps, h, rel_tol, out)
-            stopped, settled = out
-            return ran, stopped or None, list(state) if settled else None
+        if self.kind == "mean":
+            def mean(period, nodes):
+                out = (double * rows)()
+                function(p, period, nodes, out)
+                return list(out)
+
+            return mean
+
+        if self.kind == "settle":
+            def settle(y, periods, n_steps, h, rel_tol):
+                state, out = (double * rows)(*y), count()
+                ran = function(p, state, periods, n_steps, h, rel_tol, out)
+                stopped, settled = out
+                return ran, stopped or None, list(state) if settled else None
+
+            return settle
 
         def step(y, n_steps, h, stride, guard):
             # ctypes arrays pass as pointers at a fraction of numpy's cost,
@@ -202,27 +231,30 @@ class Kernel:
                     np.frombuffer(states, count=written * rows).reshape(written, rows),
                     stopped or None, crossed or None)
 
-        return settle if self.held else step
+        return step
 
 
 def kernel(key: tuple, parts) -> Optional[Kernel]:
     """The kernel of the loop ``key``, whose statements are ``parts``,
-    compiled and loaded on first use; None if that fails.  A loop that
-    holds rows is warmup's ``settle_<model>_<n>``, any other a run's
-    ``rk4_<model>_<n>``."""
+    compiled and loaded on first use; None if that fails.  It is one
+    function, ``<kind>_<model>_<n>``: a run's ``rk4``, warmup's
+    ``settle`` for a loop that holds rows, or the oracle's ``mean`` for one
+    that holds them all."""
     if key not in _loaded:
         import ctypes
 
-        model, n, held = key[:3]
-        name = f"{'settle' if held else 'rk4'}_{model}_{n}"
+        model, n = key[:2]
+        name = f"{parts.kind}_{model}_{n}"
         source, names = render(parts, name)
         doubles, int64, double = ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_double
         counts = ctypes.POINTER(int64)
-        signature = ((doubles, doubles, int64, int64, double, double, counts) if held else
-                     (doubles, doubles, int64, double, int64, double, doubles, doubles, counts))
+        signature = {
+            "rk4": (doubles, doubles, int64, double, int64, double, doubles, doubles, counts),
+            "settle": (doubles, doubles, int64, int64, double, double, counts),
+            "mean": (doubles, double, int64, doubles)}[parts.kind]
         functions = _load(source, "rk4", {name: signature})
         _loaded[key] = None if functions is None else Kernel(
-            functions[name], names, len(parts.state), bool(held))
+            functions[name], names, len(parts.totals or parts.state), parts.kind)
     return _loaded[key]
 
 

@@ -225,19 +225,31 @@ def _reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
 def finite_diff_jacobian(
     rhs: Callable[[np.ndarray], np.ndarray], x0, step: float
 ) -> np.ndarray:
-    """Central-difference Jacobian, column j from (f(x+s e_j) - f(x-s e_j)) / 2s."""
+    """Central-difference Jacobian, column j from (f(x+s e_j) - f(x-s e_j)) / 2s.
+
+    ``rhs`` must give one vector, of the same length at every point; any
+    other result is a :class:`DimensionMismatch`."""
     if not finite_float(step, "step") > 0.0:
         raise NonPositiveTolerance("step must be positive")
     x0 = np.asarray(x0, float)
     if x0.ndim != 1:
         raise DimensionMismatch(f"x0 has shape {x0.shape}; it must be one state vector")
+
+    def value(x, shape=None) -> np.ndarray:
+        f = np.asarray(rhs(x), float)
+        if f.ndim != 1 or shape not in (None, f.shape):
+            raise DimensionMismatch(
+                f"rhs gave a result of shape {f.shape}; it must be one vector"
+                + ("" if shape is None else f" of {shape[0]} values, as at x0"))
+        return f
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        f0 = np.asarray(rhs(x0), float)
+        f0 = value(x0)
         jac = np.empty((f0.shape[0], x0.shape[0]))
         for j in range(x0.shape[0]):
             e = np.zeros_like(x0)
             e[j] = step
-            jac[:, j] = (np.asarray(rhs(x0 + e)) - np.asarray(rhs(x0 - e))) / (2.0 * step)
+            jac[:, j] = (value(x0 + e, f0.shape) - value(x0 - e, f0.shape)) / (2.0 * step)
     if not np.all(np.isfinite(jac)):
         raise NonFiniteEntry("non-finite entry in finite-difference Jacobian")
     return jac

@@ -589,8 +589,9 @@ def run_verify(seed: int, trials: int, stream: Optional[TextIO] = None) -> int:
         if not ok:
             failures += 1
 
-    # averaging oracle: quadrature average of the dithered field against the
-    # analytic averaged field, on the two-parameter example configuration
+    # averaging oracle: the dithered field's exact period mean, over equally
+    # spaced nodes, against the analytic averaged field, on the
+    # two-parameter example configuration
     rng = np.random.default_rng(seed)
     plant2 = validate_plant(
         QuadraticObjective(j_star=0.0, hessian=np.diag([2.0, 2.0]),

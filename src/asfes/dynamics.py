@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NotScalar, ValidationError
-from .problem import PlantModel, component_sum, finite_float
+from .problem import PlantModel, component_sum, finite_float, real_array
 from .signals import DitherConfig
 
 
@@ -135,8 +135,9 @@ class StateLayout:
 
     def unpack(self, vec) -> list:
         """The values of :attr:`blocks` in a state vector: copies of the
-        vector blocks, floats for the scalar ones."""
-        vec = np.asarray(vec, float)
+        vector blocks, floats for the scalar ones.  A state that is not real
+        numbers is a :class:`ValidationError`."""
+        vec = real_array(vec, "a state")
         if vec.shape != (self.size,):
             raise DimensionMismatch(
                 f"state vector of shape {vec.shape} does not match n={self.n}")
@@ -324,10 +325,11 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
 
     The field takes ``(t, y)``, an autonomous one also ``(y)``, ``t`` unread.
     ``y`` is one state: a list of ``size`` floats gives a list, any other
-    ``(size,)`` state (a number at size 1) an array, and anything else is
-    :class:`DimensionMismatch`, as a vector ``t`` is; any other ``t`` that is not one real
-    number is a :class:`ValidationError`, and a real one that is not a
-    float is taken as its float.  The field carries its template,
+    ``(size,)`` state (a number at size 1) an array, a state that is not
+    real numbers is a :class:`ValidationError` and one of another shape a
+    :class:`DimensionMismatch`, as a vector ``t`` is; any other ``t`` that
+    is not one real number is a :class:`ValidationError`, and a real one
+    that is not a float is taken as its float.  The field carries its template,
     ``(model, n, size, constants)``, for the RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
@@ -352,11 +354,7 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
         try:
             if type(y) is list and len(y) == size and set(map(type, y)) == {float}:
                 return floats(*args)
-            try:
-                y = np.asarray(y, float)
-            except (TypeError, ValueError):
-                raise DimensionMismatch(
-                    f"a state must be {size} numbers, got a {type(y).__name__}") from None
+            y = real_array(y, "a state")
             if y.shape == (size,) or (y.ndim == 0 and size == 1):
                 return np.array(floats(*args[:-1], y.reshape(size).tolist()))
         except TypeError:       # from sin(w * t): t is not one real number

@@ -1,5 +1,5 @@
 """Fixed-step fourth-order Runge-Kutta integration, warmup, and the
-quadrature oracle for the averaged dynamics.
+averaging oracle for the averaged dynamics.
 
 A fixed step is deliberate: the dither period dictates the resolution
 anyway, and identical inputs must give bit-identical trajectories so golden
@@ -29,7 +29,9 @@ in both renderings, so a warmup is one call of it.
 
 The averaging oracle, :func:`numeric_average`, takes the mean of the
 dithered field at equally spaced times over the dither's common period,
-which is its exact period average: no quadrature library is needed.
+which is its exact period average: no quadrature library is needed.  The
+mean is a third generated function, rendered from the field like the
+loops, so an oracle is one call of it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .errors import (
     ValidationError,
     WarmupTimeout,
 )
-from .problem import PlantModel, eval_barrier, eval_objective, finite_float
+from .problem import PlantModel, eval_barrier, eval_objective, finite_float, real_array
 from .signals import dither, fundamental_ratio, signal_period
 
 # default step resolves the fastest dither oscillation with 40 samples; the
@@ -275,6 +277,11 @@ def _rk4(rhs, x0, settings: IntegrationSettings, gamma_index: Optional[int]) -> 
 # a period is within ``rel_tol`` of the state, each norm the square root of
 # its squares summed left to right.  So a warmup is one call of its loop.
 #
+# A loop that holds every row steps nothing: it is the averaging oracle's
+# mean of the field at the held state over the times (period * i) / nodes,
+# each row summed from 0.0 in node order and divided by nodes, which are
+# the bits of numpy's sum over axis 0 (a row of -0.0s gives +0.0).
+#
 # A loop's statements (:func:`_loop_parts`) have two renderers: the Python
 # source of :func:`_loop_source`, and the C kernel of :mod:`asfes._ckernel`.
 
@@ -337,6 +344,16 @@ class _LoopParts(NamedTuple):
     start: list
     norms: list
     settled: Optional[str]
+    # the oracle's running sums, one per row of the field, where every row
+    # is held: the loop is then their mean over the nodes, ``lines`` a
+    # node's and ``update`` the sums
+    totals: tuple = ()
+
+    @property
+    def kind(self) -> str:
+        """``rk4`` for a run's loop, ``settle`` for a warmup's, ``mean``
+        for the oracle's."""
+        return "mean" if self.totals else "rk4" if self.settled is None else "settle"
 
 
 @functools.cache
@@ -345,6 +362,13 @@ def _loop_parts(model: Optional[str], n: int, held: int,
     """The statements of the loop of :func:`_loop_source`, for the same
     arguments."""
     state, lines, rows = _stage_parts(model, n)
+    if held == len(state):
+        # nothing steps: the field is evaluated at each node's time and
+        # summed from 0.0, node after node, as numpy's sum over axis 0 does
+        totals = tuple(f"total{r}" for r in range(len(rows)))
+        return _LoopParts((), ["t = ((period * i) / nodes)", *lines],
+                          [f"{total} = ({total} + {row})" for total, row in zip(totals, rows)],
+                          None, None, [], [], None, totals)
     state, rows = state[held:], rows[held:]                # the rows the loop steps
     body = [(line, *_names(line)) for line in lines]       # (line, assigned, read)
     if model is not None:
@@ -406,18 +430,25 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
     (model None) for a state of n rows: with no rows held, a run's
     ``rk4_<model>_<n>``, gamma watched at row ``gamma_index`` (None: not at
     all); with the first ``held`` rows held, warmup's
-    ``settle_<model>_<n>``."""
+    ``settle_<model>_<n>``; with every row held, the oracle's
+    ``mean_<model>_<n>``."""
     parts = _loop_parts(model, n, held, gamma_index)
+    head = f"{parts.kind}_{model or 'opaque'}_{n}"
     state, diverged = ", ".join(parts.state), parts.diverged
     steps = parts.lines + parts.update
     body_lines = ["half = (0.5 * h)", "sixth = (h / 6.0)", f"{state}, = y"]
-    if parts.settled is not None:
+    if parts.totals:
+        means = ", ".join(f"({total} / nodes)" for total in parts.totals)
+        body_lines = [*(f"{total} = 0.0" for total in parts.totals), "for i in range(nodes):",
+                      *(f"    {line}" for line in steps), f"return [{means}]"]
+        head += "(rhs, period, nodes)"
+    elif parts.settled is not None:
         steps += [f"if {diverged}:", "    return period, (i + 1), None"]
         period = [*parts.start, "for i in range(n_steps):", *(f"    {line}" for line in steps),
                   *parts.norms, f"if {parts.settled}:", f"    return period, None, [{state}]"]
         body_lines += ["for period in range(1, periods + 1):",
                        *(f"    {line}" for line in period), "return periods, None, None"]
-        head = f"settle_{model or 'opaque'}_{n}(rhs, y, periods, n_steps, h, rel_tol)"
+        head += "(rhs, y, periods, n_steps, h, rel_tol)"
     else:
         steps += [f"if {diverged}:", "    return (i + 1), crossed"]
         if parts.watched is not None:
@@ -428,7 +459,7 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
         body_lines += ["append, record = times.append, states.extend", f"record(({state},))",
                        "crossed = None", "for i in range(n_steps):",
                        *(f"    {line}" for line in steps), "return None, crossed"]
-        head = f"rk4_{model or 'opaque'}_{n}(rhs, y, n_steps, h, stride, guard, times, states)"
+        head += "(rhs, y, n_steps, h, stride, guard, times, states)"
     return f"def {head}:\n" + "".join(f"    {line}\n" for line in body_lines)
 
 
@@ -436,7 +467,8 @@ def _loop_source(model: Optional[str], n: int, held: int, gamma_index: Optional[
 def _loop_code(model: Optional[str], n: int, held: int,
                gamma_index: Optional[int]) -> types.CodeType:
     return _function_code(_loop_source(model, n, held, gamma_index),
-                          f"<asfes rk4 loop, {model or 'opaque'}, n={n}>")
+                          f"<asfes {_loop_parts(model, n, held, gamma_index).kind} loop, "
+                          f"{model or 'opaque'}, n={n}>")
 
 
 def _binding(rhs, size: int, held: tuple) -> tuple:
@@ -490,6 +522,12 @@ def _loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
     step of that period where it did, or None; and the settled state, a
     list of floats, or None where it left the reals or did not settle.
 
+    With every row held, the oracle's ``mean(period, nodes)`` gives the
+    mean of ``rhs`` at the held state over the times ``(period * i) /
+    nodes``, i < nodes, as a list: each row summed from 0.0 in node order
+    and divided by ``nodes``, the bits of numpy's ``sum(axis=0) / nodes``
+    over the rows of the samples.
+
     A templated field steps in its C kernel (see :mod:`asfes._ckernel`)
     where one can be built; otherwise the state steps in the generated
     Python loop, fused with the template ``rhs`` carries or opaque where it
@@ -522,7 +560,7 @@ def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> Full
     bias (a^2/4) tr(H), eta_h the safety value, gamma its Riccati fixed
     point, and Gamma the true inverse Hessian for the Newton variant.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, float))
+    theta0 = np.atleast_1d(real_array(theta0, "theta0"))
     tt = theta0 - plant.theta_star
     a = cfg.dither.amplitude
     eta_j = eval_objective(plant, theta0) + 0.25 * a * a * float(np.trace(plant.hessian))
@@ -568,7 +606,7 @@ def warmup(
         raise NonPositiveTolerance("rel_tol must be positive")
     check_resolves_dither(settings, cfg.dither)
     n = plant.dimension
-    start = np.atleast_1d(np.asarray(theta0, float))
+    start = np.atleast_1d(real_array(theta0, "theta0"))
     if start.shape != (n,):
         raise DimensionMismatch(f"theta0 has shape {np.shape(theta0)}, expected ({n},)")
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
@@ -604,17 +642,18 @@ def numeric_average(plant: PlantModel, cfg: AlgorithmConfig, x) -> np.ndarray:
     products of two dithers, and the G_J rows multiply it by a third.  Its
     mean at N equally spaced times ``T * i / N``, i < N, is its exact
     average for any N > 3 K, as every harmonic below N sums to zero over
-    the nodes.  N is :data:`ORACLE_NODES_PER_FASTEST_PERIOD` times K, each
-    node one call of the field on one state."""
+    the nodes.  N is :data:`ORACLE_NODES_PER_FASTEST_PERIOD` times K.
+
+    The mean is one call of the ``mean`` of :func:`_loop`, the state held
+    as constants of the field: in the field's C kernel where one can be
+    built, and in Python otherwise, with the same bits."""
     layout = StateLayout.of(plant.dimension)
     tt, *filters = layout.unpack(x)
     y = layout.pack([tt + plant.theta_star, *filters]).tolist()   # the field's theta_hat
     period, base = signal_period(cfg.dither), fundamental_ratio(cfg.dither)
     nodes = ORACLE_NODES_PER_FASTEST_PERIOD * int(max(cfg.dither.ratios) / base)
     f = make_rhs(plant, cfg.with_variant(Variant.ASFES))
-    samples = np.array([f(period * i / nodes, y) for i in range(nodes)])
-    with np.errstate(over="ignore", invalid="ignore"):     # an inf or nan is named below
-        mean = samples.sum(axis=0) / nodes
+    mean = np.array(_loop(f, layout.size, tuple(y), None)(period, nodes))
     if not np.all(np.isfinite(mean)):
         raise QuadratureFailure("non-finite integrand while averaging")
     return mean

@@ -30,13 +30,28 @@ SYMMETRY_TOL = 1e-12
 DEFINITENESS_RTOL = 1e-10
 
 
+def real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float array.  A ragged nesting is a
+    :class:`DimensionMismatch`, and anything else that is not real numbers
+    a :class:`ValidationError`, each naming ``name``: a string or an
+    object that is no number, and a complex value, which numpy would cast
+    with a warning and its imaginary part dropped."""
+    try:
+        a = np.asarray(x)
+    except ValueError:
+        raise DimensionMismatch(f"{name} must be an array, got {x!r}") from None
+    try:
+        if a.dtype.kind != "c":
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be real numbers, got {x!r}")
+
+
 def _array(x, name: str, ndim: int) -> np.ndarray:
     """``x`` as a finite float array of ``ndim`` axes, a square one at 2; a
     number is one entry."""
-    try:
-        a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{name} must be numbers, got {x!r}") from None
+    a = real_array(x, name)
     a = a.reshape((1,) * ndim) if a.ndim == 0 else a
     if a.ndim != ndim or a.shape != a.shape[:1] * ndim:
         raise DimensionMismatch(

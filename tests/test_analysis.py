@@ -226,6 +226,17 @@ class TestJacobians:
             with pytest.raises(DimensionMismatch, match="one state vector"):
                 finite_diff_jacobian(lambda x: x, x0, 1e-6)
 
+    def test_finite_difference_takes_one_vector_from_rhs(self):
+        # an rhs that gives a scalar or a matrix at x0, or at a shifted
+        # point anything but a vector of its length at x0, is named, not an
+        # IndexError or a bare broadcast error
+        for rhs in (lambda x: 0.0, lambda x: np.zeros((2, 2)),
+                    lambda x: np.zeros(2 if not x.any() else 3),
+                    lambda x: np.zeros(2) if not x.any() else np.zeros((2, 1)),
+                    lambda x: np.zeros(2) if not x.any() else 1.0):
+            with pytest.raises(DimensionMismatch, match="^rhs gave a result of shape"):
+                finite_diff_jacobian(rhs, np.zeros(2), 1e-6)
+
     def test_j11_matches_finite_differences(self, plant1, cfg1, plant2, cfg2, rng):
         cases = [(plant1, cfg1), (plant2, cfg2)]
         for _ in range(10):

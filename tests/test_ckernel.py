@@ -1,9 +1,9 @@
 """The C kernel of a templated field against the generated Python loop:
-the same records, stop step and crossed step of a run, and the same
-periods, stop step and settled state of a warmup, bit for bit, for every
-loop kind; the compiled envelope against math.exp; and every run and CSV still
-succeeds, with the same bytes, where no kernel or output library can be
-built or loaded."""
+the same records, stop step and crossed step of a run, the same periods,
+stop step and settled state of a warmup, and the same mean of the
+averaging oracle, bit for bit, for every loop kind; the compiled envelope
+against math.exp; and every run and CSV still succeeds, with the same
+bytes, where no kernel or output library can be built or loaded."""
 
 import math
 import re
@@ -20,8 +20,9 @@ from asfes import _ckernel, analysis
 from asfes.cli import CSV_BLOCK_ROWS, parse_scenario, run_simulate, warmup_settings, write_csv
 from asfes.dynamics import StateLayout, Variant, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.integrate import (IntegrationSettings, _loop, _loop_parts, default_dt,
-                             exact_initial_state, full_state_channels, integrate, warmup)
-from asfes.sampling import random_config, random_plant
+                             exact_initial_state, full_state_channels, integrate,
+                             numeric_average, warmup)
+from asfes.sampling import random_config, random_full_state, random_plant
 from backends import compiler, use_python_loop
 from test_cli import EX1_SMALL
 from test_dynamics import generated_loop_keys
@@ -72,6 +73,18 @@ def test_kernel_steps_as_the_python_loop(monkeypatch, key):
     n_steps = 100
     for x0 in _starts(rhs, rng):
         held_rows, y = tuple(x0[:held].tolist()), x0[held:].tolist()
+        if held == len(x0):
+            # the oracle's mean, over 1, 4, 32 and 400 nodes of two periods
+            cases = [(period, nodes) for period in (1.0, 2.0 * math.pi / 3.0)
+                     for nodes in (1, 4, 32, 400)]
+            for args in cases:
+                compiled = array("d", _loop(rhs, len(x0), held_rows, gamma)(*args)).tobytes()
+                assert _ckernel._loaded[key] is not None, "the kernel did not build"
+                with monkeypatch.context() as patch:
+                    use_python_loop(patch)
+                    reference = array("d", _loop(rhs, len(x0), held_rows, gamma)(*args))
+                assert compiled == reference.tobytes(), (x0, args)
+            continue
         if held:
             # warmup's settle, of at most 4 periods
             outcome = _settle_outcome
@@ -164,12 +177,34 @@ def test_example1_warmup_is_one_kernel_call(monkeypatch, scenario_dir):
 
 
 @compiler
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_oracle_is_one_kernel_call(monkeypatch, n):
+    # the averaging oracle's nodes are evaluated and summed inside one call
+    # of its compiled mean, the one function of its kernel
+    rng = np.random.default_rng(n)
+    plant, cfg = random_plant(rng, n), random_config(rng, n)
+    key = ("asfes", n, StateLayout.of(n).size, None)
+    kernel = _ckernel.kernel(key, _loop_parts(*key))
+    assert kernel is not None, "the kernel did not build"
+    calls, function = [], kernel.function
+
+    def counted(*args):
+        calls.append(function.__name__)
+        return function(*args)
+
+    monkeypatch.setattr(kernel, "function", counted)
+    numeric_average(plant, cfg, random_full_state(rng, n))
+    assert calls == [f"mean_asfes_{n}"]
+
+
+@compiler
 @pytest.mark.parametrize("key, name", [(("asfes", 1, 0, 5), "rk4_asfes_1"),
                                        (("reduced", 2, 0, None), "rk4_reduced_2"),
-                                       (("newton", 1, 1, None), "settle_newton_1")])
+                                       (("newton", 1, 1, None), "settle_newton_1"),
+                                       (("asfes", 2, 9, None), "mean_asfes_2")])
 def test_a_kernel_is_one_function(monkeypatch, key, name):
-    # a run's kernel is its RK4 loop, and a warmup's its whole period loop:
-    # each renders, compiles and loads one function
+    # a run's kernel is its RK4 loop, a warmup's its whole period loop and
+    # the oracle's its mean: each renders, compiles and loads one function
     loads, load = [], _ckernel._load
 
     def spy(source, kind, functions):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,7 +48,9 @@ def generated_loop_keys():
     step); the averaged field at n = 1, 2, 3 with and without a watched
     gamma row, and the reduced field (which has none) at n = 1, 2, 3.  The
     loops with held rows are warmup's settle: they hold them as constants
-    and watch no row."""
+    and watch no row.  The loops that hold every row, of the gradient
+    field at n = 1, 2, 3 and the opaque loop of 1 to 10 rows, are the
+    averaging oracle's mean."""
     keys = []
     for model in [v.value for v in Variant] + [None]:
         for n in (1, 2, 3) if model else range(1, 11):
@@ -57,6 +60,8 @@ def generated_loop_keys():
             keys += [(model, n, 0, None), (model, n, 0, layout.gamma if model else n - 1)]
             if model or n > 1:
                 keys.append((model, n, n if model else 1, None))
+            if model in (Variant.ASFES.value, None):
+                keys.append((model, n, layout.size if model else n, None))
     for n in (1, 2, 3):
         keys += [("average", n, 0, None), ("average", n, 0, StateLayout.of(n).gamma),
                  ("reduced", n, 0, None)]
@@ -567,7 +572,8 @@ class TestStateLayout:
         # every state steps in a loop that one generator writes for every
         # right-hand side, holding one loop of steps, within a loop of
         # periods where rows are held (warmup's settle); _rk4 has no loop of
-        # its own
+        # its own.  Where every row is held, the oracle's mean holds one
+        # loop of nodes
         src = Path(asfes.__file__).parent / "integrate.py"
         tree = ast.parse(src.read_text())
         rk4 = next(node for node in tree.body
@@ -576,18 +582,25 @@ class TestStateLayout:
         for key in generated_loop_keys():
             loops = [node for node in ast.walk(ast.parse(_loop_source(*key)))
                      if isinstance(node, (ast.For, ast.While))]
-            periods = ["range(1, periods + 1)"] if key[2] else []
-            assert [ast.unparse(node.iter) for node in loops] == [*periods, "range(n_steps)"]
+            if key[2] == len(_stage_parts(*key[:2])[0]):
+                expected = ["range(nodes)"]
+            else:
+                expected = ["range(1, periods + 1)"] * bool(key[2]) + ["range(n_steps)"]
+            assert [ast.unparse(node.iter) for node in loops] == expected, key
 
     def test_held_rows_are_constants_of_the_loop(self):
         # a loop never assigns a held row: it unpacks, steps and records the
-        # other rows alone
+        # other rows alone, and the oracle's mean, which holds them all,
+        # takes no state
         for model, n, held, gamma in generated_loop_keys():
             fn = ast.parse(_loop_source(model, n, held, gamma)).body[0]
             names = _stage_parts(model, n)[0]
             assigned = {node.id for node in ast.walk(fn)
                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
             assert assigned & set(names[:held]) == set(), (model, n, held)
+            if held == len(names):
+                assert [arg.arg for arg in fn.args.args] == ["rhs", "period", "nodes"]
+                continue
             unpack = next(node for node in fn.body
                           if isinstance(node, ast.Assign) and ast.unparse(node.value) == "y")
             assert [elt.id for elt in unpack.targets[0].elts] == list(names[held:])
@@ -660,7 +673,8 @@ def test_fields_return_a_list_for_a_list(case, rng):
     # averaged and reduced fields answer with a list, any other sequence
     # with an array, and the two hold the same bits.  Anything but one
     # state, a (size, B) array of states included, is a DimensionMismatch,
-    # never a bare TypeError or AttributeError
+    # and a state that is not real numbers a ValidationError, never a bare
+    # TypeError or AttributeError, nor a complex state cast with a warning
     if isinstance(case, str):
         n = int(case[-1])
         plant, cfg = random_plant(rng, n), random_config(rng, n)
@@ -683,8 +697,7 @@ def test_fields_return_a_list_for_a_list(case, rng):
     from_tuple = field(tuple(y.tolist()))
     assert type(from_tuple) is np.ndarray and from_tuple.tobytes() == from_array.tobytes()
     wrong = [y.tolist()[:-1], y.tolist() + [0.0], tuple(y.tolist()[:-1]),
-             y.reshape(-1, 1, 1), ["x"] * len(y), [[0.5, 0.5]] * len(y) + [[0.5]],
-             np.stack([y, y], axis=1)]
+             y.reshape(-1, 1, 1), [[0.5, 0.5]] * len(y) + [[0.5]], np.stack([y, y], axis=1)]
     if len(y) > 1:          # a number is the one point of the reduced field at n = 1
         wrong += [0.5, np.array(0.5)]
     else:
@@ -693,6 +706,12 @@ def test_fields_return_a_list_for_a_list(case, rng):
     for bad in wrong:
         with pytest.raises(DimensionMismatch):
             field(bad)
+    for bad in (["x"] * len(y), [object()] * len(y), 1j * y, (y + 0j).tolist()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="^a state must be real numbers") as exc:
+                field(bad)
+        assert type(exc.value) is ValidationError
 
 
 @pytest.mark.parametrize("case", ["average1", "average2", "average3", "reduced1", "reduced2",

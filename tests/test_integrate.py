@@ -23,13 +23,14 @@ from asfes import (
     validate_plant,
 )
 from asfes.analysis import average_equilibrium
-from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs, make_rhs
+from asfes.dynamics import FullState, StateLayout, make_average_rhs, make_reduced_rhs, make_rhs
 from asfes.errors import (
     DimensionMismatch,
     NonFiniteState,
     NonFiniteValue,
     NonPositiveDefiniteHessian,
     NonPositiveTolerance,
+    QuadratureFailure,
     TooManySteps,
     ValidationError,
     WarmupTimeout,
@@ -51,8 +52,8 @@ from asfes.integrate import (
 )
 from asfes.problem import component_sum
 from asfes.sampling import random_config, random_full_state, random_plant
-from asfes.signals import signal_period
-from backends import use_python_loop
+from asfes.signals import fundamental_ratio, signal_period
+from backends import compiler, use_python_loop
 
 # the module, which the package's integrate function shadows as an attribute
 integrate_module = importlib.import_module("asfes.integrate")
@@ -767,6 +768,128 @@ class TestNumericAverage:
         monkeypatch.setattr(integrate_module, "ORACLE_NODES_PER_FASTEST_PERIOD", 400)
         fine = numeric_average(plant2, cfg2, x)
         assert np.max(np.abs(fine - coarse)) < 1e-10
+
+
+def _oracle_samples(plant, cfg, x) -> np.ndarray:
+    """The gradient field at each node of numeric_average, (nodes, size),
+    through its bound form, at the state in its own coordinates."""
+    layout = StateLayout.of(plant.dimension)
+    tt, *filters = layout.unpack(x)
+    y = layout.pack([tt + plant.theta_star, *filters]).tolist()
+    period, base = signal_period(cfg.dither), fundamental_ratio(cfg.dither)
+    nodes = integrate_module.ORACLE_NODES_PER_FASTEST_PERIOD * int(max(cfg.dither.ratios) / base)
+    f = make_rhs(plant, cfg.with_variant(Variant.ASFES))
+    return np.array([f(period * i / nodes, y) for i in range(nodes)])
+
+
+def _oracle_reference(plant, cfg, x) -> np.ndarray:
+    """The oracle's mean as numpy takes it: the samples summed over the
+    nodes and divided by their count."""
+    samples = _oracle_samples(plant, cfg, x)
+    return samples.sum(axis=0) / samples.shape[0]
+
+
+@pytest.fixture(params=["python", pytest.param("compiled", marks=compiler)])
+def oracle_backend(request, monkeypatch):
+    """Each back end of the oracle's mean in turn: the generated Python
+    function, as where no C compiler is found, or the field's kernel."""
+    if request.param == "python":
+        use_python_loop(monkeypatch)
+    return request.param
+
+
+class TestOracleMean:
+    """numeric_average's one generated call against numpy's mean of the
+    samples, bit for bit, on both back ends."""
+
+    @pytest.mark.parametrize("nodes", [4, 8, 400])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_numpys_mean_bit_for_bit(self, monkeypatch, oracle_backend, n, nodes):
+        monkeypatch.setattr(integrate_module, "ORACLE_NODES_PER_FASTEST_PERIOD", nodes)
+        rng = np.random.default_rng(100 * n + nodes)
+        for _ in range(3):
+            plant, cfg = random_plant(rng, n), random_config(rng, n)
+            x = random_full_state(rng, n)
+            mean = numeric_average(plant, cfg, x)
+            assert mean.tobytes() == _oracle_reference(plant, cfg, x).tobytes()
+        kernel = _ckernel._loaded[("asfes", n, StateLayout.of(n).size, None)]
+        assert (kernel is not None) == (oracle_backend == "compiled")
+
+    def test_a_row_of_negative_zeros_averages_to_positive_zero(self, oracle_backend, plant2,
+                                                               cfg2):
+        # G_J at +0.0, gamma at -0.0 and G_h positive make the theta and
+        # gamma rows -0.0 at every node; numpy's sum starts from +0.0, so
+        # their mean is +0.0, which seeding the sum with the first node
+        # would turn into -0.0
+        layout = StateLayout.of(2)
+        x = layout.pack([[0.3, -0.2], [0.0, 0.0], 0.5, [1.0, 2.0], -0.4, -0.0])
+        rows = [0, 1, layout.gamma]
+        samples = _oracle_samples(plant2, cfg2, x)[:, rows]
+        assert (samples == 0.0).all() and np.signbit(samples).all()
+        mean = numeric_average(plant2, cfg2, x)
+        assert mean.tobytes() == _oracle_reference(plant2, cfg2, x).tobytes()
+        assert (mean[rows] == 0.0).all() and not np.signbit(mean[rows]).any()
+
+    @pytest.mark.parametrize("scale", [1e200, math.inf])
+    def test_a_non_finite_integrand_is_a_quadrature_failure(self, oracle_backend, plant2,
+                                                            cfg2, scale):
+        x = scale * (1.0 + np.abs(random_full_state(np.random.default_rng(3), 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure, match="non-finite integrand"):
+                numeric_average(plant2, cfg2, x)
+
+    @pytest.mark.parametrize("answer", ["list", "array"])
+    def test_an_untemplated_field_is_called_once_per_node(self, monkeypatch, plant2, cfg2,
+                                                          answer):
+        # a field without its template, as a tracer's wrapper gives, is
+        # called at each node's time on the held state, as a list, and may
+        # answer with a list or an array; the mean has the same bits
+        x = random_full_state(np.random.default_rng(4), 2)
+        want = _oracle_reference(plant2, cfg2, x)
+        calls = []
+
+        def untemplated(plant, cfg):
+            f = make_rhs(plant, cfg)
+
+            def opaque(t, y):
+                calls.append((t, y))
+                return f(t, y) if answer == "list" else np.asarray(f(t, y))
+
+            return opaque
+
+        monkeypatch.setattr(integrate_module, "make_rhs", untemplated)
+        assert numeric_average(plant2, cfg2, x).tobytes() == want.tobytes()
+        period = signal_period(cfg2.dither)
+        y = x.tolist()          # theta* is 0: the state is the field's own
+        assert calls == [(period * i / 32, y) for i in range(32)]
+        monkeypatch.setattr(integrate_module, "make_rhs", lambda plant, cfg: lambda t, y: [0.0])
+        with pytest.raises(DimensionMismatch, match="rhs gave 1 components for a state of 9"):
+            numeric_average(plant2, cfg2, x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, c: numeric_average(p, c, ["a"] * 9),
+    lambda p, c: numeric_average(p, c, 1j * np.ones(9)),
+    lambda p, c: make_average_rhs(p, c)(1j * np.ones(9)),
+    lambda p, c: make_rhs(p, c)(0.0, [object()] * 9),
+    lambda p, c: FullState.from_vector(["a"] * 9, 2),
+    lambda p, c: StateLayout.of(2).unpack(np.ones(9) + 0j),
+    lambda p, c: exact_initial_state(p, c, "ab"),
+    lambda p, c: exact_initial_state(p, c, [1j, 0.0]),
+    lambda p, c: warmup(p, c, "ab", IntegrationSettings(dt=default_dt(c.dither), t_end=1.0),
+                        1e-4),
+], ids=["oracle-str", "oracle-complex", "average-complex", "field-object", "from_vector-str",
+        "unpack-complex", "exact-str", "exact-complex", "warmup-str"])
+def test_a_state_that_is_not_real_numbers_is_named(plant2, cfg2, call):
+    # a string, an object or a complex state is a ValidationError that
+    # names it, not a bare ValueError or TypeError, nor a complex state
+    # cast to its real part with numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="must be real numbers") as exc:
+            call(plant2, cfg2)
+    assert type(exc.value) is ValidationError
 
 
 class TestExactInitialState:
