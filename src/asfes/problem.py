@@ -35,7 +35,8 @@ def real_array(x, name: str) -> np.ndarray:
     :class:`DimensionMismatch`, and anything else that is not real numbers
     a :class:`ValidationError`, each naming ``name``: a string or an
     object that is no number, and a complex value, which numpy would cast
-    with a warning and its imaginary part dropped."""
+    with a warning and its imaginary part dropped.  An integer beyond the
+    float range is a :class:`NonFiniteValue`."""
     try:
         a = np.asarray(x)
     except ValueError:
@@ -43,6 +44,8 @@ def real_array(x, name: str) -> np.ndarray:
     try:
         if a.dtype.kind != "c":
             return a.astype(float, copy=False)
+    except OverflowError:       # no repr of x: Python refuses one past 4300 digits
+        raise NonFiniteValue(f"{name} holds an integer beyond the float range") from None
     except (TypeError, ValueError):
         pass
     raise ValidationError(f"{name} must be real numbers, got {x!r}")

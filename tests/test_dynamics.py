@@ -34,7 +34,7 @@ from asfes import (
 from asfes import dynamics
 from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
 from asfes.dynamics import StateLayout, make_reduced_rhs
-from asfes.errors import DimensionMismatch, NotScalar, ValidationError
+from asfes.errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
 from asfes.integrate import _loop_source, _stage_parts, numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
 from oracles import demod, newton_demod
@@ -425,7 +425,9 @@ class TestReducedRhs:
             got = reduced_rhs(plant, cfg, x)
             want, bound = _reduced_rhs_reference(plant, cfg, x)
             assert got.shape == (n,)
-            assert reduced_rhs(plant, cfg, x.tolist()).tobytes() == got.tobytes()
+            from_list = reduced_rhs(plant, cfg, x.tolist())
+            assert type(from_list) is list
+            assert np.array(from_list).tobytes() == got.tobytes()
             if n == 1:
                 assert got.tobytes() == want.tobytes()
                 assert reduced_rhs(plant, cfg, float(x[0])).tobytes() == got.tobytes()
@@ -714,6 +716,57 @@ def test_fields_return_a_list_for_a_list(case, rng):
         assert type(exc.value) is ValidationError
 
 
+class _Float(float):
+    """A float subclass, which the fields' list check does not take for a float."""
+
+
+@pytest.mark.parametrize("model, n", [
+    (model, n) for model in ("asfes", "newton", "classical", "average", "reduced")
+    for n in (1, 2, 3) if model != "newton" or n == 1])
+def test_only_a_list_of_floats_takes_the_list_path(model, n, rng):
+    # a list of size Python floats gives a list of floats; the same list
+    # with one entry, at any place, an int, a bool, a numpy float or a
+    # float subclass gives an array, bit for bit the array path's answer,
+    # and an integer beyond the float range is named
+    plant = random_plant(rng, n)
+    if model in ("average", "reduced"):
+        field = (make_average_rhs if model == "average" else make_reduced_rhs)(
+            plant, random_config(rng, n))
+    else:
+        dithered = make_rhs(plant, random_config(rng, n, Variant(model)))
+
+        def field(y):
+            return dithered(0.37, y)
+    size = n if model == "reduced" else StateLayout.of(n, model == "newton").size
+    y = rng.uniform(-1.0, 1.0, size).tolist()
+    got, from_array = field(y), field(np.array(y)).tobytes()
+    assert type(got) is list and [type(v) for v in got] == [float] * size
+    assert np.array(got).tobytes() == from_array
+    for i in range(size):
+        ones = y[:i] + [1.0] + y[i + 1:]
+        want = field(np.array(ones)).tobytes()
+        for odd in (1, True):
+            mixed = field(y[:i] + [odd] + y[i + 1:])
+            assert type(mixed) is np.ndarray and mixed.tobytes() == want, (i, odd)
+        for odd in (np.float64(y[i]), _Float(y[i])):
+            mixed = field(y[:i] + [odd] + y[i + 1:])
+            assert type(mixed) is np.ndarray and mixed.tobytes() == from_array
+        with pytest.raises(NonFiniteValue, match="^a state holds an integer beyond the float"):
+            field(y[:i] + [10**400] + y[i + 1:])
+
+
+def test_reduced_rhs_answers_as_its_field(plant2, cfg2):
+    # a list of floats gives a list, anything else an array, with the bytes
+    # of the field's answer
+    x = [0.5, -0.25]
+    want = np.array(make_reduced_rhs(plant2, cfg2)(x)).tobytes()
+    got = reduced_rhs(plant2, cfg2, x)
+    assert type(got) is list and np.array(got).tobytes() == want
+    for other in (np.array(x), tuple(x), [0.5, np.float64(-0.25)], [_Float(0.5), -0.25]):
+        got = reduced_rhs(plant2, cfg2, other)
+        assert type(got) is np.ndarray and got.tobytes() == want
+
+
 @pytest.mark.parametrize("case", ["average1", "average2", "average3", "reduced1", "reduced2",
                                   "reduced3", "asfes1", "newton1", "classical2", "asfes3"])
 def test_fields_take_the_steppers_call_form(case, rng):
@@ -843,6 +896,28 @@ class TestStateContainers:
             np.testing.assert_array_equal(back.as_vector(), vec)
             assert getattr(back, "gamma_newton", None) == (
                 vec[layout.gamma_newton] if newton else None)
+
+    def test_a_block_that_is_not_real_numbers_is_named(self):
+        # each block is checked where the state is built, and named: a
+        # vector block as an array of floats, a scalar one as one float,
+        # which may be infinite
+        blocks = dict(theta_hat=[0.0, 0.0], g_j=[0.0, 0.0], eta_j=0.0, g_h=[0.0, 0.0],
+                      eta_h=0.0, gamma=1.0)
+        for name, bad in (("theta_hat", ["a", 0.0]), ("g_h", [1j, 0.0]), ("eta_j", 1j),
+                          ("eta_h", "a"), ("gamma", [1.0, 2.0]), ("gamma_newton", object())):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=f"^{name} must be") as exc:
+                    FullState(**{**blocks, name: bad})
+            assert type(exc.value) is ValidationError
+        with pytest.raises(DimensionMismatch, match="^g_j must be an array"):
+            FullState(**{**blocks, "g_j": [0.0, [0.0]]})
+        with pytest.raises(NonFiniteValue, match="^g_h holds an integer beyond the float range"):
+            FullState(**{**blocks, "g_h": [10**400, 0.0]})
+        state = FullState(**{**blocks, "eta_j": 10**400, "eta_h": np.float64(-np.inf),
+                             "gamma": 1})
+        assert [type(getattr(state, name)) for name in ("eta_j", "eta_h", "gamma")] == [float] * 3
+        assert state.as_vector().tolist() == [0.0, 0.0, 0.0, 0.0, np.inf, 0.0, 0.0, -np.inf, 1.0]
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -23,7 +23,9 @@ from asfes import (
     validate_plant,
 )
 from asfes.analysis import average_equilibrium
-from asfes.dynamics import FullState, StateLayout, make_average_rhs, make_reduced_rhs, make_rhs
+from asfes.cli import _slow_settings, parse_scenario
+from asfes.dynamics import (FullState, StateLayout, make_average_rhs, make_reduced_rhs,
+                            make_rhs, reduced_rhs)
 from asfes.errors import (
     DimensionMismatch,
     NonFiniteState,
@@ -442,6 +444,28 @@ class TestGeneratedLoop:
         runs = [integrate(rhs, x0, settings, channels=average_channels(plant),
                           gamma_index=gamma_at) for rhs in (f, lambda t, y: f(y))]
         assert_same_run(*runs)
+
+    @pytest.mark.parametrize("back_end", ["python", pytest.param("compiled", marks=compiler)])
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_reduced_run_through_reduced_rhs_is_the_fields_run(self, example, back_end,
+                                                               scenario_dir, monkeypatch):
+        # simulate steps its reduced run through reduced_rhs, which the
+        # opaque loop calls once a stage: from every start and at every rate
+        # of both examples, its states and h are the bytes of the field's
+        # own run, fused in the Python loop or stepped in its kernel
+        if back_end == "python":
+            use_python_loop(monkeypatch)
+        scenario = parse_scenario(scenario_dir / f"{example}.scenario")
+        plant = scenario.plant
+        slow = _slow_settings(scenario.settings, scenario.config.omega_f)
+        for c in scenario.c_values:
+            cfg = scenario.config_for(c, Variant.ASFES)
+            for theta0 in scenario.initial_thetas:
+                runs = [integrate(rhs, theta0 - plant.theta_star, slow,
+                                  channels=average_channels(plant))
+                        for rhs in (make_reduced_rhs(plant, cfg),
+                                    lambda t, y: reduced_rhs(plant, cfg, y))]
+                assert_same_run(*runs, fields=("times", "states", "h_values"))
 
     def test_newton_escape_is_the_same_in_both_loops(self, plant1, cfg1):
         # NB-ASfES on example 1 from theta0 = -3: Gamma crosses the guard
@@ -890,6 +914,16 @@ def test_a_state_that_is_not_real_numbers_is_named(plant2, cfg2, call):
         with pytest.raises(ValidationError, match="must be real numbers") as exc:
             call(plant2, cfg2)
     assert type(exc.value) is ValidationError
+
+
+def test_an_integer_beyond_the_float_range_is_named(plant2, cfg2):
+    # numpy's conversion would raise a bare OverflowError
+    for call in (lambda: numeric_average(plant2, cfg2, [10**400] * 9),
+                 lambda: numeric_average(plant2, cfg2, [0.0] * 8 + [-10**400]),
+                 lambda: make_reduced_rhs(plant2, cfg2)([10**400, 0.0]),
+                 lambda: exact_initial_state(plant2, cfg2, [0.0, 10**5000])):
+        with pytest.raises(NonFiniteValue, match="holds an integer beyond the float range"):
+            call()
 
 
 class TestExactInitialState:
