@@ -123,11 +123,11 @@ def average_equilibrium(plant: PlantModel, cfg: AlgorithmConfig) -> Equilibrium:
         # theta_tilde, G_J, eta_J, G_h, eta_h, gamma
         blocks = [theta_tilde_ae, c1 * h1,
                   float(plant.j_star + 0.5 * c1 * c1 * q
-                        + 0.25 * a * a * float(np.trace(plant.hessian))),
+                        + 0.25 * a * a * float(plant.hessian.trace())),
                   h1.copy(), float(h0 + h1 @ theta_tilde_ae), float(1.0 / h1_sq)]
         vec = StateLayout.of(plant.dimension).pack(blocks)
         norm = np.linalg.norm(vec)
-        if not np.all(np.isfinite((norm, d, c1))):   # a finite norm has finite entries
+        if not all(map(math.isfinite, (norm, d, c1))):   # a finite norm has finite entries
             raise NonFiniteEntry(f"the averaged equilibrium for c={c:g} is not finite")
         residual = float(np.linalg.norm(make_average_rhs(plant, cfg)(vec)))
     scale = max(1.0, cfg.omega_f) * max(1.0, float(norm))
@@ -282,33 +282,40 @@ def average_error_rhs(
 def _pair_eigenvalues(lambdas: list, z_eigs: list, omega_f: float) -> List[float]:
     """Match each J11 eigenvalue (minus the -omega_f one) to a Z eigenvalue
     through lambda^2 + omega_f lambda + z = 0; every z takes exactly two.
-    The eigenvalues are Python numbers, which compute as numpy's do."""
-    capacity = {i: 2 for i in range(len(z_eigs))}
+    The eigenvalues go in the order of their best residual, and each takes
+    the free z of least residual.  They are Python numbers, which compute
+    as numpy's do.
+
+    Each eigenvalue's residuals are computed once.  The order takes its
+    square as lambda ** 2 and the residuals as lambda * lambda.  For a
+    complex lambda the two differ at most in the sign of a zero, which the
+    absolute value drops.  For a real one the C library's pow can differ
+    from the product in the last bit, so that row is computed again."""
+    table, keys = [], []
+    for lam in lambdas:
+        linear = omega_f * lam
+        square = lam ** 2
+        row = [abs(square + linear + z) for z in z_eigs]
+        keys.append(min(row))
+        if lam * lam != square:
+            row = [abs(lam * lam + linear + z) for z in z_eigs]
+        table.append(row)
+    capacity = [2] * len(z_eigs)
     residuals_out = []
-    order = sorted(
-        range(len(lambdas)),
-        key=lambda i: min(
-            abs(lambdas[i] ** 2 + omega_f * lambdas[i] + z) for z in z_eigs
-        ),
-    )
-    for i in order:
-        lam = lambdas[i]
+    for i in sorted(range(len(lambdas)), key=keys.__getitem__):
         best_j, best_r = None, math.inf
-        for j, z in enumerate(z_eigs):
-            if capacity[j] == 0:
-                continue
-            r = abs(lam * lam + omega_f * lam + z)
-            if r < best_r:
+        for j, r in enumerate(table[i]):
+            if capacity[j] and r < best_r:
                 best_j, best_r = j, r
         if best_j is None:
             raise PairingFailure("ran out of quadratic-pair slots")
         tol = PAIRING_TOL * max(1.0, abs(z_eigs[best_j]))
         if best_r > tol:
             raise PairingFailure(
-                f"eigenvalue {lam:.6g} has pairing residual {best_r:.3e} > {tol:.3e}"
+                f"eigenvalue {lambdas[i]:.6g} has pairing residual {best_r:.3e} > {tol:.3e}"
             )
         capacity[best_j] -= 1
-        residuals_out.append(float(best_r))
+        residuals_out.append(best_r)
     return residuals_out
 
 
@@ -334,22 +341,29 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
     m = m_matrix(cfg.k, plant.h1, alpha)        # J11, Z and the reduced Jacobian share it
     j11_eigs = _sorted_eigenvalues(_jacobian_j11(plant, cfg, alpha, m))
     z_eigs = _sorted_eigenvalues(_z_matrix(plant, cfg, alpha, m))
-    if not np.max(j11_eigs.real) < 0.0:
+    lambdas = j11_eigs.tolist()
+    # sorted by real part, a NaN last, so the last has the greatest, as np.max gives it
+    if not lambdas[-1].real < 0.0:
         raise HurwitzViolation(
-            f"J11 has an eigenvalue with real part {np.max(j11_eigs.real):.3e}"
+            f"J11 has an eigenvalue with real part {lambdas[-1].real:.3e}"
         )
-    dist = np.abs(j11_eigs + wf)
-    i_wf = int(np.argmin(dist))
-    if not dist[i_wf] <= OMEGA_F_EIGEN_TOL * max(1.0, wf):
+    # numpy's absolute value: for a complex number it can differ from Python's
+    # in the last bit.  The spectrum of a finite matrix has no NaN, so the first
+    # least distance is the one np.argmin finds
+    dist = np.abs(j11_eigs + wf).tolist()
+    miss = min(dist)
+    if not miss <= OMEGA_F_EIGEN_TOL * max(1.0, wf):
         raise PairingFailure(
-            f"-omega_f not found in the J11 spectrum (closest miss {dist[i_wf]:.3e})"
+            f"-omega_f not found in the J11 spectrum (closest miss {miss:.3e})"
         )
+    del lambdas[dist.index(miss)]
+    z_list = z_eigs.tolist()
     if not all(
         abs(zv.imag) <= REAL_SPECTRUM_TOL * max(abs(zv), 1e-300) and zv.real > 0.0
-        for zv in z_eigs.tolist()
+        for zv in z_list
     ):
         raise PairingFailure("Z has a complex or non-positive eigenvalue")
-    residuals = _pair_eigenvalues(np.delete(j11_eigs, i_wf).tolist(), z_eigs.real.tolist(), wf)
+    residuals = _pair_eigenvalues(lambdas, [zv.real for zv in z_list], wf)
     return SpectralReport(
         j11_eigenvalues=j11_eigs,
         z_eigenvalues=z_eigs,

@@ -553,14 +553,25 @@ def _loop(rhs, size: int, held: tuple, gamma_index: Optional[int]) -> Callable:
     return step
 
 
+def _start(plant: PlantModel, theta0) -> np.ndarray:
+    """``theta0`` as a float vector ``(n,)`` (a number at n = 1); any other
+    shape is a :class:`DimensionMismatch`."""
+    start = np.atleast_1d(real_array(theta0, "theta0"))
+    if start.shape != (plant.dimension,):
+        raise DimensionMismatch(
+            f"theta0 has shape {np.shape(theta0)}, expected ({plant.dimension},)")
+    return start
+
+
 def exact_initial_state(plant: PlantModel, cfg: AlgorithmConfig, theta0) -> FullState:
     """Filter states set to the values they estimate, parameter at theta0.
 
     G_J and G_h get the true gradients, eta_J the objective plus the probing
     bias (a^2/4) tr(H), eta_h the safety value, gamma its Riccati fixed
-    point, and Gamma the true inverse Hessian for the Newton variant.
+    point, and Gamma the true inverse Hessian for the Newton variant.  A
+    ``theta0`` of any shape but ``(n,)`` is a :class:`DimensionMismatch`.
     """
-    theta0 = np.atleast_1d(real_array(theta0, "theta0"))
+    theta0 = _start(plant, theta0)
     tt = theta0 - plant.theta_star
     a = cfg.dither.amplitude
     eta_j = eval_objective(plant, theta0) + 0.25 * a * a * float(np.trace(plant.hessian))
@@ -606,9 +617,7 @@ def warmup(
         raise NonPositiveTolerance("rel_tol must be positive")
     check_resolves_dither(settings, cfg.dither)
     n = plant.dimension
-    start = np.atleast_1d(real_array(theta0, "theta0"))
-    if start.shape != (n,):
-        raise DimensionMismatch(f"theta0 has shape {np.shape(theta0)}, expected ({n},)")
+    start = _start(plant, theta0)
     layout = StateLayout.of(n, cfg.variant is Variant.NEWTON_ASFES)
     f = make_rhs(plant, cfg)
     period = signal_period(cfg.dither)

@@ -10,6 +10,7 @@ minimizer sits on the boundary h = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,26 @@ def real_array(x, name: str) -> np.ndarray:
     try:
         a = np.asarray(x)
     except ValueError:
-        raise DimensionMismatch(f"{name} must be an array, got {x!r}") from None
+        raise DimensionMismatch(f"{name} must be an array, got {_described(x)}") from None
     try:
         if a.dtype.kind != "c":
             return a.astype(float, copy=False)
-    except OverflowError:       # no repr of x: Python refuses one past 4300 digits
+    except OverflowError:
         raise NonFiniteValue(f"{name} holds an integer beyond the float range") from None
     except (TypeError, ValueError):
         pass
-    raise ValidationError(f"{name} must be real numbers, got {x!r}")
+    raise ValidationError(f"{name} must be real numbers, got {_described(x)}")
+
+
+def _described(x) -> str:
+    """``x``'s type, and its shape where numpy gives it one of at least one
+    axis, for an error message.  Never its repr, which Python refuses for an
+    int past 4300 digits."""
+    try:
+        shape = np.shape(x)
+    except (TypeError, ValueError):
+        shape = ()
+    return f"a {type(x).__name__}" + (f" of shape {shape}" if shape else "")
 
 
 def _array(x, name: str, ndim: int) -> np.ndarray:
@@ -77,7 +89,7 @@ def finite_float(value, name: str, finite: bool = True) -> float:
         except OverflowError:       # an integer beyond the float range, as 1e400 is
             value = np.inf if value > 0 else -np.inf
         except (TypeError, ValueError):
-            raise ValidationError(f"{name} must be one number, got {value!r}") from None
+            raise ValidationError(f"{name} must be one number, got {_described(value)}") from None
     if finite and not -np.inf < value < np.inf:
         raise NonFiniteValue(f"{name} must be finite, got {value!r}")
     return value
@@ -85,8 +97,11 @@ def finite_float(value, name: str, finite: bool = True) -> float:
 
 def require_finite(value, name: str) -> None:
     """Raise :class:`NonFiniteValue` naming ``name`` unless every entry of
-    ``value`` is finite."""
-    if not np.isfinite(value).all():
+    ``value``, a real number or an array of them, is finite.  The check runs
+    on Python floats: on the few entries it is given, that costs less than
+    numpy's ufunc."""
+    values = (value,) if isinstance(value, float) else np.ravel(value).tolist()
+    if not all(map(math.isfinite, values)):
         raise NonFiniteValue(f"{name} must be finite, got {value!r}")
 
 
@@ -159,7 +174,8 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
         raise DimensionMismatch(
             f"h1 has dimension {barrier.h1.shape[0]}, hessian is {n}x{n}"
         )
-    asym = float(np.max(np.abs(h - h.T)))
+    # on Python floats, which subtract as numpy does, at a fraction of its cost
+    asym = max(map(abs, map(float.__sub__, h.ravel().tolist(), h.T.ravel().tolist())))
     if asym > SYMMETRY_TOL:
         raise NonSymmetricHessian(f"max absolute asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     eigs = np.linalg.eigvalsh(0.5 * h + 0.5 * h.T)     # halved first: no overflow

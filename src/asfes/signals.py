@@ -119,8 +119,13 @@ def validate_frequencies(ratios: Sequence) -> None:
     The checks use exact rational comparison, each pair's sum looked up in a
     map from value to index; the error names the first pair in
     :func:`itertools.combinations` order.  DitherConfig caches the verdict.
+    Ratios that are no sequence of numbers are a :class:`ValidationError`.
     """
-    ratios = tuple(_as_fraction(r) for r in ratios)
+    try:
+        ratios = tuple(_as_fraction(r) for r in ratios)
+    except TypeError:       # not iterable
+        raise ValidationError(f"cannot interpret frequency ratios: a {type(ratios).__name__} "
+                              "is no sequence") from None
     index = {}      # value -> its first index; the least repeat is the first equal pair
     repeats = sorted((i, j) for j, r in enumerate(ratios) if (i := index.setdefault(r, j)) != j)
     if repeats:

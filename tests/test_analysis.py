@@ -47,6 +47,7 @@ from asfes.integrate import (
     integrate,
 )
 from asfes.sampling import FREQUENCY_POOL, random_config, random_plant
+import oracles
 
 
 def replace_delta(cfg, delta):
@@ -308,6 +309,67 @@ class TestSpectralCheck:
             assert report.omega_f_eigen_found
             assert len(report.pairing_residuals) == 2 * n
             assert np.max(report.z_eigenvalues.real) > 0.0
+
+    def test_report_matches_the_pairing_oracle(self, rng):
+        # the -omega_f eigenvalue found and taken out on Python numbers, and
+        # the residuals tabulated once, give numpy's argmin and np.delete and
+        # the oracle's twice-computed residuals, bit for bit
+        for i in range(60):
+            n = (1, 2, 3, 5)[i % 4]
+            plant, cfg = random_plant(rng, n), random_config(rng, n)
+            alpha = equilibrium_alpha(plant, cfg, average_equilibrium(plant, cfg))
+            sort = analysis_module._sorted_eigenvalues
+            j11, z = sort(jacobian_j11(plant, cfg, alpha)), sort(z_matrix(plant, cfg, alpha))
+            i_wf = int(np.argmin(np.abs(j11 + cfg.omega_f)))
+            want = oracles.pair_eigenvalues(np.delete(j11, i_wf).tolist(), z.real.tolist(),
+                                            cfg.omega_f)
+            got = spectral_check(plant, cfg, average_equilibrium(plant, cfg)).pairing_residuals
+            assert [r.hex() for r in got] == [r.hex() for r in want]
+
+    def test_pairing_matches_its_oracle(self, rng):
+        # random spectra, complex and real, shuffled, some of them broken by a
+        # perturbation or a missing slot: the same residuals, bit for bit, or
+        # the same PairingFailure.  Real eigenvalues whose lambda ** 2 (the C
+        # library's pow) differs from lambda * lambda are put in where this
+        # platform has any
+        mismatched = [x for x in rng.uniform(-6.0, -0.01, 20000).tolist() if x ** 2 != x * x]
+        outcomes = set()
+        for trial in range(400):
+            wf = float(rng.uniform(1.0, 5.0))
+            n = int(rng.integers(1, 6))
+            zs, lambdas = [], []
+            for _ in range(n):
+                if mismatched and rng.random() < 0.3:
+                    lam = mismatched.pop()
+                    z = -(lam * lam + wf * lam)
+                    roots = [lam, -wf - lam]
+                else:
+                    z = float(rng.uniform(0.05, 3.0))
+                    disc = wf * wf - 4.0 * z
+                    half = math.sqrt(abs(disc)) / 2.0
+                    roots = ([-wf / 2.0 + half, -wf / 2.0 - half] if disc >= 0.0 else
+                             [complex(-wf / 2.0, half), complex(-wf / 2.0, -half)])
+                zs.append(z)
+                lambdas += roots
+            order = rng.permutation(len(lambdas)).tolist()
+            lambdas = [lambdas[i] for i in order]
+            if trial % 4 == 1:
+                lambdas[0] += 1e-6
+            elif trial % 4 == 2:
+                lambdas.append(lambdas[0])      # one eigenvalue more than slots
+            try:
+                want = ("pass", [r.hex() for r in oracles.pair_eigenvalues(lambdas, zs, wf)])
+            except PairingFailure as exc:
+                want = ("fail", str(exc))
+            try:
+                got = ("pass", [r.hex() for r in analysis_module._pair_eigenvalues(
+                    lambdas, zs, wf)])
+            except PairingFailure as exc:
+                got = ("fail", str(exc))
+            assert got == want
+            outcomes.add(want[0] if want[0] == "pass" else want[1].split()[0])
+        # passes, residual failures and slot failures all occurred
+        assert outcomes == {"pass", "eigenvalue", "ran"}
 
     @pytest.mark.parametrize("alpha", [-1.0, -100.0])
     @pytest.mark.parametrize("broken", [(), ("OMEGA_F_EIGEN_TOL", "REAL_SPECTRUM_TOL",

@@ -927,6 +927,12 @@ def test_an_integer_beyond_the_float_range_is_named(plant2, cfg2):
 
 
 class TestExactInitialState:
+    @pytest.mark.parametrize("theta0", [[], [1.0, 2.0, 3.0], [[0.0, 0.0]], 0.5])
+    def test_a_start_of_another_shape_is_named(self, plant2, cfg2, theta0):
+        # numpy would raise a bare ValueError while broadcasting
+        with pytest.raises(DimensionMismatch, match=r"^theta0 has shape .*, expected \(2,\)"):
+            exact_initial_state(plant2, cfg2, theta0)
+
     def test_example1_values(self, plant1, cfg1):
         state = exact_initial_state(plant1, cfg1, [-3.0])
         np.testing.assert_allclose(state.g_j, [-0.3], atol=1e-15)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,14 @@ from asfes import (
 )
 from asfes.errors import (
     DimensionMismatch,
+    NonFiniteValue,
     NonPositiveDefiniteHessian,
     NonPositiveTolerance,
     NonSymmetricHessian,
     ValidationError,
     ZeroBarrierGradient,
 )
+from asfes.problem import finite_float, real_array, require_finite
 
 
 def grid_min_2d(plant, lo=-2.0, hi=2.0, res=1e-3):
@@ -237,3 +240,44 @@ def test_non_numbers_are_named(make, name):
     with pytest.raises(ValidationError, match=f"^{name} must be"):
         make()
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: real_array(["a", 10**5000], "a state"),
+     r"^a state must be real numbers, got a list of shape \(2,\)"),
+    (lambda: real_array([[1.0], 10**5000], "a state"), "^a state must be an array, got a list$"),
+    (lambda: finite_float([10**5000], "k"), r"^k must be one number, got a list of shape \(1,\)"),
+    (lambda: finite_float({10**5000: 1}, "k"), "^k must be one number, got a dict$"),
+])
+def test_a_huge_integer_is_described_not_printed(call, message):
+    # Python refuses the repr of an int past 4300 digits: the message names
+    # the value's type and shape, or the message itself would end in a bare
+    # ValueError
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
+def test_finiteness_is_checked_on_every_entry():
+    for finite in (1.0, np.float64(-2.5), 3, (1.0, 2.0), np.zeros((3, 3)), np.ones(4)):
+        require_finite(finite, "x")
+    for value, shown in ((math.inf, "inf"), (math.nan, "nan"), (np.float64(-math.inf), ""),
+                         ((1.0, -math.inf), r"\(1.0, -inf\)"),
+                         (np.array([[0.0, 1.0], [math.nan, 2.0]]), r"array\(\[\[ 0.,  1.\]")):
+        with pytest.raises(NonFiniteValue, match=f"^x must be finite, got {shown}"):
+            require_finite(value, "x")
+
+
+def test_asymmetry_is_measured_as_numpy_measures_it(rng):
+    # the largest |H - H'| on Python floats: numpy's value in the message,
+    # and an asymmetry beyond the float range is inf, with no overflow warning
+    for n in (2, 3, 5):
+        h = np.eye(n) + 1e-9 * rng.standard_normal((n, n))
+        want = float(np.max(np.abs(h - h.T)))
+        with pytest.raises(NonSymmetricHessian, match=f"^max absolute asymmetry {want:.3e} "):
+            validate_plant(QuadraticObjective(0.0, h, np.zeros(n)),
+                           LinearBarrier(-1.0, np.ones(n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonSymmetricHessian, match="^max absolute asymmetry inf "):
+            validate_plant(QuadraticObjective(0.0, [[1.0, 1e308], [-1e308, 1.0]], [0.0, 0.0]),
+                           LinearBarrier(-1.0, [1.0, 1.0]))

@@ -140,6 +140,12 @@ class TestValidateFrequencies:
         with pytest.raises(DuplicateFrequency):
             DitherConfig(amplitude=0.1, ratios=(3, 3))
 
+    @pytest.mark.parametrize("ratios", [None, 3, 2.5])
+    def test_ratios_that_are_no_sequence_are_named(self, ratios):
+        # iterating them would raise a bare TypeError
+        with pytest.raises(ValidationError, match="^cannot interpret frequency ratios: a "):
+            validate_frequencies(ratios)
+
     def test_permutation_invariant_verdicts(self, rng):
         for ratios in [(1, 2, 3), (2, 3, 9), (5, 7, 12), (2, 5, 9, 14)]:
             verdicts = set()
