@@ -25,8 +25,7 @@ from .analysis import (
     SpectralReport,
     average_equilibrium,
     finite_diff_jacobian,
-    jacobian_j11,
-    reduced_jacobian,
+    linearization,
     safety_report,
     spectral_check,
 )

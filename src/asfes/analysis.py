@@ -18,15 +18,16 @@ nu = delta / (2 (c h0 + sqrt(c^2 h0^2 + d delta))).
 
 The linearizations J11, Z and the reduced Jacobian read the equilibrium
 only through alpha, the slope of the softened max there
-(:func:`equilibrium_alpha`), so each takes that slope and nothing else
-from it.
+(:func:`equilibrium_alpha`).  One function of alpha, :func:`linearization`,
+builds all three from the one matrix M = k (I - alpha h1 h1' / ||h1||^2)
+and the one product M H they share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -157,69 +158,52 @@ def m_matrix(k: float, h1: np.ndarray, alpha: float) -> np.ndarray:
     return k * (np.eye(n) - alpha * np.outer(h1, h1) / float(h1 @ h1))
 
 
-def jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarray:
-    """Leading block of the linearized averaged error dynamics at the
-    equilibrium whose softened-max slope is ``alpha``.
+class Linearization(NamedTuple):
+    """The linearizations at the equilibrium whose softened-max slope is
+    alpha, with M = :func:`m_matrix` ``(k, h1, alpha)``.
 
-    Rows and columns are ordered (theta_tilde, G_J, eta_h); the remaining
-    error coordinates decouple at the equilibrium, contributing only
-    -omega_f eigenvalues.
-    """
-    return _jacobian_j11(plant, cfg, alpha, m_matrix(cfg.k, plant.h1, alpha))
+    ``j11`` is the leading block of the linearized averaged error dynamics.
+    Its rows and columns are ordered (theta_tilde, G_J, eta_h); the
+    remaining error coordinates decouple at the equilibrium, contributing
+    only -omega_f eigenvalues.  ``z`` is omega_f M H + omega_f (c alpha /
+    ||h1||^2) h1 h1'; for alpha in [0, 1) its spectrum is real and strictly
+    positive, and at the equilibrium's alpha it generates the non-trivial
+    eigenvalues of ``j11`` in quadratic pairs.  ``reduced`` is the
+    linearization of the reduced model, -M H - c alpha h1 h1' / ||h1||^2,
+    with a real negative spectrum."""
+
+    j11: np.ndarray
+    z: np.ndarray
+    reduced: np.ndarray
 
 
-def _jacobian_j11(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
-                  m: np.ndarray) -> np.ndarray:
-    """:func:`jacobian_j11` given its :func:`m_matrix` ``m``."""
+def linearization(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> Linearization:
+    """J11, Z and the reduced Jacobian for the softened-max slope ``alpha``
+    (see :class:`Linearization`), from one M, one M H, one h1 h1' and one
+    ||h1||^2.  An ``alpha`` that is not one finite number is a
+    :class:`ValidationError`, a :class:`NonFiniteValue` if it is nan or
+    infinite."""
+    alpha = finite_float(alpha, "alpha")
     h1 = plant.h1
     n = plant.dimension
-    wf = cfg.omega_f
+    wf, c = cfg.omega_f, cfg.c
+    m = m_matrix(cfg.k, h1, alpha)
+    mh = m @ plant.hessian
+    outer = np.outer(h1, h1)
+    h1_sq = float(h1 @ h1)
     layout = StateLayout.of(n)
     # the leading error coordinates (error_coordinate_indices): theta_tilde
     # and G_J in their layout rows, then eta_h in the row eta_J has there
     tt, gj, eh = layout.theta, layout.g_j, layout.eta_j
     j11 = np.zeros((eh + 1, eh + 1))
     j11[tt, gj] = -m
-    j11[tt, eh] = -cfg.c * alpha * h1 / float(h1 @ h1)
+    j11[tt, eh] = -c * alpha * h1 / h1_sq
     j11[gj, tt] = wf * plant.hessian
     j11[gj, gj] = -wf * np.eye(n)
     j11[eh, tt] = wf * h1
     j11[eh, eh] = -wf
-    return j11
-
-
-def z_matrix(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarray:
-    """omega_f M H + omega_f (c alpha / ||h1||^2) h1 h1' for the softened-max
-    slope ``alpha``.
-
-    For alpha in [0, 1) its spectrum is real and strictly positive, and at
-    the equilibrium's alpha it generates the non-trivial eigenvalues of the
-    J11 block in quadratic pairs.
-    """
-    return _z_matrix(plant, cfg, alpha, m_matrix(cfg.k, plant.h1, alpha))
-
-
-def _z_matrix(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
-              m: np.ndarray) -> np.ndarray:
-    """:func:`z_matrix` given its :func:`m_matrix` ``m``."""
-    h1 = plant.h1
-    return cfg.omega_f * (m @ plant.hessian) + cfg.omega_f * (
-        cfg.c * alpha / float(h1 @ h1)
-    ) * np.outer(h1, h1)
-
-
-def reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, alpha: float) -> np.ndarray:
-    """Linearization of the reduced model at the equilibrium whose
-    softened-max slope is ``alpha``: -M H - c alpha h1 h1' / ||h1||^2.
-    Real negative spectrum."""
-    return _reduced_jacobian(plant, cfg, alpha, m_matrix(cfg.k, plant.h1, alpha))
-
-
-def _reduced_jacobian(plant: PlantModel, cfg: AlgorithmConfig, alpha: float,
-                      m: np.ndarray) -> np.ndarray:
-    """:func:`reduced_jacobian` given its :func:`m_matrix` ``m``."""
-    h1 = plant.h1
-    return -(m @ plant.hessian) - cfg.c * alpha * np.outer(h1, h1) / float(h1 @ h1)
+    return Linearization(j11=j11, z=wf * mh + wf * (c * alpha / h1_sq) * outer,
+                         reduced=-mh - c * alpha * outer / h1_sq)
 
 
 def finite_diff_jacobian(
@@ -266,7 +250,8 @@ def average_error_rhs(
     plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Averaged dynamics in reordered error coordinates around the
-    equilibrium; its Jacobian at zero has ``jacobian_j11`` as leading block."""
+    equilibrium; its Jacobian at zero has :func:`linearization`'s ``j11`` as
+    leading block."""
     f = make_average_rhs(plant, cfg)
     perm = error_coordinate_indices(plant.dimension)
     x_eq = eq.as_vector()
@@ -337,10 +322,9 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
     every check; it carries the evidence.
     """
     wf = cfg.omega_f
-    alpha = equilibrium_alpha(plant, cfg, eq)
-    m = m_matrix(cfg.k, plant.h1, alpha)        # J11, Z and the reduced Jacobian share it
-    j11_eigs = _sorted_eigenvalues(_jacobian_j11(plant, cfg, alpha, m))
-    z_eigs = _sorted_eigenvalues(_z_matrix(plant, cfg, alpha, m))
+    lin = linearization(plant, cfg, equilibrium_alpha(plant, cfg, eq))
+    j11_eigs = _sorted_eigenvalues(lin.j11)
+    z_eigs = _sorted_eigenvalues(lin.z)
     lambdas = j11_eigs.tolist()
     # sorted by real part, a NaN last, so the last has the greatest, as np.max gives it
     if not lambdas[-1].real < 0.0:
@@ -370,7 +354,7 @@ def spectral_check(plant: PlantModel, cfg: AlgorithmConfig, eq: Equilibrium) -> 
         pairing_residuals=residuals,
         hurwitz=True,
         omega_f_eigen_found=True,
-        reduced_eigenvalues=_sorted_eigenvalues(_reduced_jacobian(plant, cfg, alpha, m)),
+        reduced_eigenvalues=_sorted_eigenvalues(lin.reduced),
     )
 
 

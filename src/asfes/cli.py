@@ -534,13 +534,12 @@ def run_analyze(scenario: Scenario, output_dir) -> int:
         emit(sec, "z_eigenvalues_real", report.z_eigenvalues.real)
         emit(sec, "reduced_eigenvalues_real", report.reduced_eigenvalues.real)
 
-        j11 = analysis.jacobian_j11(plant, cfg, alpha)
+        j11, _, j_r = analysis.linearization(plant, cfg, alpha)
         g = analysis.average_error_rhs(plant, cfg, eq)
         fd = analysis.finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
         lead = fd[:j11.shape[0], :j11.shape[1]]
         emit(sec, "j11_fd_rel_error",
              float(np.max(np.abs(lead - j11)) / max(1.0, np.max(np.abs(j11)))))
-        j_r = analysis.reduced_jacobian(plant, cfg, alpha)
         reduced = make_reduced_rhs(plant, cfg)
         fd_r = analysis.finite_diff_jacobian(
             lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)

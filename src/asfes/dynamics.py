@@ -46,8 +46,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotScalar, ValidationError
-from .problem import PlantModel, component_sum, finite_float, real_array
+from .errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
+from .problem import (PlantModel, _array, _described, component_sum, finite_float, h1_squared,
+                      real_array)
 from .signals import DitherConfig
 
 
@@ -320,13 +321,14 @@ def _field(model: str, n: int, constants: dict) -> Callable:
 @functools.cache
 def _entry_code(dithered: bool, size: int) -> types.CodeType:
     """The code of a field's entry: on a list of ``size`` Python floats, and
-    a float ``t`` for a dithered field, it calls the field's arithmetic
-    ``floats`` at once, and on anything else the binder's checks,
+    a finite float ``t`` for a dithered field, it calls the field's
+    arithmetic ``floats`` at once, and on anything else the binder's checks,
     ``checked``.  The type of each item is tested in turn, written out for
     the size."""
     test, call = (("len(args) == 2", "floats(args[0], y)") if dithered
                   else ("0 < len(args) < 3", "floats(y)"))
-    items = " and ".join(["type(args[0]) is float"] * dithered + ["type(y) is list",
+    t_test = ["type(args[0]) is float", "-inf < args[0] < inf"] * dithered
+    items = " and ".join(t_test + ["type(y) is list",
                          f"len(y) == {size}"] + [f"type(y[{i}]) is float" for i in range(size)])
     source = (f"def field(*args):\n    if {test}:\n        y = args[-1]\n"
               f"        if {items}:\n            return {call}\n    return checked(*args)\n")
@@ -346,21 +348,45 @@ def _constant_names(n: int) -> tuple:
             *(f"H{i}_{j}" for i in range(n) for j in range(n)), "k", "neg_k", "c", "delta", "wf")
 
 
+def _time(t) -> float:
+    """A dithered field's ``t`` as a finite Python float: a numpy float32
+    ``t`` would compute sin(w t) in float32.  A vector is a
+    :class:`DimensionMismatch`, a NaN, an infinity or an integer beyond the
+    float range a :class:`NonFiniteValue`, and anything else that is not one
+    real number a :class:`ValidationError`."""
+    if type(t) is not float:
+        try:
+            vector = np.ndim(t) != 0
+        except ValueError:      # a ragged nesting
+            vector = True
+        if vector:
+            raise DimensionMismatch(f"t must be one real number, got {_described(t)}")
+        if not (isinstance(t, numbers.Real) or np.asarray(t).dtype.kind in "biuf"):
+            raise ValidationError(f"t must be one real number, got {_described(t)}")
+        try:
+            t = float(t)
+        except OverflowError:
+            t = math.inf
+    if not -math.inf < t < math.inf:
+        raise NonFiniteValue(f"t must be finite, got {t!r}")
+    return t
+
+
 def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) -> Callable:
     """The field ``model`` (see :func:`_field_parts`) of ``plant`` and
     ``cfg``, its template bound to their constants and to ``constants``.
 
     The field takes ``(t, y)``, an autonomous one also ``(y)``, ``t`` unread.
-    ``y`` is one state: a list of ``size`` floats gives a list, any other
-    ``(size,)`` state (a number at size 1) an array, a state that is not
-    real numbers is a :class:`ValidationError` and one of another shape a
-    :class:`DimensionMismatch`, as a vector ``t`` is; any other ``t`` that
-    is not one real number is a :class:`ValidationError`, and a real one
-    that is not a float is taken as its float.  A list of ``size`` floats,
-    with a float ``t`` for a dithered field, goes straight to the template's
-    arithmetic through the entry of :func:`_entry_code`, and any other call
-    through the checks.  The field carries its template,
-    ``(model, n, size, constants)``, for the RK4 loop."""
+    ``y`` is one state: a list of ``size`` floats, with a finite float
+    ``t`` for a dithered field, goes straight to the template's arithmetic
+    through the entry of :func:`_entry_code` and gives a list.  Any other
+    call goes through the checks: any other ``(size,)`` state (a number at
+    size 1) gives an array, a state that is not real numbers is a
+    :class:`ValidationError` and one of another shape a
+    :class:`DimensionMismatch`.  A dithered field's ``t`` is checked by
+    :func:`_time`, and a real one that is not a float is taken as its
+    float, so a list with such a ``t`` gives an array.  The field carries
+    its template, ``(model, n, size, constants)``, for the RK4 loop."""
     n = plant.dimension
     if cfg.dimension != n:
         raise DimensionMismatch(f"dither has {cfg.dimension} frequencies, plant dimension is {n}")
@@ -377,24 +403,15 @@ def _bind(model: str, plant: PlantModel, cfg: AlgorithmConfig, constants: dict) 
             if dithered or len(args) != 2:
                 raise TypeError(f"the {model} field takes {2 if dithered else '1 or 2'} arguments")
             args = args[1:]                 # the stepper's (t, y), t unread
-        if dithered and type(args[0]) is not float and isinstance(args[0], numbers.Real):
-            # a numpy float32 t would compute sin(w t) in float32
-            args = (float(args[0]), args[1])
-        y = args[-1]
-        try:
-            if type(y) is list and len(y) == size and set(map(type, y)) == {float}:
-                return floats(*args)
-            y = real_array(y, "a state")
-            if y.shape == (size,) or (y.ndim == 0 and size == 1):
-                return np.array(floats(*args[:-1], y.reshape(size).tolist()))
-        except TypeError:       # from sin(w * t): t is not one real number
-            if not dithered or isinstance(args[0], numbers.Real):
-                raise
-            raise (DimensionMismatch if np.ndim(args[0]) else ValidationError)(
-                f"t must be one real number, got {args[0]!r}") from None
+        if dithered:
+            args = (_time(args[0]), args[1])
+        y = real_array(args[-1], "a state")
+        if y.shape == (size,) or (y.ndim == 0 and size == 1):
+            return np.array(floats(*args[:-1], y.reshape(size).tolist()))
         raise DimensionMismatch(f"state of shape {y.shape}, expected ({size},)")
 
-    entry = types.FunctionType(_entry_code(dithered, size), {"floats": floats, "checked": checked})
+    entry = types.FunctionType(_entry_code(dithered, size),
+                               {"floats": floats, "checked": checked, "inf": math.inf})
     entry.template = (model, n, size, constants)
     return entry
 
@@ -420,9 +437,11 @@ def make_rhs(plant: PlantModel, cfg: AlgorithmConfig) -> Callable:
     measurements, and gamma tracks 1/||G_h||^2 through its scalar Riccati
     equation.
 
-    ``y`` is one state ``(size,)`` and ``t`` one time: a list of floats
-    gives a list, any other state an array.  Any other shape is
-    :class:`DimensionMismatch`.
+    ``y`` is one state ``(size,)`` and ``t`` one finite time: a list of
+    floats with a float ``t`` gives a list, any other state an array, as
+    does a list of floats with a ``t`` that is a real number but not a
+    float (an int, say).  Any other shape is :class:`DimensionMismatch`,
+    and a vector ``t`` too; a non-finite ``t`` is :class:`NonFiniteValue`.
 
     The arithmetic is the field's expression template, unrolled for n and
     the variant and computed on Python floats.  The closure returned, made
@@ -498,9 +517,14 @@ def boundary_layer_rhs(z_b, h1) -> np.ndarray:
     The four filter blocks decay linearly; the last component is the gamma
     Riccati row shifted by its equilibrium 1/||h1||^2.  All 2n+3
     eigenvalues of the linearization at the origin equal -1.
+
+    ``z_b`` is the ``(2n+3,)`` filter rows, real numbers; any other shape is
+    a :class:`DimensionMismatch`.  ``h1`` is checked as the plant's is: a
+    finite vector (a number is one entry), nonzero, with a finite ||h1||^2.
     """
-    z = np.atleast_1d(np.asarray(z_b, float))
-    h1 = np.atleast_1d(np.asarray(h1, float))
+    z = real_array(z_b, "a boundary-layer state")
+    h1 = _array(h1, "h1", 1)
+    gamma_eq = 1.0 / h1_squared(h1)
     layout = StateLayout.of(h1.shape[0])
     y = np.zeros(layout.size)              # z in the filter rows of a full state
     if z.shape != y[layout.filters].shape:
@@ -508,9 +532,10 @@ def boundary_layer_rhs(z_b, h1) -> np.ndarray:
             f"boundary-layer state has shape {z.shape}, expected {y[layout.filters].shape}"
         )
     y[layout.filters] = z
-    gamma_eq = 1.0 / float(h1 @ h1)
     out = -y
-    g = y[layout.gamma] + gamma_eq
-    gh = y[layout.g_h] + h1
-    out[layout.gamma] = g * (1.0 - g * float(gh @ gh))
+    # a state whose arithmetic overflows gives inf or nan, as the fields do
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = y[layout.gamma] + gamma_eq
+        gh = y[layout.g_h] + h1
+        out[layout.gamma] = g * (1.0 - g * float(gh @ gh))
     return out[layout.filters]

@@ -183,14 +183,23 @@ def validate_plant(objective: QuadraticObjective, barrier: LinearBarrier) -> Pla
         raise NonPositiveDefiniteHessian(
             f"hessian eigenvalues span [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
         )
-    with np.errstate(over="ignore"):
-        h1_squared = float(barrier.h1 @ barrier.h1)    # gamma settles at its inverse
-    if h1_squared == 0.0:
-        raise ZeroBarrierGradient("h1 must have at least one nonzero component")
-    require_finite(h1_squared, "||h1||^2")
+    h1_squared(barrier.h1)
     return PlantModel(j_star=objective.j_star, hessian=h,
                       theta_star=objective.theta_star, h0=barrier.h0,
                       h1=barrier.h1, dimension=n)
+
+
+def h1_squared(h1: np.ndarray) -> float:
+    """||h1||^2 of a barrier gradient ``h1``, a vector of finite floats;
+    gamma settles at its inverse.  A zero ``h1`` is a
+    :class:`ZeroBarrierGradient` and a square that overflows a
+    :class:`NonFiniteValue`."""
+    with np.errstate(over="ignore"):
+        squared = float(h1 @ h1)
+    if squared == 0.0:
+        raise ZeroBarrierGradient("h1 must have at least one nonzero component")
+    require_finite(squared, "||h1||^2")
+    return squared
 
 
 def component_sum(x):

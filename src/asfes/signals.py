@@ -28,7 +28,7 @@ from .errors import (
     ResonantTriple,
     ValidationError,
 )
-from .problem import finite_float
+from .problem import _described, finite_float
 
 
 def _as_fraction(r) -> Fraction:
@@ -42,7 +42,7 @@ def _as_fraction(r) -> Fraction:
             return Fraction(r)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"frequency ratio {r!r} is not a rational number") from None
-    raise ValidationError(f"cannot interpret frequency ratio {r!r}")
+    raise ValidationError(f"cannot interpret frequency ratio, got {_described(r)}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,8 @@ class DitherConfig:
             # keyed on the types too: 2.5 == Fraction(5, 2), but a float must not pass
             ratios, fundamental = _frequency_facts((tuple(map(type, ratios)), ratios))
         except TypeError:       # not a sequence, or an unhashable member: not numbers
-            raise ValidationError(f"cannot interpret frequency ratios {self.ratios!r}") from None
+            raise ValidationError(
+                f"cannot interpret frequency ratios, got {_described(self.ratios)}") from None
         object.__setattr__(self, "ratios", ratios)
         object.__setattr__(self, "_fundamental", fundamental)
         # read by every dither call and every field build, so built once; Python

@@ -3,7 +3,9 @@ fields inline them: oracles for the filter and Riccati rows.  Also the
 seeded draws and the eigenvalue pairing as they were first written, one
 numpy call per draw and one residual computation per use: oracles for the
 draw order that ``asfes verify``'s output depends on, and for the
-pairing's residuals."""
+pairing's residuals.  And the three linearizations J11, Z and the reduced
+Jacobian as they were first written, each building its own M and M H:
+oracles for :func:`asfes.analysis.linearization`, bit for bit."""
 
 import math
 
@@ -104,3 +106,38 @@ def pair_eigenvalues(lambdas, z_eigs, omega_f):
         capacity[best_j] -= 1
         residuals_out.append(float(best_r))
     return residuals_out
+
+
+def jacobian_j11(plant, cfg, alpha):
+    """J11 for the softened-max slope alpha, with its own M."""
+    h1 = plant.h1
+    n = plant.dimension
+    wf = cfg.omega_f
+    m = analysis.m_matrix(cfg.k, h1, alpha)
+    layout = StateLayout.of(n)
+    tt, gj, eh = layout.theta, layout.g_j, layout.eta_j
+    j11 = np.zeros((eh + 1, eh + 1))
+    j11[tt, gj] = -m
+    j11[tt, eh] = -cfg.c * alpha * h1 / float(h1 @ h1)
+    j11[gj, tt] = wf * plant.hessian
+    j11[gj, gj] = -wf * np.eye(n)
+    j11[eh, tt] = wf * h1
+    j11[eh, eh] = -wf
+    return j11
+
+
+def z_matrix(plant, cfg, alpha):
+    """Z for the softened-max slope alpha, with its own M and M H."""
+    h1 = plant.h1
+    m = analysis.m_matrix(cfg.k, h1, alpha)
+    return cfg.omega_f * (m @ plant.hessian) + cfg.omega_f * (
+        cfg.c * alpha / float(h1 @ h1)
+    ) * np.outer(h1, h1)
+
+
+def reduced_jacobian(plant, cfg, alpha):
+    """The reduced Jacobian for the softened-max slope alpha, with its own
+    M and M H."""
+    h1 = plant.h1
+    m = analysis.m_matrix(cfg.k, h1, alpha)
+    return -(m @ plant.hessian) - cfg.c * alpha * np.outer(h1, h1) / float(h1 @ h1)

@@ -26,8 +26,7 @@ from asfes.analysis import (
     average_error_rhs,
     equilibrium_alpha,
     finite_diff_jacobian,
-    jacobian_j11,
-    reduced_jacobian,
+    linearization,
     safety_report,
     spectral_check,
 )
@@ -201,12 +200,11 @@ def test_criterion_4_jacobian_oracles(plant1, cfg1, plant2, cfg2):
         n = plant.dimension
         eq = average_equilibrium(plant, cfg)
         alpha = equilibrium_alpha(plant, cfg, eq)
-        j11 = jacobian_j11(plant, cfg, alpha)
+        j11, _, j_r = linearization(plant, cfg, alpha)
         fd = finite_diff_jacobian(average_error_rhs(plant, cfg, eq),
                                   np.zeros(StateLayout.of(n).size), 1e-6)
         rel11 = float(np.max(np.abs(fd[:j11.shape[0], :j11.shape[1]] - j11))
                       / max(1.0, np.max(np.abs(j11))))
-        j_r = reduced_jacobian(plant, cfg, alpha)
         reduced = make_reduced_rhs(plant, cfg)
         fd_r = finite_diff_jacobian(lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(n), 1e-6)
         rel_r = float(np.max(np.abs(fd_r - j_r)) / max(1.0, np.max(np.abs(j_r))))

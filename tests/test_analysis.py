@@ -24,12 +24,10 @@ from asfes.analysis import (
     average_error_rhs,
     equilibrium_alpha,
     finite_diff_jacobian,
-    jacobian_j11,
+    linearization,
     m_matrix,
-    reduced_jacobian,
     safety_report,
     spectral_check,
-    z_matrix,
 )
 from asfes.dynamics import StateLayout, make_average_rhs, make_reduced_rhs
 from asfes.errors import (
@@ -37,6 +35,7 @@ from asfes.errors import (
     EmptyTrajectory,
     HurwitzViolation,
     NonFiniteEntry,
+    NonFiniteValue,
     NonPositiveTolerance,
     PairingFailure,
     ValidationError,
@@ -182,12 +181,38 @@ class TestJacobians:
 
     def test_example1_block_entries(self, plant1, cfg1):
         eq = average_equilibrium(plant1, cfg1)
-        j11 = jacobian_j11(plant1, cfg1, equilibrium_alpha(plant1, cfg1, eq))
+        j11 = linearization(plant1, cfg1, equilibrium_alpha(plant1, cfg1, eq)).j11
         assert j11.shape == (3, 3)
         assert j11[1, 0] == pytest.approx(3.0 * 0.1)   # omega_f H
         assert j11[2, 0] == pytest.approx(-3.0)        # omega_f h1
         assert j11[1, 1] == -3.0 and j11[2, 2] == -3.0
         assert j11[0, 0] == 0.0
+
+    def test_linearization_matches_its_oracles(self, rng):
+        # J11, Z and the reduced Jacobian built from one M and one M H are,
+        # bit for bit, those of the builders that each made their own, on
+        # both sides of [0, 1] and at the equilibrium's alpha
+        for i in range(40):
+            n = i % 5 + 1
+            plant, cfg = random_plant(rng, n), random_config(rng, n)
+            eq_alpha = equilibrium_alpha(plant, cfg, average_equilibrium(plant, cfg))
+            for alpha in (-1.0, 0.0, 0.5, eq_alpha, 1.0):
+                got = linearization(plant, cfg, alpha)
+                assert got.j11.tobytes() == oracles.jacobian_j11(plant, cfg, alpha).tobytes()
+                assert got.z.tobytes() == oracles.z_matrix(plant, cfg, alpha).tobytes()
+                assert got.reduced.tobytes() == oracles.reduced_jacobian(
+                    plant, cfg, alpha).tobytes()
+
+    def test_linearization_names_a_bad_alpha(self, plant2, cfg2):
+        # a slope that is not one finite number is named, never a bare
+        # TypeError or OverflowError, nor matrices of NaN
+        for alpha in (math.nan, math.inf, 10**400):
+            with pytest.raises(NonFiniteValue, match="^alpha must be finite"):
+                linearization(plant2, cfg2, alpha)
+        for alpha in (None, "x", [0.5]):
+            with pytest.raises(ValidationError, match="^alpha must be one number") as exc:
+                linearization(plant2, cfg2, alpha)
+            assert type(exc.value) is ValidationError
 
     def test_m_matrix_definite(self, rng):
         h1 = rng.standard_normal(4)
@@ -246,7 +271,7 @@ class TestJacobians:
         for plant, cfg in cases:
             n = plant.dimension
             eq = average_equilibrium(plant, cfg)
-            j11 = jacobian_j11(plant, cfg, equilibrium_alpha(plant, cfg, eq))
+            j11 = linearization(plant, cfg, equilibrium_alpha(plant, cfg, eq)).j11
             g = average_error_rhs(plant, cfg, eq)
             fd = finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
             lead = fd[:j11.shape[0], :j11.shape[1]]
@@ -260,7 +285,7 @@ class TestJacobians:
         eq = average_equilibrium(plant2, cfg2)
         g = average_error_rhs(plant2, cfg2, eq)
         fd = finite_diff_jacobian(g, np.zeros(StateLayout.of(n).size), 1e-6)
-        lead = jacobian_j11(plant2, cfg2, equilibrium_alpha(plant2, cfg2, eq)).shape[0]
+        lead = linearization(plant2, cfg2, equilibrium_alpha(plant2, cfg2, eq)).j11.shape[0]
         np.testing.assert_allclose(fd[n:lead, lead:], 0.0, atol=1e-9)
 
     def test_reduced_jacobian_matches_finite_differences(self, plant1, cfg1,
@@ -271,7 +296,7 @@ class TestJacobians:
             cases.append((random_plant(rng, n), random_config(rng, n)))
         for plant, cfg in cases:
             eq = average_equilibrium(plant, cfg)
-            j_r = reduced_jacobian(plant, cfg, equilibrium_alpha(plant, cfg, eq))
+            j_r = linearization(plant, cfg, equilibrium_alpha(plant, cfg, eq)).reduced
             reduced = make_reduced_rhs(plant, cfg)
             fd = finite_diff_jacobian(
                 lambda x: reduced(x + eq.theta_tilde_ae), np.zeros(plant.dimension), 1e-6)
@@ -284,7 +309,7 @@ class TestJacobians:
             cfg = random_config(rng, n)
             eq = average_equilibrium(plant, cfg)
             alpha = equilibrium_alpha(plant, cfg, eq)
-            eigs = np.linalg.eigvals(reduced_jacobian(plant, cfg, alpha))
+            eigs = np.linalg.eigvals(linearization(plant, cfg, alpha).reduced)
             assert np.max(np.abs(eigs.imag)) <= 1e-10 * np.max(np.abs(eigs))
             assert np.max(eigs.real) < 0.0
 
@@ -319,7 +344,8 @@ class TestSpectralCheck:
             plant, cfg = random_plant(rng, n), random_config(rng, n)
             alpha = equilibrium_alpha(plant, cfg, average_equilibrium(plant, cfg))
             sort = analysis_module._sorted_eigenvalues
-            j11, z = sort(jacobian_j11(plant, cfg, alpha)), sort(z_matrix(plant, cfg, alpha))
+            lin = linearization(plant, cfg, alpha)
+            j11, z = sort(lin.j11), sort(lin.z)
             i_wf = int(np.argmin(np.abs(j11 + cfg.omega_f)))
             want = oracles.pair_eigenvalues(np.delete(j11, i_wf).tolist(), z.real.tolist(),
                                             cfg.omega_f)
@@ -380,7 +406,7 @@ class TestSpectralCheck:
         # J11 gets an unstable eigenvalue and Z a negative one, and the
         # Hurwitz check, the first, is the one named, whatever else fails
         eq = average_equilibrium(plant2, cfg2)
-        assert np.min(np.linalg.eigvals(z_matrix(plant2, cfg2, alpha=alpha)).real) < 0.0
+        assert np.min(np.linalg.eigvals(linearization(plant2, cfg2, alpha=alpha).z).real) < 0.0
         monkeypatch.setattr(analysis_module, "equilibrium_alpha", lambda *args: alpha)
         for name in broken:
             monkeypatch.setattr(analysis_module, name, -1.0)
@@ -403,26 +429,30 @@ class TestSpectralCheck:
                 spectral_check(plant, cfg, average_equilibrium(plant, cfg))
 
     def test_one_m_matrix_per_check(self, monkeypatch, plant2, cfg2):
-        # J11, Z and the reduced Jacobian share one M, and their spectra are
-        # those of the public builders, each of which builds its own
+        # a check builds one linearization, and so one M, at the
+        # equilibrium's alpha, and its spectra are those of the builder's
+        # J11, Z and reduced Jacobian
         eq = average_equilibrium(plant2, cfg2)
         alpha = equilibrium_alpha(plant2, cfg2, eq)
-        want = [analysis_module._sorted_eigenvalues(build(plant2, cfg2, alpha)).tobytes()
-                for build in (jacobian_j11, z_matrix, reduced_jacobian)]
-        builds = []
+        want = [analysis_module._sorted_eigenvalues(matrix).tobytes()
+                for matrix in linearization(plant2, cfg2, alpha)]
+        builds, m_builds = [], []
 
-        def counted(*args):
-            builds.append(args)
-            return m_matrix(*args)
+        def counted(build, calls):
+            def call(*args):
+                calls.append(args)
+                return build(*args)
+            return call
 
-        monkeypatch.setattr(analysis_module, "m_matrix", counted)
+        monkeypatch.setattr(analysis_module, "linearization", counted(linearization, builds))
+        monkeypatch.setattr(analysis_module, "m_matrix", counted(m_matrix, m_builds))
         report = spectral_check(plant2, cfg2, eq)
-        assert len(builds) == 1
+        assert len(builds) == len(m_builds) == 1 and builds[0][2] == alpha
         assert [report.j11_eigenvalues.tobytes(), report.z_eigenvalues.tobytes(),
                 report.reduced_eigenvalues.tobytes()] == want
 
     def test_alpha_zero_override_gives_gradient_spectrum(self, plant2, cfg2):
-        z = z_matrix(plant2, cfg2, alpha=0.0)
+        z = linearization(plant2, cfg2, alpha=0.0).z
         want = np.sort(np.linalg.eigvals(cfg2.omega_f * cfg2.k * plant2.hessian).real)
         got = np.sort(np.linalg.eigvals(z).real)
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -430,7 +460,7 @@ class TestSpectralCheck:
     def test_example1_scalar_chain(self, plant1, cfg1):
         eq = average_equilibrium(plant1, cfg1)
         alpha = equilibrium_alpha(plant1, cfg1, eq)
-        z = z_matrix(plant1, cfg1, alpha)
+        z = linearization(plant1, cfg1, alpha).z
         expected = cfg1.omega_f * (cfg1.k * (1 - alpha) * 0.1 + cfg1.c * alpha)
         assert z[0, 0] == pytest.approx(expected, rel=1e-12)
         report = spectral_check(plant1, cfg1, eq)

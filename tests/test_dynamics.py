@@ -34,7 +34,8 @@ from asfes import (
 from asfes import dynamics
 from asfes.analysis import Equilibrium, average_equilibrium, finite_diff_jacobian
 from asfes.dynamics import StateLayout, make_reduced_rhs
-from asfes.errors import DimensionMismatch, NonFiniteValue, NotScalar, ValidationError
+from asfes.errors import (DimensionMismatch, NonFiniteValue, NotScalar, ValidationError,
+                          ZeroBarrierGradient)
 from asfes.integrate import _loop_source, _stage_parts, numeric_average
 from asfes.sampling import random_config, random_full_state, random_plant
 from oracles import demod, newton_demod
@@ -501,6 +502,32 @@ class TestReducedRhs:
 
 
 class TestBoundaryLayerRhs:
+    @pytest.mark.parametrize("z_b, h1, error, message", [
+        ("a", [1.0], ValidationError, "^a boundary-layer state must be real numbers, got a str"),
+        ([0.0] * 5, 0.0, ZeroBarrierGradient, "^h1 must have at least one nonzero"),
+        ([0.0] * 5, [1e200], NonFiniteValue, r"^\|\|h1\|\|\^2 must be finite"),
+        ([0.0] * 5, [math.nan], NonFiniteValue, "^h1 must be finite"),
+        ([0.0] * 5, 10**400, NonFiniteValue, "^h1 holds an integer beyond the float range"),
+        ([0.0] * 5, [[1.0]], DimensionMismatch, r"^h1 must be a vector, got shape \(1, 1\)"),
+        ([0.0] * 4, [1.0], DimensionMismatch, r"^boundary-layer state has shape \(4,\)"),
+    ])
+    def test_inputs_are_checked(self, z_b, h1, error, message):
+        # each is named, under warnings as errors: never a bare ValueError,
+        # ZeroDivisionError, OverflowError or TypeError, an overflow warning,
+        # or a row of NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=message) as exc:
+                boundary_layer_rhs(z_b, h1)
+        assert type(exc.value) is error
+
+    def test_overflowing_state_is_inf_quietly(self):
+        # a state whose arithmetic overflows gives inf, as the fields do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = boundary_layer_rhs([1e200] * 5, [1.0])
+        assert out.tolist() == [-1e200] * 4 + [-math.inf]
+
     def test_origin_is_equilibrium(self, plant2):
         z = np.zeros(StateLayout.of(2).size - 2)
         np.testing.assert_array_equal(boundary_layer_rhs(z, plant2.h1), z)
@@ -803,23 +830,55 @@ def test_fields_take_the_steppers_call_form(case, rng):
 def test_dithered_field_names_a_bad_time(case, rng):
     # a t that is not one real number is named by the field, for a list and
     # an array state: a vector as a DimensionMismatch, anything else as a
-    # ValidationError, never as the bare TypeError of sin
+    # ValidationError, never as the bare TypeError of sin, nor with a repr
+    # of the input, which Python refuses for an int past 4300 digits
     model, n = case[:-1], int(case[-1])
     field = make_rhs(random_plant(rng, n), random_config(rng, n, Variant(model)))
     y = random_full_state(rng, n)
     if model == "newton":
         y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
     for state in (y.tolist(), y):
-        for t in (np.array([0.1, 0.2]), np.array([0.1]), [0.1]):
-            with pytest.raises(DimensionMismatch, match="^t must be one real number"):
+        for t in (np.array([0.1, 0.2]), np.array([0.1]), [0.1], [10**5000]):
+            with pytest.raises(DimensionMismatch, match="^t must be one real number, got a"):
                 field(t, state)
         for t in (None, "0.1", 1j):
-            with pytest.raises(ValidationError, match="^t must be one real number") as exc:
+            with pytest.raises(ValidationError, match="^t must be one real number, got a") as exc:
                 field(t, state)
-            assert type(exc.value) is ValidationError
+            assert type(exc.value) is ValidationError and "0.1" not in str(exc.value)
         for t in (0, np.float64(0.37), np.array(0.37), True):
             assert np.asarray(field(t, state)).tobytes() == np.asarray(
                 field(float(t), state)).tobytes()
+
+
+@pytest.mark.parametrize("case", ["asfes1", "newton1", "classical2", "asfes3"])
+def test_dithered_field_names_a_non_finite_time(case, rng):
+    # a NaN, an infinity or an integer beyond the float range is a
+    # NonFiniteValue, for a list and an array state, not a bare
+    # OverflowError, a math domain error or rows of NaN
+    model, n = case[:-1], int(case[-1])
+    field = make_rhs(random_plant(rng, n), random_config(rng, n, Variant(model)))
+    y = random_full_state(rng, n)
+    if model == "newton":
+        y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
+    for state in (y.tolist(), y):
+        for t in (10**400, -10**400, math.inf, -math.inf, math.nan, np.float64(math.nan)):
+            with pytest.raises(NonFiniteValue, match="^t must be finite"):
+                field(t, state)
+
+
+@pytest.mark.parametrize("case", ["asfes1", "newton1", "classical2", "asfes3"])
+def test_list_with_a_time_that_is_no_float_gives_an_array(case, rng):
+    # only a float t takes a list of floats to a list; a real t of another
+    # type is taken as its float, and the list goes the array path
+    model, n = case[:-1], int(case[-1])
+    field = make_rhs(random_plant(rng, n), random_config(rng, n, Variant(model)))
+    y = random_full_state(rng, n)
+    if model == "newton":
+        y = np.append(y, rng.uniform(0.2, 2.0))         # the Gamma row
+    want = np.array(field(2.0, y.tolist())).tobytes()
+    for t in (2, np.float64(2.0), np.float32(2.0), np.array(2.0)):
+        got = field(t, y.tolist())
+        assert type(got) is np.ndarray and got.tobytes() == want
 
 
 @pytest.mark.parametrize("case", ["asfes1", "newton1", "classical2", "asfes3"])

@@ -62,12 +62,17 @@ class TestSmoothMax:
     ((np.array([0.25]), (1,), 1.0), "dither amplitude must be one number"),
     ((0.25, ("1/0",), 1.0), "frequency ratio '1/0' is not a rational number"),
     ((0.25, ("abc",), 1.0), "frequency ratio 'abc' is not a rational number"),
-    ((0.25, None, 1.0), "cannot interpret frequency ratios None"),
-    ((0.25, ([1], 2), 1.0), r"cannot interpret frequency ratios \(\[1\], 2\)"),
+    ((0.25, None, 1.0), "cannot interpret frequency ratios, got a NoneType$"),
+    ((0.25, ([1], 2), 1.0), "cannot interpret frequency ratios, got a tuple$"),
+    # described by type and shape: the repr of an int past 4300 digits is refused
+    ((0.1, 10**5000), "cannot interpret frequency ratios, got a int$"),
+    ((0.1, ([10**5000],)), r"cannot interpret frequency ratios, got a tuple of shape \(1, 1\)$"),
+    ((0.1, ((10**5000,),)), r"cannot interpret frequency ratio, got a tuple of shape \(1,\)$"),
 ])
 def test_dither_non_numbers_are_named(args, name):
     # a library caller's non-number is a ValidationError that names it,
-    # never the converter's bare TypeError, ValueError or ZeroDivisionError
+    # never the converter's bare TypeError, ValueError or ZeroDivisionError,
+    # nor the ValueError of a repr
     with pytest.raises(ValidationError, match=f"^{name}"):
         DitherConfig(*args)
 
